@@ -24,9 +24,6 @@ IndexTuple = Tuple[int, int, int, int]
 EVEN_TUPLES: Tuple[IndexTuple, ...] = tuple(
     t for t in product((0, 1), repeat=4) if sum(t) % 2 == 0)
 
-ODD_TUPLES: Tuple[IndexTuple, ...] = tuple(
-    t for t in product((0, 1), repeat=4) if sum(t) % 2 == 1)
-
 
 def comp(a: int) -> int:
     """Complement convention on {0,1}: 0' = 1 and 1' = 0."""
@@ -129,8 +126,6 @@ T_INDEX = {(i, a): AMBIENT_T4.index(tname(i, a)) for i in range(4) for a in (0, 
 
 # auxiliary rings for the bicanonical geometry
 AMBIENT_S = Ambient.graded("S", ("s0", "s1", "s2", "s3"))
-AMBIENT_U = Ambient.graded("U", ("u0", "u1", "u2"))
 AMBIENT_LU = Ambient.graded("LU", ("lam", "u0", "u1", "u2"))
 AMBIENT_X3L = Ambient.graded("X3L", ("x1", "x2", "x3"), laurent=True)
-AMBIENT_CHART4 = Ambient.graded("CHART4", ("z0", "z1", "z2", "z3"), laurent=True)
 AMBIENT_P7 = Ambient.graded("P7", X_VARS)

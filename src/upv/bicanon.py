@@ -17,7 +17,6 @@ plane model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,8 +27,8 @@ from .cover import SurfacePointSet, canonical_weighted, sigma_image
 from .grouprep import (parse_word, stabilizer_classification, theta_class,
                        word_str)
 from .linalg import rank
-from .poly import MonomialMap, Poly, exact_divide, ring_substitute
-from .report import CheckReport, Timer, report
+from .poly import MonomialMap, Poly, exact_divide, proportional, ring_substitute
+from .report import CheckReport, verdict
 from .scalars import GF, QI, QQ, PrimeField
 from .unproj import (FamilyParams, l_form, product_of_sums,
                      reduce_by_rewriting, s_form, xvar)
@@ -69,27 +68,27 @@ def derive_s3_cubic(nu: FamilyParams) -> Tuple[Poly, CheckReport]:
     rewriting x00^2*l^2 - nu4^2*prod((x_i0+x_i1)^2) equals minus the cubic
     evaluated at the invariant quadrics."""
     d = nu.domain
-    with Timer() as tm:
-        cubic = scubic(nu)
-        lhs = xvar(d, 0, 0) ** 2 * l_form(nu) ** 2 \
-            - product_of_sums(d) ** 2 * (nu.nu[4] * nu.nu[4])
-        a = reduce_by_rewriting(lhs)
-        b = reduce_by_rewriting(
-            ring_substitute(cubic, AMBIENT_XY, _s_substitution_images(d)))
-        difference = a + b
-        ok = difference.is_zero()
-        # the squared-sum rewriting used on the way: (x_i0+x_i1)^2 = 2(s_i - s0)
-        for i in (1, 2, 3):
-            sq = reduce_by_rewriting((xvar(d, i, 0) + xvar(d, i, 1)) ** 2)
-            want = reduce_by_rewriting(
-                (s_form(d, i) - xvar(d, 0, 0) ** 2) * d.from_int(2))
-            if sq != want:
-                ok = False
-    witness = {"identity": "rewrite(x00^2 l^2 - nu4^2 prod^2) = -cubic(s)"}
+    cubic = scubic(nu)
+    lhs = xvar(d, 0, 0) ** 2 * l_form(nu) ** 2 \
+        - product_of_sums(d) ** 2 * (nu.nu[4] * nu.nu[4])
+    a = reduce_by_rewriting(lhs)
+    b = reduce_by_rewriting(
+        ring_substitute(cubic, AMBIENT_XY, _s_substitution_images(d)))
+    difference = a + b
+    problems = []
     if not difference.is_zero():
-        witness["difference"] = str(difference)[:300]
-    return cubic, report("bicanon.s3_derivation", ok, witness, tm.ms,
-                         nu.as_params())
+        problems.append(f"difference {str(difference)[:300]}")
+    # the squared-sum rewriting used on the way: (x_i0+x_i1)^2 = 2(s_i - s0)
+    for i in (1, 2, 3):
+        sq = reduce_by_rewriting((xvar(d, i, 0) + xvar(d, i, 1)) ** 2)
+        want = reduce_by_rewriting(
+            (s_form(d, i) - xvar(d, 0, 0) ** 2) * d.from_int(2))
+        if sq != want:
+            problems.append(f"(x{i}0+x{i}1)^2 does not rewrite to 2(s{i} - x00^2)")
+    return cubic, verdict(
+        "bicanon.s3_derivation", problems,
+        on_pass={"identity": "rewrite(x00^2 l^2 - nu4^2 prod^2) = -cubic(s)"},
+        params=nu.as_params())
 
 
 def s_coordinates(point16: Sequence[int], p: int) -> Optional[Tuple[int, ...]]:
@@ -111,24 +110,24 @@ def scubic_points_report(points: SurfacePointSet) -> CheckReport:
     """Every enumerated surface point maps onto the cubic."""
     p = points.p
     nu = points.nu
-    with Timer() as tm:
-        cubic = scubic(nu)
-        field = GF(p)
-        bad = 0
-        total = 0
-        for pt in points.points:
-            img = sigma_image(pt, p)
-            sc = s_coordinates(img, p)
-            if sc is None:
-                bad += 1
-                continue
-            total += 1
-            if cubic.evaluate([field.from_int(v) for v in sc]):
-                bad += 1
-        ok = bad == 0 and total > 0
-    return report("bicanon.s3_points", ok,
-                  {"points": total, "off_cubic": bad}, tm.ms,
-                  dict(nu.as_params(), prime=p))
+    cubic = scubic(nu)
+    field = GF(p)
+    bad = 0
+    total = 0
+    for pt in points.points:
+        img = sigma_image(pt, p)
+        sc = s_coordinates(img, p)
+        if sc is None:
+            bad += 1
+            continue
+        total += 1
+        if cubic.evaluate([field.from_int(v) for v in sc]):
+            bad += 1
+    problems = [f"{bad} point images off the cubic"] if bad else []
+    if not total:
+        problems.append("no point image in the s-chart")
+    return verdict("bicanon.s3_points", problems, {"points": total, "off_cubic": bad},
+                   params=dict(nu.as_params(), prime=p))
 
 
 def node_coordinates(nu: FamilyParams, i: int) -> Tuple[object, ...]:
@@ -159,36 +158,32 @@ def verify_nodes(p: int = 13, draws: int = 100, seed: int = 0) -> CheckReport:
     import random
     field = GF(p)
     rng = random.Random(seed)
-    with Timer() as tm:
-        problems = []
-        done = 0
-        attempts = 0
-        while done < draws and attempts < draws * 20:
-            attempts += 1
-            nu = FamilyParams(field, tuple(rng.randrange(p) for _ in range(5)))
-            deg, _ = nu.degenerate()
-            if deg or not nu.nu[4] or not nodes_distinct(nu):
-                continue
-            cubic = scubic(nu)
-            grads = [cubic.derivative(f"s{k}") for k in range(4)]
-            for i in (1, 2, 3):
-                n = node_coordinates(nu, i)
-                if cubic.evaluate(n):
-                    problems.append(f"cubic(n_{i}) != 0 at nu={nu.nu}")
-                for g in grads:
-                    if g.evaluate(n):
-                        problems.append(f"grad(n_{i}) != 0 at nu={nu.nu}")
-                hess = _affine_hessian_rank(cubic, n, field)
-                if hess != 3:
-                    problems.append(f"Hessian rank {hess} at n_{i}, nu={nu.nu}")
-            done += 1
-        if done < draws:
-            problems.append(f"only {done} non-degenerate draws found")
-        ok = not problems
-    return report("bicanon.nodes", ok,
-                  {"draws": done, "problems": problems[:5]} if problems else
-                  {"draws": done, "hessian_rank": 3}, tm.ms,
-                  {"prime": p, "seed": seed})
+    problems = []
+    done = 0
+    attempts = 0
+    while done < draws and attempts < draws * 20:
+        attempts += 1
+        nu = FamilyParams(field, tuple(rng.randrange(p) for _ in range(5)))
+        deg, _ = nu.degenerate()
+        if deg or not nu.nu[4] or not nodes_distinct(nu):
+            continue
+        cubic = scubic(nu)
+        grads = [cubic.derivative(f"s{k}") for k in range(4)]
+        for i in (1, 2, 3):
+            n = node_coordinates(nu, i)
+            if cubic.evaluate(n):
+                problems.append(f"cubic(n_{i}) != 0 at nu={nu.nu}")
+            for g in grads:
+                if g.evaluate(n):
+                    problems.append(f"grad(n_{i}) != 0 at nu={nu.nu}")
+            hess = _affine_hessian_rank(cubic, n, field)
+            if hess != 3:
+                problems.append(f"Hessian rank {hess} at n_{i}, nu={nu.nu}")
+        done += 1
+    if done < draws:
+        problems.append(f"only {done} non-degenerate draws found")
+    return verdict("bicanon.nodes", problems[:5], {"draws": done},
+                   on_pass={"hessian_rank": 3}, params={"prime": p, "seed": seed})
 
 
 def _affine_hessian_rank(cubic: Poly, node, field) -> int:
@@ -235,61 +230,48 @@ def split_plane_sections(nu: FamilyParams) -> CheckReport:
     residual conic; the three lines pairwise meet in the plane s0 = 0; the
     lines through pairs of nodes lie on the cubic."""
     d = nu.domain
-    with Timer() as tm:
-        problems = []
-        cubic = scubic(nu)
-        s = [svar(d, i) for i in range(4)]
-        for i in (1, 2, 3):
-            images = {f"s{k}": s[k] for k in range(4)}
-            images[f"s{i}"] = -s[0]
-            restricted = ring_substitute(cubic, AMBIENT_S, images)
-            quotient = exact_divide(restricted, s[0])
-            if quotient is None:
-                problems.append(f"s0 does not divide the restriction to s{i} = -s0")
-                continue
-            ip, iq = (i % 3) + 1, ((i + 1) % 3) + 1
-            conic = (s[ip] - s[0]) * (s[iq] - s[0]) * (d.from_int(16) * nu.nu[4] ** 2)
-            lfull = Poly.zero(AMBIENT_S, d)
-            for k in range(4):
-                lfull = lfull + s[k] * nu.nu[k]
-            conic = conic + lfull * lfull
-            conic_restricted = ring_substitute(conic, AMBIENT_S, images)
-            if not _proportional(quotient, conic_restricted):
-                problems.append(f"residual of s{i} = -s0 is not the displayed conic")
-        # L_i pairwise meet at a single point of the plane s0 = 0
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            rows = []
-            for name in ("s0", f"s{i}", f"s{j}"):
-                row = [d.zero()] * 4
-                row[int(name[1])] = d.one()
-                rows.append(row)
-            if rank(rows, d) != 3:
-                problems.append(f"L{i} and L{j} do not meet in a point")
-        # N_ij = (s0 - s_k = l = 0) lies on the cubic
-        for k in (1, 2, 3):
-            i, j = [m for m in (1, 2, 3) if m != k]
-            if not nu.nu[j]:
-                continue
-            images = {"s0": s[0], f"s{i}": s[i], f"s{k}": s[0]}
-            coeff_j = -(d.one() / nu.nu[j])
-            images[f"s{j}"] = (s[0] * (nu.nu[0] + nu.nu[k]) + s[i] * nu.nu[i]) * coeff_j
-            if not ring_substitute(cubic, AMBIENT_S, images).is_zero():
-                problems.append(f"N_{i}{j} does not lie on the cubic")
-        ok = not problems
-    return report("bicanon.plane_sections", ok,
-                  {"problems": problems} if problems else
-                  {"splittings": 3, "node_lines_on_cubic": 3}, tm.ms,
-                  nu.as_params())
-
-
-def _proportional(f: Poly, g: Poly) -> bool:
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    ef, cf = f.leading()
-    eg, cg = g.leading()
-    if ef != eg:
-        return False
-    return f == g * (cf / cg)
+    problems = []
+    cubic = scubic(nu)
+    s = [svar(d, i) for i in range(4)]
+    for i in (1, 2, 3):
+        images = {f"s{k}": s[k] for k in range(4)}
+        images[f"s{i}"] = -s[0]
+        restricted = ring_substitute(cubic, AMBIENT_S, images)
+        quotient = exact_divide(restricted, s[0])
+        if quotient is None:
+            problems.append(f"s0 does not divide the restriction to s{i} = -s0")
+            continue
+        ip, iq = (i % 3) + 1, ((i + 1) % 3) + 1
+        conic = (s[ip] - s[0]) * (s[iq] - s[0]) * (d.from_int(16) * nu.nu[4] ** 2)
+        lfull = Poly.zero(AMBIENT_S, d)
+        for k in range(4):
+            lfull = lfull + s[k] * nu.nu[k]
+        conic = conic + lfull * lfull
+        conic_restricted = ring_substitute(conic, AMBIENT_S, images)
+        if not proportional(quotient, conic_restricted):
+            problems.append(f"residual of s{i} = -s0 is not the displayed conic")
+    # L_i pairwise meet at a single point of the plane s0 = 0
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        rows = []
+        for name in ("s0", f"s{i}", f"s{j}"):
+            row = [d.zero()] * 4
+            row[int(name[1])] = d.one()
+            rows.append(row)
+        if rank(rows, d) != 3:
+            problems.append(f"L{i} and L{j} do not meet in a point")
+    # N_ij = (s0 - s_k = l = 0) lies on the cubic
+    for k in (1, 2, 3):
+        i, j = [m for m in (1, 2, 3) if m != k]
+        if not nu.nu[j]:
+            continue
+        images = {"s0": s[0], f"s{i}": s[i], f"s{k}": s[0]}
+        coeff_j = -(d.one() / nu.nu[j])
+        images[f"s{j}"] = (s[0] * (nu.nu[0] + nu.nu[k]) + s[i] * nu.nu[i]) * coeff_j
+        if not ring_substitute(cubic, AMBIENT_S, images).is_zero():
+            problems.append(f"N_{i}{j} does not lie on the cubic")
+    return verdict("bicanon.plane_sections", problems,
+                   on_pass={"splittings": 3, "node_lines_on_cubic": 3},
+                   params=nu.as_params())
 
 
 # -- branch loci on enumerated points ------------------------------------------
@@ -344,69 +326,65 @@ def branch_locus_check(points: SurfacePointSet) -> CheckReport:
     only full-inertia points."""
     p = points.p
     nu = points.nu
-    with Timer() as tm:
-        downstairs = sorted({sigma_image(pt, p) for pt in points.points})
+    downstairs = sorted({sigma_image(pt, p) for pt in points.points})
 
-        def canon(vals):
-            return canonical_weighted([int(v) for v in vals], p)
+    def canon(vals):
+        return canonical_weighted([int(v) for v in vals], p)
 
-        violations = []
-        missing = []
-        hits = {}
-        for i in (1, 2, 3):
-            words = theta_class(i)
-            fixed = stabilizer_classification(downstairs, words, canon)
-            ip = (i % 3) + 1
-            im = ((i + 1) % 3) + 1  # i - 1 cyclically in {1,2,3}
-            beta_w = parse_word(BETA_WORDS[i])
-            conic_w = parse_word(CONIC_WORDS[i])
-            node_w = parse_word(NODE_WORDS[i])
-            for w in words:
-                images = []
-                for pt in fixed[w]:
-                    sc = s_coordinates(pt, p)
-                    if sc is None:
-                        violations.append(f"{word_str(w)}: fixed point off the s-chart")
-                        continue
-                    images.append((sc, _locus_membership(sc, nu, p)))
-                allowed_bad = [sc for sc, mem in images
-                               if not (mem[f"D{i}"] or mem[f"n{i}"] or mem["pairwise"])]
-                if allowed_bad:
+    violations = []
+    missing = []
+    hits = {}
+    for i in (1, 2, 3):
+        words = theta_class(i)
+        fixed = stabilizer_classification(downstairs, words, canon)
+        ip = (i % 3) + 1
+        im = ((i + 1) % 3) + 1  # i - 1 cyclically in {1,2,3}
+        beta_w = parse_word(BETA_WORDS[i])
+        conic_w = parse_word(CONIC_WORDS[i])
+        node_w = parse_word(NODE_WORDS[i])
+        for w in words:
+            images = []
+            for pt in fixed[w]:
+                sc = s_coordinates(pt, p)
+                if sc is None:
+                    violations.append(f"{word_str(w)}: fixed point off the s-chart")
+                    continue
+                images.append((sc, _locus_membership(sc, nu, p)))
+            allowed_bad = [sc for sc, mem in images
+                           if not (mem[f"D{i}"] or mem[f"n{i}"] or mem["pairwise"])]
+            if allowed_bad:
+                violations.append(
+                    f"{word_str(w)}: {len(allowed_bad)} images outside the "
+                    f"allowed loci, e.g. {allowed_bad[0]}")
+            if w == beta_w:
+                on_line = [sc for sc, mem in images if mem[f"L{im}"]]
+                hits[f"theta{i}.line"] = len(on_line)
+                if not on_line:
+                    missing.append(f"{word_str(w)} misses L{im}")
+            elif w == conic_w:
+                on_conic = [sc for sc, mem in images if mem[f"C{ip}"]]
+                hits[f"theta{i}.conic"] = len(on_conic)
+                if not on_conic:
+                    missing.append(f"{word_str(w)} misses C{ip}")
+            elif w == node_w:
+                off = [sc for sc, mem in images
+                       if not (mem[f"n{i}"] or mem["pairwise"])]
+                hits[f"theta{i}.node"] = sum(1 for _, mem in images if mem[f"n{i}"])
+                if off:
+                    violations.append(f"{word_str(w)} maps outside n{i}")
+            else:
+                extra = [sc for sc, mem in images if not mem["pairwise"]]
+                if extra:
                     violations.append(
-                        f"{word_str(w)}: {len(allowed_bad)} images outside the "
-                        f"allowed loci, e.g. {allowed_bad[0]}")
-                if w == beta_w:
-                    on_line = [sc for sc, mem in images if mem[f"L{im}"]]
-                    hits[f"theta{i}.line"] = len(on_line)
-                    if not on_line:
-                        missing.append(f"{word_str(w)} misses L{im}")
-                elif w == conic_w:
-                    on_conic = [sc for sc, mem in images if mem[f"C{ip}"]]
-                    hits[f"theta{i}.conic"] = len(on_conic)
-                    if not on_conic:
-                        missing.append(f"{word_str(w)} misses C{ip}")
-                elif w == node_w:
-                    off = [sc for sc, mem in images
-                           if not (mem[f"n{i}"] or mem["pairwise"])]
-                    hits[f"theta{i}.node"] = sum(1 for _, mem in images if mem[f"n{i}"])
-                    if off:
-                        violations.append(f"{word_str(w)} maps outside n{i}")
-                else:
-                    extra = [sc for sc, mem in images if not mem["pairwise"]]
-                    if extra:
-                        violations.append(
-                            f"{word_str(w)} fixes {len(extra)} points outside the "
-                            f"full-inertia intersections, e.g. {extra[0]}")
-        ok = not violations and not missing
-    witness = {"hits": hits}
-    if violations or missing:
-        witness["violations"] = violations[:8]
-        witness["missing_hits"] = missing
-        deg, reason = nu.degenerate()
-        witness["degenerate_nu"] = deg
-        witness["degenerate_reason"] = reason
-    return report("bicanon.branch_loci", ok, witness, tm.ms,
-                  dict(nu.as_params(), prime=p))
+                        f"{word_str(w)} fixes {len(extra)} points outside the "
+                        f"full-inertia intersections, e.g. {extra[0]}")
+    problems = missing + ([f"{len(violations)} fixed-point images violate containment"]
+                          if violations else [])
+    deg, reason = nu.degenerate()
+    return verdict("bicanon.branch_loci", problems, {"hits": hits},
+                   on_fail={"violations": violations[:8], "degenerate_nu": deg,
+                            "degenerate_reason": reason},
+                   params=dict(nu.as_params(), prime=p))
 
 
 # -- the pencil charts ----------------------------------------------------------
@@ -494,68 +472,62 @@ def pencil_generators(domain) -> Tuple[Poly, Poly]:
 def burniat_nodes_report(domain=QI) -> CheckReport:
     """F1 and F2 vanish on all 24 double points; the F1-Hessian is diagonal
     with entries -3/x_i^4 - 1, hence -4 and nonsingular at each."""
-    with Timer() as tm:
-        problems = []
-        pts = double_point_set(domain)
-        if len(pts) != 24:
-            problems.append(f"|D| = {len(pts)}")
-        eps = domain.sqrt_minus_one()
-        expected = set()
-        for pos in range(3):
-            for signs in product((1, -1), repeat=3):
-                pt = [domain.from_int(signs[k]) for k in range(3)]
-                pt[pos] = pt[pos] * eps
-                expected.add(tuple(pt))
-        if set(pts) != expected:
-            problems.append("double points differ from the sign-pattern set")
-        f1, f2 = f1_poly(domain), f2_poly(domain)
-        hess_entries = [f1.derivative(f"x{i}").derivative(f"x{i}") for i in (1, 2, 3)]
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            if not f1.derivative(f"x{i}").derivative(f"x{j}").is_zero():
-                problems.append(f"off-diagonal Hessian entry ({i},{j}) nonzero")
-        minus3 = Poly.constant(AMBIENT_X3L, domain, -3)
-        for i in (1, 2, 3):
-            e = tuple(-4 if k == i - 1 else 0 for k in range(3))
-            want = Poly.monomial(AMBIENT_X3L, domain, e, -3) + Poly.constant(
-                AMBIENT_X3L, domain, -1)
-            if hess_entries[i - 1] != want:
-                problems.append(f"d^2F1/dx{i}^2 != -3/x{i}^4 - 1")
-        minus4 = domain.from_int(-4)
-        for pt in pts:
-            if f1.evaluate(pt) or f2.evaluate(pt):
-                problems.append(f"F1/F2 do not vanish at {pt}")
-            dets = [h.evaluate(pt) for h in hess_entries]
-            if any(v != minus4 for v in dets):
-                problems.append(f"Hessian diagonal at {pt} is {dets}")
-        ok = not problems
-    return report("burniat.nodes", ok,
-                  {"problems": problems[:6]} if problems else
-                  {"double_points": 24, "hessian_diagonal": "-4"}, tm.ms)
+    problems = []
+    pts = double_point_set(domain)
+    if len(pts) != 24:
+        problems.append(f"|D| = {len(pts)}")
+    eps = domain.sqrt_minus_one()
+    expected = set()
+    for pos in range(3):
+        for signs in product((1, -1), repeat=3):
+            pt = [domain.from_int(signs[k]) for k in range(3)]
+            pt[pos] = pt[pos] * eps
+            expected.add(tuple(pt))
+    if set(pts) != expected:
+        problems.append("double points differ from the sign-pattern set")
+    f1, f2 = f1_poly(domain), f2_poly(domain)
+    hess_entries = [f1.derivative(f"x{i}").derivative(f"x{i}") for i in (1, 2, 3)]
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        if not f1.derivative(f"x{i}").derivative(f"x{j}").is_zero():
+            problems.append(f"off-diagonal Hessian entry ({i},{j}) nonzero")
+    minus3 = Poly.constant(AMBIENT_X3L, domain, -3)
+    for i in (1, 2, 3):
+        e = tuple(-4 if k == i - 1 else 0 for k in range(3))
+        want = Poly.monomial(AMBIENT_X3L, domain, e, -3) + Poly.constant(
+            AMBIENT_X3L, domain, -1)
+        if hess_entries[i - 1] != want:
+            problems.append(f"d^2F1/dx{i}^2 != -3/x{i}^4 - 1")
+    minus4 = domain.from_int(-4)
+    for pt in pts:
+        if f1.evaluate(pt) or f2.evaluate(pt):
+            problems.append(f"F1/F2 do not vanish at {pt}")
+        dets = [h.evaluate(pt) for h in hess_entries]
+        if any(v != minus4 for v in dets):
+            problems.append(f"Hessian diagonal at {pt} is {dets}")
+    return verdict("burniat.nodes", problems[:6],
+                   on_pass={"double_points": 24, "hessian_diagonal": "-4"})
 
 
 def burniat_charts_report(domain=QI) -> CheckReport:
     """The chart pullbacks of the pencil generators equal -F1 and F2 on the
     nose (Laurent form), and the chart lands inside the key 3-fold: all 64
     of its equations pull back to zero."""
-    with Timer() as tm:
-        problems = []
-        xi2 = chart_map_xi2(domain)
-        from .unproj import build_v_ideal
-        for name, g, _ in build_v_ideal(domain).generators:
-            if not xi2.apply(g).is_zero():
-                problems.append(f"{name} does not vanish on the chart")
-        q1, q2 = pencil_generators(domain)
-        p1 = xi2.apply(q1)
-        p2 = xi2.apply(q2)
-        if p1 != -f1_poly(domain):
-            problems.append("pullback of the l-generator is not -F1")
-        if p2 != f2_poly(domain):
-            problems.append("pullback of the signed-y generator is not F2")
-        ok = not problems
-    return report("burniat.charts", ok,
-                  {"problems": problems[:6]} if problems else
-                  {"pullbacks": "q1 -> -F1, q2 -> F2 exactly",
-                   "chart_inside_key_3fold": True}, tm.ms)
+    problems = []
+    xi2 = chart_map_xi2(domain)
+    from .unproj import build_v_ideal
+    for name, g, _ in build_v_ideal(domain).generators:
+        if not xi2.apply(g).is_zero():
+            problems.append(f"{name} does not vanish on the chart")
+    q1, q2 = pencil_generators(domain)
+    p1 = xi2.apply(q1)
+    p2 = xi2.apply(q2)
+    if p1 != -f1_poly(domain):
+        problems.append("pullback of the l-generator is not -F1")
+    if p2 != f2_poly(domain):
+        problems.append("pullback of the signed-y generator is not F2")
+    return verdict("burniat.charts", problems[:6],
+                   on_pass={"pullbacks": "q1 -> -F1, q2 -> F2 exactly",
+                            "chart_inside_key_3fold": True})
 
 
 def chart_map_zeta2(domain=QQ) -> MonomialMap:
@@ -606,37 +578,34 @@ def burniat_f3_report(domain=QQ) -> CheckReport:
     """At x00 = 0 the two partials of F3 are the displayed binomials whose
     only common zero with x21*x31 != 0 would need the rank-2 system
     {4a + 2b = 0, 2a + 4b = 0} (determinant 12) to degenerate."""
-    with Timer() as tm:
-        problems = []
-        f3 = f3_chart_polynomial(domain)
-        zero_x00 = {"zx00": Poly.zero(AMBIENT_ZCHART, domain),
-                    "zx21": Poly.variable(AMBIENT_ZCHART, domain, "zx21"),
-                    "zx31": Poly.variable(AMBIENT_ZCHART, domain, "zx31")}
-        d21 = ring_substitute(f3.derivative("zx21"), AMBIENT_ZCHART, zero_x00)
-        d31 = ring_substitute(f3.derivative("zx31"), AMBIENT_ZCHART, zero_x00)
-        m = Poly.monomial
-        want21 = m(AMBIENT_ZCHART, domain, (0, 3, 2), -4) + m(AMBIENT_ZCHART, domain, (0, 1, 4), -2)
-        want31 = m(AMBIENT_ZCHART, domain, (0, 4, 1), -2) + m(AMBIENT_ZCHART, domain, (0, 2, 3), -4)
-        if d21 != want21:
-            problems.append(f"dF3/dx21 at x00=0 is {d21}")
-        if d31 != want31:
-            problems.append(f"dF3/dx31 at x00=0 is {d31}")
-        # factor out x21*x31^2 and x21^2*x31: linear system in (x21^2, x31^2)
-        q21 = exact_divide(d21, m(AMBIENT_ZCHART, domain, (0, 1, 2), 1))
-        q31 = exact_divide(d31, m(AMBIENT_ZCHART, domain, (0, 2, 1), 1))
-        if q21 is None or q31 is None:
-            problems.append("partials do not factor as expected")
-        else:
-            a21 = q21.coefficient((0, 2, 0)), q21.coefficient((0, 0, 2))
-            a31 = q31.coefficient((0, 2, 0)), q31.coefficient((0, 0, 2))
-            det = a21[0] * a31[1] - a21[1] * a31[0]
-            if not det or det != domain.from_int(12):
-                problems.append(f"coefficient determinant {det} (expected 12)")
-        ok = not problems
-    return report("burniat.f3", ok,
-                  {"problems": problems} if problems else
-                  {"partials": "as displayed", "determinant": 12,
-                   "conclusion": "no common zero with x21*x31 != 0"}, tm.ms)
+    problems = []
+    f3 = f3_chart_polynomial(domain)
+    zero_x00 = {"zx00": Poly.zero(AMBIENT_ZCHART, domain),
+                "zx21": Poly.variable(AMBIENT_ZCHART, domain, "zx21"),
+                "zx31": Poly.variable(AMBIENT_ZCHART, domain, "zx31")}
+    d21 = ring_substitute(f3.derivative("zx21"), AMBIENT_ZCHART, zero_x00)
+    d31 = ring_substitute(f3.derivative("zx31"), AMBIENT_ZCHART, zero_x00)
+    m = Poly.monomial
+    want21 = m(AMBIENT_ZCHART, domain, (0, 3, 2), -4) + m(AMBIENT_ZCHART, domain, (0, 1, 4), -2)
+    want31 = m(AMBIENT_ZCHART, domain, (0, 4, 1), -2) + m(AMBIENT_ZCHART, domain, (0, 2, 3), -4)
+    if d21 != want21:
+        problems.append(f"dF3/dx21 at x00=0 is {d21}")
+    if d31 != want31:
+        problems.append(f"dF3/dx31 at x00=0 is {d31}")
+    # factor out x21*x31^2 and x21^2*x31: linear system in (x21^2, x31^2)
+    q21 = exact_divide(d21, m(AMBIENT_ZCHART, domain, (0, 1, 2), 1))
+    q31 = exact_divide(d31, m(AMBIENT_ZCHART, domain, (0, 2, 1), 1))
+    if q21 is None or q31 is None:
+        problems.append("partials do not factor as expected")
+    else:
+        a21 = q21.coefficient((0, 2, 0)), q21.coefficient((0, 0, 2))
+        a31 = q31.coefficient((0, 2, 0)), q31.coefficient((0, 0, 2))
+        det = a21[0] * a31[1] - a21[1] * a31[0]
+        if not det or det != domain.from_int(12):
+            problems.append(f"coefficient determinant {det} (expected 12)")
+    return verdict("burniat.f3", problems,
+                   on_pass={"partials": "as displayed", "determinant": 12,
+                            "conclusion": "no common zero with x21*x31 != 0"})
 
 
 # -- the plane model -------------------------------------------------------------
@@ -659,17 +628,15 @@ def plane_model_cubics(domain=QQ) -> List[Poly]:
 def lambda_identity_report(domain=QQ) -> CheckReport:
     """(lam+1)^2 (s1-s0)(s2-s0)(s3-s0) + 2 lam s0 (s1+s2+s3-s0)^2 is the zero
     polynomial of Q[lam, u0, u1, u2] for the displayed cubics."""
-    with Timer() as tm:
-        s0, s1, s2, s3 = plane_model_cubics(domain)
-        lam = Poly.variable(AMBIENT_LU, domain, "lam")
-        one = Poly.one(AMBIENT_LU, domain)
-        lhs = (lam + one) ** 2 * (s1 - s0) * (s2 - s0) * (s3 - s0)
-        rhs = lam * s0 * (s1 + s2 + s3 - s0) ** 2 * (-2)
-        diff = lhs - rhs
-        ok = diff.is_zero()
-    return report("burniat.lambda_identity", ok,
-                  {"identity": "zero polynomial" if ok else str(diff)[:200]},
-                  tm.ms)
+    s0, s1, s2, s3 = plane_model_cubics(domain)
+    lam = Poly.variable(AMBIENT_LU, domain, "lam")
+    one = Poly.one(AMBIENT_LU, domain)
+    lhs = (lam + one) ** 2 * (s1 - s0) * (s2 - s0) * (s3 - s0)
+    rhs = lam * s0 * (s1 + s2 + s3 - s0) ** 2 * (-2)
+    diff = lhs - rhs
+    return verdict("burniat.lambda_identity",
+                   [] if diff.is_zero() else [f"difference {str(diff)[:200]}"],
+                   on_pass={"identity": "zero polynomial"})
 
 
 def pencil_cubic_squared(domain=QQ) -> Poly:
@@ -696,42 +663,39 @@ def burniat_parameter_map(lam_value) -> Tuple[dict, CheckReport]:
     solved parameters (with an explicit square root of -lam when the field
     has one) and the membership certificate.
     """
-    with Timer() as tm:
-        problems = []
-        domain = QQ if isinstance(lam_value, (int, Fraction)) else lam_value.field
-        lam = domain.coerce(lam_value)
-        if lam == domain.zero() or lam == domain.one():
-            raise ValueError("lambda = 0, 1 are excluded parameters")
-        nu4 = (lam + domain.one()) / domain.from_int(4)
-        # membership: the symbolic pencil cubic vanishes on the plane model
-        s0, s1, s2, s3 = plane_model_cubics(QQ)
-        generic = pencil_cubic_squared(QQ)
-        composed = ring_substitute(generic, AMBIENT_LU,
-                                   {"lam": Poly.variable(AMBIENT_LU, QQ, "lam"),
-                                    "s0": s0, "s1": s1, "s2": s2, "s3": s3})
-        if not composed.is_zero():
-            problems.append("pencil cubic does not vanish on the plane model")
-        solved = {"nu_squared": "-lambda", "nu4_formula": "(lambda+1)/4",
-                  "stated_nu4": "4*(lambda+1)", "ratio_to_stated": "16"}
-        explicit = None
-        if isinstance(domain, PrimeField):
-            p = domain.p
-            neg = -lam
-            if pow(int(neg), (p - 1) // 2, p) == 1:
-                r = _sqrt_mod(int(neg), p)
-                v = domain.from_int(r)
-                explicit = FamilyParams(domain, (-v, v, v, v, nu4))
-                cubic = scubic(explicit)
-                ref = _pencil_cubic_at(domain, lam)
-                if cubic != ref:
-                    problems.append("explicit parameters do not reproduce the pencil cubic")
-            else:
-                solved["note"] = f"-lambda is not a square mod {p}; parameters stay symbolic"
-        ok = not problems
+    problems = []
+    domain = QQ if isinstance(lam_value, (int, Fraction)) else lam_value.field
+    lam = domain.coerce(lam_value)
+    if lam == domain.zero() or lam == domain.one():
+        raise ValueError("lambda = 0, 1 are excluded parameters")
+    nu4 = (lam + domain.one()) / domain.from_int(4)
+    # membership: the symbolic pencil cubic vanishes on the plane model
+    s0, s1, s2, s3 = plane_model_cubics(QQ)
+    generic = pencil_cubic_squared(QQ)
+    composed = ring_substitute(generic, AMBIENT_LU,
+                               {"lam": Poly.variable(AMBIENT_LU, QQ, "lam"),
+                                "s0": s0, "s1": s1, "s2": s2, "s3": s3})
+    if not composed.is_zero():
+        problems.append("pencil cubic does not vanish on the plane model")
+    solved = {"nu_squared": "-lambda", "nu4_formula": "(lambda+1)/4",
+              "stated_nu4": "4*(lambda+1)", "ratio_to_stated": "16"}
+    explicit = None
+    if isinstance(domain, PrimeField):
+        p = domain.p
+        neg = -lam
+        if pow(int(neg), (p - 1) // 2, p) == 1:
+            r = _sqrt_mod(int(neg), p)
+            v = domain.from_int(r)
+            explicit = FamilyParams(domain, (-v, v, v, v, nu4))
+            cubic = scubic(explicit)
+            ref = _pencil_cubic_at(domain, lam)
+            if cubic != ref:
+                problems.append("explicit parameters do not reproduce the pencil cubic")
+        else:
+            solved["note"] = f"-lambda is not a square mod {p}; parameters stay symbolic"
     out = {"nu4": nu4, "explicit": explicit, **solved}
-    return out, report("burniat.parameter_map", ok,
-                       dict(solved, problems=problems) if problems else solved,
-                       tm.ms, {"lambda": str(lam_value)})
+    return out, verdict("burniat.parameter_map", problems, on_pass=solved,
+                        params={"lambda": str(lam_value)})
 
 
 def _pencil_cubic_at(domain, lam) -> Poly:

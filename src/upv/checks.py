@@ -12,12 +12,13 @@ the discriminant over the small field are redrawn with the reason recorded.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bicanon, cover, grouprep, invariants, unproj
-from .report import CheckReport, Timer, report
-from .scalars import GF
+from .report import FAIL, CheckReport, verdict
+from .scalars import GF, QQ
 from .unproj import FamilyParams
 
 
@@ -49,7 +50,8 @@ class RunContext:
     def __init__(self, cfg: RunConfig):
         cfg.validate()
         self.cfg = cfg
-        self._group = None
+        self._group: Optional[cover.FiniteProjGroup] = None
+        self._group_report: Optional[CheckReport] = None
         self._points: Dict[tuple, cover.SurfacePointSet] = {}
         self._rngs: Dict[str, random.Random] = {}
 
@@ -58,11 +60,17 @@ class RunContext:
             self._rngs[purpose] = random.Random((self.cfg.seed, purpose).__repr__())
         return self._rngs[purpose]
 
+    def group_report(self) -> CheckReport:
+        """The certificate of the lifted group, built once per run."""
+        if self._group_report is None:
+            self._group, self._group_report = cover.build_lifts_and_certify()
+        return self._group_report
+
     def group(self) -> cover.FiniteProjGroup:
-        if self._group is None:
-            self._group, rep = cover.build_lifts_and_certify()
-            if not rep.passed:
-                raise RuntimeError(f"group certification failed: {rep.witness}")
+        """The lifted group; raises when its certification failed."""
+        rep = self.group_report()
+        if not rep.passed:
+            raise RuntimeError(f"group certification failed: {rep.witness}")
         return self._group
 
     def draw_nu(self, p: int, purpose: str,
@@ -116,109 +124,90 @@ class CheckDef:
 
 
 def _free_action_check(ctx: RunContext) -> CheckReport:
-    with Timer() as tm:
-        problems = []
-        detail = {}
-        for p in ctx.cfg.primes:
-            accepted = []
-            redrawn: List[str] = []
-            for k in range(5):
-                try:
-                    pts, redraws = ctx.smooth_points(p, f"free{k}")
-                except RuntimeError as exc:
-                    problems.append(str(exc))
-                    break
-                redrawn.extend(redraws)
-                accepted.append({"nu": [int(v) for v in pts.nu.nu],
-                                 "points": pts.count})
-            detail[str(p)] = {"accepted": accepted, "redraws": redrawn}
-            if len(accepted) < 5:
-                problems.append(f"GF({p}): only {len(accepted)} accepted draws")
-        ok = not problems
-    witness = {"per_prime": detail}
-    if problems:
-        witness["problems"] = problems
-    return report("cover.free_action", ok, witness, tm.ms,
-                  {"primes": list(ctx.cfg.primes), "seed": ctx.cfg.seed})
+    problems = []
+    detail = {}
+    for p in ctx.cfg.primes:
+        accepted = []
+        redrawn: List[str] = []
+        for k in range(5):
+            try:
+                pts, redraws = ctx.smooth_points(p, f"free{k}")
+            except RuntimeError as exc:
+                problems.append(str(exc))
+                break
+            redrawn.extend(redraws)
+            accepted.append({"nu": [int(v) for v in pts.nu.nu],
+                             "points": pts.count})
+        detail[str(p)] = {"accepted": accepted, "redraws": redrawn}
+        if len(accepted) < 5:
+            problems.append(f"GF({p}): only {len(accepted)} accepted draws")
+    return verdict("cover.free_action", problems, {"per_prime": detail},
+                   params={"primes": list(ctx.cfg.primes), "seed": ctx.cfg.seed})
 
 
 def _enumeration_check(ctx: RunContext) -> CheckReport:
     p = ctx.cfg.primes[0]
-    with Timer() as tm:
-        problems = []
-        nu = ctx.draw_nu(p, "enum")
-        pts = ctx.points(p, nu)
-        oracle = cover.brute_force_count(p, nu)
-        if oracle != pts.count:
-            problems.append(f"chart count {pts.count} != naive count {oracle}")
-        if pts.count % 2:
-            problems.append(f"odd point count {pts.count}")
-        rerun = cover.enumerate_surface(p, nu, ctx.cfg.threads)
-        if rerun.points != pts.points:
-            problems.append("enumeration is not deterministic")
-        ycount = cover.y_point_count_report(p)
-        if not ycount.passed:
-            problems.append(f"image count failed: {ycount.witness}")
-        ok = not problems
-    witness = {"points": pts.count, "naive_oracle": oracle,
-               "image_points": ycount.witness.get("image_points")}
-    if problems:
-        witness["problems"] = problems
-    return report("cover.enumeration", ok, witness, tm.ms,
-                  dict(nu.as_params(), prime=p, seed=ctx.cfg.seed))
+    problems = []
+    nu = ctx.draw_nu(p, "enum")
+    pts = ctx.points(p, nu)
+    oracle = cover.brute_force_count(p, nu)
+    if oracle != pts.count:
+        problems.append(f"chart count {pts.count} != naive count {oracle}")
+    if pts.count % 2:
+        problems.append(f"odd point count {pts.count}")
+    rerun = cover.enumerate_surface(p, nu, ctx.cfg.threads)
+    if rerun.points != pts.points:
+        problems.append("enumeration is not deterministic")
+    ycount = cover.y_point_count_report(p)
+    if not ycount.passed:
+        problems.append(f"image count failed: {ycount.witness}")
+    return verdict("cover.enumeration", problems,
+                   {"points": pts.count, "naive_oracle": oracle,
+                    "image_points": ycount.witness.get("image_points")},
+                   params=dict(nu.as_params(), prime=p, seed=ctx.cfg.seed))
 
 
 def _ideal_census_check(ctx: RunContext) -> CheckReport:
-    with Timer() as tm:
-        problems = []
-        j = unproj.build_unprojection_ideal()
-        counts = j.counts()
-        if counts != {"quadric": 3, "cubic": 32, "quartic": 28}:
-            problems.append(f"J census {counts}")
-        if not all(g.is_homogeneous() for g in j.polys()):
-            problems.append("a generator is inhomogeneous")
-        p = ctx.cfg.primes[0]
-        nu = ctx.draw_nu(p, "census")
-        t = unproj.build_t_ideal(nu)
-        if len(t.generators) != 65:
-            problems.append(f"T has {len(t.generators)} generators")
-        # spot values of the section at the two basis parameter points
-        from .scalars import QQ
-        e4 = unproj.q_section(FamilyParams(QQ, (0, 0, 0, 0, 1)))
-        if e4 != unproj.y_eigenvector(QQ):
-            problems.append("section at (0,0,0,0,1) is not the signed y-sum")
-        e0 = unproj.q_section(FamilyParams(QQ, (1, 0, 0, 0, 0)))
-        if e0 != unproj.s_form(QQ, 0):
-            problems.append("section at (1,0,0,0,0) is not s0")
-        ok = not problems
-    witness = {"J": counts, "T_generators": 65}
-    if problems:
-        witness["problems"] = problems
-    return report("unproj.ideal_census", ok, witness, tm.ms)
+    problems = []
+    j = unproj.build_unprojection_ideal()
+    counts = j.counts()
+    if counts != {"quadric": 3, "cubic": 32, "quartic": 28}:
+        problems.append(f"J census {counts}")
+    if not all(g.is_homogeneous() for g in j.polys()):
+        problems.append("a generator is inhomogeneous")
+    p = ctx.cfg.primes[0]
+    nu = ctx.draw_nu(p, "census")
+    t = unproj.build_t_ideal(nu)
+    if len(t.generators) != 65:
+        problems.append(f"T has {len(t.generators)} generators")
+    # spot values of the section at the two basis parameter points
+    e4 = unproj.q_section(FamilyParams(QQ, (0, 0, 0, 0, 1)))
+    if e4 != unproj.y_eigenvector(QQ):
+        problems.append("section at (0,0,0,0,1) is not the signed y-sum")
+    e0 = unproj.q_section(FamilyParams(QQ, (1, 0, 0, 0, 0)))
+    if e0 != unproj.s_form(QQ, 0):
+        problems.append("section at (1,0,0,0,0) is not s0")
+    return verdict("unproj.ideal_census", problems,
+                   {"J": counts, "T_generators": len(t.generators)})
 
 
 def _sigma_pullback_check(ctx: RunContext) -> CheckReport:
-    from .scalars import QQ
-    with Timer() as tm:
-        problems = []
-        sig = cover.sigma_map(QQ)
-        j = unproj.build_unprojection_ideal(QQ)
-        nonzero = [name for name, g, _ in j.generators if not sig.apply(g).is_zero()]
-        if nonzero:
-            problems.append(f"sigma does not kill {nonzero}")
-        if cover.z1_poly(QQ) != cover.z1_display(QQ):
-            problems.append("sigma#(x00+x01) differs from the tabulated Z1")
-        p = ctx.cfg.primes[0]
-        nu = ctx.draw_nu(p, "census")
-        _, zrep = cover.build_z2(nu)
-        if not zrep.passed:
-            problems.append(f"Z2 construction: {zrep.witness}")
-        ok = not problems
-    witness = {"generators_killed": 63, "z1": "matches display",
-               "z2": "2*sigma#(q) matches display exactly"}
-    if problems:
-        witness["problems"] = problems
-    return report("unproj.sigma_pullback", ok, witness, tm.ms)
+    problems = []
+    sig = cover.sigma_map(QQ)
+    j = unproj.build_unprojection_ideal(QQ)
+    nonzero = [name for name, g, _ in j.generators if not sig.apply(g).is_zero()]
+    if nonzero:
+        problems.append(f"sigma does not kill {nonzero}")
+    if cover.z1_poly(QQ) != cover.z1_display(QQ):
+        problems.append("sigma#(x00+x01) differs from the tabulated Z1")
+    p = ctx.cfg.primes[0]
+    nu = ctx.draw_nu(p, "census")
+    _, zrep = cover.build_z2(nu)
+    if not zrep.passed:
+        problems.append(f"Z2 construction: {zrep.witness}")
+    return verdict("unproj.sigma_pullback", problems,
+                   on_pass={"generators_killed": 63, "z1": "matches display",
+                            "z2": "2*sigma#(q) matches display exactly"})
 
 
 def _hilbert_t_check(ctx: RunContext) -> CheckReport:
@@ -229,22 +218,17 @@ def _hilbert_t_check(ctx: RunContext) -> CheckReport:
 
 
 def _s3_derivation_check(ctx: RunContext) -> CheckReport:
-    with Timer() as tm:
-        problems = []
-        runs = 0
-        for p in ctx.cfg.primes:
-            for k in range(20):
-                nu = ctx.draw_nu(p, f"s3d{k}")
-                _, rep = bicanon.derive_s3_cubic(nu)
-                runs += 1
-                if not rep.passed:
-                    problems.append(f"GF({p}) nu={tuple(int(v) for v in nu.nu)}")
-        ok = not problems
-    witness = {"draws": runs}
-    if problems:
-        witness["problems"] = problems
-    return report("bicanon.s3_derivation", ok, witness, tm.ms,
-                  {"primes": list(ctx.cfg.primes), "seed": ctx.cfg.seed})
+    problems = []
+    runs = 0
+    for p in ctx.cfg.primes:
+        for k in range(20):
+            nu = ctx.draw_nu(p, f"s3d{k}")
+            _, rep = bicanon.derive_s3_cubic(nu)
+            runs += 1
+            if not rep.passed:
+                problems.append(f"GF({p}) nu={tuple(int(v) for v in nu.nu)}")
+    return verdict("bicanon.s3_derivation", problems, {"draws": runs},
+                   params={"primes": list(ctx.cfg.primes), "seed": ctx.cfg.seed})
 
 
 def _s3_points_check(ctx: RunContext) -> CheckReport:
@@ -259,11 +243,11 @@ def _s3_points_check(ctx: RunContext) -> CheckReport:
 def _nodes_check(ctx: RunContext) -> CheckReport:
     rep = bicanon.verify_nodes(ctx.cfg.primes[0], draws=100, seed=ctx.cfg.seed)
     ok_paths, note = bicanon.nodes_error_paths()
-    if not ok_paths:
-        return report("bicanon.nodes", False,
-                      dict(rep.witness, error_paths=note), rep.wall_ms, rep.params)
-    rep.witness = dict(rep.witness, error_paths=note)
-    return rep
+    if ok_paths:
+        rep.witness = dict(rep.witness, error_paths=note)
+        return rep
+    return verdict("bicanon.nodes", rep.witness.get("problems", []) + [note],
+                   {"draws": rep.witness["draws"]}, params=rep.params)
 
 
 def _plane_sections_check(ctx: RunContext) -> CheckReport:
@@ -279,40 +263,36 @@ def _branch_loci_check(ctx: RunContext) -> CheckReport:
     curve upstairs."""
     p = ctx.cfg.primes[0]
     wanted_hits = [f"theta{i}.{kind}" for i in (1, 2, 3) for kind in ("line", "conic")]
-    with Timer() as tm:
-        accepted = 0
-        redraws: List[str] = []
-        problems = []
-        details = []
-        covered: Dict[str, int] = {k: 0 for k in wanted_hits}
-        for k in range(25):
-            if accepted >= 3 and all(covered.values()):
-                break
-            pts, smooth_redraws = ctx.smooth_points(p, f"branch{k}")
-            redraws.extend(smooth_redraws)
-            rep = bicanon.branch_locus_check(pts)
-            if rep.witness.get("violations"):
-                redraws.append(
-                    f"nu={tuple(int(v) for v in pts.nu.nu)}: "
-                    + " | ".join(rep.witness["violations"])[:160])
-                continue
-            accepted += 1
-            hits = rep.witness.get("hits", {})
-            for key in wanted_hits:
-                covered[key] += hits.get(key, 0)
-            details.append({"nu": [int(v) for v in pts.nu.nu], "hits": hits})
-        if accepted < 3:
-            problems.append(f"only {accepted} draws with clean containment")
-        unseen = [k for k, n in covered.items() if not n]
-        if unseen:
-            problems.append(f"loci never visibly hit: {unseen}")
-        ok = not problems
-    witness = {"accepted_draws": details, "cumulative_hits": covered,
-               "redraws": redraws}
-    if problems:
-        witness["problems"] = problems
-    return report("bicanon.branch_loci", ok, witness, tm.ms,
-                  {"prime": p, "seed": ctx.cfg.seed})
+    accepted = 0
+    redraws: List[str] = []
+    problems = []
+    details = []
+    covered: Dict[str, int] = {k: 0 for k in wanted_hits}
+    for k in range(25):
+        if accepted >= 3 and all(covered.values()):
+            break
+        pts, smooth_redraws = ctx.smooth_points(p, f"branch{k}")
+        redraws.extend(smooth_redraws)
+        rep = bicanon.branch_locus_check(pts)
+        if rep.witness.get("violations"):
+            redraws.append(
+                f"nu={tuple(int(v) for v in pts.nu.nu)}: "
+                + " | ".join(rep.witness["violations"])[:160])
+            continue
+        accepted += 1
+        hits = rep.witness.get("hits", {})
+        for key in wanted_hits:
+            covered[key] += hits.get(key, 0)
+        details.append({"nu": [int(v) for v in pts.nu.nu], "hits": hits})
+    if accepted < 3:
+        problems.append(f"only {accepted} draws with clean containment")
+    unseen = [k for k, n in covered.items() if not n]
+    if unseen:
+        problems.append(f"loci never visibly hit: {unseen}")
+    return verdict("bicanon.branch_loci", problems,
+                   {"accepted_draws": details, "cumulative_hits": covered,
+                    "redraws": redraws},
+                   params={"prime": p, "seed": ctx.cfg.seed})
 
 
 def _parameter_map_check(ctx: RunContext) -> CheckReport:
@@ -405,7 +385,7 @@ CATALOG: List[CheckDef] = [
     CheckDef("cover.group_structure",
              "closure and certification of the lifted group",
              "order 16, statistics (1,3,12), unique common square, Z/2 x Q8",
-             lambda ctx: cover.build_lifts_and_certify()[1]),
+             lambda ctx: ctx.group_report()),
     CheckDef("cover.z2_construction",
              "the multidegree-(2,2,2,2) equation of the surface family",
              "2 sigma#(q) equals the display and is group-semi-invariant",
@@ -520,11 +500,15 @@ def resolve_targets(targets: Sequence[str]) -> List[CheckDef]:
 
 
 def run_checks(defs: Sequence[CheckDef], ctx: RunContext) -> List[CheckReport]:
+    """Run each check and time it here, so ``wall_ms`` covers everything the
+    check waited for, including shared artifacts it was the first to need."""
     out = []
     for d in defs:
+        t0 = time.perf_counter()
         try:
             rep = d.runner(ctx)
         except Exception as exc:  # a crashed check is a failed check
-            rep = report(d.check_id, False, {"error": f"{type(exc).__name__}: {exc}"})
-        out.append(rep)
+            rep = CheckReport(d.check_id, FAIL, {"error": f"{type(exc).__name__}: {exc}"})
+        # a fresh record, so a cached report is never stamped twice
+        out.append(replace(rep, wall_ms=(time.perf_counter() - t0) * 1000.0))
     return out

@@ -28,9 +28,9 @@ import numpy as np
 from .ambient import (AMBIENT_T4, AMBIENT_XY, EVEN_TUPLES, T_INDEX, X_INDEX,
                       Y_INDEX, Ambient, comp, tname, xname, yname)
 from .grouprep import G_GENERATOR_WORDS, SignedAction
-from .poly import MonomialMap, Poly
-from .report import CheckReport, Timer, report
-from .scalars import GF, QI, PrimeField, ScalarError
+from .poly import MonomialMap, Poly, proportional
+from .report import CheckReport, verdict
+from .scalars import GF, QI, PrimeField, ScalarError, smallest_non_residue
 from .unproj import FamilyParams, q_section
 
 Chart = Tuple[int, int, int, int]
@@ -184,19 +184,19 @@ class ProjAut:
                 b = nz[0]
                 e = [0] * 8
                 e[T_INDEX[(self.pi[j], b)]] = 1
-                images[tname(j, a)] = (d.coerce(row[b]) if d is self.domain
-                                       else _convert(d, row[b]), tuple(e))
+                images[tname(j, a)] = (d.coerce(row[b]), tuple(e))
         return MonomialMap(AMBIENT_T4, AMBIENT_T4, d, images)
 
     def map_entries(self, domain) -> "ProjAut":
-        mats = [tuple(tuple(_convert(domain, x) for x in row) for row in m)
+        mats = [tuple(tuple(domain.coerce(x) for x in row) for row in m)
                 for m in self.mats]
         return ProjAut(domain, self.pi, mats)
 
     def act_point(self, point: Point, p: int) -> Point:
         """Image of an enumerated point, renormalized to chart form."""
         coords = expand_point(point)
-        imats = [[[int(_convert(GF(p), x)) for x in row] for row in m]
+        field = GF(p)
+        imats = [[[int(field.coerce(x)) for x in row] for row in m]
                  for m in self.mats]
         out = []
         for j in range(4):
@@ -208,10 +208,6 @@ class ProjAut:
 
     def __repr__(self):
         return f"ProjAut(pi={self.pi})"
-
-
-def _convert(domain, x):
-    return domain.coerce(x)
 
 
 def table2_generators(domain=QI) -> Dict[str, ProjAut]:
@@ -371,65 +367,61 @@ def build_lifts_and_certify(domain=QI) -> Tuple[FiniteProjGroup, CheckReport]:
     explicit assignment of the five standard generators extends to a
     bijective homomorphism from Z/2 x Q8.
     """
-    with Timer() as tm:
-        problems = []
-        gens = gtilde_generators(domain)
-        # tabulated rows agree with the products of the separate lifts
-        for name, row in tabulated_generator_rows(domain).items():
-            if gens[name] != row:
-                problems.append(f"{name}: composed lift differs from its tabulated row")
-        # lift relations sigma o g~ = g o sigma (one scalar per generator)
-        for name, g in gens.items():
-            lam = _lift_scalar(domain, g, GT_WORDS[name])
-            if lam is None:
-                problems.append(f"{name}: no single scalar makes the lift square commute")
-        group = FiniteProjGroup.closure(gens)
-        if group.order != 16:
-            problems.append(f"|closure| = {group.order}")
-        hist = group.order_histogram()
-        if hist != {1: 1, 2: 3, 4: 12}:
-            problems.append(f"order histogram {hist}")
-        if group.is_abelian():
-            problems.append("closure is abelian")
-        s_aut = table2_generators(domain)["s"]
-        squares = {g.mul(g).key() for g in group.elements if g.order() == 4}
-        if len(squares) != 1 or next(iter(squares)) != s_aut.key():
-            problems.append("order-4 elements do not share the single square s")
-        # generator squares and the Kronecker commutation rule
-        a1b2 = gens["a1~b2~"]
-        if a1b2.mul(a1b2) != s_aut:
-            problems.append("(a1~b2~)^2 != s")
-        t2 = table2_generators(domain)
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                lhs = t2[f"a{i}~"].mul(t2[f"b{j}~"])
-                rhs = t2[f"b{j}~"].mul(t2[f"a{i}~"])
-                if i == j:
-                    rhs = s_aut.mul(rhs)
-                if lhs != rhs:
-                    problems.append(f"a{i}~ b{j}~ != s^delta * b{j}~ a{i}~")
-        # the explicit homomorphism, checked through the Cayley table
-        mu = _build_mu(domain, gens, s_aut)
-        index = {g.key(): i for i, g in enumerate(group.elements)}
-        mu_idx = {}
-        for x, g in mu.items():
-            if g.key() not in index:
-                problems.append(f"mu({x}) lies outside the closure")
-            else:
-                mu_idx[x] = index[g.key()]
-        if len(set(mu_idx.values())) != 16:
-            problems.append(f"mu image has size {len(set(mu_idx.values()))}")
-        for x in Z2Q8_ELEMENTS:
-            for y in Z2Q8_ELEMENTS:
-                if mu_idx[z2q8_mul(x, y)] != group.cayley[mu_idx[x]][mu_idx[y]]:
-                    problems.append(f"mu breaks at {x} * {y}")
-        ok = not problems
-    rep = report("cover.group_structure", ok,
-                 {"problems": problems} if problems else
-                 {"order": 16, "order_histogram": {"1": 1, "2": 3, "4": 12},
-                  "common_square": "s", "mu": "bijective homomorphism"},
-                 tm.ms)
-    return group, rep
+    problems = []
+    gens = gtilde_generators(domain)
+    # tabulated rows agree with the products of the separate lifts
+    for name, row in tabulated_generator_rows(domain).items():
+        if gens[name] != row:
+            problems.append(f"{name}: composed lift differs from its tabulated row")
+    # lift relations sigma o g~ = g o sigma (one scalar per generator)
+    for name, g in gens.items():
+        lam = _lift_scalar(domain, g, GT_WORDS[name])
+        if lam is None:
+            problems.append(f"{name}: no single scalar makes the lift square commute")
+    group = FiniteProjGroup.closure(gens)
+    if group.order != 16:
+        problems.append(f"|closure| = {group.order}")
+    hist = group.order_histogram()
+    if hist != {1: 1, 2: 3, 4: 12}:
+        problems.append(f"order histogram {hist}")
+    if group.is_abelian():
+        problems.append("closure is abelian")
+    s_aut = table2_generators(domain)["s"]
+    squares = {g.mul(g).key() for g in group.elements if g.order() == 4}
+    if len(squares) != 1 or next(iter(squares)) != s_aut.key():
+        problems.append("order-4 elements do not share the single square s")
+    # generator squares and the Kronecker commutation rule
+    a1b2 = gens["a1~b2~"]
+    if a1b2.mul(a1b2) != s_aut:
+        problems.append("(a1~b2~)^2 != s")
+    t2 = table2_generators(domain)
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            lhs = t2[f"a{i}~"].mul(t2[f"b{j}~"])
+            rhs = t2[f"b{j}~"].mul(t2[f"a{i}~"])
+            if i == j:
+                rhs = s_aut.mul(rhs)
+            if lhs != rhs:
+                problems.append(f"a{i}~ b{j}~ != s^delta * b{j}~ a{i}~")
+    # the explicit homomorphism, checked through the Cayley table
+    mu = _build_mu(domain, gens, s_aut)
+    index = {g.key(): i for i, g in enumerate(group.elements)}
+    mu_idx = {}
+    for x, g in mu.items():
+        if g.key() not in index:
+            problems.append(f"mu({x}) lies outside the closure")
+        else:
+            mu_idx[x] = index[g.key()]
+    if len(set(mu_idx.values())) != 16:
+        problems.append(f"mu image has size {len(set(mu_idx.values()))}")
+    for x in Z2Q8_ELEMENTS:
+        for y in Z2Q8_ELEMENTS:
+            if mu_idx[z2q8_mul(x, y)] != group.cayley[mu_idx[x]][mu_idx[y]]:
+                problems.append(f"mu breaks at {x} * {y}")
+    return group, verdict(
+        "cover.group_structure", problems,
+        on_pass={"order": 16, "order_histogram": {"1": 1, "2": 3, "4": 12},
+                 "common_square": "s", "mu": "bijective homomorphism"})
 
 
 def _build_mu(domain, gens, s_aut) -> Dict[tuple, ProjAut]:
@@ -482,11 +474,11 @@ def _lift_scalar(domain, gt: ProjAut, word) -> Optional[object]:
 def sigma_deck_report(domain=QI) -> CheckReport:
     """sigma o s = sigma: the deck involution rescales every pullback by
     (-1)^weight, the identity lift scalar lambda = -1."""
-    with Timer() as tm:
-        s_aut = table2_generators(domain)["s"]
-        lam = _lift_scalar(domain, s_aut, (0, 0, 0, 0, 0, 0))
-        ok = lam is not None and lam == domain.from_int(-1)
-    return report("cover.sigma_deck", ok, {"lambda": str(lam)}, tm.ms)
+    s_aut = table2_generators(domain)["s"]
+    lam = _lift_scalar(domain, s_aut, (0, 0, 0, 0, 0, 0))
+    ok = lam is not None and lam == domain.from_int(-1)
+    return verdict("cover.sigma_deck", [] if ok else ["the lift scalar of s is not -1"],
+                   {"lambda": str(lam)})
 
 
 # -- Z1 and Z2 ---------------------------------------------------------------
@@ -528,47 +520,40 @@ def z2_display(nu: FamilyParams) -> Poly:
     return acc
 
 
+def z2_poly(nu: FamilyParams) -> Poly:
+    """Z2 = 2*sigma^#(q) over the field of the parameters."""
+    d = nu.domain
+    return sigma_map(d).apply(q_section(nu)) * d.from_int(2)
+
+
 def build_z2(nu: FamilyParams) -> Tuple[Poly, CheckReport]:
     """Z2 = 2*sigma^#(q); certifies it matches the tabulated display exactly
     and is invariant under the deck involution and the lifted group."""
     d = nu.domain
-    with Timer() as tm:
-        z2 = sigma_map(d).apply(q_section(nu)) * d.from_int(2)
-        problems = []
-        disp = z2_display(nu)
-        if z2 != disp:
-            problems.append(f"2*sigma#(q) - display = {z2 - disp}")
-        if z2.multidegrees() != {(2, 2, 2, 2)}:
-            problems.append(f"multidegrees {sorted(z2.multidegrees())}")
-        if s_involution_map(d).apply(z2) != z2:
-            problems.append("Z2 not fixed by the deck involution")
-        try:
-            gens = gtilde_generators(d)
-            for name, g in gens.items():
-                img = g.to_monomial_map().apply(z2)
-                if not _proportional(img, z2):
-                    problems.append(f"Z2 not semi-invariant under {name}")
-                imgz1 = g.to_monomial_map().apply(z1_poly(d))
-                if not _proportional(imgz1, z1_poly(d)):
-                    problems.append(f"Z1 not semi-invariant under {name}")
-        except ScalarError:
-            problems.append("domain lacks sqrt(-1); group invariance unchecked")
-        ok = not problems
-    return z2, report("cover.z2_construction", ok,
-                      {"problems": problems} if problems else
-                      {"display_match": "exact", "terms": len(z2.terms),
-                       "multidegree": "(2,2,2,2)"},
-                      tm.ms, nu.as_params())
-
-
-def _proportional(f: Poly, g: Poly) -> bool:
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    ef, cf = f.leading()
-    eg, cg = g.leading()
-    if ef != eg:
-        return False
-    return f == g * (cf / cg)
+    z2 = z2_poly(nu)
+    problems = []
+    disp = z2_display(nu)
+    if z2 != disp:
+        problems.append(f"2*sigma#(q) - display = {z2 - disp}")
+    if z2.multidegrees() != {(2, 2, 2, 2)}:
+        problems.append(f"multidegrees {sorted(z2.multidegrees())}")
+    if s_involution_map(d).apply(z2) != z2:
+        problems.append("Z2 not fixed by the deck involution")
+    try:
+        gens = gtilde_generators(d)
+        for name, g in gens.items():
+            img = g.to_monomial_map().apply(z2)
+            if not proportional(img, z2):
+                problems.append(f"Z2 not semi-invariant under {name}")
+            imgz1 = g.to_monomial_map().apply(z1_poly(d))
+            if not proportional(imgz1, z1_poly(d)):
+                problems.append(f"Z1 not semi-invariant under {name}")
+    except ScalarError:
+        problems.append("domain lacks sqrt(-1); group invariance unchecked")
+    return z2, verdict("cover.z2_construction", problems,
+                       on_pass={"display_match": "exact", "terms": len(z2.terms),
+                                "multidegree": "(2,2,2,2)"},
+                       params=nu.as_params())
 
 
 # -- point enumeration --------------------------------------------------------
@@ -705,7 +690,7 @@ def enumerate_surface(p: int, nu: FamilyParams, threads: int = 1) -> SurfacePoin
     if not isinstance(nu.domain, PrimeField) or nu.domain.p != p:
         nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
     z1 = z1_poly(field)
-    z2 = sigma_map(field).apply(q_section(nu)) * field.from_int(2)
+    z2 = z2_poly(nu)
 
     def solve_grid(t1, t2, nfree: int, prefix=()) -> List[tuple]:
         # chunk over the first coordinate when the full grid would be large
@@ -751,7 +736,7 @@ def brute_force_count(p: int, nu: FamilyParams) -> int:
     field = GF(p)
     nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
     z1 = z1_poly(field)
-    z2 = sigma_map(field).apply(q_section(nu)) * field.from_int(2)
+    z2 = z2_poly(nu)
     t1 = [(int(c), e) for e, c in sorted(z1.terms.items())]
     t2 = [(int(c), e) for e, c in sorted(z2.terms.items())]
     n = 0
@@ -782,7 +767,7 @@ def local_equations(p: int, nu: FamilyParams, chart: Chart) -> List[Poly]:
     contributes local variable w_i (= t_{i1} when chart bit 0, else t_{i0})."""
     field = GF(p)
     z1 = z1_poly(field)
-    z2 = sigma_map(field).apply(q_section(nu)) * field.from_int(2)
+    z2 = z2_poly(nu)
     images = {}
     for i in range(4):
         e = [0] * 4
@@ -809,65 +794,52 @@ def certify_free_and_smooth(points: SurfacePointSet,
     group images of points stay on the surface (orbit closure)."""
     p = points.p
     nu = points.nu
-    with Timer() as tm:
-        problems = []
-        point_set = set(points.points)
-        auts = [(name, g.map_entries(GF(p))) for name, g
-                in zip(group.names, group.elements)]
-        fixed_counts = {}
-        for name, g in auts:
-            if g == ProjAut.identity(GF(p)):
-                continue
-            fixed = 0
-            for pt in points.points:
-                img = g.act_point(pt, p)
-                if img not in point_set:
-                    problems.append(f"orbit of {pt} leaves the surface under {name}")
-                    break
-                if img == pt:
-                    fixed += 1
-                    if fixed == 1:
-                        problems.append(f"{name} fixes {pt}")
-            fixed_counts[name] = fixed
-        singular = []
-        by_chart: Dict[Chart, List[Point]] = {}
+    problems = []
+    point_set = set(points.points)
+    auts = [(name, g.map_entries(GF(p))) for name, g
+            in zip(group.names, group.elements)]
+    for name, g in auts:
+        if g == ProjAut.identity(GF(p)):
+            continue
+        fixed = 0
         for pt in points.points:
-            by_chart.setdefault(pt[0], []).append(pt)
-        for chart, pts in sorted(by_chart.items()):
-            eqs = local_equations(p, nu, chart)
-            jac = [[eq.derivative(v) for v in AMBIENT_LOCAL4.variables] for eq in eqs]
-            for pt in pts:
-                w = local_point(pt)
-                row0 = [int(jac[0][k].evaluate([GF(p).from_int(x) for x in w])) for k in range(4)]
-                row1 = [int(jac[1][k].evaluate([GF(p).from_int(x) for x in w])) for k in range(4)]
-                if not any((row0[a] * row1[b] - row0[b] * row1[a]) % p
-                           for a in range(4) for b in range(a + 1, 4)):
-                    singular.append(pt)
-        if singular:
-            problems.append(f"rank drop at {len(singular)} points, first {singular[0]}")
-        if points.count % 2 != 0:
-            problems.append(f"odd point count {points.count} (deck involution not free)")
-        ok = not problems
-        degenerate, reason = nu.degenerate()
-    witness = {"points": points.count, "free": not any("fixes" in m for m in problems),
-               "rank2_everywhere": not singular}
-    if problems:
-        witness["problems"] = problems[:8]
-        witness["degenerate_nu"] = degenerate
-        witness["degenerate_reason"] = reason
-        witness["nu4_zero"] = not nu.nu[4]
-    return report("cover.free_action", ok, witness, tm.ms,
-                  dict(nu.as_params(), prime=p))
+            img = g.act_point(pt, p)
+            if img not in point_set:
+                problems.append(f"orbit of {pt} leaves the surface under {name}")
+                break
+            if img == pt:
+                fixed += 1
+                if fixed == 1:
+                    problems.append(f"{name} fixes {pt}")
+    singular = []
+    by_chart: Dict[Chart, List[Point]] = {}
+    for pt in points.points:
+        by_chart.setdefault(pt[0], []).append(pt)
+    for chart, pts in sorted(by_chart.items()):
+        eqs = local_equations(p, nu, chart)
+        jac = [[eq.derivative(v) for v in AMBIENT_LOCAL4.variables] for eq in eqs]
+        for pt in pts:
+            w = local_point(pt)
+            row0 = [int(jac[0][k].evaluate([GF(p).from_int(x) for x in w])) for k in range(4)]
+            row1 = [int(jac[1][k].evaluate([GF(p).from_int(x) for x in w])) for k in range(4)]
+            if not any((row0[a] * row1[b] - row0[b] * row1[a]) % p
+                       for a in range(4) for b in range(a + 1, 4)):
+                singular.append(pt)
+    if singular:
+        problems.append(f"rank drop at {len(singular)} points, first {singular[0]}")
+    if points.count % 2 != 0:
+        problems.append(f"odd point count {points.count} (deck involution not free)")
+    degenerate, reason = nu.degenerate()
+    return verdict("cover.free_action", problems[:8],
+                   {"points": points.count,
+                    "free": not any("fixes" in m for m in problems),
+                    "rank2_everywhere": not singular},
+                   on_fail={"degenerate_nu": degenerate, "degenerate_reason": reason,
+                            "nu4_zero": not nu.nu[4]},
+                   params=dict(nu.as_params(), prime=p))
 
 
 # -- images on the unprojected 4-fold ------------------------------------------
-
-def _smallest_non_residue(p: int) -> int:
-    n = 2
-    while pow(n, (p - 1) // 2, p) != p - 1:
-        n += 1
-    return n
-
 
 def canonical_weighted(coords: Sequence[int], p: int) -> Tuple[int, ...]:
     """Canonical representative under (x, y) ~ (l*x, l^2*y).
@@ -890,7 +862,7 @@ def canonical_weighted(coords: Sequence[int], p: int) -> Tuple[int, ...]:
     if pow(lead, (p - 1) // 2, p) == 1:
         target = 1
     else:
-        target = _smallest_non_residue(p)
+        target = smallest_non_residue(p)
     m = (target * pow(lead, p - 2, p)) % p
     return tuple([0] * 8 + [(v * m) % p for v in ys])
 
@@ -925,53 +897,50 @@ def verify_branch_structure(p: int = 13) -> CheckReport:
     (monomials of degree >= 2, with all ten quadratics realized); (iii) Z1
     passes through all 16 coordinate points."""
     field = GF(p)
-    with Timer() as tm:
-        problems = []
-        s_aut = table2_generators_prime(field)["s"]
-        fixed = [pt for pt in all_p1_points(p)
-                 if s_aut.act_point(pt, p) == pt]
-        coord_points = [(chart, (0, 0, 0, 0)) for chart in CHARTS]
-        if sorted(fixed) != sorted(coord_points):
-            problems.append(f"deck involution fixes {len(fixed)} points")
-        for i in range(4):
-            for a in (0, 1):
-                base = SIGMA_EXPS[xname(i, a)]
-                support = {k for k, e in enumerate(base) if e}
-                local = [k for k in range(8) if k not in support]
-                degree2 = set()
-                for name in AMBIENT_XY.variables:
-                    if name == xname(i, a):
-                        continue
-                    w = AMBIENT_XY.weights[AMBIENT_XY.index(name)]
-                    ratio = [e - w * b for e, b in zip(SIGMA_EXPS[name], base)]
-                    local_exps = tuple(ratio[k] for k in local)
-                    if any(e < 0 for e in local_exps):
-                        problems.append(f"chart U_{xname(i, a)}: {name} pulls back non-regular")
-                        continue
-                    deg = sum(local_exps)
-                    if deg < 2:
-                        problems.append(f"chart U_{xname(i, a)}: {name} has local degree {deg}")
-                    if deg == 2:
-                        degree2.add(local_exps)
-                expected = {tuple(ea + eb for ea, eb in zip(r1, r2))
-                            for r1 in _unit_exps(4) for r2 in _unit_exps(4)}
-                if degree2 != expected:
-                    problems.append(f"chart U_{xname(i, a)}: degree-2 pullbacks "
-                                    f"{len(degree2)} != 10")
-        z1 = z1_poly(field)
-        off_z1 = {(1, 0, 0, 0), (0, 1, 1, 1)}  # the two points over x00, x01
-        for pt in coord_points:
-            coords = [field.from_int(c) for pair in expand_point(pt) for c in pair]
-            on_z1 = not z1.evaluate(coords)
-            if on_z1 == (pt[0] in off_z1):
-                problems.append(f"Z1 membership wrong at coordinate point {pt}")
-        ok = not problems
-    return report("cover.branch_structure", ok,
-                  {"problems": problems} if problems else
-                  {"deck_fixed_points": 16, "charts": 8,
-                   "local_ideal": "(w0,w1,w2,w3)^2",
-                   "coordinate_points_on_z1": 14},
-                  tm.ms, {"prime": p})
+    problems = []
+    s_aut = table2_generators_prime(field)["s"]
+    fixed = [pt for pt in all_p1_points(p)
+             if s_aut.act_point(pt, p) == pt]
+    coord_points = [(chart, (0, 0, 0, 0)) for chart in CHARTS]
+    if sorted(fixed) != sorted(coord_points):
+        problems.append(f"deck involution fixes {len(fixed)} points")
+    for i in range(4):
+        for a in (0, 1):
+            base = SIGMA_EXPS[xname(i, a)]
+            support = {k for k, e in enumerate(base) if e}
+            local = [k for k in range(8) if k not in support]
+            degree2 = set()
+            for name in AMBIENT_XY.variables:
+                if name == xname(i, a):
+                    continue
+                w = AMBIENT_XY.weights[AMBIENT_XY.index(name)]
+                ratio = [e - w * b for e, b in zip(SIGMA_EXPS[name], base)]
+                local_exps = tuple(ratio[k] for k in local)
+                if any(e < 0 for e in local_exps):
+                    problems.append(f"chart U_{xname(i, a)}: {name} pulls back non-regular")
+                    continue
+                deg = sum(local_exps)
+                if deg < 2:
+                    problems.append(f"chart U_{xname(i, a)}: {name} has local degree {deg}")
+                if deg == 2:
+                    degree2.add(local_exps)
+            expected = {tuple(ea + eb for ea, eb in zip(r1, r2))
+                        for r1 in _unit_exps(4) for r2 in _unit_exps(4)}
+            if degree2 != expected:
+                problems.append(f"chart U_{xname(i, a)}: degree-2 pullbacks "
+                                f"{len(degree2)} != 10")
+    z1 = z1_poly(field)
+    off_z1 = {(1, 0, 0, 0), (0, 1, 1, 1)}  # the two points over x00, x01
+    for pt in coord_points:
+        coords = [field.from_int(c) for pair in expand_point(pt) for c in pair]
+        on_z1 = not z1.evaluate(coords)
+        if on_z1 == (pt[0] in off_z1):
+            problems.append(f"Z1 membership wrong at coordinate point {pt}")
+    return verdict("cover.branch_structure", problems,
+                   on_pass={"deck_fixed_points": 16, "charts": 8,
+                            "local_ideal": "(w0,w1,w2,w3)^2",
+                            "coordinate_points_on_z1": 14},
+                   params={"prime": p})
 
 
 def _unit_exps(n: int):
@@ -990,12 +959,11 @@ def table2_generators_prime(field: PrimeField) -> Dict[str, ProjAut]:
 def y_point_count_report(p: int = 13) -> CheckReport:
     """#image(F_p) = ((p+1)^4 - 16)/2 + 16: the covering is two-to-one away
     from the 16 branch points."""
-    with Timer() as tm:
-        n = len(downstairs_image_set(p))
-        expected = ((p + 1) ** 4 - 16) // 2 + 16
-        ok = n == expected
-    return report("cover.enumeration", ok,
-                  {"image_points": n, "expected": expected}, tm.ms, {"prime": p})
+    n = len(downstairs_image_set(p))
+    expected = ((p + 1) ** 4 - 16) // 2 + 16
+    return verdict("cover.enumeration",
+                   [] if n == expected else [f"{n} image points, expected {expected}"],
+                   {"image_points": n, "expected": expected}, params={"prime": p})
 
 
 # -- the hyperplane-section decomposition --------------------------------------
@@ -1021,43 +989,41 @@ def s_surface_pattern(i: int, j: int, a: int, b: int):
 def verify_hplane_decomposition(p: int = 13) -> CheckReport:
     """Each hyperplane-section subscheme of the image equals, pointwise over
     F_p, the union of one weight-2 coordinate point and six quartic surfaces."""
-    with Timer() as tm:
-        image = downstairs_image_set(p)
-        problems = []
-        for t in EVEN_TUPLES:
-            zero_cols = [X_INDEX[(k, t[k])] for k in range(4)]
-            lhs = {pt for pt in image if all(pt[c] == 0 for c in zero_cols)}
-            tc = tuple(comp(v) for v in t)
-            pieces = []
-            ij_pairs = [(0, 1, tc[0], tc[1]), (0, 2, tc[0], tc[2]),
-                        (0, 3, tc[0], tc[3]), (1, 2, tc[1], tc[2]),
-                        (1, 3, tc[1], tc[3]), (2, 3, tc[2], tc[3])]
-            union = set()
-            y_col = Y_INDEX[tc]
-            coord_pt = {pt for pt in lhs
-                        if all(pt[k] == 0 for k in range(16) if k != y_col) and pt[y_col]}
-            union |= coord_pt
-            if not coord_pt:
-                problems.append(f"H~{''.join(map(str, t))}: coordinate point missing")
-            for (i, j, a, b) in ij_pairs:
-                allowed, (cx1, cx2, cy1, cy2) = s_surface_pattern(i, j, a, b)
-                piece = set()
-                for pt in lhs:
-                    if any(pt[k] for k in range(16) if k not in allowed):
-                        continue
-                    if (pt[cy1] * pt[cy2]) % p != (pt[cx1] * pt[cx1] * pt[cx2] * pt[cx2]) % p:
-                        problems.append(f"H~{''.join(map(str, t))}: quartic fails on S^{i}{j}")
-                        continue
-                    piece.add(pt)
-                pieces.append(piece)
-                union |= piece
-            extra = lhs - union
-            if extra:
-                problems.append(f"H~{''.join(map(str, t))}: {len(extra)} points outside "
-                                f"the decomposition, e.g. {sorted(extra)[0]}")
-            if not union <= lhs:
-                problems.append(f"H~{''.join(map(str, t))}: decomposition leaves the section")
-        ok = not problems
-    return report("cover.hplane_decomposition", ok,
-                  {"problems": problems} if problems else
-                  {"sections_checked": 8, "pieces_each": 7}, tm.ms, {"prime": p})
+    image = downstairs_image_set(p)
+    problems = []
+    for t in EVEN_TUPLES:
+        zero_cols = [X_INDEX[(k, t[k])] for k in range(4)]
+        lhs = {pt for pt in image if all(pt[c] == 0 for c in zero_cols)}
+        tc = tuple(comp(v) for v in t)
+        pieces = []
+        ij_pairs = [(0, 1, tc[0], tc[1]), (0, 2, tc[0], tc[2]),
+                    (0, 3, tc[0], tc[3]), (1, 2, tc[1], tc[2]),
+                    (1, 3, tc[1], tc[3]), (2, 3, tc[2], tc[3])]
+        union = set()
+        y_col = Y_INDEX[tc]
+        coord_pt = {pt for pt in lhs
+                    if all(pt[k] == 0 for k in range(16) if k != y_col) and pt[y_col]}
+        union |= coord_pt
+        if not coord_pt:
+            problems.append(f"H~{''.join(map(str, t))}: coordinate point missing")
+        for (i, j, a, b) in ij_pairs:
+            allowed, (cx1, cx2, cy1, cy2) = s_surface_pattern(i, j, a, b)
+            piece = set()
+            for pt in lhs:
+                if any(pt[k] for k in range(16) if k not in allowed):
+                    continue
+                if (pt[cy1] * pt[cy2]) % p != (pt[cx1] * pt[cx1] * pt[cx2] * pt[cx2]) % p:
+                    problems.append(f"H~{''.join(map(str, t))}: quartic fails on S^{i}{j}")
+                    continue
+                piece.add(pt)
+            pieces.append(piece)
+            union |= piece
+        extra = lhs - union
+        if extra:
+            problems.append(f"H~{''.join(map(str, t))}: {len(extra)} points outside "
+                            f"the decomposition, e.g. {sorted(extra)[0]}")
+        if not union <= lhs:
+            problems.append(f"H~{''.join(map(str, t))}: decomposition leaves the section")
+    return verdict("cover.hplane_decomposition", problems,
+                   on_pass={"sections_checked": 8, "pieces_each": 7},
+                   params={"prime": p})

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .ambient import AMBIENT_XY, EVEN_TUPLES, comp, xname, yname
 from .poly import MonomialMap, Poly
-from .report import CheckReport, Timer, report
+from .report import CheckReport, verdict
 from .scalars import GF, QQ
 
 Word = Tuple[int, int, int, int, int, int]
@@ -183,70 +183,61 @@ def theta_class(i: int) -> List[Word]:
 def subgroup_census_report(domain=QQ) -> CheckReport:
     """|G| = 8, |H| = 32, G < H, the theta_i are disjoint 8-element cosets,
     and theta_1 equals the reference list of involution words."""
-    with Timer() as tm:
-        G = group_G()
-        H = group_H()
-        thetas = {i: theta_class(i) for i in (1, 2, 3)}
-        reference_theta1 = sorted(parse_word(w) for w in (
-            "a1*b1", "b1*b2", "a1*a2*b1*b3", "a1*a3",
-            "a2*b1*b2*b3", "a3*b2", "a1*a2*a3*b3", "a2*a3*b2*b3"))
-        problems = []
-        if len(G) != 8:
-            problems.append(f"|G| = {len(G)}")
-        if len(set(H)) != 32:
-            problems.append(f"|H| = {len(H)}")
-        if not set(G) <= set(H):
-            problems.append("G not inside H")
-        for i in (1, 2, 3):
-            if len(set(thetas[i])) != 8:
-                problems.append(f"|theta_{i}| = {len(set(thetas[i]))}")
-            if not set(thetas[i]) <= set(H):
-                problems.append(f"theta_{i} not inside H")
-        for i, j in combinations((1, 2, 3), 2):
-            if set(thetas[i]) & set(thetas[j]):
-                problems.append(f"theta_{i} meets theta_{j}")
-        if any(set(thetas[i]) & set(G) for i in (1, 2, 3)):
-            problems.append("a theta class meets G")
-        if thetas[1] != reference_theta1:
-            problems.append("theta_1 differs from the reference list")
-        ok = not problems
-    return report("grouprep.subgroup_census", ok,
-                  {"G": [word_str(w) for w in G],
-                   "theta_1": [word_str(w) for w in thetas[1]],
-                   "problems": problems} if problems else
-                  {"G": [word_str(w) for w in G],
-                   "theta_1": [word_str(w) for w in thetas[1]]},
-                  tm.ms)
+    G = group_G()
+    H = group_H()
+    thetas = {i: theta_class(i) for i in (1, 2, 3)}
+    reference_theta1 = sorted(parse_word(w) for w in (
+        "a1*b1", "b1*b2", "a1*a2*b1*b3", "a1*a3",
+        "a2*b1*b2*b3", "a3*b2", "a1*a2*a3*b3", "a2*a3*b2*b3"))
+    problems = []
+    if len(G) != 8:
+        problems.append(f"|G| = {len(G)}")
+    if len(set(H)) != 32:
+        problems.append(f"|H| = {len(H)}")
+    if not set(G) <= set(H):
+        problems.append("G not inside H")
+    for i in (1, 2, 3):
+        if len(set(thetas[i])) != 8:
+            problems.append(f"|theta_{i}| = {len(set(thetas[i]))}")
+        if not set(thetas[i]) <= set(H):
+            problems.append(f"theta_{i} not inside H")
+    for i, j in combinations((1, 2, 3), 2):
+        if set(thetas[i]) & set(thetas[j]):
+            problems.append(f"theta_{i} meets theta_{j}")
+    if any(set(thetas[i]) & set(G) for i in (1, 2, 3)):
+        problems.append("a theta class meets G")
+    if thetas[1] != reference_theta1:
+        problems.append("theta_1 differs from the reference list")
+    return verdict("grouprep.subgroup_census", problems,
+                   {"G": [word_str(w) for w in G],
+                    "theta_1": [word_str(w) for w in thetas[1]]})
 
 
 def table1_relations_report(domain=QQ) -> CheckReport:
     """Each generator squares to the identity, all 15 pairs commute, and the
     tabulated spot values hold (a1: x00<->x01, y -> y index-complemented in
     positions 0,1; b2 negates x2* and every y)."""
-    with Timer() as tm:
-        gens = build_table1_action(domain)
-        ident = MonomialMap.identity(AMBIENT_XY, domain)
-        problems = []
-        for k, g in enumerate(gens):
-            if g.map.compose(g.map) != ident:
-                problems.append(f"{GENERATOR_NAMES[k]}^2 != 1")
-        for (i, g), (j, h) in combinations(list(enumerate(gens)), 2):
-            if g.map.compose(h.map) != h.map.compose(g.map):
-                problems.append(f"{GENERATOR_NAMES[i]} and {GENERATOR_NAMES[j]} do not commute")
-        a1, b2 = gens[0], gens[4]
-        spots = [
-            a1.image_of_variable("x00") == (1, "x01"),
-            a1.image_of_variable("y0011") == (1, "y1111"),
-            b2.image_of_variable("x20") == (-1, "x20"),
-            b2.image_of_variable("y0000") == (-1, "y0000"),
-            (a1 * b2).map == a1.map.compose(b2.map),
-        ]
-        if not all(spots):
-            problems.append(f"spot values failed: {spots}")
-        ok = not problems
-    return report("grouprep.table1_relations", ok,
-                  {"problems": problems} if problems else
-                  {"involutions": 6, "commuting_pairs": 15}, tm.ms)
+    gens = build_table1_action(domain)
+    ident = MonomialMap.identity(AMBIENT_XY, domain)
+    problems = []
+    for k, g in enumerate(gens):
+        if g.map.compose(g.map) != ident:
+            problems.append(f"{GENERATOR_NAMES[k]}^2 != 1")
+    for (i, g), (j, h) in combinations(list(enumerate(gens)), 2):
+        if g.map.compose(h.map) != h.map.compose(g.map):
+            problems.append(f"{GENERATOR_NAMES[i]} and {GENERATOR_NAMES[j]} do not commute")
+    a1, b2 = gens[0], gens[4]
+    spots = [
+        a1.image_of_variable("x00") == (1, "x01"),
+        a1.image_of_variable("y0011") == (1, "y1111"),
+        b2.image_of_variable("x20") == (-1, "x20"),
+        b2.image_of_variable("y0000") == (-1, "y0000"),
+        (a1 * b2).map == a1.map.compose(b2.map),
+    ]
+    if not all(spots):
+        problems.append(f"spot values failed: {spots}")
+    return verdict("grouprep.table1_relations", problems,
+                   on_pass={"involutions": 6, "commuting_pairs": 15})
 
 
 # -- fixed loci ---------------------------------------------------------------
@@ -323,53 +314,50 @@ def fixed_loci_report(domain=QQ) -> CheckReport:
     """The fixed-locus constraints are genuine eigen-conditions for every
     nontrivial element of G and both sign sectors, and the two reference
     displays (a1*b2 in (+,+), a1*a2*a3*b1*b2*b3 in (-,+)) come out exactly."""
-    with Timer() as tm:
-        problems = []
-        for w in group_G():
-            if w == IDENTITY_WORD:
-                continue
-            g = SignedAction(w, domain)
-            for sector in ("(+,+)", "(-,+)"):
-                loc = fixed_locus(g, sector)
-                for c in loc.all_constraints():
-                    img = _canonical_constraint(g.apply(c))
-                    if img != c and img != _canonical_constraint(-c):
-                        problems.append(f"{word_str(w)} {sector}: {c} not an eigen-condition")
+    problems = []
+    for w in group_G():
+        if w == IDENTITY_WORD:
+            continue
+        g = SignedAction(w, domain)
+        for sector in ("(+,+)", "(-,+)"):
+            loc = fixed_locus(g, sector)
+            for c in loc.all_constraints():
+                img = _canonical_constraint(g.apply(c))
+                if img != c and img != _canonical_constraint(-c):
+                    problems.append(f"{word_str(w)} {sector}: {c} not an eigen-condition")
 
-        def constraint_set(word: str, sector: str):
-            loc = fixed_locus(SignedAction(parse_word(word), domain), sector)
-            return {str(c) for c in loc.all_constraints()}
+    def constraint_set(word: str, sector: str):
+        loc = fixed_locus(SignedAction(parse_word(word), domain), sector)
+        return {str(c) for c in loc.all_constraints()}
 
-        d = domain
-        expect_a1b2 = {str(_canonical_constraint(c)) for c in [
-            Poly.variable(AMBIENT_XY, d, "x00") - Poly.variable(AMBIENT_XY, d, "x01"),
-            Poly.variable(AMBIENT_XY, d, "x10") - Poly.variable(AMBIENT_XY, d, "x11"),
-            Poly.variable(AMBIENT_XY, d, "x20"),
-            Poly.variable(AMBIENT_XY, d, "x21")] + [
-            Poly.variable(AMBIENT_XY, d, yname(t))
-            + Poly.variable(AMBIENT_XY, d, yname((comp(t[0]), comp(t[1]), t[2], t[3])))
-            for t in EVEN_TUPLES]}
-        got = constraint_set("a1*b2", "(+,+)")
-        if got != expect_a1b2:
-            problems.append(f"a1*b2 (+,+) constraints differ: {sorted(got)}")
-        expect_triple = {str(_canonical_constraint(c)) for c in [
-            Poly.variable(AMBIENT_XY, d, "x00") + Poly.variable(AMBIENT_XY, d, "x01"),
-            Poly.variable(AMBIENT_XY, d, "x10") - Poly.variable(AMBIENT_XY, d, "x11"),
-            Poly.variable(AMBIENT_XY, d, "x20") - Poly.variable(AMBIENT_XY, d, "x21"),
-            Poly.variable(AMBIENT_XY, d, "x30") - Poly.variable(AMBIENT_XY, d, "x31")] + [
-            Poly.variable(AMBIENT_XY, d, yname(t))
-            + Poly.variable(AMBIENT_XY, d, yname(tuple(comp(x) for x in t)))
-            for t in EVEN_TUPLES]}
-        got = constraint_set("a1*a2*a3*b1*b2*b3", "(-,+)")
-        if got != expect_triple:
-            problems.append(f"triple (-,+) constraints differ: {sorted(got)}")
-        ident = fixed_locus(SignedAction(IDENTITY_WORD, domain), "(+,+)")
-        if ident.all_constraints():
-            problems.append("identity has nonempty constraint list")
-        ok = not problems
-    return report("grouprep.fixed_loci", ok,
-                  {"problems": problems} if problems else
-                  {"elements_checked": 7, "sectors": ["(+,+)", "(-,+)"]}, tm.ms)
+    d = domain
+    expect_a1b2 = {str(_canonical_constraint(c)) for c in [
+        Poly.variable(AMBIENT_XY, d, "x00") - Poly.variable(AMBIENT_XY, d, "x01"),
+        Poly.variable(AMBIENT_XY, d, "x10") - Poly.variable(AMBIENT_XY, d, "x11"),
+        Poly.variable(AMBIENT_XY, d, "x20"),
+        Poly.variable(AMBIENT_XY, d, "x21")] + [
+        Poly.variable(AMBIENT_XY, d, yname(t))
+        + Poly.variable(AMBIENT_XY, d, yname((comp(t[0]), comp(t[1]), t[2], t[3])))
+        for t in EVEN_TUPLES]}
+    got = constraint_set("a1*b2", "(+,+)")
+    if got != expect_a1b2:
+        problems.append(f"a1*b2 (+,+) constraints differ: {sorted(got)}")
+    expect_triple = {str(_canonical_constraint(c)) for c in [
+        Poly.variable(AMBIENT_XY, d, "x00") + Poly.variable(AMBIENT_XY, d, "x01"),
+        Poly.variable(AMBIENT_XY, d, "x10") - Poly.variable(AMBIENT_XY, d, "x11"),
+        Poly.variable(AMBIENT_XY, d, "x20") - Poly.variable(AMBIENT_XY, d, "x21"),
+        Poly.variable(AMBIENT_XY, d, "x30") - Poly.variable(AMBIENT_XY, d, "x31")] + [
+        Poly.variable(AMBIENT_XY, d, yname(t))
+        + Poly.variable(AMBIENT_XY, d, yname(tuple(comp(x) for x in t)))
+        for t in EVEN_TUPLES]}
+    got = constraint_set("a1*a2*a3*b1*b2*b3", "(-,+)")
+    if got != expect_triple:
+        problems.append(f"triple (-,+) constraints differ: {sorted(got)}")
+    ident = fixed_locus(SignedAction(IDENTITY_WORD, domain), "(+,+)")
+    if ident.all_constraints():
+        problems.append("identity has nonempty constraint list")
+    return verdict("grouprep.fixed_loci", problems,
+                   on_pass={"elements_checked": 7, "sectors": ["(+,+)", "(-,+)"]})
 
 
 # -- representation theory ----------------------------------------------------
@@ -379,47 +367,44 @@ def check_regular_representation(domain=QQ) -> CheckReport:
     (trace 8 at the identity, 0 elsewhere), hence with trace 7 / -1 on the
     quotient by the invariant vector x00+x01; the 8 signed y-sums are
     simultaneous eigenvectors realizing all 8 characters."""
-    with Timer() as tm:
-        problems = []
-        hyper = Poly.variable(AMBIENT_XY, domain, "x00") + Poly.variable(AMBIENT_XY, domain, "x01")
-        for w in group_G():
-            g = SignedAction(w, domain)
-            tr = g.trace_on_x_span()
-            expected = 8 if w == IDENTITY_WORD else 0
-            if tr != expected:
-                problems.append(f"trace({word_str(w)}) = {tr} on x-span")
-            img = g.apply(hyper)
-            if img != hyper:
-                problems.append(f"{word_str(w)} does not fix x00+x01")
-            qtr = tr - 1
-            if qtr != (7 if w == IDENTITY_WORD else -1):
-                problems.append(f"quotient trace({word_str(w)}) = {qtr}")
-        # eigenvectors of the y-span
-        seen_chars = set()
-        gens = [SignedAction(w, domain) for w in G_GENERATOR_WORDS]
-        for e, f, g_ in product((0, 1), repeat=3):
-            vec = Poly.zero(AMBIENT_XY, domain)
-            for t in EVEN_TUPLES:
-                sign = (-1) ** (e * t[1] + f * t[2] + g_ * t[3])
-                vec = vec + Poly.variable(AMBIENT_XY, domain, yname(t)) * domain.from_int(sign)
-            evs = []
-            for gen in gens:
-                img = gen.apply(vec)
-                if img == vec:
-                    evs.append(1)
-                elif img == -vec:
-                    evs.append(-1)
-                else:
-                    problems.append(f"character ({e},{f},{g_}): not an eigenvector")
-                    break
+    problems = []
+    hyper = Poly.variable(AMBIENT_XY, domain, "x00") + Poly.variable(AMBIENT_XY, domain, "x01")
+    for w in group_G():
+        g = SignedAction(w, domain)
+        tr = g.trace_on_x_span()
+        expected = 8 if w == IDENTITY_WORD else 0
+        if tr != expected:
+            problems.append(f"trace({word_str(w)}) = {tr} on x-span")
+        img = g.apply(hyper)
+        if img != hyper:
+            problems.append(f"{word_str(w)} does not fix x00+x01")
+        qtr = tr - 1
+        if qtr != (7 if w == IDENTITY_WORD else -1):
+            problems.append(f"quotient trace({word_str(w)}) = {qtr}")
+    # eigenvectors of the y-span
+    seen_chars = set()
+    gens = [SignedAction(w, domain) for w in G_GENERATOR_WORDS]
+    for e, f, g_ in product((0, 1), repeat=3):
+        vec = Poly.zero(AMBIENT_XY, domain)
+        for t in EVEN_TUPLES:
+            sign = (-1) ** (e * t[1] + f * t[2] + g_ * t[3])
+            vec = vec + Poly.variable(AMBIENT_XY, domain, yname(t)) * domain.from_int(sign)
+        evs = []
+        for gen in gens:
+            img = gen.apply(vec)
+            if img == vec:
+                evs.append(1)
+            elif img == -vec:
+                evs.append(-1)
             else:
-                seen_chars.add(tuple(evs))
-        if len(seen_chars) != 8:
-            problems.append(f"only {len(seen_chars)} distinct characters realized")
-        ok = not problems
-    return report("grouprep.regular_representation", ok,
-                  {"problems": problems} if problems else
-                  {"x_span_character": "regular", "y_characters": 8}, tm.ms)
+                problems.append(f"character ({e},{f},{g_}): not an eigenvector")
+                break
+        else:
+            seen_chars.add(tuple(evs))
+    if len(seen_chars) != 8:
+        problems.append(f"only {len(seen_chars)} distinct characters realized")
+    return verdict("grouprep.regular_representation", problems,
+                   on_pass={"x_span_character": "regular", "y_characters": 8})
 
 
 def q_invariance_report(p: int = 13, draws: int = 20, seed: int = 0) -> CheckReport:
@@ -430,28 +415,25 @@ def q_invariance_report(p: int = 13, draws: int = 20, seed: int = 0) -> CheckRep
     from .scalars import GF
     from .unproj import FamilyParams, q_section
 
-    with Timer() as tm:
-        d = GF(p)
-        rng = random.Random(seed)
-        problems = []
-        H = set(group_H())
-        non_h = [w for w in product((0, 1), repeat=6) if w not in H]
-        for _ in range(draws):
-            nu = FamilyParams(d, tuple(rng.randrange(1, p) for _ in range(5)))
-            q = q_section(nu)
-            for w in H:
-                img = SignedAction(w, d).apply(q)
-                if img != q and img != -q:
-                    problems.append(f"{word_str(w)} breaks q invariance at nu={nu.nu}")
-            for w in rng.sample(non_h, 8):
-                img = SignedAction(w, d).apply(q)
-                if img == q or img == -q:
-                    problems.append(f"{word_str(w)} outside H fixed q at nu={nu.nu}")
-        ok = not problems
-    return report("grouprep.q_invariance", ok,
-                  {"problems": problems[:5]} if problems else
-                  {"draws": draws, "H_words": 32}, tm.ms,
-                  {"prime": p, "seed": seed})
+    d = GF(p)
+    rng = random.Random(seed)
+    problems = []
+    H = set(group_H())
+    non_h = [w for w in product((0, 1), repeat=6) if w not in H]
+    for _ in range(draws):
+        nu = FamilyParams(d, tuple(rng.randrange(1, p) for _ in range(5)))
+        q = q_section(nu)
+        for w in H:
+            img = SignedAction(w, d).apply(q)
+            if img != q and img != -q:
+                problems.append(f"{word_str(w)} breaks q invariance at nu={nu.nu}")
+        for w in rng.sample(non_h, 8):
+            img = SignedAction(w, d).apply(q)
+            if img == q or img == -q:
+                problems.append(f"{word_str(w)} outside H fixed q at nu={nu.nu}")
+    return verdict("grouprep.q_invariance", problems[:5],
+                   on_pass={"draws": draws, "H_words": 32},
+                   params={"prime": p, "seed": seed})
 
 
 def j_generator_stability_report(domain=QQ) -> CheckReport:
@@ -459,21 +441,18 @@ def j_generator_stability_report(domain=QQ) -> CheckReport:
     unprojection ideal to +-(a generator of the same provenance class)."""
     from .unproj import build_unprojection_ideal
 
-    with Timer() as tm:
-        ideal = build_unprojection_ideal(domain)
-        by_prov: Dict[str, set] = {}
-        for _, g, t in ideal.generators:
-            by_prov.setdefault(t, set()).update((g, -g))
-        problems = []
-        for w in product((0, 1), repeat=6):
-            act = SignedAction(w, domain)
-            for name, g, t in ideal.generators:
-                if act.apply(g) not in by_prov[t]:
-                    problems.append(f"{word_str(w)} moves {name} outside the {t} set")
-        ok = not problems
-    return report("grouprep.j_stability", ok,
-                  {"problems": problems[:5]} if problems else
-                  {"words": 64, "generators": 63}, tm.ms)
+    ideal = build_unprojection_ideal(domain)
+    by_prov: Dict[str, set] = {}
+    for _, g, t in ideal.generators:
+        by_prov.setdefault(t, set()).update((g, -g))
+    problems = []
+    for w in product((0, 1), repeat=6):
+        act = SignedAction(w, domain)
+        for name, g, t in ideal.generators:
+            if act.apply(g) not in by_prov[t]:
+                problems.append(f"{word_str(w)} moves {name} outside the {t} set")
+    return verdict("grouprep.j_stability", problems[:5],
+                   on_pass={"words": 64, "generators": 63})
 
 
 TRIPLE_WORD: Word = (1, 1, 1, 1, 1, 1)
@@ -523,40 +502,36 @@ def delta_set_report(p: int = 13, seed: int = 0, draws: int = 6) -> CheckReport:
     field = GF(p)
     eps = field.sqrt_minus_one()
     rng = random.Random(seed)
-    with Timer() as tm:
-        problems = []
-        hits = {}
-        action = SignedAction(TRIPLE_WORD, field)
-        for m in range(-8, 9):
-            found = 0
-            for _ in range(draws):
-                n1, n2, n3, n4 = (field.from_int(rng.randrange(1, p))
-                                  for _ in range(4))
-                n0 = n1 + n2 + n3 - field.from_int(m) * eps * n4
-                nu = FamilyParams(field, (n0, n1, n2, n3, n4))
-                pts = _triple_fixed_points(nu)
-                for vec in pts:
-                    ints = [int(v) for v in vec]
-                    img = [int(v) for v in action.act_point(vec)]
-                    if canonical_weighted(img, p) != canonical_weighted(ints, p):
-                        problems.append(f"constructed point not fixed at m={m}")
-                found = max(found, len(pts))
-            hits[m] = found
-        empirical = sorted(m for m, n in hits.items() if n)
-        # multiples alias mod p: m*eps = +-8*eps iff m = +-8 (mod p)
-        expected = sorted(m for m in range(-8, 9)
-                          if (m - 8) % p == 0 or (m + 8) % p == 0)
-        if empirical != expected:
-            problems.append(f"delta multiples with fixed points: {empirical}, "
-                            f"expected {expected}")
-        ok = not problems
-    witness = {"delta_multiples_of_eps": empirical,
-               "canonical_set": "{+8, -8} (mod p aliases included)",
-               "points_at_8": hits.get(8, 0)}
-    if problems:
-        witness["problems"] = problems
-    return report("grouprep.delta_set", ok, witness, tm.ms,
-                  {"prime": p, "seed": seed})
+    problems = []
+    hits = {}
+    action = SignedAction(TRIPLE_WORD, field)
+    for m in range(-8, 9):
+        found = 0
+        for _ in range(draws):
+            n1, n2, n3, n4 = (field.from_int(rng.randrange(1, p))
+                              for _ in range(4))
+            n0 = n1 + n2 + n3 - field.from_int(m) * eps * n4
+            nu = FamilyParams(field, (n0, n1, n2, n3, n4))
+            pts = _triple_fixed_points(nu)
+            for vec in pts:
+                ints = [int(v) for v in vec]
+                img = [int(v) for v in action.act_point(vec)]
+                if canonical_weighted(img, p) != canonical_weighted(ints, p):
+                    problems.append(f"constructed point not fixed at m={m}")
+            found = max(found, len(pts))
+        hits[m] = found
+    empirical = sorted(m for m, n in hits.items() if n)
+    # multiples alias mod p: m*eps = +-8*eps iff m = +-8 (mod p)
+    expected = sorted(m for m in range(-8, 9)
+                      if (m - 8) % p == 0 or (m + 8) % p == 0)
+    if empirical != expected:
+        problems.append(f"delta multiples with fixed points: {empirical}, "
+                        f"expected {expected}")
+    return verdict("grouprep.delta_set", problems,
+                   {"delta_multiples_of_eps": empirical,
+                    "canonical_set": "{+8, -8} (mod p aliases included)",
+                    "points_at_8": hits.get(8, 0)},
+                   params={"prime": p, "seed": seed})
 
 
 # -- stabilizers on enumerated point sets --------------------------------------

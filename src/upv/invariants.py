@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,7 +22,7 @@ import numpy as np
 from .ambient import AMBIENT_P7, Ambient
 from .linalg import rank_mod_p
 from .poly import Poly
-from .report import CheckReport, Timer, report
+from .report import CheckReport, verdict
 from .scalars import GF, PrimeField
 from .unproj import (FamilyParams, IdealPresentation, build_t_ideal,
                      build_unprojection_ideal, build_v_ideal, build_x_ideal)
@@ -195,64 +194,51 @@ def ci_series_coefficient(d: int) -> int:
 def hilbert_x_report(p: int = 13, max_degree: int = 6) -> CheckReport:
     """h_X(d) from exact rank computation equals the complete-intersection
     series coefficient for d <= max_degree."""
-    with Timer() as tm:
-        prof = hilbert_profile("X", p, max_degree)
-        expected = [(d, ci_series_coefficient(d)) for d in range(max_degree + 1)]
-        ok = prof.values == expected
-    return report("invariants.hilbert_x", ok,
-                  {"computed": prof.values, "series": expected},
-                  tm.ms, {"prime": p, "max_degree": max_degree})
+    prof = hilbert_profile("X", p, max_degree)
+    expected = [(d, ci_series_coefficient(d)) for d in range(max_degree + 1)]
+    return verdict("invariants.hilbert_x",
+                   [] if prof.values == expected else ["h_X differs from the series"],
+                   {"computed": prof.values, "series": expected},
+                   params={"prime": p, "max_degree": max_degree})
 
 
 def hilbert_t_report(primes: Sequence[int], nus: Dict[int, List[FamilyParams]],
                      max_degree: int = 4) -> CheckReport:
     """h_T(1) = 7 and h_T(n) = 8 + 12n(n-1) for 2 <= n <= max_degree,
     identically across all supplied primes and parameter draws."""
-    with Timer() as tm:
-        expected = [(0, 1), (1, 7)] + [(n, plurigenus_expected(n))
-                                       for n in range(2, max_degree + 1)]
-        problems = []
-        runs = 0
-        for p in primes:
-            for nu in nus[p]:
-                prof = hilbert_profile("T", p, max_degree, nu)
-                runs += 1
-                if prof.values != expected:
-                    problems.append(
-                        f"GF({p}) nu={tuple(int(v) for v in nu.nu)}: {prof.values}")
-        ok = not problems
-    return report("invariants.hilbert_t", ok,
-                  {"expected": expected, "runs": runs,
-                   "problems": problems} if problems else
-                  {"expected": expected, "runs": runs},
-                  tm.ms, {"primes": list(primes), "max_degree": max_degree})
+    expected = [(0, 1), (1, 7)] + [(n, plurigenus_expected(n))
+                                   for n in range(2, max_degree + 1)]
+    problems = []
+    runs = 0
+    for p in primes:
+        for nu in nus[p]:
+            prof = hilbert_profile("T", p, max_degree, nu)
+            runs += 1
+            if prof.values != expected:
+                problems.append(
+                    f"GF({p}) nu={tuple(int(v) for v in nu.nu)}: {prof.values}")
+    return verdict("invariants.hilbert_t", problems,
+                   {"expected": expected, "runs": runs},
+                   params={"primes": list(primes), "max_degree": max_degree})
 
 
 def hilbert_v_report(primes: Sequence[int], max_degree: int = 3) -> CheckReport:
     """h_V(1) = 7; higher values recorded and required stable across primes.
 
     A cross-prime disagreement is flagged ``unstable`` rather than averaged."""
-    from .report import UNSTABLE, CheckReport
-    with Timer() as tm:
-        profiles = {p: hilbert_profile("V", p, max_degree) for p in primes}
-        values = {p: prof.values for p, prof in profiles.items()}
-        distinct = {tuple(v) for v in values.values()}
-        problems = []
-        stable = len(distinct) == 1
-        some = next(iter(values.values()))
-        if some[0] != (0, 1) or some[1] != (1, 7):
-            problems.append(f"h_V(0), h_V(1) = {some[:2]}")
-        ok = stable and not problems
-        status_witness = {"values": some, "stable_across_primes": stable}
-        if not stable:
-            status_witness["per_prime"] = values
-        if problems:
-            status_witness["problems"] = problems
-    params = {"primes": list(primes), "max_degree": max_degree}
-    if not stable and not problems:
-        return CheckReport("invariants.hilbert_v", UNSTABLE, status_witness,
-                           tm.ms, params)
-    return report("invariants.hilbert_v", ok, status_witness, tm.ms, params)
+    profiles = {p: hilbert_profile("V", p, max_degree) for p in primes}
+    values = {p: prof.values for p, prof in profiles.items()}
+    distinct = {tuple(v) for v in values.values()}
+    problems = []
+    stable = len(distinct) == 1
+    some = next(iter(values.values()))
+    if some[0] != (0, 1) or some[1] != (1, 7):
+        problems.append(f"h_V(0), h_V(1) = {some[:2]}")
+    witness = {"values": some, "stable_across_primes": stable}
+    if not stable:
+        witness["per_prime"] = values
+    return verdict("invariants.hilbert_v", problems, witness, unstable=not stable,
+                   params={"primes": list(primes), "max_degree": max_degree})
 
 
 # -- the intersection ring of (P^1)^4 -----------------------------------------
@@ -347,23 +333,18 @@ def intersection_numbers_report() -> CheckReport:
     """H^4 = 24; deg of the unprojected 4-fold is H^4/2 = 12; the halved
     anticanonical cube of the hyperplane section is 12; the canonical square
     of the surface upstairs is H^2*Z1*Z2 = 48, halving to 24."""
-    with Timer() as tm:
-        H = IntersectionClass.hyperplane()
-        z1 = H
-        z2 = H.scale(2)
-        problems = []
-        h4 = intersection_number([H, H, H, H])
-        if h4 != 24:
-            problems.append(f"H^4 = {h4}")
-        deg_cover = intersection_number([H, H, H, z1])
-        if deg_cover != 24 or deg_cover // 2 != 12:
-            problems.append(f"H^3*Z1 = {deg_cover}")
-        k2_cover = intersection_number([H, H, z1, z2])
-        if k2_cover != 48 or k2_cover // 2 != 24:
-            problems.append(f"H^2*Z1*Z2 = {k2_cover}")
-        ok = not problems
-    return report("invariants.intersection_numbers", ok,
-                  {"H^4": 24, "deg_Y": 12, "minus_K_V^3": 12, "K^2_T": 24,
-                   "problems": problems} if problems else
-                  {"H^4": 24, "deg_Y": 12, "minus_K_V^3": 12, "K^2_T": 24},
-                  tm.ms)
+    H = IntersectionClass.hyperplane()
+    z1 = H
+    z2 = H.scale(2)
+    problems = []
+    h4 = intersection_number([H, H, H, H])
+    if h4 != 24:
+        problems.append(f"H^4 = {h4}")
+    deg_cover = intersection_number([H, H, H, z1])
+    if deg_cover != 24 or deg_cover // 2 != 12:
+        problems.append(f"H^3*Z1 = {deg_cover}")
+    k2_cover = intersection_number([H, H, z1, z2])
+    if k2_cover != 48 or k2_cover // 2 != 24:
+        problems.append(f"H^2*Z1*Z2 = {k2_cover}")
+    return verdict("invariants.intersection_numbers", problems,
+                   on_pass={"H^4": 24, "deg_Y": 12, "minus_K_V^3": 12, "K^2_T": 24})

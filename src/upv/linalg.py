@@ -149,8 +149,3 @@ def det_poly(matrix: List[List[Poly]]) -> Poly:
 
     idx = tuple(range(n))
     return expand(idx, idx)
-
-
-def kernel_dimension(matrix, domain, ncols: int) -> int:
-    rows = [r for r in matrix if any(domain.coerce(x) for x in r)]
-    return ncols - rank(rows, domain) if rows else ncols

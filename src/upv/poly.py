@@ -271,9 +271,6 @@ class MonomialMap:
             images[name] = (domain.one(), tuple(e))
         return cls(ambient, ambient, domain, images)
 
-    def image_of(self, var_index: int) -> Tuple[object, Exponents]:
-        return self.images[var_index]
-
     def apply(self, f: Poly) -> Poly:
         """Substitute into f; exact, homomorphic."""
         if f.ambient != self.source:
@@ -336,10 +333,6 @@ class MonomialMap:
         return f"MonomialMap({self.source.tag} -> {self.target.tag})"
 
 
-def substitute(f: Poly, m: MonomialMap) -> Poly:
-    return m.apply(f)
-
-
 def exact_divide(f: Poly, g: Poly):
     """Return f/g when g divides f exactly, else None.
 
@@ -365,9 +358,15 @@ def exact_divide(f: Poly, g: Poly):
     return q
 
 
-def poly_gens(ambient: Ambient, domain):
-    """Convenience: the tuple of variable polynomials of an ambient."""
-    return tuple(Poly.variable(ambient, domain, v) for v in ambient.variables)
+def proportional(f: Poly, g: Poly) -> bool:
+    """f = c*g for a nonzero scalar c (both zero counts as proportional)."""
+    if f.is_zero() or g.is_zero():
+        return f.is_zero() and g.is_zero()
+    ef, cf = f.leading()
+    eg, cg = g.leading()
+    if ef != eg:
+        return False
+    return f == g * (cf / cg)
 
 
 def ring_substitute(f: Poly, target: Ambient, images: Mapping[str, Poly]) -> Poly:

@@ -2,20 +2,20 @@
 
 Reports serialize to line-delimited JSON records with a fixed key order so a
 report stream is byte-identical across runs with the same configuration.
-Wall-clock time is measured but zeroed in serialized streams unless timings
-are explicitly requested, keeping the default artifact deterministic.
+Checks build their records without timing them: the check runner
+(``checks.run_checks``) measures each check and writes ``wall_ms``, which is
+zeroed in serialized streams unless timings are explicitly requested, keeping
+the default artifact deterministic.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Sequence
 
 PASS = "pass"
 FAIL = "fail"
-SKIPPED = "skipped"
 UNSTABLE = "unstable"
 
 
@@ -71,17 +71,26 @@ class CheckReport:
                            rec.get("wall_ms", 0.0), rec.get("params", {}))
 
 
-class Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
+def verdict(check_id: str, problems: Sequence[str], witness: Dict[str, Any] | None = None,
+            *, on_pass: Dict[str, Any] | None = None, on_fail: Dict[str, Any] | None = None,
+            unstable: bool = False, params: Dict[str, Any] | None = None) -> CheckReport:
+    """The record of a check that collected ``problems``: it passes iff there
+    are none.
 
-    def __exit__(self, *a):
-        self.ms = (time.perf_counter() - self.t0) * 1000.0
-        return False
-
-
-def report(check_id: str, ok: bool, witness: Any = "", wall_ms: float = 0.0,
-           params: Dict[str, Any] | None = None) -> CheckReport:
-    return CheckReport(check_id, PASS if ok else FAIL, witness, wall_ms,
-                       params or {})
+    ``witness`` holds measured values and is reported in every outcome.  A
+    passing record appends ``on_pass``, the claims that hold only on success;
+    a failing one appends ``problems`` and then the diagnostics in
+    ``on_fail``.  Without problems, ``unstable`` turns the verdict into
+    ``unstable`` (evidence that disagrees with itself), which states no claim.
+    """
+    out = dict(witness or {})
+    if problems:
+        status = FAIL
+        out["problems"] = list(problems)
+        out.update(on_fail or {})
+    elif unstable:
+        status = UNSTABLE
+    else:
+        status = PASS
+        out.update(on_pass or {})
+    return CheckReport(check_id, status, out, params=params or {})

@@ -7,7 +7,9 @@ supported:
 * ``QI``      -- Gaussian rationals a + b*i,
 * ``GF(p)``   -- prime fields with p = 1 (mod 4), so that a square root of -1
                  exists; the distinguished root ``eps`` is the smaller of the
-                 two residues and is deterministic given p.
+                 two residues and is deterministic given p.  Primes must stay
+                 below ``PRIME_BOUND`` = 2^31, where the product of two
+                 residues is still exact in the int64 kernels.
 
 Scalar string grammar: ``a/b`` (rational), ``a/b+c/d*i`` (Gaussian rational),
 decimal residues for prime fields.
@@ -21,6 +23,17 @@ from typing import Union
 
 class ScalarError(ValueError):
     """Raised for invalid field constructions or malformed scalar strings."""
+
+
+PRIME_BOUND = 2 ** 31
+
+
+def smallest_non_residue(p: int) -> int:
+    """The least quadratic non-residue modulo an odd prime p."""
+    n = 2
+    while pow(n, (p - 1) // 2, p) != p - 1:
+        n += 1
+    return n
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -318,6 +331,10 @@ class PrimeField:
     char_positive = True
 
     def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise ScalarError(
+                f"prime {p} rejected: primes must be below 2^31 = {PRIME_BOUND}, "
+                f"where products of residues are exact in int64 arithmetic")
         if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
             raise ScalarError(f"{p} is not prime")
         if p % 4 != 1:
@@ -330,10 +347,7 @@ class PrimeField:
         self.eps_int = self._find_eps()
 
     def _find_eps(self) -> int:
-        n = 2
-        while pow(n, (self.p - 1) // 2, self.p) != self.p - 1:
-            n += 1
-        r = pow(n, (self.p - 1) // 4, self.p)
+        r = pow(smallest_non_residue(self.p), (self.p - 1) // 4, self.p)
         return min(r, self.p - r)
 
     def zero(self):

@@ -17,7 +17,7 @@ points, and the cubic obtained by eliminating the weight-2 variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,7 +26,7 @@ from .ambient import (AMBIENT_XY, EVEN_TUPLES, IndexTuple, X_INDEX, Y_INDEX,
                       comp, comp_tuple, xname, yname)
 from .linalg import det_poly, rank
 from .poly import Poly, PolyError, exact_divide
-from .report import CheckReport, Timer, report
+from .report import CheckReport, verdict
 from .scalars import QQ
 
 QUADRIC = "quadric"
@@ -87,9 +87,6 @@ class IdealPresentation:
     def polys(self) -> List[Poly]:
         return [g for _, g, _ in self.generators]
 
-    def by_provenance(self, tag: str) -> List[Poly]:
-        return [g for _, g, t in self.generators if t == tag]
-
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for _, _, t in self.generators:
@@ -98,13 +95,6 @@ class IdealPresentation:
 
     def dump_lines(self) -> List[str]:
         return [f"{n}\t{t}\t{g}" for n, g, t in self.generators]
-
-    def map_domain(self, domain) -> "IdealPresentation":
-        gens = [(n, g.map_coefficients(domain), t) for n, g, t in self.generators]
-        fam = None
-        if self.family is not None:
-            fam = FamilyParams(domain, tuple(domain.coerce(v) for v in self.family.nu))
-        return IdealPresentation(self.name, self.ambient, domain, gens, fam)
 
 
 def xvar(domain, i: int, a: int) -> Poly:
@@ -178,19 +168,7 @@ def quartic_generator(domain, a: IndexTuple, b: IndexTuple) -> Poly:
     Formed fractionally and cleared against x_{i,a_i} * x_{j,b_j}; failure to
     clear would indicate an index-convention bug and raises.
     """
-    i, j = quartic_witnesses(a, b)
-    num = [0] * AMBIENT_XY.nvars
-    for k in range(4):
-        if k != i:
-            num[X_INDEX[(k, comp(a[k]))]] += 1
-        if k != j:
-            num[X_INDEX[(k, comp(b[k]))]] += 1
-    num[X_INDEX[(i, a[i])]] -= 1
-    num[X_INDEX[(j, b[j])]] -= 1
-    if any(e < 0 for e in num):
-        raise IdealConstructionError(
-            f"quartic for {a},{b} does not clear denominators with witnesses {(i, j)}")
-    return yvar(domain, a) * yvar(domain, b) - Poly.monomial(AMBIENT_XY, domain, num)
+    return quartic_generator_with_witnesses(domain, a, b, *quartic_witnesses(a, b))
 
 
 def quartic_generator_with_witnesses(domain, a: IndexTuple, b: IndexTuple,
@@ -242,37 +220,36 @@ def quartic_witness_report(domain=QQ) -> CheckReport:
     two positions admit a single witness set (the written form is unique);
     the four antipodal pairs admit six sets whose forms differ literally but
     agree modulo the quadrics."""
-    with Timer() as tm:
-        problems = []
-        literal_unique = 0
-        antipodal_variants = 0
-        for a, b in combinations(EVEN_TUPLES, 2):
-            diff = [k for k in range(4) if a[k] != b[k]]
-            forms = []
-            for i, j in combinations(diff, 2):
-                forms.append(quartic_generator_with_witnesses(domain, a, b, i, j))
-                # the ordered choice does not matter
-                if quartic_generator_with_witnesses(domain, a, b, j, i) != forms[-1]:
-                    problems.append(f"{a},{b}: witness order changes the form")
-            canonical = quartic_generator(domain, a, b)
-            if forms[0] != canonical:
-                problems.append(f"{a},{b}: canonical witness mismatch")
-            if len(diff) == 2:
-                literal_unique += 1
-            else:
-                if all(g == forms[0] for g in forms[1:]):
-                    problems.append(f"{a},{b}: antipodal forms unexpectedly identical")
-                antipodal_variants += len(forms)
-                if any(not quadric_normal_form(g - forms[0]).is_zero()
-                       for g in forms[1:]):
-                    problems.append(f"{a},{b}: witness forms differ modulo the quadrics")
-        ok = not problems and literal_unique == 24
-    witness = {"single_witness_quartics": literal_unique,
-               "antipodal_witness_forms": antipodal_variants,
-               "equivalence": "literal for 24; modulo the quadrics for the 4 antipodal"}
-    if problems:
-        witness["problems"] = problems
-    return report("unproj.quartic_witnesses", ok, witness, tm.ms)
+    problems = []
+    literal_unique = 0
+    antipodal_variants = 0
+    for a, b in combinations(EVEN_TUPLES, 2):
+        diff = [k for k in range(4) if a[k] != b[k]]
+        forms = []
+        for i, j in combinations(diff, 2):
+            forms.append(quartic_generator_with_witnesses(domain, a, b, i, j))
+            # the ordered choice does not matter
+            if quartic_generator_with_witnesses(domain, a, b, j, i) != forms[-1]:
+                problems.append(f"{a},{b}: witness order changes the form")
+        canonical = quartic_generator(domain, a, b)
+        if forms[0] != canonical:
+            problems.append(f"{a},{b}: canonical witness mismatch")
+        if len(diff) == 2:
+            literal_unique += 1
+        else:
+            if all(g == forms[0] for g in forms[1:]):
+                problems.append(f"{a},{b}: antipodal forms unexpectedly identical")
+            antipodal_variants += len(forms)
+            if any(not quadric_normal_form(g - forms[0]).is_zero()
+                   for g in forms[1:]):
+                problems.append(f"{a},{b}: witness forms differ modulo the quadrics")
+    if literal_unique != 24:
+        problems.append(f"{literal_unique} quartics have a unique witness set, expected 24")
+    return verdict("unproj.quartic_witnesses", problems,
+                   {"single_witness_quartics": literal_unique,
+                    "antipodal_witness_forms": antipodal_variants},
+                   on_pass={"equivalence": "literal for 24; modulo the quadrics "
+                                           "for the 4 antipodal"})
 
 
 def build_unprojection_ideal(domain=QQ) -> IdealPresentation:
@@ -361,51 +338,46 @@ def plane_equations(t: IndexTuple) -> List[int]:
 def verify_plane_incidences(domain=QQ) -> CheckReport:
     """Rank of the union of equations for all 28 pairs: 8 for the 4 antipodal
     pairs (empty intersection), 6 for the remaining 24 (a line each)."""
-    with Timer() as tm:
-        lines = []
-        empties = []
-        bad = []
-        for a, b in combinations(EVEN_TUPLES, 2):
-            cols = plane_equations(a) + plane_equations(b)
-            rows = []
-            for c in cols:
-                row = [domain.zero()] * 8
-                row[c] = domain.one()
-                rows.append(row)
-            r = rank(rows, domain)
-            antipodal = b == comp_tuple(a)
-            if antipodal and r == 8:
-                empties.append((a, b))
-            elif not antipodal and r == 6:
-                lines.append((a, b))
-            else:
-                bad.append(((a, b), r))
-        ok = not bad and len(lines) == 24 and len(empties) == 4
-    witness = {"line_pairs": [f"{''.join(map(str, a))}|{''.join(map(str, b))}" for a, b in lines],
-               "line_count": len(lines), "empty_count": len(empties)}
-    if bad:
-        witness["unexpected_ranks"] = [f"{p}: rank {r}" for p, r in bad]
-    return report("unproj.plane_incidences", ok, witness, tm.ms)
+    lines = []
+    empties = []
+    problems = []
+    for a, b in combinations(EVEN_TUPLES, 2):
+        cols = plane_equations(a) + plane_equations(b)
+        rows = []
+        for c in cols:
+            row = [domain.zero()] * 8
+            row[c] = domain.one()
+            rows.append(row)
+        r = rank(rows, domain)
+        antipodal = b == comp_tuple(a)
+        if antipodal and r == 8:
+            empties.append((a, b))
+        elif not antipodal and r == 6:
+            lines.append((a, b))
+        else:
+            problems.append(f"{(a, b)}: rank {r}")
+    if (len(lines), len(empties)) != (24, 4):
+        problems.append(f"{len(lines)} line pairs and {len(empties)} empty pairs")
+    return verdict("unproj.plane_incidences", problems,
+                   {"line_pairs": [f"{''.join(map(str, a))}|{''.join(map(str, b))}"
+                                   for a, b in lines],
+                    "line_count": len(lines), "empty_count": len(empties)})
 
 
 def phi_consistency_report(domain=QQ) -> CheckReport:
     """Cross-multiplied differences of the four representations of each
     phi_{abcd} are exact monomial multiples of single quadric binomials."""
-    with Timer() as tm:
-        failures = []
-        for t in EVEN_TUPLES:
-            datum = UnprojectionDatum(t)
-            for k, l in combinations(range(4), 2):
-                diff = datum.cross_difference(domain, k, l)
-                quad = xvar(domain, k, 0) * xvar(domain, k, 1) \
-                    - xvar(domain, l, 0) * xvar(domain, l, 1)
-                if exact_divide(diff, quad) is None:
-                    failures.append((t, k, l))
-        ok = not failures
-    return report("unproj.phi_representations", ok,
-                  {"failures": failures} if failures else
-                  {"pairs_checked": 8 * 6, "divisor": "x_k0*x_k1 - x_l0*x_l1"},
-                  tm.ms)
+    problems = []
+    for t in EVEN_TUPLES:
+        datum = UnprojectionDatum(t)
+        for k, l in combinations(range(4), 2):
+            diff = datum.cross_difference(domain, k, l)
+            quad = xvar(domain, k, 0) * xvar(domain, k, 1) \
+                - xvar(domain, l, 0) * xvar(domain, l, 1)
+            if exact_divide(diff, quad) is None:
+                problems.append(f"{t}: representations {k} and {l}")
+    return verdict("unproj.phi_representations", problems,
+                   on_pass={"pairs_checked": 8 * 6, "divisor": "x_k0*x_k1 - x_l0*x_l1"})
 
 
 # -- the directed rewriting system ------------------------------------------
@@ -492,21 +464,21 @@ def elimination_cubic_report(nu: FamilyParams) -> CheckReport:
     """Rewriting x00*q eliminates the weight-2 variables into a cubic equal,
     up to a recorded global sign convention, to x00*l +- nu4*(x10+x11)(x20+x21)(x30+x31)."""
     d = nu.domain
-    with Timer() as tm:
-        got = reduce_by_rewriting(xvar(d, 0, 0) * q_section(nu))
-        lead = reduce_by_rewriting(xvar(d, 0, 0) * l_form(nu))
-        prod = product_of_sums(d) * nu.nu[4]
-        match = None
-        for s1, s2, label in ((1, 1, "x00*l + nu4*prod"), (1, -1, "x00*l - nu4*prod"),
-                              (-1, -1, "-(x00*l + nu4*prod)"), (-1, 1, "-(x00*l - nu4*prod)")):
-            if got == lead * d.from_int(s1) + prod * d.from_int(s2):
-                match = label
-                break
-        ok = match is not None
-    return report("unproj.elimination_cubic", ok,
-                  {"convention": match or "no sign convention matched",
-                   "note": "cubic is x00*l + nu4*prod with this package's orientation"},
-                  tm.ms, nu.as_params())
+    got = reduce_by_rewriting(xvar(d, 0, 0) * q_section(nu))
+    lead = reduce_by_rewriting(xvar(d, 0, 0) * l_form(nu))
+    prod = product_of_sums(d) * nu.nu[4]
+    match = None
+    for s1, s2, label in ((1, 1, "x00*l + nu4*prod"), (1, -1, "x00*l - nu4*prod"),
+                          (-1, -1, "-(x00*l + nu4*prod)"), (-1, 1, "-(x00*l - nu4*prod)")):
+        if got == lead * d.from_int(s1) + prod * d.from_int(s2):
+            match = label
+            break
+    return verdict("unproj.elimination_cubic",
+                   [] if match else ["no sign convention matched"],
+                   on_pass={"convention": match,
+                            "note": "cubic is x00*l + nu4*prod with this package's "
+                                    "orientation"},
+                   params=nu.as_params())
 
 
 # -- Jacobian minors at the weight-2 coordinate points -----------------------
@@ -525,25 +497,21 @@ def jacobian_minor_data(domain, base: IndexTuple):
 
 def verify_jacobian_minor(domain=QQ) -> CheckReport:
     """det of the 12x12 gradient block equals +-y_base^11 for all 8 indices."""
-    with Timer() as tm:
-        signs = {}
-        failures = []
-        for base in EVEN_TUPLES:
-            gens, variables = jacobian_minor_data(domain, base)
-            mat = [[g.derivative(v) for v in variables] for g in gens]
-            det = det_poly(mat)
-            target = yvar(domain, base) ** 11
-            if det == target:
-                signs["".join(map(str, base))] = "+"
-            elif det == -target:
-                signs["".join(map(str, base))] = "-"
-            else:
-                failures.append("".join(map(str, base)))
-        ok = not failures
-    witness = {"signs": signs, "determinant_degree": 22}
-    if failures:
-        witness["failed_indices"] = failures
-    return report("unproj.jacobian_minor", ok, witness, tm.ms)
+    signs = {}
+    problems = []
+    for base in EVEN_TUPLES:
+        gens, variables = jacobian_minor_data(domain, base)
+        mat = [[g.derivative(v) for v in variables] for g in gens]
+        det = det_poly(mat)
+        target = yvar(domain, base) ** 11
+        if det == target:
+            signs["".join(map(str, base))] = "+"
+        elif det == -target:
+            signs["".join(map(str, base))] = "-"
+        else:
+            problems.append(f"det at y{''.join(map(str, base))} is not +-y^11")
+    return verdict("unproj.jacobian_minor", problems, {"signs": signs},
+                   on_pass={"determinant_degree": 22})
 
 
 # -- the symmetric-matrix chart at a weight-1 coordinate point ---------------
@@ -590,40 +558,35 @@ def Ambient_laurent_t4():
 def verify_veronese_chart(domain=QQ) -> CheckReport:
     """In the chart x10 = 1: the eliminations hold and every distinct 2x2
     minor of the displayed symmetric 4x4 matrix vanishes on the chart."""
-    with Timer() as tm:
-        pull = chart_sigma_map(domain, "x10")
-        failures = []
-        # elimination identities: y_{a0cd} = x_{0a'} x_{2c'} x_{3d'} and x11 = x00*x01
-        for t in EVEN_TUPLES:
-            if t[1] != 0:
-                continue
-            lhs = yvar(domain, t)
-            rhs = xvar(domain, 0, comp(t[0])) * xvar(domain, 2, comp(t[2])) \
-                * xvar(domain, 3, comp(t[3]))
-            if not pull.apply(lhs - rhs).is_zero():
-                failures.append(f"elimination y{''.join(map(str, t))}")
-        if not pull.apply(xvar(domain, 1, 1) - xvar(domain, 0, 0) * xvar(domain, 0, 1)).is_zero():
-            failures.append("elimination x11")
-        # symmetry of the displayed matrix
-        for r in range(4):
-            for c in range(4):
-                if VERONESE_MATRIX[r][c] != VERONESE_MATRIX[c][r]:
-                    failures.append(f"symmetry ({r},{c})")
-        # all distinct 2x2 minors
-        entry = {n: Poly.variable(AMBIENT_XY, domain, n)
-                 for row in VERONESE_MATRIX for n in row}
-        pairs = list(combinations(range(4), 2))
-        minors = 0
-        for ri, rows in enumerate(pairs):
-            for cols in pairs[ri:]:
-                m = entry[VERONESE_MATRIX[rows[0]][cols[0]]] * entry[VERONESE_MATRIX[rows[1]][cols[1]]] \
-                    - entry[VERONESE_MATRIX[rows[0]][cols[1]]] * entry[VERONESE_MATRIX[rows[1]][cols[0]]]
-                minors += 1
-                if not pull.apply(m).is_zero():
-                    failures.append(f"minor rows{rows} cols{cols}")
-        ok = not failures
-    return report("unproj.veronese_chart", ok,
-                  {"minors_checked": minors, "eliminations_checked": 5,
-                   "failures": failures} if failures else
-                  {"minors_checked": minors, "eliminations_checked": 5},
-                  tm.ms)
+    pull = chart_sigma_map(domain, "x10")
+    failures = []
+    # elimination identities: y_{a0cd} = x_{0a'} x_{2c'} x_{3d'} and x11 = x00*x01
+    for t in EVEN_TUPLES:
+        if t[1] != 0:
+            continue
+        lhs = yvar(domain, t)
+        rhs = xvar(domain, 0, comp(t[0])) * xvar(domain, 2, comp(t[2])) \
+            * xvar(domain, 3, comp(t[3]))
+        if not pull.apply(lhs - rhs).is_zero():
+            failures.append(f"elimination y{''.join(map(str, t))}")
+    if not pull.apply(xvar(domain, 1, 1) - xvar(domain, 0, 0) * xvar(domain, 0, 1)).is_zero():
+        failures.append("elimination x11")
+    # symmetry of the displayed matrix
+    for r in range(4):
+        for c in range(4):
+            if VERONESE_MATRIX[r][c] != VERONESE_MATRIX[c][r]:
+                failures.append(f"symmetry ({r},{c})")
+    # all distinct 2x2 minors
+    entry = {n: Poly.variable(AMBIENT_XY, domain, n)
+             for row in VERONESE_MATRIX for n in row}
+    pairs = list(combinations(range(4), 2))
+    minors = 0
+    for ri, rows in enumerate(pairs):
+        for cols in pairs[ri:]:
+            m = entry[VERONESE_MATRIX[rows[0]][cols[0]]] * entry[VERONESE_MATRIX[rows[1]][cols[1]]] \
+                - entry[VERONESE_MATRIX[rows[0]][cols[1]]] * entry[VERONESE_MATRIX[rows[1]][cols[0]]]
+            minors += 1
+            if not pull.apply(m).is_zero():
+                failures.append(f"minor rows{rows} cols{cols}")
+    return verdict("unproj.veronese_chart", failures,
+                   {"minors_checked": minors, "eliminations_checked": 5})

@@ -78,3 +78,17 @@ def test_det_poly_matches_field_det_after_evaluation():
         lhs = det_poly(mat).evaluate(vals)
         rhs = det_field([[e.evaluate(vals) for e in row] for row in mat], f)
         assert lhs == rhs
+
+
+def test_rank_mod_p_exact_just_below_prime_bound():
+    # the largest admissible primes keep residue products inside int64
+    p = 2147483029
+    f = GF(p)
+    rng = random.Random(7)
+    for k in range(30):
+        inner = 6 if k % 2 else rng.randrange(1, 6)
+        left = [[rng.randrange(p) for _ in range(inner)] for _ in range(6)]
+        right = [[rng.randrange(p) for _ in range(6)] for _ in range(inner)]
+        m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+             for row in left]
+        assert rank_mod_p(np.array(m, dtype=np.int64), p) == rank_naive(m, f)

@@ -1,13 +1,17 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from upv.checks import ALIASES, CATALOG, RunConfig, RunContext, resolve_targets, run_checks
+from upv import cover
+from upv.checks import (ALIASES, CATALOG, CheckDef, RunConfig, RunContext,
+                        resolve_targets, run_checks)
 from upv.cli import main
-from upv.report import CheckReport
+from upv.report import CheckReport, verdict
 
 
 def run_cli(args, env=None):
@@ -179,3 +183,94 @@ def test_cli_dump_points_deterministic():
     a = run_cli(["dump", "points", "--prime", "13", "--seed", "42"])
     b = run_cli(["dump", "points", "--prime", "13", "--seed", "42"])
     assert a.stdout == b.stdout
+
+
+# sha256 of `upv run unproj grouprep burniat` at the default config (seed 0)
+CHEAP_SUITES_SHA256 = "5d93a7aba91745b6b7878539023970fc59f32075d5b91ab074470bb704e3233e"
+
+
+def test_cheap_suites_stream_pinned():
+    reports = run_checks(resolve_targets(["unproj", "grouprep", "burniat"]),
+                         RunContext(RunConfig()))
+    stream = "".join(r.to_json() + "\n" for r in reports)
+    assert hashlib.sha256(stream.encode()).hexdigest() == CHEAP_SUITES_SHA256
+
+
+def _sleeper(ctx):
+    time.sleep(0.02)
+    return verdict("stub.sleep", [])
+
+
+def _crasher(ctx):
+    time.sleep(0.02)
+    raise ArithmeticError("stub failure")
+
+
+def test_runner_times_each_check():
+    ctx = RunContext(RunConfig(timings=True))
+    rep, = run_checks([CheckDef("stub.sleep", "sleeps", "none", _sleeper)], ctx)
+    assert rep.passed
+    assert rep.wall_ms >= 20
+    assert rep.to_record(timings=True)["wall_ms"] >= 20
+    assert rep.to_record()["wall_ms"] == 0.0
+
+
+def test_runner_times_crashed_check():
+    ctx = RunContext(RunConfig(timings=True))
+    rep, = run_checks([CheckDef("stub.crash", "crashes", "none", _crasher)], ctx)
+    assert rep.status == "fail"
+    assert rep.witness == {"error": "ArithmeticError: stub failure"}
+    assert rep.wall_ms >= 20
+
+
+def test_verdict_outcomes():
+    ok = verdict("x", [], {"n": 1}, on_pass={"claim": True}, on_fail={"why": 0})
+    assert ok.passed and ok.witness == {"n": 1, "claim": True}
+    bad = verdict("x", ["broken"], {"n": 1}, on_pass={"claim": True}, on_fail={"why": 0})
+    assert bad.status == "fail"
+    assert bad.witness == {"n": 1, "problems": ["broken"], "why": 0}
+    shaky = verdict("x", [], {"n": 1}, on_pass={"claim": True}, unstable=True)
+    assert shaky.status == "unstable" and shaky.witness == {"n": 1}
+    assert verdict("x", ["broken"], unstable=True).status == "fail"
+
+
+def _count_group_builds(monkeypatch, result=None):
+    calls = []
+    real = cover.build_lifts_and_certify
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return result if result is not None else real(*args, **kwargs)
+
+    monkeypatch.setattr(cover, "build_lifts_and_certify", counting)
+    return calls
+
+
+def test_group_built_once_per_run(monkeypatch):
+    calls = _count_group_builds(monkeypatch)
+    ctx = RunContext(RunConfig(primes=(13,)))
+    reports = run_checks(resolve_targets(["cover.group_structure", "cover.free_action"]),
+                         ctx)
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert len(calls) == 1
+
+
+def test_failed_group_certificate_is_reported_and_blocks_consumers(monkeypatch):
+    group, _ = cover.build_lifts_and_certify()
+    failing = verdict("cover.group_structure", ["|closure| = 15"])
+    calls = _count_group_builds(monkeypatch, (group, failing))
+    ctx = RunContext(RunConfig(primes=(13,)))
+    structure, free = run_checks(
+        resolve_targets(["cover.group_structure", "cover.free_action"]), ctx)
+    assert structure.status == "fail"
+    assert structure.witness == {"problems": ["|closure| = 15"]}
+    assert free.status == "fail"
+    assert any("group certification failed" in m for m in free.witness["problems"])
+    assert len(calls) == 1
+
+
+def test_cli_prime_above_int64_bound_exit_two():
+    # 2^32 + 61 = 1 (mod 4) is prime, but residue products overflow int64
+    res = run_cli(["run", "unproj.plane_incidences", "--prime", "4294967357"])
+    assert res.returncode == 2
+    assert "2^31" in res.stderr

@@ -51,6 +51,16 @@ def test_non_one_mod_four_primes_rejected(p):
         GF(p)
 
 
+def test_prime_bound():
+    # below 2^31 the product of two residues is exact in int64
+    field = GF(2147483029)
+    assert (field.sqrt_minus_one() ** 2) == field.from_int(-1)
+    with pytest.raises(ScalarError, match=r"2\^31"):
+        GF(4294967357)
+    with pytest.raises(ScalarError, match=r"2\^31"):
+        GF(2 ** 31)
+
+
 def test_composite_rejected():
     with pytest.raises(ScalarError):
         GF(21)
