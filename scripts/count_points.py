@@ -28,7 +28,7 @@ def main() -> int:
     group, rep = build_lifts_and_certify()
     print(f"group certification: {rep.status}")
     for p in (int(x) for x in args.primes.split(",")):
-        rng = random.Random((args.seed, p))
+        rng = random.Random(f"{args.seed}:{p}")
         image = len(downstairs_image_set(p)) if p <= 17 else None
         note = f", image downstairs {image}" if image else ""
         print(f"\nGF({p}){note}")

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ambient import (AMBIENT_LU, AMBIENT_S, AMBIENT_X3L, AMBIENT_XY, Ambient,
                       EVEN_TUPLES, X_INDEX, comp, xname, yname)
-from .cover import SurfacePointSet, canonical_weighted, sigma_image
+from .cover import SurfacePointSet, canonical_weighted, sigma_images
 from .grouprep import (parse_word, stabilizer_classification, theta_class,
                        word_str)
 from .linalg import rank
@@ -114,8 +114,7 @@ def scubic_points_report(points: SurfacePointSet) -> CheckReport:
     field = GF(p)
     bad = 0
     total = 0
-    for pt in points.points:
-        img = sigma_image(pt, p)
+    for img in sigma_images(points.arrays()).tolist():
         sc = s_coordinates(img, p)
         if sc is None:
             bad += 1
@@ -326,7 +325,7 @@ def branch_locus_check(points: SurfacePointSet) -> CheckReport:
     only full-inertia points."""
     p = points.p
     nu = points.nu
-    downstairs = sorted({sigma_image(pt, p) for pt in points.points})
+    downstairs = sorted(set(map(tuple, sigma_images(points.arrays()).tolist())))
 
     def canon(vals):
         return canonical_weighted([int(v) for v in vals], p)

@@ -14,13 +14,21 @@ coordinates pull back to squares.  On top of it live
   (multidegree (2,2,2,2)) cutting the simply connected surface upstairs, and
 * a chart-partitioned enumeration of its F_q points used to certify that the
   group acts freely and that no rational point is singular.
+
+Every scan over points runs on the point kernel (``PointArray``): the points
+as int64 arrays, the group elements reduced mod p once, images, keys and
+Jacobians computed for all points at once.  A value is reduced mod p
+whenever a bound on it says that the next product or sum could leave int64,
+so the kernel is exact for every prime ``GF`` admits (p < 2^31).
+``ProjAut.act_point`` and ``Poly.evaluate`` stay as the per-point oracles
+of the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -287,6 +295,15 @@ class FiniteProjGroup:
     names: List[str]
     cayley: List[List[int]]
 
+    def __post_init__(self):
+        self._mod_p: Dict[int, "ReducedGroup"] = {}
+
+    def mod_p(self, p: int) -> "ReducedGroup":
+        """The nontrivial elements over GF(p) as kernel arrays, once per prime."""
+        if p not in self._mod_p:
+            self._mod_p[p] = ReducedGroup.of(self, p)
+        return self._mod_p[p]
+
     @classmethod
     def closure(cls, gens: Dict[str, ProjAut], cap: int = 256) -> "FiniteProjGroup":
         domain = next(iter(gens.values())).domain
@@ -332,9 +349,41 @@ class FiniteProjGroup:
         return all(self.cayley[i][j] == self.cayley[j][i]
                    for i in range(n) for j in range(i + 1, n))
 
-    def nontrivial(self) -> List[ProjAut]:
-        e = ProjAut.identity(self.domain)
-        return [g for g in self.elements if g != e]
+
+@dataclass
+class ReducedGroup:
+    """The nontrivial elements of a group over GF(p), as kernel arrays.
+
+    ``pi`` (M, 4) and ``mats`` (M, 4, 2, 2) hold the factor permutations and
+    residue matrices of the M elements named ``names``; ``order`` counts the
+    distinct reductions, the identity included.
+    """
+
+    names: List[str]
+    pi: np.ndarray
+    mats: np.ndarray
+    order: int
+
+    @classmethod
+    def of(cls, group: FiniteProjGroup, p: int) -> "ReducedGroup":
+        field = GF(p)
+        ident = ProjAut.identity(field)
+        reduced = [(name, g.map_entries(field))
+                   for name, g in zip(group.names, group.elements)]
+        kept = [(name, g) for name, g in reduced if g != ident]
+        pi, mats = aut_arrays([g for _, g in kept], p)
+        return cls([name for name, _ in kept], pi, mats,
+                   len({g.key() for _, g in reduced}))
+
+
+def aut_arrays(auts: Sequence[ProjAut], p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Factor permutations (M, 4) and residue matrices (M, 4, 2, 2)."""
+    field = GF(p)
+    pi = np.array([g.pi for g in auts], dtype=np.int64).reshape(-1, 4)
+    mats = np.array([[[[int(field.coerce(x)) for x in row] for row in m]
+                      for m in g.mats] for g in auts],
+                    dtype=np.int64).reshape(-1, 4, 2, 2)
+    return pi, mats
 
 
 # -- abstract Z/2 x Q8 for the isomorphism certificate -----------------------
@@ -483,6 +532,7 @@ def sigma_deck_report(domain=QI) -> CheckReport:
 
 # -- Z1 and Z2 ---------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def z1_poly(domain) -> Poly:
     return sigma_map(domain).apply(
         Poly.variable(AMBIENT_XY, domain, "x00")
@@ -520,8 +570,10 @@ def z2_display(nu: FamilyParams) -> Poly:
     return acc
 
 
+@lru_cache(maxsize=64)
 def z2_poly(nu: FamilyParams) -> Poly:
-    """Z2 = 2*sigma^#(q) over the field of the parameters."""
+    """Z2 = 2*sigma^#(q) over the field of the parameters (cached: the
+    enumeration and the certificate of one draw share it)."""
     d = nu.domain
     return sigma_map(d).apply(q_section(nu)) * d.from_int(2)
 
@@ -643,6 +695,162 @@ def pow_mod(arr: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
+# -- the point kernel -----------------------------------------------------------
+
+INT64_MAX = 2 ** 63 - 1
+INVERSE_TABLE_BOUND = 2 ** 16  # primes below this invert by table lookup
+
+
+class PointArray:
+    """Points of (P^1(F_p))^4 in chart form, as (N, 4) int64 arrays.
+
+    Factor i of point n is (1, vals[n, i]) when chart[n, i] is 0 and (0, 1)
+    when it is 1; vals is 0 there.
+    """
+
+    __slots__ = ("p", "chart", "vals")
+
+    def __init__(self, p: int, chart: np.ndarray, vals: np.ndarray):
+        self.p, self.chart, self.vals = p, chart, vals
+
+    @classmethod
+    def from_points(cls, points: Sequence[Point], p: int) -> "PointArray":
+        flat = chain.from_iterable(chain.from_iterable(points))
+        rows = np.fromiter(flat, dtype=np.int64, count=8 * len(points)).reshape(-1, 8)
+        return cls(p, rows[:, :4], rows[:, 4:])
+
+    @classmethod
+    def all_p1(cls, p: int) -> "PointArray":
+        """Every point of (P^1(F_p))^4, in the order of ``all_p1_points``."""
+        charts, vals = [], []
+        for chart in CHARTS:
+            grid = np.indices([p if c == 0 else 1 for c in chart],
+                              dtype=np.int64).reshape(4, -1).T
+            vals.append(grid)
+            charts.append(np.broadcast_to(np.array(chart, dtype=np.int64), grid.shape))
+        return cls(p, np.concatenate(charts), np.concatenate(vals))
+
+    def __len__(self) -> int:
+        return len(self.chart)
+
+    def point(self, n: int) -> Point:
+        return (tuple(self.chart[n].tolist()), tuple(self.vals[n].tolist()))
+
+    def homogeneous(self) -> np.ndarray:
+        """(N, 4, 2): t_{i0}, t_{i1} per factor; reshaped (N, 8) it is in
+        the variable order of AMBIENT_T4."""
+        return np.stack([1 - self.chart, np.where(self.chart == 1, 1, self.vals)],
+                        axis=-1)
+
+    def keys(self) -> np.ndarray:
+        return point_keys(self.chart, self.vals, self.p)
+
+
+def point_keys(chart: np.ndarray, vals: np.ndarray, p: int) -> np.ndarray:
+    """One integer per point (over the last axis): base p+1 digits, digit p
+    for a chart-1 factor.  int64 while (p+1)^4 fits, Python ints beyond."""
+    digits = np.where(chart == 1, p, vals)
+    if (p + 1) ** 4 > INT64_MAX:
+        digits = digits.astype(object)
+    key = digits[..., 0]
+    for j in (1, 2, 3):
+        key = key * (p + 1) + digits[..., j]
+    return key
+
+
+def inverse_mod(arr: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverse mod p, 0 mapping to 0: a lookup table for small p,
+    Fermat (about 2 log2 p multiplications) where a table would not fit."""
+    if p < INVERSE_TABLE_BOUND:
+        return _inverse_table(p)[arr]
+    return pow_mod(arr, p - 2, p)
+
+
+@lru_cache(maxsize=8)
+def _inverse_table(p: int) -> np.ndarray:
+    return pow_mod(np.arange(p, dtype=np.int64), p - 2, p)
+
+
+def act_points(pi: np.ndarray, mats: np.ndarray,
+               pa: PointArray) -> Tuple[np.ndarray, np.ndarray]:
+    """Images of N points under M automorphisms (``aut_arrays``), in chart
+    form: chart and vals of shape (M, N, 4).
+
+    As in ``ProjAut.act_point``, factor j of the image is mats[j] applied to
+    factor pi[j] of the point.
+    """
+    p = pa.p
+    src = np.ascontiguousarray(pa.homogeneous().transpose(1, 2, 0))[pi]  # (M, 4, 2, N)
+    # t_{i0} of a chart-form point is 0 or 1, so each image coordinate holds
+    # a single product of two residues: t0, t1 < p^2 + p < 2^63
+    t0, t1 = np.moveaxis(mats[..., None, 0] * src[:, :, None, 0]
+                         + mats[..., None, 1] * src[:, :, None, 1], 2, 0)
+    t0 %= p
+    if np.any(t1[t0 == 0] % p == 0):
+        raise ValueError("zero factor in a projective point")
+    if (p * p + p) * (p - 1) > INT64_MAX:
+        t1 %= p
+    vals = t1 * inverse_mod(t0, p) % p
+    return (t0 == 0).astype(np.int64).transpose(0, 2, 1), vals.transpose(0, 2, 1)
+
+
+def partial_terms(f: Poly, k: int, p: int) -> List[Tuple[int, Tuple[int, ...]]]:
+    """Integer terms (c, exps) mod p of the partial derivative in variable k."""
+    field = GF(p)
+    return [(int(field.coerce(c)) * e[k] % p, e[:k] + (e[k] - 1,) + e[k + 1:])
+            for e, c in f.terms.items() if e[k]]
+
+
+def eval_terms(polys: Sequence[Sequence[Tuple[int, Tuple[int, ...]]]],
+               coords: np.ndarray, p: int) -> np.ndarray:
+    """Values mod p of integer term lists at the rows of ``coords`` (N, k):
+    shape (len(polys), N).
+
+    Products and sums are reduced mod p only when a bound on their values
+    says that the next operation could overflow int64; for small p a whole
+    polynomial is summed before its one reduction.
+    """
+    cols = coords.T % p
+    powers = {1: cols}
+    out = np.zeros((len(polys), cols.shape[1]), dtype=np.int64)
+    for row, terms in zip(out, polys):
+        total, total_bound = 0, 0
+        for c, e in terms:
+            t, bound = c % p, p - 1
+            for k, ek in enumerate(e):
+                if ek:
+                    if ek not in powers:
+                        powers[ek] = pow_mod(cols, ek, p)
+                    if bound * (p - 1) > INT64_MAX:
+                        t, bound = t % p, p - 1
+                    t, bound = t * powers[ek][k], bound * (p - 1)
+            if total_bound + bound > INT64_MAX:
+                t, bound = t % p, p - 1
+                total, total_bound = total % p, p - 1
+            total, total_bound = total + t, total_bound + bound
+        row += total % p
+    return out
+
+
+def jacobian_rank2(pa: PointArray, equations: Sequence[Poly]) -> np.ndarray:
+    """Whether the local 2x4 Jacobian of two equations has rank 2 at each point.
+
+    The local coordinate w_i of factor i is t_{i1} in chart bit 0 and t_{i0}
+    in chart bit 1, the other coordinate set to 1 (as in ``local_equations``),
+    so d/dw_i is the partial in that t-variable at the chart-form
+    homogeneous coordinates.
+    """
+    p = pa.p
+    partials = [partial_terms(f, k, p) for f in equations for k in range(8)]
+    vals = eval_terms(partials, pa.homogeneous().reshape(-1, 8), p).reshape(2, 4, 2, len(pa))
+    j0, j1 = np.where(pa.chart.T == 1, vals[:, :, 0], vals[:, :, 1])
+    rank2 = np.zeros(len(pa), dtype=bool)
+    for a, b in combinations(range(4), 2):
+        # a difference of two products of residues lies within +-2^62
+        rank2 |= (j0[a] * j1[b] - j0[b] * j1[a]) % p != 0
+    return rank2
+
+
 @dataclass
 class SurfacePointSet:
     """All F_q points of the upstairs surface, chart-partitioned and sorted."""
@@ -654,6 +862,10 @@ class SurfacePointSet:
     @property
     def count(self) -> int:
         return len(self.points)
+
+    def arrays(self) -> PointArray:
+        """The points as kernel arrays."""
+        return PointArray.from_points(self.points, self.p)
 
     def dump_lines(self) -> List[str]:
         head = f"{self.p} " + " ".join(str(int(v)) for v in self.nu.nu) + f" {self.count}"
@@ -764,7 +976,8 @@ def _eval_int_terms(terms, coords, p) -> int:
 
 def local_equations(p: int, nu: FamilyParams, chart: Chart) -> List[Poly]:
     """Z1, Z2 dehomogenized in the affine chart around its points: factor i
-    contributes local variable w_i (= t_{i1} when chart bit 0, else t_{i0})."""
+    contributes local variable w_i (= t_{i1} when chart bit 0, else t_{i0}).
+    The scalar oracle of ``jacobian_rank2``."""
     field = GF(p)
     z1 = z1_poly(field)
     z2 = z2_poly(nu)
@@ -791,52 +1004,65 @@ def certify_free_and_smooth(points: SurfacePointSet,
                             group: FiniteProjGroup) -> CheckReport:
     """(i) no nontrivial element of the lifted group fixes a point; (ii) the
     2x4 Jacobian of the two local equations has rank 2 at every point; (iii)
-    group images of points stay on the surface (orbit closure)."""
+    group images of points stay on the surface (orbit closure).  When (i)
+    and (iii) hold, the points split into free orbits, so their number is a
+    multiple of the group order.
+
+    Per element, the problems name the first point it fixes and the first
+    point it moves off the surface (scanning stops there); a rank drop
+    names the first singular point in chart order.
+    """
     p = points.p
     nu = points.nu
     problems = []
-    point_set = set(points.points)
-    auts = [(name, g.map_entries(GF(p))) for name, g
-            in zip(group.names, group.elements)]
-    for name, g in auts:
-        if g == ProjAut.identity(GF(p)):
-            continue
-        fixed = 0
-        for pt in points.points:
-            img = g.act_point(pt, p)
-            if img not in point_set:
-                problems.append(f"orbit of {pt} leaves the surface under {name}")
-                break
-            if img == pt:
-                fixed += 1
-                if fixed == 1:
-                    problems.append(f"{name} fixes {pt}")
-    singular = []
-    by_chart: Dict[Chart, List[Point]] = {}
-    for pt in points.points:
-        by_chart.setdefault(pt[0], []).append(pt)
-    for chart, pts in sorted(by_chart.items()):
-        eqs = local_equations(p, nu, chart)
-        jac = [[eq.derivative(v) for v in AMBIENT_LOCAL4.variables] for eq in eqs]
-        for pt in pts:
-            w = local_point(pt)
-            row0 = [int(jac[0][k].evaluate([GF(p).from_int(x) for x in w])) for k in range(4)]
-            row1 = [int(jac[1][k].evaluate([GF(p).from_int(x) for x in w])) for k in range(4)]
-            if not any((row0[a] * row1[b] - row0[b] * row1[a]) % p
-                       for a in range(4) for b in range(a + 1, 4)):
-                singular.append(pt)
-    if singular:
-        problems.append(f"rank drop at {len(singular)} points, first {singular[0]}")
+    pa = points.arrays()
+    n = len(pa)
+    keys = pa.keys()
+    sorted_keys = np.sort(keys)
+    red = group.mod_p(p)
+    img = point_keys(*act_points(red.pi, red.mats, pa), p)
+    # an automorphism is injective, so it keeps the set iff it permutes the keys
+    kept = (np.sort(img, axis=1) == sorted_keys).all(axis=1)
+    closed = free = True
+    for g, name in enumerate(red.names):
+        first_off = n if kept[g] else _first(~_members(sorted_keys, img[g]), n)
+        first_fixed = _first(img[g] == keys, n)
+        if first_fixed < first_off:
+            free = False
+            problems.append(f"{name} fixes {points.points[first_fixed]}")
+        if first_off < n:
+            closed = False
+            problems.append(f"orbit of {points.points[first_off]} leaves the "
+                            f"surface under {name}")
+    singular = np.flatnonzero(~jacobian_rank2(pa, (z1_poly(GF(p)), z2_poly(nu))))
+    if singular.size:
+        first = singular[np.argmin(pa.chart[singular] @ np.array([8, 4, 2, 1]))]
+        problems.append(f"rank drop at {singular.size} points, "
+                        f"first {points.points[first]}")
     if points.count % 2 != 0:
         problems.append(f"odd point count {points.count} (deck involution not free)")
+    if free and closed and points.count % red.order:
+        problems.append(f"point count {points.count} is not a multiple of the "
+                        f"group order {red.order}")
     degenerate, reason = nu.degenerate()
     return verdict("cover.free_action", problems[:8],
                    {"points": points.count,
                     "free": not any("fixes" in m for m in problems),
-                    "rank2_everywhere": not singular},
+                    "rank2_everywhere": not singular.size},
                    on_fail={"degenerate_nu": degenerate, "degenerate_reason": reason,
                             "nu4_zero": not nu.nu[4]},
                    params=dict(nu.as_params(), prime=p))
+
+
+def _members(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Whether each query key occurs in the nonempty ``sorted_keys``."""
+    pos = np.minimum(np.searchsorted(sorted_keys, query), len(sorted_keys) - 1)
+    return sorted_keys[pos] == query
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else default
 
 
 # -- images on the unprojected 4-fold ------------------------------------------
@@ -867,27 +1093,35 @@ def canonical_weighted(coords: Sequence[int], p: int) -> Tuple[int, ...]:
     return tuple([0] * 8 + [(v * m) % p for v in ys])
 
 
-def sigma_image(point: Point, p: int) -> Tuple[int, ...]:
-    """Canonical weighted coordinates of the image of an upstairs point."""
-    coords = [c for pair in expand_point(point) for c in pair]
-    out = []
-    for name in AMBIENT_XY.variables:
-        e = SIGMA_EXPS[name]
-        v = 1
-        for c, k in zip(coords, e):
-            if k:
-                v = (v * pow(c, k, p)) % p
-                if v == 0:
-                    break
-        out.append(v)
-    return canonical_weighted(out, p)
+def canonical_weighted_rows(coords: np.ndarray, p: int) -> np.ndarray:
+    """``canonical_weighted`` applied to each row of an (N, 16) array."""
+    xs, ys = coords[:, :8] % p, coords[:, 8:] % p
+    rows = np.arange(len(coords))
+    has_x = xs.any(axis=1)
+    if not (has_x | ys.any(axis=1)).all():
+        raise ValueError("zero tuple is not a projective point")
+    lam = inverse_mod(xs[rows, (xs != 0).argmax(axis=1)], p)
+    lead_y = ys[rows, (ys != 0).argmax(axis=1)]
+    target = np.where(pow_mod(lead_y, (p - 1) // 2, p) == 1, 1, smallest_non_residue(p))
+    scale_y = np.where(has_x, lam * lam % p, target * inverse_mod(lead_y, p) % p)
+    return np.concatenate([xs * lam[:, None] % p, ys * scale_y[:, None] % p], axis=1)
+
+
+def sigma_images(pa: PointArray) -> np.ndarray:
+    """Canonical weighted coordinates of the images of upstairs points, (N, 16)."""
+    monomials = [[(1, SIGMA_EXPS[name])] for name in AMBIENT_XY.variables]
+    coords = eval_terms(monomials, pa.homogeneous().reshape(-1, 8), pa.p).T
+    return canonical_weighted_rows(coords, pa.p)
 
 
 @lru_cache(maxsize=4)
 def downstairs_image_set(p: int) -> frozenset:
     """Canonical images of every point of (P^1(F_p))^4: the F_p shadow of
     the unprojected 4-fold."""
-    return frozenset(sigma_image(pt, p) for pt in all_p1_points(p))
+    images = sigma_images(PointArray.all_p1(p))
+    # tuples of a few thousand rows at a time keep the heap small
+    return frozenset(row for a in range(0, len(images), 4096)
+                     for row in map(tuple, images[a:a + 4096].tolist()))
 
 
 def verify_branch_structure(p: int = 13) -> CheckReport:
@@ -898,9 +1132,10 @@ def verify_branch_structure(p: int = 13) -> CheckReport:
     passes through all 16 coordinate points."""
     field = GF(p)
     problems = []
-    s_aut = table2_generators_prime(field)["s"]
-    fixed = [pt for pt in all_p1_points(p)
-             if s_aut.act_point(pt, p) == pt]
+    grid = PointArray.all_p1(p)
+    s_arrays = aut_arrays([table2_generators(QI)["s"]], p)
+    img = point_keys(*act_points(*s_arrays, grid), p)
+    fixed = [grid.point(n) for n in np.flatnonzero(img[0] == grid.keys())]
     coord_points = [(chart, (0, 0, 0, 0)) for chart in CHARTS]
     if sorted(fixed) != sorted(coord_points):
         problems.append(f"deck involution fixes {len(fixed)} points")
@@ -950,10 +1185,6 @@ def _unit_exps(n: int):
         e[i] = 1
         out.append(tuple(e))
     return out
-
-
-def table2_generators_prime(field: PrimeField) -> Dict[str, ProjAut]:
-    return {name: g.map_entries(field) for name, g in table2_generators(QI).items()}
 
 
 def y_point_count_report(p: int = 13) -> CheckReport:

@@ -465,12 +465,22 @@ def _triple_fixed_points(nu) -> List[list]:
     On that locus x01 = -x00 != 0 (else everything vanishes), each x_{j0} =
     x_{j1} is a square root of -x00^2, and the weight-2 coordinates are
     forced to (-1)^a * (that product); only the section equation survives.
+    The 64 generators of V do not involve nu, so ``_triple_candidates``
+    tests them once per field; here only q(nu) is evaluated.
     """
-    from .unproj import build_t_ideal
+    from .unproj import q_section
 
-    field = nu.domain
+    q = q_section(nu)
+    return [vec for vec in _triple_candidates(nu.domain) if not q.evaluate(vec)]
+
+
+@lru_cache(maxsize=None)
+def _triple_candidates(field) -> List[list]:
+    """The sign-triple points on which every generator of V vanishes."""
+    from .unproj import build_v_ideal
+
     eps = field.sqrt_minus_one()
-    gens = build_t_ideal(nu).polys()
+    gens = build_v_ideal(field).polys()
     out = []
     for signs in product((1, -1), repeat=3):
         c = [eps * field.from_int(s) for s in signs]

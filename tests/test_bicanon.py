@@ -167,7 +167,7 @@ def test_pencil_members_singular_exactly_at_node_preimages():
     from upv.ambient import AMBIENT_XY
     from upv.cover import (AMBIENT_LOCAL4, build_lifts_and_certify,
                            canonical_weighted, enumerate_surface,
-                           local_equations, local_point, sigma_image)
+                           local_equations, local_point, sigma_images)
     p = 17
     f = GF(p)
     out, rep = burniat_parameter_map(f.from_int(2))
@@ -203,7 +203,8 @@ def test_pencil_members_singular_exactly_at_node_preimages():
             coords.append(int(v))
         node_images.add(canonical_weighted(coords, p))
     assert len(node_images) == 24
-    expected = [pt for pt in pts.points if sigma_image(pt, p) in node_images]
+    images = map(tuple, sigma_images(pts.arrays()).tolist())
+    expected = [pt for pt, img in zip(pts.points, images) if img in node_images]
     assert sorted(singular) == sorted(expected)
     assert len(singular) == 48
     # the action stays free on the pencil member

@@ -1,15 +1,24 @@
+import random
+from itertools import combinations
+from math import prod
+
+import numpy as np
 import pytest
 
 from upv.ambient import AMBIENT_T4, AMBIENT_XY
-from upv.cover import (CHARTS, ProjAut, SurfacePointSet, all_p1_points,
-                       brute_force_count, build_lifts_and_certify, build_z2,
-                       canonical_weighted, certify_free_and_smooth,
-                       enumerate_surface, expand_point, gtilde_generators,
-                       normalize_factors, sigma_deck_report, sigma_map,
-                       s_involution_map, table2_generators,
+from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
+                       PointArray, ProjAut, SurfacePointSet, act_points,
+                       all_p1_points, aut_arrays, brute_force_count,
+                       build_lifts_and_certify, build_z2, canonical_weighted,
+                       canonical_weighted_rows, certify_free_and_smooth,
+                       enumerate_surface, eval_terms, expand_point,
+                       gtilde_generators, inverse_mod, jacobian_rank2,
+                       local_equations, local_point, normalize_factors,
+                       partial_terms, sigma_deck_report, sigma_images,
+                       sigma_map, s_involution_map, table2_generators,
                        tabulated_generator_rows, verify_branch_structure,
                        verify_hplane_decomposition, y_point_count_report,
-                       z1_display, z1_poly, z2_display)
+                       z1_display, z1_poly, z2_display, z2_poly)
 from upv.poly import Poly
 from upv.scalars import GF, QI, QQ
 from upv.unproj import FamilyParams
@@ -201,3 +210,203 @@ def test_point_file_count_mismatch_rejected():
     head[-1] = str(int(head[-1]) + 1)
     with pytest.raises(ValueError):
         SurfacePointSet.load_lines([" ".join(head)] + lines[1:])
+
+
+# -- the point kernel against its scalar oracles ------------------------------
+
+BOUND_PRIME = 2147483029  # below 2^31 and 1 mod 4
+
+
+def scalar_rank2(p, nu, pts):
+    """Rank-2 test of the local Jacobian at each point, by Poly.evaluate."""
+    f = GF(p)
+    jacs = {}
+    out = []
+    for pt in pts:
+        if pt[0] not in jacs:
+            eqs = local_equations(p, nu, pt[0])
+            jacs[pt[0]] = [[eq.derivative(v) for v in AMBIENT_LOCAL4.variables]
+                           for eq in eqs]
+        jac = jacs[pt[0]]
+        w = [f.from_int(x) for x in local_point(pt)]
+        r0 = [jac[0][k].evaluate(w) for k in range(4)]
+        r1 = [jac[1][k].evaluate(w) for k in range(4)]
+        out.append(any(r0[a] * r1[b] - r0[b] * r1[a]
+                       for a, b in combinations(range(4), 2)))
+    return out
+
+
+def scalar_certify_problems(points, group):
+    """The per-point certification: act_point and Poly.evaluate."""
+    p, f = points.p, GF(points.p)
+    problems = []
+    point_set = set(points.points)
+    reduced = [(name, g.map_entries(f)) for name, g in zip(group.names, group.elements)]
+    free = closed = True
+    for name, g in reduced:
+        if g == ProjAut.identity(f):
+            continue
+        fixed = 0
+        for pt in points.points:
+            img = g.act_point(pt, p)
+            if img not in point_set:
+                closed = False
+                problems.append(f"orbit of {pt} leaves the surface under {name}")
+                break
+            if img == pt:
+                fixed += 1
+                if fixed == 1:
+                    free = False
+                    problems.append(f"{name} fixes {pt}")
+    by_chart = sorted(points.points, key=lambda pt: pt[0])
+    singular = [pt for pt, ok in zip(by_chart, scalar_rank2(p, points.nu, by_chart))
+                if not ok]
+    if singular:
+        problems.append(f"rank drop at {len(singular)} points, first {singular[0]}")
+    if points.count % 2:
+        problems.append(f"odd point count {points.count} (deck involution not free)")
+    order = len({g.key() for _, g in reduced})
+    if free and closed and points.count % order:
+        problems.append(f"point count {points.count} is not a multiple of the "
+                        f"group order {order}")
+    return problems[:8]
+
+
+def hand_group(g):
+    return FiniteProjGroup(QI, [ProjAut.identity(QI), g], ["1", "g"], [[0, 1], [1, 0]])
+
+
+def test_array_action_matches_act_point_everywhere_at_13():
+    group, _ = build_lifts_and_certify()
+    p, f = 13, GF(13)
+    grid = PointArray.all_p1(p)
+    pts = list(all_p1_points(p))
+    assert [grid.point(n) for n in range(len(grid))] == pts
+    reduced = [g.map_entries(f) for g in group.elements]
+    chart, vals = act_points(*aut_arrays(reduced, p), grid)
+    for m, g in enumerate(reduced):
+        expected = np.array([sum(g.act_point(pt, p), ()) for pt in pts])
+        assert np.array_equal(np.concatenate([chart[m], vals[m]], axis=1), expected)
+
+
+def test_array_jacobian_matches_poly_evaluate():
+    f = GF(13)
+    for nu_ints, smooth in (((1, 1, 1, 1, 3), True), ((3, 1, 4, 1, 0), False)):
+        nu = FamilyParams(f, nu_ints)
+        pts = enumerate_surface(13, nu)
+        got = jacobian_rank2(pts.arrays(), (z1_poly(f), z2_poly(nu))).tolist()
+        assert got == scalar_rank2(13, nu, pts.points)
+        assert all(got) == smooth
+
+
+def test_certify_matches_scalar_oracle():
+    group, _ = build_lifts_and_certify()
+    f = GF(13)
+    eye = ((1, 0), (0, 1))
+    swap = ((0, 1), (1, 0))
+    good = enumerate_surface(13, FamilyParams(f, (1, 1, 1, 1, 3)))
+    singular = enumerate_surface(13, FamilyParams(f, (3, 1, 4, 1, 0)))
+    cases = [
+        (good, group),
+        (singular, group),
+        # the deck involution fixes the coordinate points, which lie on the
+        # nu4 = 0 member
+        (singular, hand_group(table2_generators(QI)["s"])),
+        # swapping t00 and t01 alone does not preserve Z1
+        (good, hand_group(ProjAut(QI, (0, 1, 2, 3), (swap, eye, eye, eye)))),
+        (SurfacePointSet(13, good.nu, []), group),
+    ]
+    for pts, grp in cases:
+        rep = certify_free_and_smooth(pts, grp)
+        assert rep.witness.get("problems", []) == scalar_certify_problems(pts, grp)
+    messages = [certify_free_and_smooth(pts, grp).witness.get("problems", [])
+                for pts, grp in cases]
+    assert messages[0] == []
+    assert any("rank drop" in m for m in messages[1])
+    assert any(m.startswith("g fixes") for m in messages[2])
+    assert any("leaves the surface under g" in m for m in messages[3])
+
+
+def test_count_must_be_a_multiple_of_a_free_group_order():
+    # a factor rotation of order 3, posing as a group of order 2, acts freely
+    # on a closed 3-point set
+    f = GF(13)
+    eye = ((1, 0), (0, 1))
+    rot = hand_group(ProjAut(QI, (1, 2, 0, 3), (eye,) * 4))
+    orbit = [((0, 0, 0, 0), v) for v in ((1, 2, 3, 0), (2, 3, 1, 0), (3, 1, 2, 0))]
+    pts = SurfacePointSet(13, FamilyParams(f, (1, 1, 1, 1, 3)), sorted(orbit))
+    problems = certify_free_and_smooth(pts, rot).witness["problems"]
+    assert problems == scalar_certify_problems(pts, rot)
+    assert "point count 3 is not a multiple of the group order 2" in problems
+
+
+def test_kernel_exact_near_prime_bound():
+    p = BOUND_PRIME
+    f = GF(p)
+    group, _ = build_lifts_and_certify()
+    points = sorted([
+        ((0, 0, 0, 0), (p - 1, p - 2, 2 ** 30 + 3, 123456789)),
+        ((0, 0, 0, 1), (p // 2, 1, p - 3, 0)),
+        ((0, 1, 0, 1), (2 ** 31 - 5000, 0, p - 7, 0)),
+        ((1, 0, 0, 0), (0, p - 11, 2, p - 1)),
+        ((1, 1, 1, 1), (0, 0, 0, 0)),
+    ])
+    pa = PointArray.from_points(points, p)
+    assert pa.keys().dtype == object and len(set(pa.keys().tolist())) == len(points)
+    # the lifted group is monomial; a general matrix exercises every product
+    general = ProjAut(f, (2, 0, 3, 1), [((1, p - 2), (p // 3, p - 5))] * 4)
+    reduced = [g.map_entries(f) for g in group.elements] + [general]
+    chart, vals = act_points(*aut_arrays(reduced, p), pa)
+    for m, g in enumerate(reduced):
+        expected = [g.act_point(pt, p) for pt in points]
+        assert [(tuple(c), tuple(v)) for c, v
+                in zip(chart[m].tolist(), vals[m].tolist())] == expected
+    pts = SurfacePointSet(p, FamilyParams(f, (p - 1, 2, 3, p - 4, 5)), points)
+    rep = certify_free_and_smooth(pts, group)
+    assert rep.witness["problems"] == scalar_certify_problems(pts, group)
+    assert sigma_images(pa).tolist() == [scalar_sigma_image(pt, p) for pt in points]
+
+
+def test_canonical_weighted_rows_match_scalar():
+    rng = random.Random(0)
+    for p in (13, BOUND_PRIME):
+        rows = [[rng.randrange(p) for _ in range(16)] for _ in range(40)]
+        rows += [[0] * 8 + [rng.randrange(p) for _ in range(8)] for _ in range(40)]
+        rows = [r for r in rows if any(r)]
+        got = canonical_weighted_rows(np.array(rows, dtype=np.int64), p).tolist()
+        assert got == [list(canonical_weighted(r, p)) for r in rows]
+
+
+def scalar_sigma_image(pt, p):
+    coords = [c for pair in expand_point(pt) for c in pair]
+    vals = [prod(pow(c, k, p) for c, k in zip(coords, SIGMA_EXPS[name])) % p
+            for name in AMBIENT_XY.variables]
+    return list(canonical_weighted(vals, p))
+
+
+def test_sigma_images_match_scalar_everywhere_at_5():
+    p = 5
+    got = sigma_images(PointArray.all_p1(p)).tolist()
+    assert got == [scalar_sigma_image(pt, p) for pt in all_p1_points(p)]
+
+
+def test_inverse_mod_table_and_fermat():
+    # 13 and 65521 invert by table lookup, 65537 and BOUND_PRIME by Fermat
+    for p in (13, 65521, 65537, BOUND_PRIME):
+        x = np.array([0, 1, 2, p - 1, p // 2, 12345 % p], dtype=np.int64)
+        inv = inverse_mod(x, p)
+        assert inv[0] == 0 and np.all(x[1:] * inv[1:] % p == 1)
+
+
+def test_eval_terms_matches_poly_evaluate_near_prime_bound():
+    p = BOUND_PRIME
+    f = GF(p)
+    rng = random.Random(1)
+    z2 = z2_poly(FamilyParams(f, (p - 1, 2, 3, p - 4, 5)))
+    rows = [[rng.randrange(p - 1000, p) for _ in range(8)] for _ in range(10)]
+    polys = [[(int(c), e) for e, c in z2.terms.items()]]
+    polys += [partial_terms(z2, k, p) for k in range(8)]
+    got = eval_terms(polys, np.array(rows, dtype=np.int64), p).tolist()
+    expect = [[int(g.evaluate(r)) for r in rows]
+              for g in [z2] + [z2.derivative(v) for v in AMBIENT_T4.variables]]
+    assert got == expect

@@ -96,3 +96,20 @@ def test_stabilizer_identity_fixes_everything():
 
     fixed = stabilizer_classification(pts, [parse_word("1")], canon)
     assert fixed[parse_word("1")] == pts
+
+
+def test_triple_fixed_points_satisfy_all_t_equations():
+    from upv.grouprep import _triple_fixed_points
+    from upv.scalars import GF
+    from upv.unproj import FamilyParams, build_t_ideal
+    f = GF(13)
+    eps = f.sqrt_minus_one()
+    seen = 0
+    for m in (8, -8, 3):
+        n1, n2, n3, n4 = (f.from_int(v) for v in (2, 5, 7, 11))
+        nu = FamilyParams(f, (n1 + n2 + n3 - f.from_int(m) * eps * n4, n1, n2, n3, n4))
+        gens = build_t_ideal(nu).polys()
+        pts = _triple_fixed_points(nu)
+        assert all(not g.evaluate(vec) for vec in pts for g in gens)
+        seen += len(pts)
+    assert seen
