@@ -17,9 +17,9 @@ coordinates pull back to squares.  On top of it live
 
 Every scan over points runs on the point kernel (``PointArray``): the points
 as int64 arrays, the group elements reduced mod p once, images, keys and
-Jacobians computed for all points at once.  A value is reduced mod p
-whenever a bound on it says that the next product or sum could leave int64,
-so the kernel is exact for every prime ``GF`` admits (p < 2^31).
+Jacobians computed for all points at once.  Every product is reduced mod p
+before it is added, so the kernel is exact for every prime ``GF`` admits
+(p < 2^31).
 ``ProjAut.act_point`` and ``Poly.evaluate`` stay as the per-point oracles
 of the tests.
 """
@@ -532,7 +532,6 @@ def sigma_deck_report(domain=QI) -> CheckReport:
 
 # -- Z1 and Z2 ---------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def z1_poly(domain) -> Poly:
     return sigma_map(domain).apply(
         Poly.variable(AMBIENT_XY, domain, "x00")
@@ -570,10 +569,8 @@ def z2_display(nu: FamilyParams) -> Poly:
     return acc
 
 
-@lru_cache(maxsize=64)
 def z2_poly(nu: FamilyParams) -> Poly:
-    """Z2 = 2*sigma^#(q) over the field of the parameters (cached: the
-    enumeration and the certificate of one draw share it)."""
+    """Z2 = 2*sigma^#(q) over the field of the parameters."""
     d = nu.domain
     return sigma_map(d).apply(q_section(nu)) * d.from_int(2)
 
@@ -698,7 +695,6 @@ def pow_mod(arr: np.ndarray, e: int, p: int) -> np.ndarray:
 # -- the point kernel -----------------------------------------------------------
 
 INT64_MAX = 2 ** 63 - 1
-INVERSE_TABLE_BOUND = 2 ** 16  # primes below this invert by table lookup
 
 
 class PointArray:
@@ -758,40 +754,31 @@ def point_keys(chart: np.ndarray, vals: np.ndarray, p: int) -> np.ndarray:
     return key
 
 
-def inverse_mod(arr: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverse mod p, 0 mapping to 0: a lookup table for small p,
-    Fermat (about 2 log2 p multiplications) where a table would not fit."""
-    if p < INVERSE_TABLE_BOUND:
-        return _inverse_table(p)[arr]
-    return pow_mod(arr, p - 2, p)
-
-
-@lru_cache(maxsize=8)
-def _inverse_table(p: int) -> np.ndarray:
-    return pow_mod(np.arange(p, dtype=np.int64), p - 2, p)
-
-
 def act_points(pi: np.ndarray, mats: np.ndarray,
                pa: PointArray) -> Tuple[np.ndarray, np.ndarray]:
     """Images of N points under M automorphisms (``aut_arrays``), in chart
     form: chart and vals of shape (M, N, 4).
 
     As in ``ProjAut.act_point``, factor j of the image is mats[j] applied to
-    factor pi[j] of the point.
+    factor pi[j] of the point.  That depends only on the coordinate of the
+    factor, so each 2x2 map is evaluated once per distinct coordinate of the
+    point set (at most p + 1 of them) and the images are gathered from there.
     """
     p = pa.p
-    src = np.ascontiguousarray(pa.homogeneous().transpose(1, 2, 0))[pi]  # (M, 4, 2, N)
-    # t_{i0} of a chart-form point is 0 or 1, so each image coordinate holds
-    # a single product of two residues: t0, t1 < p^2 + p < 2^63
-    t0, t1 = np.moveaxis(mats[..., None, 0] * src[:, :, None, 0]
-                         + mats[..., None, 1] * src[:, :, None, 1], 2, 0)
-    t0 %= p
-    if np.any(t1[t0 == 0] % p == 0):
+    digits = np.where(pa.chart == 1, p, pa.vals)  # digit p: the factor (0, 1)
+    values, where = np.unique(digits, return_inverse=True)
+    s0 = (values != p).astype(np.int64)
+    s1 = np.where(values == p, 1, values)
+    # one product of two residues plus at most one residue: < p^2 + p < 2^63
+    t0 = (mats[..., 0, 0, None] * s0 + mats[..., 0, 1, None] * s1) % p  # (M, 4, U)
+    t1 = (mats[..., 1, 0, None] * s0 + mats[..., 1, 1, None] * s1) % p
+    if np.any(t1[t0 == 0] == 0):
         raise ValueError("zero factor in a projective point")
-    if (p * p + p) * (p - 1) > INT64_MAX:
-        t1 %= p
-    vals = t1 * inverse_mod(t0, p) % p
-    return (t0 == 0).astype(np.int64).transpose(0, 2, 1), vals.transpose(0, 2, 1)
+    chart = (t0 == 0).astype(np.int64)
+    vals = t1 * pow_mod(t0, p - 2, p) % p  # Fermat inverse, 0 for t0 = 0
+    src = where.reshape(digits.shape).T[pi]  # (M, 4, N): slot of factor pi[j]
+    return (np.take_along_axis(chart, src, axis=2).transpose(0, 2, 1),
+            np.take_along_axis(vals, src, axis=2).transpose(0, 2, 1))
 
 
 def partial_terms(f: Poly, k: int, p: int) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -804,31 +791,22 @@ def partial_terms(f: Poly, k: int, p: int) -> List[Tuple[int, Tuple[int, ...]]]:
 def eval_terms(polys: Sequence[Sequence[Tuple[int, Tuple[int, ...]]]],
                coords: np.ndarray, p: int) -> np.ndarray:
     """Values mod p of integer term lists at the rows of ``coords`` (N, k):
-    shape (len(polys), N).
-
-    Products and sums are reduced mod p only when a bound on their values
-    says that the next operation could overflow int64; for small p a whole
-    polynomial is summed before its one reduction.
-    """
+    shape (len(polys), N).  Every product is reduced mod p before it is
+    added (no product exceeds (p-1)^2 < 2^62); each sum of residues is
+    reduced once, at the end."""
     cols = coords.T % p
     powers = {1: cols}
     out = np.zeros((len(polys), cols.shape[1]), dtype=np.int64)
     for row, terms in zip(out, polys):
-        total, total_bound = 0, 0
         for c, e in terms:
-            t, bound = c % p, p - 1
+            t = c % p
             for k, ek in enumerate(e):
                 if ek:
                     if ek not in powers:
                         powers[ek] = pow_mod(cols, ek, p)
-                    if bound * (p - 1) > INT64_MAX:
-                        t, bound = t % p, p - 1
-                    t, bound = t * powers[ek][k], bound * (p - 1)
-            if total_bound + bound > INT64_MAX:
-                t, bound = t % p, p - 1
-                total, total_bound = total % p, p - 1
-            total, total_bound = total + t, total_bound + bound
-        row += total % p
+                    t = t * powers[ek][k] % p
+            row += t  # fewer than 2^32 residues cannot reach 2^63
+        row %= p
     return out
 
 
@@ -1100,10 +1078,10 @@ def canonical_weighted_rows(coords: np.ndarray, p: int) -> np.ndarray:
     has_x = xs.any(axis=1)
     if not (has_x | ys.any(axis=1)).all():
         raise ValueError("zero tuple is not a projective point")
-    lam = inverse_mod(xs[rows, (xs != 0).argmax(axis=1)], p)
+    lam = pow_mod(xs[rows, (xs != 0).argmax(axis=1)], p - 2, p)
     lead_y = ys[rows, (ys != 0).argmax(axis=1)]
     target = np.where(pow_mod(lead_y, (p - 1) // 2, p) == 1, 1, smallest_non_residue(p))
-    scale_y = np.where(has_x, lam * lam % p, target * inverse_mod(lead_y, p) % p)
+    scale_y = np.where(has_x, lam * lam % p, target * pow_mod(lead_y, p - 2, p) % p)
     return np.concatenate([xs * lam[:, None] % p, ys * scale_y[:, None] % p], axis=1)
 
 
@@ -1118,10 +1096,7 @@ def sigma_images(pa: PointArray) -> np.ndarray:
 def downstairs_image_set(p: int) -> frozenset:
     """Canonical images of every point of (P^1(F_p))^4: the F_p shadow of
     the unprojected 4-fold."""
-    images = sigma_images(PointArray.all_p1(p))
-    # tuples of a few thousand rows at a time keep the heap small
-    return frozenset(row for a in range(0, len(images), 4096)
-                     for row in map(tuple, images[a:a + 4096].tolist()))
+    return frozenset(zip(*sigma_images(PointArray.all_p1(p)).T.tolist()))
 
 
 def verify_branch_structure(p: int = 13) -> CheckReport:
