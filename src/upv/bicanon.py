@@ -18,6 +18,7 @@ plane model.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +30,7 @@ from .grouprep import (parse_word, stabilizer_classification, theta_class,
 from .linalg import rank
 from .poly import MonomialMap, Poly, exact_divide, proportional, ring_substitute
 from .report import CheckReport, verdict
-from .scalars import GF, QI, QQ, PrimeField
+from .scalars import GF, QI, QQ, PrimeField, smallest_non_residue
 from .unproj import (FamilyParams, l_form, product_of_sums,
                      reduce_by_rewriting, s_form, xvar)
 
@@ -652,6 +653,18 @@ def pencil_cubic_squared(domain=QQ) -> Poly:
         + lam * s[0] * (s[1] + s[2] + s[3] - s[0]) ** 2
 
 
+@lru_cache(maxsize=1)
+def pencil_vanishes_on_plane_model() -> bool:
+    """Membership: the symbolic pencil cubic, in Q[lam][s], vanishes on the
+    plane model in Q[lam, u0, u1, u2].  It does not depend on a value of
+    lambda, so it is derived once per process."""
+    s0, s1, s2, s3 = plane_model_cubics(QQ)
+    composed = ring_substitute(pencil_cubic_squared(QQ), AMBIENT_LU,
+                               {"lam": Poly.variable(AMBIENT_LU, QQ, "lam"),
+                                "s0": s0, "s1": s1, "s2": s2, "s3": s3})
+    return composed.is_zero()
+
+
 def burniat_parameter_map(lam_value) -> Tuple[dict, CheckReport]:
     """Solve the pencil normalization against the plane model.
 
@@ -668,13 +681,7 @@ def burniat_parameter_map(lam_value) -> Tuple[dict, CheckReport]:
     if lam == domain.zero() or lam == domain.one():
         raise ValueError("lambda = 0, 1 are excluded parameters")
     nu4 = (lam + domain.one()) / domain.from_int(4)
-    # membership: the symbolic pencil cubic vanishes on the plane model
-    s0, s1, s2, s3 = plane_model_cubics(QQ)
-    generic = pencil_cubic_squared(QQ)
-    composed = ring_substitute(generic, AMBIENT_LU,
-                               {"lam": Poly.variable(AMBIENT_LU, QQ, "lam"),
-                                "s0": s0, "s1": s1, "s2": s2, "s3": s3})
-    if not composed.is_zero():
+    if not pencil_vanishes_on_plane_model():
         problems.append("pencil cubic does not vanish on the plane model")
     solved = {"nu_squared": "-lambda", "nu4_formula": "(lambda+1)/4",
               "stated_nu4": "4*(lambda+1)", "ratio_to_stated": "16"}
@@ -706,9 +713,24 @@ def _pencil_cubic_at(domain, lam) -> Poly:
 
 
 def _sqrt_mod(a: int, p: int) -> int:
-    """Square root mod p = 1 (mod 4) by exhaustive scan (desk-scale primes)."""
+    """The smaller square root r <= p - r of a modulo an odd prime p, by
+    Tonelli-Shanks (O(log^2 p) multiplications)."""
     a %= p
-    for r in range(p):
-        if (r * r) % p == a:
-            return r
-    raise ValueError(f"{a} is not a square mod {p}")
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    q, m = p - 1, 0
+    while q % 2 == 0:
+        q, m = q // 2, m + 1
+    c = pow(smallest_non_residue(p), q, p)
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    # invariant: r^2 = a*t, c has order 2^m and the order of t is below it
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)

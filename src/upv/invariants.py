@@ -17,10 +17,8 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .ambient import AMBIENT_P7, Ambient
-from .linalg import rank_mod_p
+from .linalg import SparseRows, rank_mod_p
 from .poly import Poly
 from .report import CheckReport, verdict
 from .scalars import GF, PrimeField
@@ -84,19 +82,31 @@ def monomial_count(ambient: Ambient, d: int) -> int:
 MONOMIAL_BUDGET = 60000
 
 
-def hilbert_function(ideal: IdealPresentation, d: int, p: int) -> int:
-    """dim of degree-d part of the quotient ring over GF(p)."""
-    if d < 0:
-        return 0
+def hilbert_rows(ideal: IdealPresentation, d: int, p: int) -> SparseRows:
+    """The degree-d multiples of the generators over GF(p): one sparse row per
+    (generator, monomial) pair, in generator order and ascending monomial
+    order, with columns indexed by the ascending degree-d monomial basis.
+
+    An exponent vector of weighted degree <= d has entries <= d, so its
+    digits in base d + 1 make one integer key, distinct for distinct vectors;
+    the key of a generator term times a monomial is the sum of their keys.
+    """
     field = GF(p)
     ambient = ideal.ambient
     ncols = monomial_count(ambient, d)
     if ncols > MONOMIAL_BUDGET:
         raise DegreeBudgetError(
             f"degree {d} needs {ncols} monomials (budget {MONOMIAL_BUDGET})")
-    basis = monomials_of_weighted_degree(ambient, d)
-    col = {e: k for k, e in enumerate(basis)}
-    rows: List[np.ndarray] = []
+    base = d + 1
+
+    def key(e: Tuple[int, ...]) -> int:
+        k = 0
+        for a in reversed(e):
+            k = k * base + a
+        return k
+
+    col = {key(e): k for k, e in enumerate(monomials_of_weighted_degree(ambient, d))}
+    rows: List[Dict[int, int]] = []
     for _, g, _ in ideal.generators:
         if not g.is_homogeneous():
             raise ValueError("hilbert_function needs homogeneous generators")
@@ -106,15 +116,21 @@ def hilbert_function(ideal: IdealPresentation, d: int, p: int) -> int:
         e = gp.weighted_degree()
         if e is None or e > d:
             continue
-        for m in monomials_of_weighted_degree(ambient, d - e):
-            row = np.zeros(ncols, dtype=np.int64)
-            for ge, gc in gp.terms.items():
-                key = tuple(a + b for a, b in zip(ge, m))
-                row[col[key]] = int(gc) % p
-            rows.append(row)
+        terms = [(key(ge), int(gc)) for ge, gc in gp.terms.items()]
+        for km in map(key, monomials_of_weighted_degree(ambient, d - e)):
+            rows.append({col[kg + km]: c for kg, c in terms})
+    return SparseRows(rows, (len(rows), ncols))
+
+
+def hilbert_function(ideal: IdealPresentation, d: int, p: int) -> int:
+    """dim of degree-d part of the quotient ring over GF(p)."""
+    if d < 0:
+        return 0
+    rows = hilbert_rows(ideal, d, p)
+    ncols = rows.shape[1]
     if not rows:
         return ncols
-    return ncols - rank_mod_p(np.array(rows), p)
+    return ncols - rank_mod_p(rows, p)
 
 
 @dataclass

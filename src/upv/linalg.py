@@ -1,16 +1,19 @@
-"""Exact dense linear algebra over the coefficient fields.
+"""Exact linear algebra over the coefficient fields.
 
-``rank`` is exact Gaussian elimination.  Prime-field matrices take a
-vectorized numpy path (int64 residues, exact); every other field uses the
-pure-Python elimination, which also serves as the independent oracle in the
-property tests.  ``det_poly`` computes determinants of polynomial matrices by
-sparse cofactor expansion, which is exact and fast on the near-diagonal
-matrices arising from the Jacobian and chart checks.
+``rank`` is exact Gaussian elimination.  Prime-field matrices go through
+``rank_mod_p``, a sparse elimination on rows held as ``{column: residue}``
+dicts with Python-int arithmetic, so it is exact for every prime and costs
+time and memory in proportion to the nonzeros (the Hilbert matrices hold
+about three per row); every other field uses the pure-Python elimination,
+which also serves as the independent oracle in the property tests.
+``det_poly`` computes determinants of polynomial matrices by sparse cofactor
+expansion, which is exact and fast on the near-diagonal matrices arising
+from the Jacobian and chart checks.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -18,31 +21,49 @@ from .poly import Poly, PolyError
 from .scalars import PrimeField
 
 
-def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Exact rank of an integer matrix over GF(p), vectorized elimination."""
-    m = np.array(matrix, dtype=np.int64) % p
-    if m.size == 0:
-        return 0
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        sub = m[r:, c]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        below = m[r + 1:, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            m[r + 1 + hit] = (m[r + 1 + hit] - np.outer(below[hit], m[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return r
+class SparseRows(list):
+    """A matrix as a list of ``{column: value}`` row dicts (zeros left out)
+    together with its ``shape = (nrows, ncols)``."""
+
+    def __init__(self, rows: Sequence[Dict[int, int]], shape: Tuple[int, int]):
+        super().__init__(rows)
+        self.shape = shape
+
+
+def rank_mod_p(matrix, p: int) -> int:
+    """Exact rank over GF(p) of an integer matrix, given as a 2-D array-like
+    or as ``SparseRows``.
+
+    Each row in turn is reduced by the pivot row of its leading column until
+    it leads a column no pivot holds (it becomes that column's pivot,
+    normalised to a leading 1) or it vanishes; the rank is the number of
+    pivots.  Python ints keep every product exact.
+    """
+    if not isinstance(matrix, SparseRows):
+        a = np.asarray(matrix)
+        matrix = [{} for _ in range(len(a))]
+        if a.size:
+            r, c = np.nonzero(a)
+            for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
+                matrix[i][j] = v
+    pivots: Dict[int, Dict[int, int]] = {}
+    for given in matrix:
+        row = {c: v % p for c, v in given.items() if v % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = p - row[lead]
+            for c, v in pivot.items():
+                x = (row.get(c, 0) + f * v) % p
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
 def rank(matrix: Sequence[Sequence[object]], domain) -> int:
@@ -51,9 +72,8 @@ def rank(matrix: Sequence[Sequence[object]], domain) -> int:
     if not rows or not rows[0]:
         return 0
     if isinstance(domain, PrimeField):
-        m = np.array([[int(domain.coerce(x)) for x in row] for row in rows],
-                     dtype=np.int64)
-        return rank_mod_p(m, domain.p)
+        return rank_mod_p([[int(domain.coerce(x)) for x in row] for row in rows],
+                          domain.p)
     return rank_naive(rows, domain)
 
 

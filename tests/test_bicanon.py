@@ -10,6 +10,7 @@ from upv.bicanon import (branch_locus_check, burniat_charts_report,
                          node_coordinates, nodes_distinct, nodes_error_paths,
                          plane_model_cubics, scubic, scubic_points_report,
                          split_plane_sections, verify_nodes)
+from upv import bicanon
 from upv.cover import enumerate_surface
 from upv.scalars import GF, QI, QQ
 from upv.unproj import FamilyParams
@@ -159,6 +160,36 @@ def test_parameter_map_prime_field_explicit():
     # membership: the explicit parameters reproduce the pencil cubic
     from upv.bicanon import _pencil_cubic_at
     assert scubic(explicit) == _pencil_cubic_at(f, f.from_int(4))
+
+
+@pytest.mark.parametrize("p", [13, 17, 29])
+def test_sqrt_mod_matches_scan(p):
+    for a in {r * r % p for r in range(p)}:
+        scan = next(r for r in range(p) if r * r % p == a)
+        assert bicanon._sqrt_mod(a, p) == scan
+    with pytest.raises(ValueError):
+        bicanon._sqrt_mod(next(a for a in range(p) if pow(a, (p - 1) // 2, p) == p - 1), p)
+
+
+def test_parameter_map_near_prime_bound():
+    # -lambda = r^2 with both roots near 10^9: a scan over residues would
+    # take minutes here
+    p, r = 2147483029, 1234567891
+    f = GF(p)
+    out, rep = burniat_parameter_map(-f.from_int(r * r))
+    assert rep.passed
+    v = out["explicit"].nu[1]
+    assert int(v) == min(r, p - r)
+    assert v * v == f.from_int(r * r)
+
+
+def test_parameter_map_failing_membership_reported_every_call(monkeypatch):
+    assert bicanon.pencil_vanishes_on_plane_model()
+    monkeypatch.setattr(bicanon, "pencil_vanishes_on_plane_model", lambda: False)
+    for lam in (Fraction(3), GF(13).from_int(4)):
+        _, rep = burniat_parameter_map(lam)
+        assert not rep.passed
+        assert rep.witness["problems"] == ["pencil cubic does not vanish on the plane model"]
 
 
 def test_pencil_members_singular_exactly_at_node_preimages():

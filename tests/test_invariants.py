@@ -1,14 +1,15 @@
+import numpy as np
 import pytest
 
 from upv.ambient import AMBIENT_P7, AMBIENT_XY
 from upv.invariants import (IntersectionClass, ci_series_coefficient,
-                            hilbert_function, hilbert_profile,
+                            hilbert_function, hilbert_profile, hilbert_rows,
                             hilbert_t_report, hilbert_v_report,
                             hilbert_x_report, intersection_number,
                             intersection_numbers_report, monomial_count,
                             monomials_of_weighted_degree, plurigenus_expected,
                             x_ideal_p7)
-from upv.scalars import GF
+from upv.scalars import GF, PrimeField
 from upv.unproj import FamilyParams, build_t_ideal, build_v_ideal
 
 
@@ -33,6 +34,42 @@ def test_hilbert_t_values():
     assert hilbert_function(ideal, 2, 13) == 32
     assert hilbert_function(ideal, 3, 13) == 80
     assert hilbert_function(ideal, 4, 13) == 152
+    assert hilbert_function(ideal, 5, 13) == plurigenus_expected(5) == 248
+    assert hilbert_function(ideal, 6, 13) == plurigenus_expected(6) == 368
+
+
+def _dense_hilbert_rows(ideal, d, p):
+    """The generator multiples built as dense residue rows, one zero vector
+    per (generator, monomial) pair: the oracle for the sparse rows."""
+    field = GF(p)
+    basis = monomials_of_weighted_degree(ideal.ambient, d)
+    col = {e: k for k, e in enumerate(basis)}
+    rows = []
+    for _, g, _ in ideal.generators:
+        gp = g if isinstance(ideal.domain, PrimeField) else g.map_coefficients(field)
+        e = gp.weighted_degree()
+        if e is None or e > d:
+            continue
+        for m in monomials_of_weighted_degree(ideal.ambient, d - e):
+            row = np.zeros(len(basis), dtype=np.int64)
+            for ge, gc in gp.terms.items():
+                row[col[tuple(a + b for a, b in zip(ge, m))]] = int(gc) % p
+            rows.append(row)
+    return np.array(rows).reshape(len(rows), len(basis))
+
+
+@pytest.mark.parametrize("name, d", [("T", 3), ("X", 4)])
+def test_sparse_hilbert_rows_match_dense_construction(name, d):
+    f = GF(13)
+    ideal = (build_t_ideal(FamilyParams(f, (3, 1, 4, 1, 5))) if name == "T"
+             else x_ideal_p7(f))
+    rows = hilbert_rows(ideal, d, 13)
+    dense = np.zeros(rows.shape, dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            dense[i, j] = v
+    assert np.array_equal(dense, _dense_hilbert_rows(ideal, d, 13))
+    assert all(0 < v < 13 for row in rows for v in row.values())
 
 
 def test_plurigenus_formula():

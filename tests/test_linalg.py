@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from upv.ambient import AMBIENT_XY
-from upv.linalg import det_field, det_poly, rank, rank_mod_p, rank_naive
+from upv.linalg import (SparseRows, det_field, det_poly, rank, rank_mod_p,
+                        rank_naive)
 from upv.poly import Poly, PolyError
 from upv.scalars import GF, QQ
 from upv.unproj import plane_equations
@@ -35,7 +38,7 @@ def test_small_rank_mod_13():
 
 
 def test_rank_oracle_agreement_seeded():
-    # the numpy path agrees with the naive reduction on random
+    # the sparse elimination agrees with the naive reduction on random
     # 6x6 matrices over GF(13)
     f = GF(13)
     rng = random.Random(7)
@@ -92,3 +95,35 @@ def test_rank_mod_p_exact_just_below_prime_bound():
         m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
              for row in left]
         assert rank_mod_p(np.array(m, dtype=np.int64), p) == rank_naive(m, f)
+
+
+@st.composite
+def prime_matrices(draw):
+    """An integer matrix with a random density, zero rows, repeated rows and
+    empty columns, over one of the primes the suite meets."""
+    p = draw(st.sampled_from((13, 29, 2147483029)))
+    nrows, ncols = draw(st.integers(0, 16)), draw(st.integers(1, 16))
+    density = draw(st.floats(0.005, 1.0))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    # entries in (-p, 2p): a stored entry may still vanish mod p
+    m = [[rng.randrange(-p + 1, 2 * p) if rng.random() < density else 0
+          for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2))):
+        m.insert(rng.randrange(len(m) + 1), [0] * ncols)
+    for _ in range(draw(st.integers(0, 3)) if m else 0):
+        m.insert(rng.randrange(len(m) + 1), list(rng.choice(m)))
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
+        for row in m:
+            row[j] = 0
+    return p, m, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_matrices())
+def test_rank_mod_p_both_forms_match_naive(case):
+    p, m, ncols = case
+    expected = rank_naive(m, GF(p))
+    assert rank_mod_p(m, p) == expected
+    sparse = SparseRows([{j: v for j, v in enumerate(row) if v} for row in m],
+                        (len(m), ncols))
+    assert rank_mod_p(sparse, p) == expected

@@ -196,6 +196,17 @@ def test_cheap_suites_stream_pinned():
     assert hashlib.sha256(stream.encode()).hexdigest() == CHEAP_SUITES_SHA256
 
 
+# sha256 of `upv run invariants --max-degree 5` (seed 0): h_T up to P_5 = 248
+INVARIANTS_DEG5_SHA256 = "13e893c13462a53e4f282035c289200e00fce1fb5d4e434a387dba6b94e3c795"
+
+
+def test_invariants_deg5_stream_pinned():
+    reports = run_checks(resolve_targets(["invariants"]),
+                         RunContext(RunConfig(max_degree=5)))
+    stream = "".join(r.to_json() + "\n" for r in reports)
+    assert hashlib.sha256(stream.encode()).hexdigest() == INVARIANTS_DEG5_SHA256
+
+
 def _sleeper(ctx):
     time.sleep(0.02)
     return verdict("stub.sleep", [])
