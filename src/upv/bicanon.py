@@ -115,7 +115,7 @@ def scubic_points_report(points: SurfacePointSet) -> CheckReport:
     field = GF(p)
     bad = 0
     total = 0
-    for img in sigma_images(points.arrays()).tolist():
+    for img in sigma_images(points.points).tolist():
         sc = s_coordinates(img, p)
         if sc is None:
             bad += 1
@@ -326,7 +326,7 @@ def branch_locus_check(points: SurfacePointSet) -> CheckReport:
     only full-inertia points."""
     p = points.p
     nu = points.nu
-    downstairs = sorted(set(map(tuple, sigma_images(points.arrays()).tolist())))
+    downstairs = sorted(set(map(tuple, sigma_images(points.points).tolist())))
 
     def canon(vals):
         return canonical_weighted([int(v) for v in vals], p)

@@ -16,8 +16,7 @@ from .checks import ALIASES, CATALOG, RunConfig, RunContext, resolve_targets, ru
 from .report import CheckReport
 from .scalars import ScalarError
 
-CONFIG_KEYS = ("primes", "seed", "nu", "lam", "max_degree", "threads", "output",
-               "timings")
+CONFIG_KEYS = ("primes", "seed", "nu", "lam", "max_degree", "output", "timings")
 
 
 class UsageError(Exception):
@@ -66,7 +65,6 @@ def build_config(args) -> RunConfig:
         "nu": args.nu,
         "lam": getattr(args, "lam", None),
         "max_degree": args.max_degree,
-        "threads": args.threads,
         "output": args.output,
         "timings": args.timings or None,
     }
@@ -87,8 +85,6 @@ def build_config(args) -> RunConfig:
         cfg.lam = str(raw["lam"])
     if "max_degree" in raw:
         cfg.max_degree = int(raw["max_degree"])
-    if "threads" in raw:
-        cfg.threads = int(raw["threads"])
     if "output" in raw and raw["output"]:
         cfg.output = str(raw["output"])
     if "timings" in raw and raw["timings"]:
@@ -178,7 +174,8 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--nu", help="fixed section parameters, 5 integers")
         sp.add_argument("--max-degree", dest="max_degree", type=int,
                         help="Hilbert degree budget (default 4)")
-        sp.add_argument("--threads", type=int, help="worker threads (default 1)")
+        # accepted and ignored, so that older command lines still parse
+        sp.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         sp.add_argument("--output", help="also write the stream to this file")
         sp.add_argument("--timings", action="store_true",
                         help="include wall-clock times (non-deterministic output)")

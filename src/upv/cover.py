@@ -12,14 +12,15 @@ coordinates pull back to squares.  On top of it live
   an explicit bijective homomorphism,
 * the hypersurfaces Z1 (multidegree (1,1,1,1)) and Z2 = 2*sigma^#(q)
   (multidegree (2,2,2,2)) cutting the simply connected surface upstairs, and
-* a chart-partitioned enumeration of its F_q points used to certify that the
-  group acts freely and that no rational point is singular.
+* the enumeration of its F_p points, with Z1 solved for the first factor,
+  used to certify that the group acts freely and that no rational point is
+  singular.
 
-Every scan over points runs on the point kernel (``PointArray``): the points
-as int64 arrays, the group elements reduced mod p once, images, keys and
-Jacobians computed for all points at once.  Every product is reduced mod p
-before it is added, so the kernel is exact for every prime ``GF`` admits
-(p < 2^31).
+Every scan over points, the enumeration included, runs on the point kernel
+(``PointArray``): the points as int64 arrays, the group elements reduced mod
+p once, images, keys and Jacobians computed for all points at once.  Every
+product is reduced mod p before it is added, so the kernel is exact for
+every prime ``GF`` admits (p < 2^31).
 ``ProjAut.act_point`` and ``Poly.evaluate`` stay as the per-point oracles
 of the tests.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,7 +98,7 @@ class ProjAut:
     row-major order is 1, which is a congruence for composition.
     """
 
-    __slots__ = ("domain", "pi", "mats")
+    __slots__ = ("domain", "pi", "mats", "_residues")
 
     def __init__(self, domain, pi: Sequence[int], mats):
         self.domain = domain
@@ -112,6 +113,7 @@ class ProjAut:
             inv = domain.one() / lead
             norm.append(tuple(tuple(x * inv for x in row) for row in rows))
         self.mats = tuple(norm)
+        self._residues: Dict[int, List[List[List[int]]]] = {}
 
     @classmethod
     def identity(cls, domain) -> "ProjAut":
@@ -201,11 +203,14 @@ class ProjAut:
         return ProjAut(domain, self.pi, mats)
 
     def act_point(self, point: Point, p: int) -> Point:
-        """Image of an enumerated point, renormalized to chart form."""
+        """Image of an enumerated point, renormalized to chart form.  The
+        matrix entries are reduced mod p on the first call for p."""
+        if p not in self._residues:
+            field = GF(p)
+            self._residues[p] = [[[int(field.coerce(x)) for x in row] for row in m]
+                                 for m in self.mats]
+        imats = self._residues[p]
         coords = expand_point(point)
-        field = GF(p)
-        imats = [[[int(field.coerce(x)) for x in row] for row in m]
-                 for m in self.mats]
         out = []
         for j in range(4):
             src = coords[self.pi[j]]
@@ -638,48 +643,6 @@ def all_p1_points(p: int) -> Iterable[Point]:
             yield (chart, tuple(vals))
 
 
-def _chart_terms(f: Poly, chart: Chart, p: int) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Substitute the chart's fixed coordinates; exponents over the free u_i."""
-    free = [i for i in range(4) if chart[i] == 0]
-    out: Dict[Tuple[int, ...], int] = {}
-    for e, c in f.terms.items():
-        if any(chart[i] == 1 and e[T_INDEX[(i, 0)]] > 0 for i in range(4)):
-            continue
-        key = tuple(e[T_INDEX[(i, 1)]] for i in free)
-        out[key] = (out.get(key, 0) + int(c)) % p
-    return [(c, e) for e, c in sorted(out.items()) if c]
-
-
-def _eval_chart(terms, nfree: int, p: int) -> np.ndarray:
-    """Values over the full F_p^nfree grid, shape (p,)*nfree."""
-    if nfree == 0:
-        total = sum(c for c, e in terms) % p
-        return np.array(total, dtype=np.int64)
-    u = np.arange(p, dtype=np.int64)
-    axes = [u.reshape([p if k == i else 1 for k in range(nfree)])
-            for i in range(nfree)]
-    acc = np.zeros((p,) * nfree, dtype=np.int64)
-    for coef, exps in terms:
-        t = np.int64(coef)
-        for ax, e in zip(axes, exps):
-            if e:
-                t = (t * pow_mod(ax, e, p)) % p
-        acc = (acc + t) % p
-    return acc
-
-
-def _specialize_first(terms, value: int, p: int):
-    """Substitute the first free coordinate; exponents shrink by one slot."""
-    out: Dict[Tuple[int, ...], int] = {}
-    for coef, exps in terms:
-        c = (coef * pow(value, exps[0], p)) % p
-        if not c:
-            continue
-        key = exps[1:]
-        out[key] = (out.get(key, 0) + c) % p
-    return [(c, e) for e, c in sorted(out.items()) if c]
-
-
 def pow_mod(arr: np.ndarray, e: int, p: int) -> np.ndarray:
     out = np.ones_like(arr)
     base = arr % p
@@ -708,12 +671,6 @@ class PointArray:
 
     def __init__(self, p: int, chart: np.ndarray, vals: np.ndarray):
         self.p, self.chart, self.vals = p, chart, vals
-
-    @classmethod
-    def from_points(cls, points: Sequence[Point], p: int) -> "PointArray":
-        flat = chain.from_iterable(chain.from_iterable(points))
-        rows = np.fromiter(flat, dtype=np.int64, count=8 * len(points)).reshape(-1, 8)
-        return cls(p, rows[:, :4], rows[:, 4:])
 
     @classmethod
     def all_p1(cls, p: int) -> "PointArray":
@@ -831,93 +788,69 @@ def jacobian_rank2(pa: PointArray, equations: Sequence[Poly]) -> np.ndarray:
 
 @dataclass
 class SurfacePointSet:
-    """All F_q points of the upstairs surface, chart-partitioned and sorted."""
+    """All F_p points of the upstairs surface, sorted by (chart, vals), with
+    its two equations (Z1, Z2) over GF(p)."""
 
     p: int
     nu: FamilyParams
-    points: List[Point]
+    points: PointArray
+    equations: Tuple[Poly, Poly]
 
     @property
     def count(self) -> int:
         return len(self.points)
 
-    def arrays(self) -> PointArray:
-        """The points as kernel arrays."""
-        return PointArray.from_points(self.points, self.p)
-
     def dump_lines(self) -> List[str]:
         head = f"{self.p} " + " ".join(str(int(v)) for v in self.nu.nu) + f" {self.count}"
         lines = [head]
-        for chart, vals in self.points:
+        for chart, vals in zip(self.points.chart.tolist(), self.points.vals.tolist()):
             lines.append("".join(map(str, chart)) + " " + " ".join(map(str, vals)))
         return lines
 
-    @classmethod
-    def load_lines(cls, lines: Sequence[str]) -> "SurfacePointSet":
-        head = lines[0].split()
-        p = int(head[0])
-        nu = FamilyParams(GF(p), tuple(int(x) for x in head[1:6]))
-        count = int(head[6])
-        points = []
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            bits, *vals = line.split()
-            points.append((tuple(int(b) for b in bits), tuple(int(v) for v in vals)))
-        if len(points) != count:
-            raise ValueError(f"point file header says {count}, found {len(points)}")
-        return cls(p, nu, points)
 
+def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
+    """All F_p points of Z1 = Z2 = 0, with Z1 solved for the first factor.
 
-def enumerate_surface(p: int, nu: FamilyParams, threads: int = 1) -> SurfacePointSet:
-    """All F_p points of Z1 = Z2 = 0, chart by chart.
-
-    Charts partition (P^1(F_p))^4 by the first nonzero coordinate of each
-    factor; within a chart the free coordinates run over F_p and the two
-    equations are evaluated on the full grid.
+    Z1 has multidegree (1,1,1,1), so it reads C*t00 + D*t01 with C and D
+    free of factor 0.  For each point of factor 1, C and D are evaluated on
+    all (p+1)^2 points of factors 2 and 3.  Where (C, D) != (0, 0), factor
+    0 is the single point (D : -C); where C = D = 0, every point of factor 0
+    is a candidate.  The candidates on Z2 are kept.  O(p^3) work, O(p^2)
+    memory.
     """
     field = GF(p)
     if not isinstance(nu.domain, PrimeField) or nu.domain.p != p:
         nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
-    z1 = z1_poly(field)
-    z2 = z2_poly(nu)
-
-    def solve_grid(t1, t2, nfree: int, prefix=()) -> List[tuple]:
-        # chunk over the first coordinate when the full grid would be large
-        if nfree >= 1 and p ** nfree > 30_000_000:
-            hits = []
-            for v in range(p):
-                s1 = _specialize_first(t1, v, p)
-                s2 = _specialize_first(t2, v, p)
-                hits.extend(solve_grid(s1, s2, nfree - 1, prefix + (v,)))
-            return hits
-        v1 = _eval_chart(t1, nfree, p)
-        v2 = _eval_chart(t2, nfree, p)
-        mask = np.logical_and(v1 == 0, v2 == 0)
-        if mask.ndim == 0:
-            return [prefix] if bool(mask) else []
-        return [prefix + tuple(int(x) for x in row) for row in np.argwhere(mask)]
-
-    def solve_chart(chart: Chart) -> List[Point]:
-        free = [i for i in range(4) if chart[i] == 0]
-        t1 = _chart_terms(z1, chart, p)
-        t2 = _chart_terms(z2, chart, p)
-        pts: List[Point] = []
-        for hit in solve_grid(t1, t2, len(free)):
-            vals = [0, 0, 0, 0]
-            for k, i in enumerate(free):
-                vals[i] = hit[k]
-            pts.append((chart, tuple(vals)))
-        return pts
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(solve_chart, CHARTS))
-    else:
-        chunks = [solve_chart(chart) for chart in CHARTS]
-    points = sorted(pt for chunk in chunks for pt in chunk)
-    return SurfacePointSet(p, nu, points)
+    equations = (z1_poly(field), z2_poly(nu))
+    z1, z2 = ([(int(c), e) for e, c in f.terms.items()] for f in equations)
+    # C and D: the terms with t00 and with t01, in the variables of factors 1-3
+    cd = [[(c, e[2:]) for c, e in z1 if e[a]] for a in (0, 1)]
+    n = p + 1  # the points of P^1(F_p): (1, u) for u < p, then (0, 1)
+    line_chart = (np.arange(n) == p).astype(np.int64)
+    line_vals = np.arange(n) % p
+    pair = np.indices((n, n)).reshape(2, -1)  # factors 2 and 3
+    grid = PointArray(p, np.zeros((n * n, 4), dtype=np.int64),
+                      np.zeros((n * n, 4), dtype=np.int64))
+    grid.chart[:, 2:], grid.vals[:, 2:] = line_chart[pair].T, line_vals[pair].T
+    charts, vals = [], []
+    for k in range(n):
+        grid.chart[:, 1], grid.vals[:, 1] = line_chart[k], line_vals[k]
+        c, d = eval_terms(cd, grid.homogeneous().reshape(-1, 8)[:, 2:], p)
+        solved = (c != 0) | (d != 0)
+        free = np.flatnonzero(~solved)
+        rows = np.concatenate([np.flatnonzero(solved), free.repeat(n)])
+        cand = PointArray(p, grid.chart[rows], grid.vals[rows])
+        # factor 0: (D : -C), by a Fermat inverse (0 where D = 0, which is
+        # the point (0 : 1)), or every point of P^1 where C = D = 0
+        cand.chart[:, 0] = np.concatenate([d[solved] == 0, np.tile(line_chart, free.size)])
+        cand.vals[:, 0] = np.concatenate([(p - c[solved]) * pow_mod(d[solved], p - 2, p) % p,
+                                          np.tile(line_vals, free.size)])
+        on = eval_terms([z2], cand.homogeneous().reshape(-1, 8), p)[0] == 0
+        charts.append(cand.chart[on])
+        vals.append(cand.vals[on])
+    chart, vals = np.concatenate(charts), np.concatenate(vals)
+    order = np.lexsort(np.concatenate([chart, vals], axis=1).T[::-1])
+    return SurfacePointSet(p, nu, PointArray(p, chart[order], vals[order]), equations)
 
 
 def brute_force_count(p: int, nu: FamilyParams) -> int:
@@ -993,7 +926,7 @@ def certify_free_and_smooth(points: SurfacePointSet,
     p = points.p
     nu = points.nu
     problems = []
-    pa = points.arrays()
+    pa = points.points
     n = len(pa)
     keys = pa.keys()
     sorted_keys = np.sort(keys)
@@ -1007,16 +940,16 @@ def certify_free_and_smooth(points: SurfacePointSet,
         first_fixed = _first(img[g] == keys, n)
         if first_fixed < first_off:
             free = False
-            problems.append(f"{name} fixes {points.points[first_fixed]}")
+            problems.append(f"{name} fixes {pa.point(first_fixed)}")
         if first_off < n:
             closed = False
-            problems.append(f"orbit of {points.points[first_off]} leaves the "
+            problems.append(f"orbit of {pa.point(first_off)} leaves the "
                             f"surface under {name}")
-    singular = np.flatnonzero(~jacobian_rank2(pa, (z1_poly(GF(p)), z2_poly(nu))))
+    singular = np.flatnonzero(~jacobian_rank2(pa, points.equations))
     if singular.size:
         first = singular[np.argmin(pa.chart[singular] @ np.array([8, 4, 2, 1]))]
         problems.append(f"rank drop at {singular.size} points, "
-                        f"first {points.points[first]}")
+                        f"first {pa.point(first)}")
     if points.count % 2 != 0:
         problems.append(f"odd point count {points.count} (deck involution not free)")
     if free and closed and points.count % red.order:

@@ -206,9 +206,10 @@ def test_pencil_members_singular_exactly_at_node_preimages():
     nu = out["explicit"]
     assert nu is not None and not nu.degenerate()[0]
     pts = enumerate_surface(p, nu)
+    pt_list = [pts.points.point(n) for n in range(pts.count)]
     singular = []
     by_chart = {}
-    for pt in pts.points:
+    for pt in pt_list:
         by_chart.setdefault(pt[0], []).append(pt)
     for chart, ps in by_chart.items():
         eqs = local_equations(p, nu, chart)
@@ -234,16 +235,15 @@ def test_pencil_members_singular_exactly_at_node_preimages():
             coords.append(int(v))
         node_images.add(canonical_weighted(coords, p))
     assert len(node_images) == 24
-    images = map(tuple, sigma_images(pts.arrays()).tolist())
-    expected = [pt for pt, img in zip(pts.points, images) if img in node_images]
+    images = map(tuple, sigma_images(pts.points).tolist())
+    expected = [pt for pt, img in zip(pt_list, images) if img in node_images]
     assert sorted(singular) == sorted(expected)
     assert len(singular) == 48
     # the action stays free on the pencil member
     group, _ = build_lifts_and_certify()
     from upv.cover import ProjAut
-    point_set = set(pts.points)
     for g in group.elements:
         gp = g.map_entries(f)
         if gp == ProjAut.identity(f):
             continue
-        assert all(gp.act_point(pt, p) != pt for pt in pts.points)
+        assert all(gp.act_point(pt, p) != pt for pt in pt_list)

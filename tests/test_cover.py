@@ -24,6 +24,26 @@ from upv.scalars import GF, QI, QQ
 from upv.unproj import FamilyParams
 
 
+@pytest.fixture(scope="module")
+def lifted():
+    """The lifted group and its certificate, built once for this module."""
+    return build_lifts_and_certify()
+
+
+def point_list(pa):
+    return [pa.point(n) for n in range(len(pa))]
+
+
+def point_array(points, p):
+    rows = np.array([chart + vals for chart, vals in points], dtype=np.int64).reshape(-1, 8)
+    return PointArray(p, rows[:, :4], rows[:, 4:])
+
+
+def surface_set(p, nu, points):
+    f = GF(p)
+    return SurfacePointSet(p, nu, point_array(points, p), (z1_poly(f), z2_poly(nu)))
+
+
 def test_sigma_images():
     sig = sigma_map(QQ)
     y0000 = Poly.variable(AMBIENT_XY, QQ, "y0000")
@@ -55,8 +75,8 @@ def test_table2_products_match_tabulated_rows():
         assert gens[name] == rows[name]
 
 
-def test_group_certification():
-    group, rep = build_lifts_and_certify()
+def test_group_certification(lifted):
+    group, rep = lifted
     assert rep.passed
     assert group.order == 16
     assert group.order_histogram() == {1: 1, 2: 3, 4: 12}
@@ -96,19 +116,46 @@ def test_enumeration_matches_brute_force():
     assert pts.count == brute_force_count(13, nu)
     assert pts.count % 2 == 0
     # determinism
-    again = enumerate_surface(13, nu, threads=2)
-    assert again.points == pts.points
+    again = enumerate_surface(13, nu)
+    assert np.array_equal(again.points.keys(), pts.points.keys())
 
 
-def test_point_set_dump_roundtrip():
-    f = GF(13)
-    nu = FamilyParams(f, (3, 1, 4, 1, 5))
-    pts = enumerate_surface(13, nu)
-    lines = pts.dump_lines()
-    assert lines[0].split()[0] == "13"
-    assert lines[0].split()[-1] == str(pts.count)
-    back = SurfacePointSet.load_lines(lines)
-    assert back.points == pts.points and back.p == 13
+def int_terms(poly):
+    return [(int(c), e) for e, c in poly.terms.items()]
+
+
+def terms_value(terms, coords, p):
+    return sum(c * prod(pow(x, k, p) for x, k in zip(coords, e) if k)
+               for c, e in terms) % p
+
+
+@pytest.mark.parametrize("p", [5, 13, 17])
+def test_enumeration_equals_brute_force_point_set(p):
+    # the in-test oracle: every point of (P^1(F_p))^4, by integer substitution
+    f = GF(p)
+    z1 = int_terms(z1_poly(f))
+    on_z1 = []
+    for pt in all_p1_points(p):
+        coords = [x for pair in expand_point(pt) for x in pair]
+        if terms_value(z1, coords, p) == 0:
+            on_z1.append((pt, coords))
+    rng = random.Random(p)
+    draws = [FamilyParams(f, (3, 1, 4, 1, 0))]  # nu4 = 0: through the coordinate points
+    while len(draws) < 3:
+        nu = FamilyParams(f, tuple(rng.randrange(p) for _ in range(5)))
+        if nu.nu[4] and not nu.degenerate()[0]:
+            draws.append(nu)
+    for nu in draws:
+        z2 = int_terms(z2_poly(nu))
+        got = point_list(enumerate_surface(p, nu).points)
+        assert got == sorted(pt for pt, coords in on_z1 if terms_value(z2, coords, p) == 0)
+        # Z1 = C*t00 + D*t01 with C = t11 t21 t31 and D = t10 t20 t30, so
+        # C = D = 0 where one of factors 1-3 is (1:0) and another is (0:1);
+        # there every point of factor 0 is a candidate
+        on_cd_zero = [pt for pt in got
+                      if any(pt[0][i] == 0 and pt[1][i] == 0 for i in (1, 2, 3))
+                      and any(pt[0][i] == 1 for i in (1, 2, 3))]
+        assert on_cd_zero
 
 
 def test_points_satisfy_equations_on_reload():
@@ -118,13 +165,13 @@ def test_points_satisfy_equations_on_reload():
     z1 = z1_poly(f)
     from upv.unproj import q_section
     z2 = sigma_map(f).apply(q_section(nu)) * f.from_int(2)
-    for pt in pts.points[:50]:
+    for pt in point_list(pts.points)[:50]:
         coords = [f.from_int(c) for pair in expand_point(pt) for c in pair]
         assert not z1.evaluate(coords) and not z2.evaluate(coords)
 
 
-def test_free_and_smooth_good_nu():
-    group, _ = build_lifts_and_certify()
+def test_free_and_smooth_good_nu(lifted):
+    group, _ = lifted
     f = GF(13)
     nu = FamilyParams(f, (1, 1, 1, 1, 3))
     assert not nu.degenerate()[0]
@@ -133,10 +180,10 @@ def test_free_and_smooth_good_nu():
     assert rep.witness["points"] == 432
 
 
-def test_nu4_zero_fails_smoothness():
+def test_nu4_zero_fails_smoothness(lifted):
     # the family member with vanishing last parameter passes through the
     # coordinate points and must be caught by the rank test
-    group, _ = build_lifts_and_certify()
+    group, _ = lifted
     f = GF(13)
     nu = FamilyParams(f, (3, 1, 4, 1, 0))
     rep = certify_free_and_smooth(enumerate_surface(13, nu), group)
@@ -178,38 +225,16 @@ def test_chart_bookkeeping():
     assert expand_point(pt)[1] == (0, 1)
 
 
-def test_orbit_closure():
-    group, _ = build_lifts_and_certify()
+def test_orbit_closure(lifted):
+    group, _ = lifted
     p, f = 13, GF(13)
     nu = FamilyParams(f, (3, 1, 4, 1, 5))
-    pts = enumerate_surface(p, nu)
-    point_set = set(pts.points)
+    pts = point_list(enumerate_surface(p, nu).points)
+    point_set = set(pts)
     for g in group.elements[:6]:
         gp = g.map_entries(f)
-        for pt in pts.points[:40]:
+        for pt in pts[:40]:
             assert gp.act_point(pt, p) in point_set
-
-
-def test_chunked_grid_specialization_agrees():
-    import numpy as np
-    from upv.cover import _chart_terms, _eval_chart, _specialize_first
-    f = GF(13)
-    z1 = z1_poly(f)
-    terms = _chart_terms(z1, (0, 0, 0, 0), 13)
-    full = _eval_chart(terms, 4, 13)
-    for v in (0, 5, 12):
-        sub = _eval_chart(_specialize_first(terms, v, 13), 3, 13)
-        assert np.array_equal(full[v], sub)
-
-
-def test_point_file_count_mismatch_rejected():
-    f = GF(13)
-    nu = FamilyParams(f, (1, 1, 1, 1, 3))
-    lines = enumerate_surface(13, nu).dump_lines()
-    head = lines[0].split()
-    head[-1] = str(int(head[-1]) + 1)
-    with pytest.raises(ValueError):
-        SurfacePointSet.load_lines([" ".join(head)] + lines[1:])
 
 
 # -- the point kernel against its scalar oracles ------------------------------
@@ -240,14 +265,15 @@ def scalar_certify_problems(points, group):
     """The per-point certification: act_point and Poly.evaluate."""
     p, f = points.p, GF(points.p)
     problems = []
-    point_set = set(points.points)
+    pts = point_list(points.points)
+    point_set = set(pts)
     reduced = [(name, g.map_entries(f)) for name, g in zip(group.names, group.elements)]
     free = closed = True
     for name, g in reduced:
         if g == ProjAut.identity(f):
             continue
         fixed = 0
-        for pt in points.points:
+        for pt in pts:
             img = g.act_point(pt, p)
             if img not in point_set:
                 closed = False
@@ -258,7 +284,7 @@ def scalar_certify_problems(points, group):
                 if fixed == 1:
                     free = False
                     problems.append(f"{name} fixes {pt}")
-    by_chart = sorted(points.points, key=lambda pt: pt[0])
+    by_chart = sorted(pts, key=lambda pt: pt[0])
     singular = [pt for pt, ok in zip(by_chart, scalar_rank2(p, points.nu, by_chart))
                 if not ok]
     if singular:
@@ -276,8 +302,8 @@ def hand_group(g):
     return FiniteProjGroup(QI, [ProjAut.identity(QI), g], ["1", "g"], [[0, 1], [1, 0]])
 
 
-def test_array_action_matches_act_point_everywhere_at_13():
-    group, _ = build_lifts_and_certify()
+def test_array_action_matches_act_point_everywhere_at_13(lifted):
+    group, _ = lifted
     p, f = 13, GF(13)
     grid = PointArray.all_p1(p)
     pts = list(all_p1_points(p))
@@ -294,13 +320,13 @@ def test_array_jacobian_matches_poly_evaluate():
     for nu_ints, smooth in (((1, 1, 1, 1, 3), True), ((3, 1, 4, 1, 0), False)):
         nu = FamilyParams(f, nu_ints)
         pts = enumerate_surface(13, nu)
-        got = jacobian_rank2(pts.arrays(), (z1_poly(f), z2_poly(nu))).tolist()
-        assert got == scalar_rank2(13, nu, pts.points)
+        got = jacobian_rank2(pts.points, (z1_poly(f), z2_poly(nu))).tolist()
+        assert got == scalar_rank2(13, nu, point_list(pts.points))
         assert all(got) == smooth
 
 
-def test_certify_matches_scalar_oracle():
-    group, _ = build_lifts_and_certify()
+def test_certify_matches_scalar_oracle(lifted):
+    group, _ = lifted
     f = GF(13)
     eye = ((1, 0), (0, 1))
     swap = ((0, 1), (1, 0))
@@ -314,7 +340,7 @@ def test_certify_matches_scalar_oracle():
         (singular, hand_group(table2_generators(QI)["s"])),
         # swapping t00 and t01 alone does not preserve Z1
         (good, hand_group(ProjAut(QI, (0, 1, 2, 3), (swap, eye, eye, eye)))),
-        (SurfacePointSet(13, good.nu, []), group),
+        (surface_set(13, good.nu, []), group),
     ]
     for pts, grp in cases:
         rep = certify_free_and_smooth(pts, grp)
@@ -334,16 +360,16 @@ def test_count_must_be_a_multiple_of_a_free_group_order():
     eye = ((1, 0), (0, 1))
     rot = hand_group(ProjAut(QI, (1, 2, 0, 3), (eye,) * 4))
     orbit = [((0, 0, 0, 0), v) for v in ((1, 2, 3, 0), (2, 3, 1, 0), (3, 1, 2, 0))]
-    pts = SurfacePointSet(13, FamilyParams(f, (1, 1, 1, 1, 3)), sorted(orbit))
+    pts = surface_set(13, FamilyParams(f, (1, 1, 1, 1, 3)), sorted(orbit))
     problems = certify_free_and_smooth(pts, rot).witness["problems"]
     assert problems == scalar_certify_problems(pts, rot)
     assert "point count 3 is not a multiple of the group order 2" in problems
 
 
-def test_kernel_exact_near_prime_bound():
+def test_kernel_exact_near_prime_bound(lifted):
     p = BOUND_PRIME
     f = GF(p)
-    group, _ = build_lifts_and_certify()
+    group, _ = lifted
     points = sorted([
         ((0, 0, 0, 0), (p - 1, p - 2, 2 ** 30 + 3, 123456789)),
         ((0, 0, 0, 1), (p // 2, 1, p - 3, 0)),
@@ -351,7 +377,7 @@ def test_kernel_exact_near_prime_bound():
         ((1, 0, 0, 0), (0, p - 11, 2, p - 1)),
         ((1, 1, 1, 1), (0, 0, 0, 0)),
     ])
-    pa = PointArray.from_points(points, p)
+    pa = point_array(points, p)
     assert pa.keys().dtype == object and len(set(pa.keys().tolist())) == len(points)
     # the lifted group is monomial; a general matrix exercises every product
     general = ProjAut(f, (2, 0, 3, 1), [((1, p - 2), (p // 3, p - 5))] * 4)
@@ -361,7 +387,7 @@ def test_kernel_exact_near_prime_bound():
         expected = [g.act_point(pt, p) for pt in points]
         assert [(tuple(c), tuple(v)) for c, v
                 in zip(chart[m].tolist(), vals[m].tolist())] == expected
-    pts = SurfacePointSet(p, FamilyParams(f, (p - 1, 2, 3, p - 4, 5)), points)
+    pts = surface_set(p, FamilyParams(f, (p - 1, 2, 3, p - 4, 5)), points)
     rep = certify_free_and_smooth(pts, group)
     assert rep.witness["problems"] == scalar_certify_problems(pts, group)
     assert sigma_images(pa).tolist() == [scalar_sigma_image(pt, p) for pt in points]

@@ -10,7 +10,7 @@ import pytest
 from upv import cover
 from upv.checks import (ALIASES, CATALOG, CheckDef, RunConfig, RunContext,
                         resolve_targets, run_checks)
-from upv.cli import main
+from upv.cli import cmd_run, main, make_parser
 from upv.report import CheckReport, verdict
 
 
@@ -157,8 +157,6 @@ def test_config_validation():
         RunConfig(primes=(7,)).validate()
     with pytest.raises(ValueError):
         RunConfig(primes=()).validate()
-    with pytest.raises(ValueError):
-        RunConfig(threads=0).validate()
 
 
 def test_main_entry_returns_int():
@@ -194,6 +192,39 @@ def test_cheap_suites_stream_pinned():
                          RunContext(RunConfig()))
     stream = "".join(r.to_json() + "\n" for r in reports)
     assert hashlib.sha256(stream.encode()).hexdigest() == CHEAP_SUITES_SHA256
+
+
+# sha256 of `upv run all` at the default config (seed 0), the regression oracle
+FULL_CATALOG_SHA256 = "461ae391dbfef5b7b71302a88a322ef804a00c7d3b8c61e14d8ba56b01ea431d"
+
+
+def test_full_catalog_stream_pinned():
+    reports = run_checks(resolve_targets(["all"]), RunContext(RunConfig()))
+    stream = "".join(r.to_json() + "\n" for r in reports)
+    assert hashlib.sha256(stream.encode()).hexdigest() == FULL_CATALOG_SHA256
+
+
+# sha256 of `upv dump points` output: the point file format and point order
+DUMP_POINTS_SHA256 = {
+    ("13", "42"): "bad7db959137a6828eeb7eb72f20a51b2849ca061ea91073d51e1ea1cb8a391f",
+    ("29", "0"): "12b956e0e14263d759df79e53f7fef2d3754f9f8237b5a0bc0ac17bd2ea3eaf8",
+}
+
+
+@pytest.mark.parametrize("prime,seed", sorted(DUMP_POINTS_SHA256))
+def test_dump_points_pinned(prime, seed, capsys):
+    assert main(["dump", "points", "--prime", prime, "--seed", seed]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_POINTS_SHA256[(prime, seed)]
+
+
+def test_benchmark_command_lines_parse():
+    # every benchmark child runs `upv run` with these arguments (`--threads 1`
+    # included, which is accepted and ignored)
+    from perfbench.run import WORKLOADS, upv_argv
+    for workload in WORKLOADS.values():
+        args = make_parser().parse_args(["run", *upv_argv(workload, 0)])
+        assert args.fn is cmd_run
 
 
 # sha256 of `upv run invariants --max-degree 5` (seed 0): h_T up to P_5 = 248
