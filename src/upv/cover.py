@@ -341,7 +341,15 @@ class FiniteProjGroup:
         return len(self.elements)
 
     def element_orders(self) -> List[int]:
-        return [g.order() for g in self.elements]
+        """Orders from index walks g, g^2, ... in the Cayley table until the
+        identity, which the closure puts at index 0."""
+        orders = []
+        for g in range(self.order):
+            n, h = 1, g
+            while h != 0:
+                n, h = n + 1, self.cayley[h][g]
+            orders.append(n)
+        return orders
 
     def order_histogram(self) -> Dict[int, int]:
         hist: Dict[int, int] = {}
@@ -441,8 +449,9 @@ def build_lifts_and_certify(domain=QI) -> Tuple[FiniteProjGroup, CheckReport]:
     if group.is_abelian():
         problems.append("closure is abelian")
     s_aut = table2_generators(domain)["s"]
-    squares = {g.mul(g).key() for g in group.elements if g.order() == 4}
-    if len(squares) != 1 or next(iter(squares)) != s_aut.key():
+    index = {g.key(): i for i, g in enumerate(group.elements)}
+    squares = {group.cayley[i][i] for i, o in enumerate(group.element_orders()) if o == 4}
+    if squares != {index.get(s_aut.key())}:
         problems.append("order-4 elements do not share the single square s")
     # generator squares and the Kronecker commutation rule
     a1b2 = gens["a1~b2~"]
@@ -459,7 +468,6 @@ def build_lifts_and_certify(domain=QI) -> Tuple[FiniteProjGroup, CheckReport]:
                 problems.append(f"a{i}~ b{j}~ != s^delta * b{j}~ a{i}~")
     # the explicit homomorphism, checked through the Cayley table
     mu = _build_mu(domain, gens, s_aut)
-    index = {g.key(): i for i, g in enumerate(group.elements)}
     mu_idx = {}
     for x, g in mu.items():
         if g.key() not in index:

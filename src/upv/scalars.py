@@ -18,6 +18,7 @@ decimal residues for prime fields.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 
@@ -44,16 +45,34 @@ def parse_fraction(text: str) -> Fraction:
 
 
 class GaussianRational:
-    """A Gaussian rational a + b*i with exact Fraction parts."""
+    """A Gaussian rational (a + b*i)/d held as three ints.
 
-    __slots__ = ("re", "im")
+    The triple is normalised: d > 0 and gcd(a, b, d) = 1, so equal values
+    have equal triples.  Arithmetic runs on the ints and skips the gcd when
+    the result has d = 1, as every product of two Gaussian integers (such as
+    the entries of the lifted group) does.  ``re`` and ``im`` return the
+    parts as Fractions.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re=0, im=0):
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise ScalarError(f"GaussianRational parts must be int or Fraction, "
+                              f"not {re!r} and {im!r}")
+        q, s = re.denominator, im.denominator
+        return _gaussian(re.numerator * s, im.numerator * q, q * s)
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def _coerce(self, other):
         if isinstance(other, GaussianRational):
@@ -66,18 +85,20 @@ class GaussianRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d, f = self._d, o._d
+        return _gaussian(self._a * f + o._a * d, self._b * f + o._b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        d, f = self._d, o._d
+        return _gaussian(self._a * f - o._a * d, self._b * f - o._b * d, d * f)
 
     def __rsub__(self, other):
         return -self + other
@@ -86,16 +107,17 @@ class GaussianRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _gaussian(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of 0 in QI")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gaussian(d * a, -d * b, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -104,7 +126,10 @@ class GaussianRational:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        return GaussianRational(other) * self.inverse()
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return o * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -119,26 +144,32 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to the hash of an equal int or Fraction when the value is real
+        if self._d == 1:
+            return hash(self._a) if self._b == 0 else hash((self._a, self._b))
+        return hash(self.re) if self._b == 0 else hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.im < 0:
-            return f"{self.re}-{-self.im}*i"
-        return f"{self.re}+{self.im}*i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if im < 0:
+            return f"{re}-{-im}*i"
+        return f"{re}+{im}*i"
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
@@ -158,6 +189,22 @@ class GaussianRational:
         elif body == "-":
             body = "-1"
         return GaussianRational(0, parse_fraction(body))
+
+
+def _gaussian(a: int, b: int, d: int) -> GaussianRational:
+    """The Gaussian rational (a + b*i)/d for d > 0, normalised.
+
+    Every GaussianRational is made here.  The gcd is skipped when d = 1.
+    """
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    z = object.__new__(GaussianRational)
+    object.__setattr__(z, "_a", a)
+    object.__setattr__(z, "_b", b)
+    object.__setattr__(z, "_d", d)
+    return z
 
 
 class FpElement:

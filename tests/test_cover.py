@@ -80,6 +80,8 @@ def test_group_certification(lifted):
     assert rep.passed
     assert group.order == 16
     assert group.order_histogram() == {1: 1, 2: 3, 4: 12}
+    # the Cayley-table orders agree with powers of the automorphisms
+    assert group.element_orders() == [g.order() for g in group.elements]
     assert not group.is_abelian()
     s = table2_generators(QI)["s"]
     a1b2 = gtilde_generators(QI)["a1~b2~"]

@@ -227,6 +227,19 @@ def test_benchmark_command_lines_parse():
         assert args.fn is cmd_run
 
 
+def test_tracer_targets_resolve():
+    # the benchmark's tracer wraps these names from outside, so a rename or
+    # deletion in `upv` must fail here and not in a traced benchmark run
+    import importlib
+    from perfbench.tracer import TARGETS
+    for module_name, qualname, _ in TARGETS:
+        assert module_name.startswith("upv.")
+        obj = importlib.import_module(module_name)
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), f"{module_name}.{qualname}"
+
+
 # sha256 of `upv run invariants --max-degree 5` (seed 0): h_T up to P_5 = 248
 INVARIANTS_DEG5_SHA256 = "13e893c13462a53e4f282035c289200e00fce1fb5d4e434a387dba6b94e3c795"
 
