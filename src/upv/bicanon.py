@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ambient import (AMBIENT_LU, AMBIENT_S, AMBIENT_X3L, AMBIENT_XY, Ambient,
                       EVEN_TUPLES, X_INDEX, comp, xname, yname)
-from .cover import SurfacePointSet, canonical_weighted, sigma_images
+from .cover import SurfacePointSet, distinct_rows, sigma_images
 from .grouprep import (parse_word, stabilizer_classification, theta_class,
                        word_str)
 from .linalg import rank
@@ -169,6 +169,7 @@ def verify_nodes(p: int = 13, draws: int = 100, seed: int = 0) -> CheckReport:
             continue
         cubic = scubic(nu)
         grads = [cubic.derivative(f"s{k}") for k in range(4)]
+        hessian = affine_hessian(grads)
         for i in (1, 2, 3):
             n = node_coordinates(nu, i)
             if cubic.evaluate(n):
@@ -176,7 +177,7 @@ def verify_nodes(p: int = 13, draws: int = 100, seed: int = 0) -> CheckReport:
             for g in grads:
                 if g.evaluate(n):
                     problems.append(f"grad(n_{i}) != 0 at nu={nu.nu}")
-            hess = _affine_hessian_rank(cubic, n, field)
+            hess = affine_hessian_rank(hessian, n, field)
             if hess != 3:
                 problems.append(f"Hessian rank {hess} at n_{i}, nu={nu.nu}")
         done += 1
@@ -186,23 +187,21 @@ def verify_nodes(p: int = 13, draws: int = 100, seed: int = 0) -> CheckReport:
                    on_pass={"hessian_rank": 3}, params={"prime": p, "seed": seed})
 
 
-def _affine_hessian_rank(cubic: Poly, node, field) -> int:
-    """Rank of the 3x3 Hessian in the affine chart s0 = 1 at the node."""
+def affine_hessian(grads: Sequence[Poly]) -> List[List[Poly]]:
+    """The 3x3 matrix of second partials in s1..s3 from the four first
+    partials of the cubic: six distinct entries, the matrix is symmetric."""
+    second = {(a, b): grads[a].derivative(f"s{b}")
+              for a in (1, 2, 3) for b in (1, 2, 3) if a <= b}
+    return [[second[min(a, b), max(a, b)] for b in (1, 2, 3)] for a in (1, 2, 3)]
+
+
+def affine_hessian_rank(hessian: Sequence[Sequence[Poly]], node, field) -> int:
+    """Rank of the Hessian in the affine chart s0 = 1 at the node.  Setting
+    s0 = 1 commutes with d/ds_i for i >= 1, so this is the matrix of second
+    partials evaluated at (1, n1/n0, n2/n0, n3/n0)."""
     inv0 = field.one() / node[0]
     pt = [v * inv0 for v in node]
-    names = ["s1", "s2", "s3"]
-    sub = {"s0": Poly.one(AMBIENT_S, field)}
-    for nm in names:
-        sub[nm] = Poly.variable(AMBIENT_S, field, nm)
-    aff = ring_substitute(cubic, AMBIENT_S, sub)
-    rows = []
-    for a in names:
-        row = []
-        for b in names:
-            h = aff.derivative(a).derivative(b)
-            row.append(h.evaluate(pt))
-        rows.append(row)
-    return rank(rows, field)
+    return rank([[h.evaluate(pt) for h in row] for row in hessian], field)
 
 
 def nodes_error_paths() -> Tuple[bool, str]:
@@ -326,17 +325,13 @@ def branch_locus_check(points: SurfacePointSet) -> CheckReport:
     only full-inertia points."""
     p = points.p
     nu = points.nu
-    downstairs = sorted(set(map(tuple, sigma_images(points.points).tolist())))
-
-    def canon(vals):
-        return canonical_weighted([int(v) for v in vals], p)
-
+    downstairs = distinct_rows(sigma_images(points.points))
     violations = []
     missing = []
     hits = {}
     for i in (1, 2, 3):
         words = theta_class(i)
-        fixed = stabilizer_classification(downstairs, words, canon)
+        fixed = stabilizer_classification(downstairs, words, p)
         ip = (i % 3) + 1
         im = ((i + 1) % 3) + 1  # i - 1 cyclically in {1,2,3}
         beta_w = parse_word(BETA_WORDS[i])

@@ -862,33 +862,24 @@ def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
 
 
 def brute_force_count(p: int, nu: FamilyParams) -> int:
-    """Independent oracle: evaluate both equations at every tuple of
-    (P^1(F_p))^4 representatives by direct substitution."""
+    """Independent oracle: substitute into Z1 and Z2 at every point of
+    (P^1(F_p))^4, term by term, multiplying in one coordinate factor at a
+    time and reducing mod p after each product (both factors are residues,
+    so no product exceeds (p-1)^2 < 2^62)."""
     field = GF(p)
     nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
-    z1 = z1_poly(field)
-    z2 = z2_poly(nu)
-    t1 = [(int(c), e) for e, c in sorted(z1.terms.items())]
-    t2 = [(int(c), e) for e, c in sorted(z2.terms.items())]
-    n = 0
-    for point in all_p1_points(p):
-        coords = [c for pair in expand_point(point) for c in pair]
-        if _eval_int_terms(t1, coords, p) == 0 and _eval_int_terms(t2, coords, p) == 0:
-            n += 1
-    return n
-
-
-def _eval_int_terms(terms, coords, p) -> int:
-    acc = 0
-    for c, e in terms:
-        t = c
-        for v, k in zip(coords, e):
-            if k:
-                t = (t * pow(v, k, p)) % p
-                if t == 0:
-                    break
-        acc = (acc + t) % p
-    return acc
+    cols = PointArray.all_p1(p).homogeneous().reshape(-1, 8).T
+    on = np.ones(cols.shape[1], dtype=bool)
+    for f in (z1_poly(field), z2_poly(nu)):
+        acc = np.zeros(cols.shape[1], dtype=np.int64)
+        for e, c in f.terms.items():
+            t = np.full(cols.shape[1], int(c), dtype=np.int64)
+            for col, k in zip(cols, e):
+                for _ in range(k):
+                    t = t * col % p
+            acc = (acc + t) % p
+        on &= acc == 0
+    return int(on.sum())
 
 
 # -- freeness and smoothness ---------------------------------------------------
@@ -1033,11 +1024,22 @@ def sigma_images(pa: PointArray) -> np.ndarray:
     return canonical_weighted_rows(coords, pa.p)
 
 
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array in lexicographic order, read-only."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    out = rows[keep]
+    out.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=4)
-def downstairs_image_set(p: int) -> frozenset:
-    """Canonical images of every point of (P^1(F_p))^4: the F_p shadow of
-    the unprojected 4-fold."""
-    return frozenset(zip(*sigma_images(PointArray.all_p1(p)).T.tolist()))
+def downstairs_image_set(p: int) -> np.ndarray:
+    """Canonical images of every point of (P^1(F_p))^4, the F_p shadow of
+    the unprojected 4-fold: an (M, 16) array of distinct rows in
+    lexicographic order, shared by every caller and hence read-only."""
+    return distinct_rows(sigma_images(PointArray.all_p1(p)))
 
 
 def verify_branch_structure(p: int = 13) -> CheckReport:
@@ -1136,41 +1138,41 @@ def s_surface_pattern(i: int, j: int, a: int, b: int):
 def verify_hplane_decomposition(p: int = 13) -> CheckReport:
     """Each hyperplane-section subscheme of the image equals, pointwise over
     F_p, the union of one weight-2 coordinate point and six quartic surfaces."""
-    image = downstairs_image_set(p)
-    problems = []
-    for t in EVEN_TUPLES:
-        zero_cols = [X_INDEX[(k, t[k])] for k in range(4)]
-        lhs = {pt for pt in image if all(pt[c] == 0 for c in zero_cols)}
-        tc = tuple(comp(v) for v in t)
-        pieces = []
-        ij_pairs = [(0, 1, tc[0], tc[1]), (0, 2, tc[0], tc[2]),
-                    (0, 3, tc[0], tc[3]), (1, 2, tc[1], tc[2]),
-                    (1, 3, tc[1], tc[3]), (2, 3, tc[2], tc[3])]
-        union = set()
-        y_col = Y_INDEX[tc]
-        coord_pt = {pt for pt in lhs
-                    if all(pt[k] == 0 for k in range(16) if k != y_col) and pt[y_col]}
-        union |= coord_pt
-        if not coord_pt:
-            problems.append(f"H~{''.join(map(str, t))}: coordinate point missing")
-        for (i, j, a, b) in ij_pairs:
-            allowed, (cx1, cx2, cy1, cy2) = s_surface_pattern(i, j, a, b)
-            piece = set()
-            for pt in lhs:
-                if any(pt[k] for k in range(16) if k not in allowed):
-                    continue
-                if (pt[cy1] * pt[cy2]) % p != (pt[cx1] * pt[cx1] * pt[cx2] * pt[cx2]) % p:
-                    problems.append(f"H~{''.join(map(str, t))}: quartic fails on S^{i}{j}")
-                    continue
-                piece.add(pt)
-            pieces.append(piece)
-            union |= piece
-        extra = lhs - union
-        if extra:
-            problems.append(f"H~{''.join(map(str, t))}: {len(extra)} points outside "
-                            f"the decomposition, e.g. {sorted(extra)[0]}")
-        if not union <= lhs:
-            problems.append(f"H~{''.join(map(str, t))}: decomposition leaves the section")
-    return verdict("cover.hplane_decomposition", problems,
+    return verdict("cover.hplane_decomposition",
+                   hplane_problems(downstairs_image_set(p), p),
                    on_pass={"sections_checked": 8, "pieces_each": 7},
                    params={"prime": p})
+
+
+def hplane_problems(image: np.ndarray, p: int) -> List[str]:
+    """The decomposition check on an (M, 16) array of distinct canonical
+    image rows.  Per section H~t: a missing coordinate point; one "quartic
+    fails" entry per section point supported on a piece's four coordinates
+    but off its quartic; the section points on no piece, with the
+    lexicographically smallest as the example."""
+    problems = []
+    for t in EVEN_TUPLES:
+        name = "H~" + "".join(map(str, t))
+        section = image[~image[:, [X_INDEX[(k, t[k])] for k in range(4)]].any(axis=1)]
+        nonzero = section != 0
+        tc = tuple(comp(v) for v in t)
+        y_col = Y_INDEX[tc]
+        union = nonzero[:, y_col] & (nonzero.sum(axis=1) == 1)
+        if not union.any():
+            problems.append(f"{name}: coordinate point missing")
+        for i, j in combinations(range(4), 2):
+            allowed, (cx1, cx2, cy1, cy2) = s_surface_pattern(i, j, tc[i], tc[j])
+            outside = np.ones(16, dtype=bool)
+            outside[sorted(allowed)] = False
+            supported = ~nonzero[:, outside].any(axis=1)
+            x1 = section[:, cx1] * section[:, cx1] % p
+            x2 = section[:, cx2] * section[:, cx2] % p
+            quartic = section[:, cy1] * section[:, cy2] % p == x1 * x2 % p
+            problems.extend([f"{name}: quartic fails on S^{i}{j}"]
+                            * int((supported & ~quartic).sum()))
+            union |= supported & quartic
+        extra = section[~union]
+        if len(extra):
+            problems.append(f"{name}: {len(extra)} points outside the "
+                            f"decomposition, e.g. {min(map(tuple, extra.tolist()))}")
+    return problems

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .ambient import AMBIENT_XY, EVEN_TUPLES, comp, xname, yname
 from .poly import MonomialMap, Poly
@@ -546,25 +548,23 @@ def delta_set_report(p: int = 13, seed: int = 0, draws: int = 6) -> CheckReport:
 
 # -- stabilizers on enumerated point sets --------------------------------------
 
-def stabilizer_classification(points: Iterable[tuple], words: Sequence[Word],
-                              canonicalize) -> Dict[Word, List[tuple]]:
-    """For each word, the sublist of points it fixes.
+def stabilizer_classification(rows: np.ndarray, words: Sequence[Word],
+                              p: int) -> Dict[Word, List[tuple]]:
+    """For each word, the rows it fixes, as tuples in the order of ``rows``.
 
-    ``points`` are canonical weighted-coordinate tuples; ``canonicalize``
-    re-normalizes an image tuple so fixedness is projective equality.
+    ``rows`` is an (N, 16) array of canonical weighted coordinates over
+    GF(p).  A word acts on all rows at once: a column permutation times a
+    sign vector, then ``canonical_weighted_rows``, so that fixedness is
+    projective equality.
     """
-    pts = list(points)
-    actions = {w: _signed_images_cached(w) for w in words}
-    order = list(AMBIENT_XY.variables)
-    index = {n: k for k, n in enumerate(order)}
-    fixed: Dict[Word, List[tuple]] = {w: [] for w in words}
-    for pt in pts:
-        for w, images in actions.items():
-            img = [None] * 16
-            for k, name in enumerate(order):
-                sign, target = images[name]
-                v = pt[index[target]]
-                img[k] = -v if sign < 0 else v
-            if canonicalize(img) == pt:
-                fixed[w].append(pt)
+    from .cover import canonical_weighted_rows
+
+    index = {n: k for k, n in enumerate(AMBIENT_XY.variables)}
+    fixed: Dict[Word, List[tuple]] = {}
+    for w in words:
+        images = [_signed_images_cached(w)[name] for name in AMBIENT_XY.variables]
+        cols = [index[target] for _, target in images]
+        signs = np.array([sign for sign, _ in images], dtype=np.int64)
+        hit = (canonical_weighted_rows(rows[:, cols] * signs, p) == rows).all(axis=1)
+        fixed[w] = [tuple(r) for r in rows[hit].tolist()]
     return fixed

@@ -41,6 +41,15 @@ class Poly:
         self.domain = domain
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, ambient: Ambient, domain, terms: Mapping[Exponents, object]) -> "Poly":
+        """Internal results whose exponent tuples are known to fit the
+        ambient: zero coefficients are dropped, nothing else is checked."""
+        out = cls.__new__(cls)
+        out.ambient, out.domain = ambient, domain
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -49,7 +58,7 @@ class Poly:
 
     @classmethod
     def constant(cls, ambient: Ambient, domain, c) -> "Poly":
-        return cls(ambient, domain, {(0,) * ambient.nvars: domain.coerce(c)})
+        return cls._trusted(ambient, domain, {(0,) * ambient.nvars: domain.coerce(c)})
 
     @classmethod
     def one(cls, ambient: Ambient, domain) -> "Poly":
@@ -59,7 +68,7 @@ class Poly:
     def variable(cls, ambient: Ambient, domain, name: str) -> "Poly":
         e = [0] * ambient.nvars
         e[ambient.index(name)] = 1
-        return cls(ambient, domain, {tuple(e): domain.one()})
+        return cls._trusted(ambient, domain, {tuple(e): domain.one()})
 
     @classmethod
     def monomial(cls, ambient: Ambient, domain, exps: Sequence[int], coef=1) -> "Poly":
@@ -200,7 +209,7 @@ class Poly:
                 key = tuple(d)
                 s = terms.get(key)
                 terms[key] = nc if s is None else s + nc
-        return Poly(self.ambient, self.domain, terms)
+        return Poly._trusted(self.ambient, self.domain, terms)
 
     def evaluate(self, values: Sequence[object]):
         """Evaluate at field elements, one per ambient variable."""
@@ -299,7 +308,7 @@ class MonomialMap:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        return Poly(self.target, self.domain, terms)
+        return Poly._trusted(self.target, self.domain, terms)
 
     def compose(self, inner: "MonomialMap") -> "MonomialMap":
         """self after inner: v -> self(inner(v))."""

@@ -414,10 +414,15 @@ class PrimeField:
         if isinstance(x, int):
             return FpElement(self, x)
         if isinstance(x, Fraction):
-            return FpElement(self, x.numerator * pow(x.denominator, self.p - 2, self.p))
-        if isinstance(x, GaussianRational):
-            return self.coerce(x.re) + self.coerce(x.im) * self.sqrt_minus_one()
-        raise ScalarError(f"cannot coerce {x!r} into GF({self.p})")
+            num, den = x.numerator, x.denominator
+        elif isinstance(x, GaussianRational):
+            num, den = x._a + x._b * self.eps_int, x._d
+        else:
+            raise ScalarError(f"cannot coerce {x!r} into GF({self.p})")
+        if den % self.p == 0:
+            raise ScalarError(f"{x} has no residue in GF({self.p}): "
+                              f"its denominator is divisible by {self.p}")
+        return FpElement(self, num * pow(den, self.p - 2, self.p))
 
     def sqrt_minus_one(self) -> FpElement:
         return FpElement(self, self.eps_int)

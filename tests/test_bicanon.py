@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from upv.bicanon import (branch_locus_check, burniat_charts_report,
-                         burniat_f3_report, burniat_nodes_report,
+from upv.bicanon import (affine_hessian, affine_hessian_rank, branch_locus_check,
+                         burniat_charts_report, burniat_f3_report,
+                         burniat_nodes_report,
                          burniat_parameter_map, chart_map_xi2, derive_s3_cubic,
                          double_point_set, f1_poly, f2_poly,
                          f3_chart_polynomial, lambda_identity_report,
@@ -75,6 +77,47 @@ def test_verify_nodes_and_error_paths():
     assert ok, note
     with pytest.raises(ValueError):
         node_coordinates(FamilyParams(GF(13), (1, 0, 1, 1, 1)), 1)
+
+
+def substitution_hessian_rank(cubic, point, field):
+    """The oracle: substitute s0 = 1, then take second partials in s1..s3."""
+    from upv.ambient import AMBIENT_S
+    from upv.linalg import rank
+    from upv.poly import Poly, ring_substitute
+    inv0 = field.one() / point[0]
+    pt = [v * inv0 for v in point]
+    names = ["s1", "s2", "s3"]
+    sub = {"s0": Poly.one(AMBIENT_S, field)}
+    for nm in names:
+        sub[nm] = Poly.variable(AMBIENT_S, field, nm)
+    aff = ring_substitute(cubic, AMBIENT_S, sub)
+    return rank([[aff.derivative(a).derivative(b).evaluate(pt) for b in names]
+                 for a in names], field)
+
+
+def test_affine_hessian_matches_substitution_oracle():
+    p = 13
+    f = GF(p)
+    rng = random.Random(3)
+    cases = []
+    while len(cases) < 8:
+        nu = FamilyParams(f, tuple(rng.randrange(p) for _ in range(5)))
+        if nu.degenerate()[0] or not nu.nu[4] or not nodes_distinct(nu):
+            continue
+        points = [node_coordinates(nu, i) for i in (1, 2, 3)]
+        points += [tuple(f.from_int(rng.randrange(1, p)) for _ in range(4))
+                   for _ in range(3)]
+        cases.append((scubic(nu), points))
+    # nu4 = 0: the cubic is -s0*l^2, of Hessian rank 1 on l = s0+2s1+3s2+4s3 = 0
+    degenerate = (scubic(FamilyParams(f, (1, 2, 3, 4, 0))),
+                  [tuple(f.from_int(v) for v in (1, 6, 0, 0))])
+    ranks = []
+    for cubic, points in cases + [degenerate]:
+        hessian = affine_hessian([cubic.derivative(f"s{k}") for k in range(4)])
+        for pt in points:
+            ranks.append(affine_hessian_rank(hessian, pt, f))
+            assert ranks[-1] == substitution_hessian_rank(cubic, pt, f)
+    assert ranks[-1] == 1 and ranks.count(3) >= 24
 
 
 def test_collapsed_nodes_detected():

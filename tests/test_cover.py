@@ -5,16 +5,17 @@ from math import prod
 import numpy as np
 import pytest
 
-from upv.ambient import AMBIENT_T4, AMBIENT_XY
+from upv.ambient import AMBIENT_T4, AMBIENT_XY, EVEN_TUPLES, X_INDEX, Y_INDEX
 from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
                        PointArray, ProjAut, SurfacePointSet, act_points,
                        all_p1_points, aut_arrays, brute_force_count,
                        build_lifts_and_certify, build_z2, canonical_weighted,
                        canonical_weighted_rows, certify_free_and_smooth,
-                       enumerate_surface, eval_terms, expand_point,
-                       gtilde_generators, jacobian_rank2,
-                       local_equations, local_point, normalize_factors,
-                       partial_terms, pow_mod, sigma_deck_report, sigma_images,
+                       distinct_rows, downstairs_image_set, enumerate_surface,
+                       eval_terms, expand_point, gtilde_generators,
+                       hplane_problems, jacobian_rank2, local_equations,
+                       local_point, normalize_factors, partial_terms, pow_mod,
+                       s_surface_pattern, sigma_deck_report, sigma_images,
                        sigma_map, s_involution_map, table2_generators,
                        tabulated_generator_rows, verify_branch_structure,
                        verify_hplane_decomposition, y_point_count_report,
@@ -151,6 +152,7 @@ def test_enumeration_equals_brute_force_point_set(p):
         z2 = int_terms(z2_poly(nu))
         got = point_list(enumerate_surface(p, nu).points)
         assert got == sorted(pt for pt, coords in on_z1 if terms_value(z2, coords, p) == 0)
+        assert brute_force_count(p, nu) == len(got)
         # Z1 = C*t00 + D*t01 with C = t11 t21 t31 and D = t10 t20 t30, so
         # C = D = 0 where one of factors 1-3 is (1:0) and another is (0:1);
         # there every point of factor 0 is a candidate
@@ -203,8 +205,77 @@ def test_downstairs_image_count():
     assert rep.witness["image_points"] == ((13 + 1) ** 4 - 16) // 2 + 16 == 19216
 
 
+def test_downstairs_image_is_the_sorted_set_of_sigma_images():
+    p = 5
+    image = downstairs_image_set(p)
+    assert image.shape == (((p + 1) ** 4 - 16) // 2 + 16, 16)
+    assert list(map(tuple, image.tolist())) == sorted(
+        {tuple(scalar_sigma_image(pt, p)) for pt in all_p1_points(p)})
+    assert not image.flags.writeable
+    assert distinct_rows(np.vstack([image[::-1], image[:7]])).tolist() == image.tolist()
+
+
+def tuple_hplane_problems(image, p):
+    """The oracle: the decomposition check as a scan over a set of tuples."""
+    problems = []
+    for t in EVEN_TUPLES:
+        zero_cols = [X_INDEX[(k, t[k])] for k in range(4)]
+        lhs = {pt for pt in image if all(pt[c] == 0 for c in zero_cols)}
+        tc = tuple(1 - v for v in t)
+        union = set()
+        y_col = Y_INDEX[tc]
+        coord_pt = {pt for pt in lhs
+                    if all(pt[k] == 0 for k in range(16) if k != y_col) and pt[y_col]}
+        union |= coord_pt
+        name = "H~" + "".join(map(str, t))
+        if not coord_pt:
+            problems.append(f"{name}: coordinate point missing")
+        for i, j in combinations(range(4), 2):
+            allowed, (cx1, cx2, cy1, cy2) = s_surface_pattern(i, j, tc[i], tc[j])
+            for pt in lhs:
+                if any(pt[k] for k in range(16) if k not in allowed):
+                    continue
+                if (pt[cy1] * pt[cy2]) % p != (pt[cx1] * pt[cx1] * pt[cx2] * pt[cx2]) % p:
+                    problems.append(f"{name}: quartic fails on S^{i}{j}")
+                    continue
+                union.add(pt)
+        extra = lhs - union
+        if extra:
+            problems.append(f"{name}: {len(extra)} points outside the "
+                            f"decomposition, e.g. {sorted(extra)[0]}")
+    return problems
+
+
 def test_hplane_decomposition():
     assert verify_hplane_decomposition(13).passed
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_hplane_problems_match_tuple_scan(p):
+    image = downstairs_image_set(p)
+    assert hplane_problems(image, p) == tuple_hplane_problems(set(map(tuple, image.tolist())), p) == []
+    # x01, x11, x21, x31 nonzero: inside the section H~0000, on none of its pieces
+    off_pieces = [[0, 1, 0, 1, 0, 1, 0, 1] + [0] * 8, [0, 1, 0, 2, 0, 3, 0, 4] + [0] * 8]
+    # y1111 (the coordinate point of H~0000) together with x01: on no piece
+    beside = [0] * 16
+    beside[X_INDEX[(0, 1)]] = beside[Y_INDEX[(1, 1, 1, 1)]] = 1
+    # supported on the piece S^01 of H~0000, with y1*y2 = 2 != x1^2*x2^2 = 1
+    off_quartic = [0] * 16
+    _, (cx1, cx2, cy1, cy2) = s_surface_pattern(0, 1, 1, 1)
+    off_quartic[cx1] = off_quartic[cx2] = off_quartic[cy1] = 1
+    off_quartic[cy2] = 2
+    perturbed = [distinct_rows(np.vstack([image, np.array(added, dtype=np.int64)]))
+                 for added in (off_pieces, [beside], [off_quartic])]
+    coordinate_point = ((image != 0).sum(axis=1) == 1) & (image[:, Y_INDEX[(1, 1, 1, 1)]] != 0)
+    perturbed.append(image[~coordinate_point])
+    problems = [hplane_problems(rows, p) for rows in perturbed]
+    for rows, got in zip(perturbed, problems):
+        assert got == tuple_hplane_problems(set(map(tuple, rows.tolist())), p)
+    assert problems[0] == ["H~0000: 2 points outside the decomposition, "
+                           f"e.g. {tuple(off_pieces[0])}"]
+    assert f"H~0000: 1 points outside the decomposition, e.g. {tuple(beside)}" in problems[1]
+    assert "H~0000: quartic fails on S^01" in problems[2]
+    assert problems[3] == ["H~0000: coordinate point missing"]
 
 
 def test_canonical_weighted_square_classes():

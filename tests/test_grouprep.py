@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from upv.ambient import AMBIENT_XY
 from upv.grouprep import (SignedAction,
                           check_regular_representation, delta_set_report,
                           fixed_loci_report, fixed_locus, group_G, group_H,
@@ -7,7 +9,7 @@ from upv.grouprep import (SignedAction,
                           q_invariance_report, stabilizer_classification,
                           subgroup_census_report, table1_relations_report,
                           theta_class, word_str)
-from upv.scalars import QQ
+from upv.scalars import GF, QQ
 
 
 def test_word_parsing_roundtrip():
@@ -90,12 +92,40 @@ def test_stabilizer_identity_fixes_everything():
     p = 13
     pts = [canonical_weighted([1] + [0] * 15, p),
            canonical_weighted([0] * 8 + [1] + [0] * 7, p)]
-
-    def canon(vals):
-        return canonical_weighted([int(v) for v in vals], p)
-
-    fixed = stabilizer_classification(pts, [parse_word("1")], canon)
+    fixed = stabilizer_classification(np.array(pts, dtype=np.int64), [parse_word("1")], p)
     assert fixed[parse_word("1")] == pts
+
+
+def loop_stabilizers(points, words, p):
+    """The per-point oracle: each word's signed image of each point,
+    re-canonicalized by ``canonical_weighted``."""
+    from upv.cover import canonical_weighted
+    actions = [(w, SignedAction(w, QQ)) for w in words]
+    fixed = {w: [] for w in words}
+    for pt in points:
+        for w, act in actions:
+            img = []
+            for name in AMBIENT_XY.variables:
+                sign, target = act.image_of_variable(name)
+                img.append(sign * pt[AMBIENT_XY.index(target)])
+            if canonical_weighted(img, p) == pt:
+                fixed[w].append(pt)
+    return fixed
+
+
+def test_array_stabilizers_match_the_point_loop_at_13():
+    from upv.cover import distinct_rows, enumerate_surface, sigma_images
+    from upv.unproj import FamilyParams
+    p = 13
+    words = [w for i in (1, 2, 3) for w in theta_class(i)]
+    assert len(set(words)) == 24
+    hits = 0
+    for nu in ((1, 1, 1, 1, 3), (3, 1, 4, 1, 5), (2, 7, 1, 8, 2)):
+        rows = distinct_rows(sigma_images(enumerate_surface(p, FamilyParams(GF(p), nu)).points))
+        got = stabilizer_classification(rows, words, p)
+        assert got == loop_stabilizers([tuple(r) for r in rows.tolist()], words, p)
+        hits += sum(map(len, got.values()))
+    assert hits
 
 
 def test_triple_fixed_points_satisfy_all_t_equations():

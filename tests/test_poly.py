@@ -93,6 +93,30 @@ def test_laurent_flag_enforced():
         MonomialMap(AMBIENT_T4, AMBIENT_T4, QQ, images, laurent=False)
 
 
+def test_public_constructor_and_apply_keep_their_checks():
+    with pytest.raises(PolyError, match="wrong length"):
+        Poly(AMBIENT_XY, QQ, {(1,) * 15: QQ.one()})
+    with pytest.raises(PolyError, match="negative exponent"):
+        Poly(AMBIENT_XY, QQ, {(-1,) + (0,) * 15: QQ.one()})
+    images = {n: (QQ.one(), tuple(-1 if k == 0 else 0 for k in range(8)))
+              for k, n in enumerate(AMBIENT_T4.variables)}
+    laurent = MonomialMap(AMBIENT_T4, AMBIENT_T4, QQ, images, laurent=True)
+    with pytest.raises(PolyError, match="non-Laurent target"):
+        laurent.apply(Poly.variable(AMBIENT_T4, QQ, "t00"))
+
+
+def test_internal_results_drop_zero_coefficients():
+    f = GF(13)
+    assert Poly.constant(AMBIENT_XY, f, 13).is_zero()
+    x = Poly.variable(AMBIENT_XY, f, "x00")
+    assert (x ** 13).derivative("x00").is_zero()  # 13*x00^12 = 0 over GF(13)
+    units = [tuple(int(k == j) for k in range(16)) for j in range(16)]
+    zero_map = MonomialMap(AMBIENT_XY, AMBIENT_XY, f,
+                           {n: (0 if n == "x00" else 1, e)
+                            for n, e in zip(AMBIENT_XY.variables, units)})
+    assert zero_map.apply(x).is_zero()
+
+
 def test_exact_divide():
     x, y = V("x00"), V("x01")
     f = (x + y) * (x * x + y)

@@ -204,6 +204,21 @@ def test_full_catalog_stream_pinned():
     assert hashlib.sha256(stream.encode()).hexdigest() == FULL_CATALOG_SHA256
 
 
+# sha256 of `upv run cover.enumeration cover.hplane_decomposition
+# bicanon.branch_loci bicanon.nodes --seed 1000000`: the downstairs scans and
+# the node Hessians at a seed whose branch-loci redraws differ from seed 0
+DOWNSTAIRS_SEED_1000000_SHA256 = \
+    "9595985a92ff6b0ab5bc7bec5288c4c6163c6a0ae2ca15e9a705a92920b92379"
+
+
+def test_downstairs_checks_stream_pinned_at_seed_1000000():
+    targets = ["cover.enumeration", "cover.hplane_decomposition",
+               "bicanon.branch_loci", "bicanon.nodes"]
+    reports = run_checks(resolve_targets(targets), RunContext(RunConfig(seed=1000000)))
+    stream = "".join(r.to_json() + "\n" for r in reports)
+    assert hashlib.sha256(stream.encode()).hexdigest() == DOWNSTAIRS_SEED_1000000_SHA256
+
+
 # sha256 of `upv dump points` output: the point file format and point order
 DUMP_POINTS_SHA256 = {
     ("13", "42"): "bad7db959137a6828eeb7eb72f20a51b2849ca061ea91073d51e1ea1cb8a391f",

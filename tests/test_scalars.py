@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from upv.cover import build_lifts_and_certify
@@ -214,6 +214,24 @@ def test_fraction_coercion_is_a_homomorphism():
 def test_gaussian_to_prime_field_sends_i_to_eps():
     f = GF(13)
     assert f.coerce(QI.sqrt_minus_one()) == f.sqrt_minus_one()
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 13), Fraction(-7, 26),
+                               GaussianRational(Fraction(1, 13)),
+                               GaussianRational(2, Fraction(3, 13)),
+                               GaussianRational(Fraction(1, 13), Fraction(5, 13))])
+def test_prime_field_rejects_denominators_divisible_by_p(x):
+    # 1/13 has no residue mod 13; it must not come back as 0
+    with pytest.raises(ScalarError, match="divisible by 13"):
+        GF(13).coerce(x)
+
+
+@given(gaussians)
+@settings(max_examples=60)
+def test_gaussian_coercion_is_re_plus_eps_im(z):
+    f = GF(13)
+    assume(z.re.denominator % 13 and z.im.denominator % 13)
+    assert f.coerce(z) == f.coerce(z.re) + f.coerce(z.im) * f.sqrt_minus_one()
 
 
 @given(st.integers(0, 12), st.integers(0, 12))
