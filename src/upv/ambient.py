@@ -8,6 +8,8 @@ Two fixed ambients carry the construction:
   {0,1} with even coordinate sum, in lexicographic order.
 * ``AMBIENT_T4``: the 8 bihomogeneous coordinates t00..t31 of (P^1)^4; the
   degree of t_{ia} is the i-th unit vector of N^4.
+  ``AMBIENT_T4L`` holds the same coordinates as Laurent variables, the
+  target of the chart pullbacks of ``unproj.chart_sigma_map``.
 
 Small auxiliary rings (s-coordinates of the cubic surface, plane coordinates
 u0,u1,u2, a formal pencil parameter, Laurent chart coordinates) are built with
@@ -118,6 +120,8 @@ T_VARS = tuple(tname(i, a) for i in range(4) for a in (0, 1))
 AMBIENT_XY = Ambient("XY", X_VARS + Y_VARS, (1,) * 8 + (2,) * 8)
 AMBIENT_T4 = Ambient("T4", T_VARS, (1,) * 8,
                      factor_of=tuple(i for i in range(4) for _ in (0, 1)))
+AMBIENT_T4L = Ambient("T4L", T_VARS, (1,) * 8, laurent=True,
+                      factor_of=tuple(i for i in range(4) for _ in (0, 1)))
 
 # index helpers into AMBIENT_XY exponent vectors
 X_INDEX = {(i, a): AMBIENT_XY.index(xname(i, a)) for i in range(4) for a in (0, 1)}

@@ -20,11 +20,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .ambient import (AMBIENT_LU, AMBIENT_S, AMBIENT_X3L, AMBIENT_XY, Ambient,
                       EVEN_TUPLES, X_INDEX, comp, xname, yname)
-from .cover import SurfacePointSet, distinct_rows, sigma_images
+from .cover import (SurfacePointSet, distinct_rows, eval_terms, pow_mod,
+                    sigma_images)
 from .grouprep import (parse_word, stabilizer_classification, theta_class,
                        word_str)
 from .linalg import rank
@@ -92,37 +95,35 @@ def derive_s3_cubic(nu: FamilyParams) -> Tuple[Poly, CheckReport]:
         params=nu.as_params())
 
 
-def s_coordinates(point16: Sequence[int], p: int) -> Optional[Tuple[int, ...]]:
-    """Projective (s0:s1:s2:s3) image of a canonical downstairs point."""
-    inv2 = pow(2, p - 2, p)
-    s = []
-    for i in range(4):
-        a = point16[X_INDEX[(i, 0)]]
-        b = point16[X_INDEX[(i, 1)]]
-        s.append(((a * a + b * b) * inv2) % p)
-    lead = next((v for v in s if v), None)
-    if lead is None:
-        return None
-    inv = pow(lead, p - 2, p)
-    return tuple((v * inv) % p for v in s)
+def _lead_one(rows: np.ndarray, p: int) -> np.ndarray:
+    """Residue rows scaled so that the first nonzero entry is 1; a zero row
+    stays zero (its Fermat inverse is 0)."""
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return rows * pow_mod(lead, p - 2, p)[:, None] % p
+
+
+def s_rows(image: np.ndarray, p: int) -> np.ndarray:
+    """Projective (s0:s1:s2:s3) images of canonical downstairs rows (N, 16),
+    as (N, 4) rows whose first nonzero entry is 1.  s_i is
+    (x_i0^2 + x_i1^2)/2; the common factor 1/2 drops out of the scaling.  A
+    row off the s-chart (every s_i = 0) comes out as a zero row.  Every
+    product is reduced mod p before it is added, so this is exact for
+    p < 2^31."""
+    sums = np.stack([(image[:, X_INDEX[(i, 0)]] ** 2 % p
+                      + image[:, X_INDEX[(i, 1)]] ** 2 % p) % p for i in range(4)],
+                    axis=1)
+    return _lead_one(sums, p)
 
 
 def scubic_points_report(points: SurfacePointSet) -> CheckReport:
     """Every enumerated surface point maps onto the cubic."""
     p = points.p
     nu = points.nu
-    cubic = scubic(nu)
-    field = GF(p)
-    bad = 0
-    total = 0
-    for img in sigma_images(points.points).tolist():
-        sc = s_coordinates(img, p)
-        if sc is None:
-            bad += 1
-            continue
-        total += 1
-        if cubic.evaluate([field.from_int(v) for v in sc]):
-            bad += 1
+    s = s_rows(sigma_images(points.points), p)
+    on_chart = s.any(axis=1)
+    terms = [(int(c), e) for e, c in scubic(nu).terms.items()]
+    total = int(on_chart.sum())
+    bad = len(s) - total + int(np.count_nonzero(eval_terms([terms], s[on_chart], p)))
     problems = [f"{bad} point images off the cubic"] if bad else []
     if not total:
         problems.append("no point image in the s-chart")
@@ -280,38 +281,36 @@ CONIC_WORDS = {1: "a2*b1*b2*b3", 2: "a3*b1*b2*b3", 3: "a1*b1*b2*b3"}
 NODE_WORDS = {1: "a2*a3*b2*b3", 2: "a1*a3*b1*b3", 3: "a1*a2*b1*b2"}
 
 
-def _locus_membership(sc: Tuple[int, ...], nu: FamilyParams, p: int) -> Dict[str, bool]:
-    """Membership of a projective s-point in the named loci.
+def locus_masks(s: np.ndarray, nu: FamilyParams, p: int) -> Dict[str, np.ndarray]:
+    """Membership of s-rows (``s_rows``) in the named loci, as boolean masks.
 
-    D_i = C_{i+1} + L_{i-1} is the branch divisor of the i-th involution
-    class; ``pairwise`` flags membership in some D_a cap D_b with a != b,
-    where the inertia-Gamma fixed points land."""
-    field = GF(p)
-    vals = [field.from_int(v) for v in sc]
-    l = sum((vals[k] * nu.nu[k] for k in range(4)), field.zero())
+    L_i: s0 = s_i = 0; C_i: s0 + s_i = 0 on the residual conic of that plane
+    section; n_i: the node, normalised like the rows, so that membership is
+    row equality.  D_i = C_{i+1} + L_{i-1} is the branch divisor of the i-th
+    involution class; ``pairwise`` flags membership in some D_a cap D_b with
+    a != b, where the inertia-Gamma fixed points land.  Zero rows (off the
+    s-chart) are not meaningful here; callers mask them out."""
+    v = [int(c) for c in nu.nu]
+    nodes = _lead_one(np.array([[int(c) for c in node_coordinates(nu, i)]
+                                for i in (1, 2, 3)], dtype=np.int64), p)
+    l = sum(s[:, k] * v[k] % p for k in range(4)) % p
+    l2 = l * l % p
+    c16 = 16 * v[4] * v[4] % p
     out = {}
     for i in (1, 2, 3):
-        out[f"L{i}"] = not vals[0] and not vals[i]
         ip, iq = (i % 3) + 1, ((i + 1) % 3) + 1
-        conic = (vals[ip] - vals[0]) * (vals[iq] - vals[0]) * (field.from_int(16) * nu.nu[4] ** 2) + l * l
-        out[f"C{i}"] = (not (vals[0] + vals[i])) and not conic
-        node = node_coordinates(nu, i)
-        out[f"n{i}"] = _proj_equal(vals, node, field)
+        quad = (s[:, ip] - s[:, 0]) % p * ((s[:, iq] - s[:, 0]) % p) % p
+        conic = (quad * c16 % p + l2) % p
+        out[f"L{i}"] = (s[:, 0] == 0) & (s[:, i] == 0)
+        out[f"C{i}"] = ((s[:, 0] + s[:, i]) % p == 0) & (conic == 0)
+        out[f"n{i}"] = (s == nodes[i - 1]).all(axis=1)
     for i in (1, 2, 3):
         ip = (i % 3) + 1
         im = ((i + 1) % 3) + 1
-        out[f"D{i}"] = out[f"C{ip}"] or out[f"L{im}"]
-    out["pairwise"] = (out["D1"] and out["D2"]) or (out["D1"] and out["D3"]) \
-        or (out["D2"] and out["D3"])
+        out[f"D{i}"] = out[f"C{ip}"] | out[f"L{im}"]
+    d1, d2, d3 = out["D1"], out["D2"], out["D3"]
+    out["pairwise"] = (d1 & d2) | (d1 & d3) | (d2 & d3)
     return out
-
-
-def _proj_equal(a, b, field) -> bool:
-    la = next((v for v in a if v), None)
-    lb = next((v for v in b if v), None)
-    if la is None or lb is None:
-        return False
-    return all(x * lb == y * la for x, y in zip(a, b))
 
 
 def branch_locus_check(points: SurfacePointSet) -> CheckReport:
@@ -322,13 +321,22 @@ def branch_locus_check(points: SurfacePointSet) -> CheckReport:
     inertia, in a pairwise intersection D_a cap D_b.  The two-beta word hits
     the line, the four-letter word hits the conic, the node word maps only
     into {n_i} (plus full-inertia points), and the five remaining words fix
-    only full-inertia points."""
+    only full-inertia points.  Fixed points are visited in the
+    lexicographic order of their downstairs rows, so each "e.g." is the
+    first offending image in that order."""
     p = points.p
     nu = points.nu
     downstairs = distinct_rows(sigma_images(points.points))
+    s = s_rows(downstairs, p)
+    on_chart = s.any(axis=1)
+    loci = locus_masks(s, nu, p)
     violations = []
     missing = []
     hits = {}
+
+    def example(mask):
+        return tuple(s[mask][0].tolist())
+
     for i in (1, 2, 3):
         words = theta_class(i)
         fixed = stabilizer_classification(downstairs, words, p)
@@ -338,41 +346,33 @@ def branch_locus_check(points: SurfacePointSet) -> CheckReport:
         conic_w = parse_word(CONIC_WORDS[i])
         node_w = parse_word(NODE_WORDS[i])
         for w in words:
-            images = []
-            for pt in fixed[w]:
-                sc = s_coordinates(pt, p)
-                if sc is None:
-                    violations.append(f"{word_str(w)}: fixed point off the s-chart")
-                    continue
-                images.append((sc, _locus_membership(sc, nu, p)))
-            allowed_bad = [sc for sc, mem in images
-                           if not (mem[f"D{i}"] or mem[f"n{i}"] or mem["pairwise"])]
-            if allowed_bad:
+            name = word_str(w)
+            violations += [f"{name}: fixed point off the s-chart"] \
+                * int((fixed[w] & ~on_chart).sum())
+            images = fixed[w] & on_chart
+            allowed_bad = images & ~(loci[f"D{i}"] | loci[f"n{i}"] | loci["pairwise"])
+            if allowed_bad.any():
                 violations.append(
-                    f"{word_str(w)}: {len(allowed_bad)} images outside the "
-                    f"allowed loci, e.g. {allowed_bad[0]}")
+                    f"{name}: {int(allowed_bad.sum())} images outside the "
+                    f"allowed loci, e.g. {example(allowed_bad)}")
             if w == beta_w:
-                on_line = [sc for sc, mem in images if mem[f"L{im}"]]
-                hits[f"theta{i}.line"] = len(on_line)
-                if not on_line:
-                    missing.append(f"{word_str(w)} misses L{im}")
+                hits[f"theta{i}.line"] = int((images & loci[f"L{im}"]).sum())
+                if not hits[f"theta{i}.line"]:
+                    missing.append(f"{name} misses L{im}")
             elif w == conic_w:
-                on_conic = [sc for sc, mem in images if mem[f"C{ip}"]]
-                hits[f"theta{i}.conic"] = len(on_conic)
-                if not on_conic:
-                    missing.append(f"{word_str(w)} misses C{ip}")
+                hits[f"theta{i}.conic"] = int((images & loci[f"C{ip}"]).sum())
+                if not hits[f"theta{i}.conic"]:
+                    missing.append(f"{name} misses C{ip}")
             elif w == node_w:
-                off = [sc for sc, mem in images
-                       if not (mem[f"n{i}"] or mem["pairwise"])]
-                hits[f"theta{i}.node"] = sum(1 for _, mem in images if mem[f"n{i}"])
-                if off:
-                    violations.append(f"{word_str(w)} maps outside n{i}")
+                hits[f"theta{i}.node"] = int((images & loci[f"n{i}"]).sum())
+                if (images & ~(loci[f"n{i}"] | loci["pairwise"])).any():
+                    violations.append(f"{name} maps outside n{i}")
             else:
-                extra = [sc for sc, mem in images if not mem["pairwise"]]
-                if extra:
+                extra = images & ~loci["pairwise"]
+                if extra.any():
                     violations.append(
-                        f"{word_str(w)} fixes {len(extra)} points outside the "
-                        f"full-inertia intersections, e.g. {extra[0]}")
+                        f"{name} fixes {int(extra.sum())} points outside the "
+                        f"full-inertia intersections, e.g. {example(extra)}")
     problems = missing + ([f"{len(violations)} fixed-point images violate containment"]
                           if violations else [])
     deg, reason = nu.degenerate()
@@ -700,11 +700,10 @@ def burniat_parameter_map(lam_value) -> Tuple[dict, CheckReport]:
 
 
 def _pencil_cubic_at(domain, lam) -> Poly:
-    s = [svar(domain, i) for i in range(4)]
-    half = domain.one() / domain.from_int(2)
-    prod_part = (s[1] - s[0]) * (s[2] - s[0]) * (s[3] - s[0])
-    return prod_part * ((lam + domain.one()) ** 2 * half) \
-        + s[0] * (s[1] + s[2] + s[3] - s[0]) ** 2 * lam
+    """``pencil_cubic_squared`` specialised at lam = ``lam``, in AMBIENT_S."""
+    images = {f"s{i}": svar(domain, i) for i in range(4)}
+    images["lam"] = Poly.constant(AMBIENT_S, domain, lam)
+    return ring_substitute(pencil_cubic_squared(domain), AMBIENT_S, images)
 
 
 def _sqrt_mod(a: int, p: int) -> int:

@@ -21,8 +21,8 @@ Every scan over points, the enumeration included, runs on the point kernel
 p once, images, keys and Jacobians computed for all points at once.  Every
 product is reduced mod p before it is added, so the kernel is exact for
 every prime ``GF`` admits (p < 2^31).
-``ProjAut.act_point`` and ``Poly.evaluate`` stay as the per-point oracles
-of the tests.
+``ProjAut.act_point``, ``Poly.evaluate`` and ``canonical_weighted`` stay as
+the per-point oracles of the tests.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .ambient import AMBIENT_XY, EVEN_TUPLES, comp, xname, yname
-from .poly import MonomialMap, Poly
+from .poly import MonomialMap, Poly, proportional
 from .report import CheckReport, verdict
 from .scalars import GF, QQ
 
@@ -119,15 +119,6 @@ class SignedAction:
 
     def image_of_variable(self, name: str) -> Tuple[int, str]:
         return _signed_images_cached(self.word)[name]
-
-    def act_point(self, coords: Sequence[object]) -> list:
-        """Coordinates of the image point: entry v is (sub v) evaluated."""
-        out = []
-        for name in AMBIENT_XY.variables:
-            sign, target = self.image_of_variable(name)
-            v = coords[AMBIENT_XY.index(target)]
-            out.append(-v if sign < 0 else v)
-        return out
 
     def trace_on_x_span(self) -> int:
         tr = 0
@@ -324,8 +315,7 @@ def fixed_loci_report(domain=QQ) -> CheckReport:
         for sector in ("(+,+)", "(-,+)"):
             loc = fixed_locus(g, sector)
             for c in loc.all_constraints():
-                img = _canonical_constraint(g.apply(c))
-                if img != c and img != _canonical_constraint(-c):
+                if not proportional(g.apply(c), c):
                     problems.append(f"{word_str(w)} {sector}: {c} not an eigen-condition")
 
     def constraint_set(word: str, sector: str):
@@ -508,15 +498,14 @@ def delta_set_report(p: int = 13, seed: int = 0, draws: int = 6) -> CheckReport:
     projective fixedness under the word."""
     import random
 
-    from .cover import canonical_weighted
+    from .cover import canonical_weighted_rows
     from .unproj import FamilyParams
 
     field = GF(p)
     eps = field.sqrt_minus_one()
     rng = random.Random(seed)
-    problems = []
     hits = {}
-    action = SignedAction(TRIPLE_WORD, field)
+    vecs, labels = [], []
     for m in range(-8, 9):
         found = 0
         for _ in range(draws):
@@ -525,13 +514,14 @@ def delta_set_report(p: int = 13, seed: int = 0, draws: int = 6) -> CheckReport:
             n0 = n1 + n2 + n3 - field.from_int(m) * eps * n4
             nu = FamilyParams(field, (n0, n1, n2, n3, n4))
             pts = _triple_fixed_points(nu)
-            for vec in pts:
-                ints = [int(v) for v in vec]
-                img = [int(v) for v in action.act_point(vec)]
-                if canonical_weighted(img, p) != canonical_weighted(ints, p):
-                    problems.append(f"constructed point not fixed at m={m}")
+            vecs += [[int(v) for v in vec] for vec in pts]
+            labels += [m] * len(pts)
             found = max(found, len(pts))
         hits[m] = found
+    rows = canonical_weighted_rows(np.array(vecs, dtype=np.int64).reshape(-1, 16), p)
+    fixed = stabilizer_classification(rows, [TRIPLE_WORD], p)[TRIPLE_WORD]
+    problems = [f"constructed point not fixed at m={m}"
+                for m, ok in zip(labels, fixed) if not ok]
     empirical = sorted(m for m, n in hits.items() if n)
     # multiples alias mod p: m*eps = +-8*eps iff m = +-8 (mod p)
     expected = sorted(m for m in range(-8, 9)
@@ -549,8 +539,8 @@ def delta_set_report(p: int = 13, seed: int = 0, draws: int = 6) -> CheckReport:
 # -- stabilizers on enumerated point sets --------------------------------------
 
 def stabilizer_classification(rows: np.ndarray, words: Sequence[Word],
-                              p: int) -> Dict[Word, List[tuple]]:
-    """For each word, the rows it fixes, as tuples in the order of ``rows``.
+                              p: int) -> Dict[Word, np.ndarray]:
+    """For each word, the boolean mask of the rows it fixes.
 
     ``rows`` is an (N, 16) array of canonical weighted coordinates over
     GF(p).  A word acts on all rows at once: a column permutation times a
@@ -560,11 +550,10 @@ def stabilizer_classification(rows: np.ndarray, words: Sequence[Word],
     from .cover import canonical_weighted_rows
 
     index = {n: k for k, n in enumerate(AMBIENT_XY.variables)}
-    fixed: Dict[Word, List[tuple]] = {}
+    fixed: Dict[Word, np.ndarray] = {}
     for w in words:
         images = [_signed_images_cached(w)[name] for name in AMBIENT_XY.variables]
         cols = [index[target] for _, target in images]
         signs = np.array([sign for sign, _ in images], dtype=np.int64)
-        hit = (canonical_weighted_rows(rows[:, cols] * signs, p) == rows).all(axis=1)
-        fixed[w] = [tuple(r) for r in rows[hit].tolist()]
+        fixed[w] = (canonical_weighted_rows(rows[:, cols] * signs, p) == rows).all(axis=1)
     return fixed

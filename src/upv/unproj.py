@@ -22,10 +22,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ambient import (AMBIENT_XY, EVEN_TUPLES, IndexTuple, X_INDEX, Y_INDEX,
-                      comp, comp_tuple, xname, yname)
+from .ambient import (AMBIENT_T4L, AMBIENT_XY, EVEN_TUPLES, IndexTuple, X_INDEX,
+                      Y_INDEX, comp, comp_tuple, xname, yname)
 from .linalg import det_poly, rank
-from .poly import Poly, PolyError, exact_divide
+from .poly import MonomialMap, Poly, PolyError, exact_divide
 from .report import CheckReport, verdict
 from .scalars import QQ
 
@@ -531,7 +531,6 @@ def chart_sigma_map(domain, chart_var: str = "x10"):
     on the chart of Y, since the double cover surjects onto Y.
     """
     from .cover import sigma_map  # local import: cover depends on unproj
-    from .poly import MonomialMap
     sig = sigma_map(domain)
     base_c, base_e = sig.images[AMBIENT_XY.index(chart_var)]
     images = {}
@@ -539,20 +538,7 @@ def chart_sigma_map(domain, chart_var: str = "x10"):
         w = AMBIENT_XY.weights[k]
         c, e = sig.images[k]
         images[name] = (c / base_c ** w, tuple(a - w * b for a, b in zip(e, base_e)))
-    laurent_t4 = Ambient_laurent_t4()
-    return MonomialMap(AMBIENT_XY, laurent_t4, domain, images, laurent=True)
-
-
-_LAURENT_T4 = None
-
-
-def Ambient_laurent_t4():
-    global _LAURENT_T4
-    if _LAURENT_T4 is None:
-        from .ambient import Ambient, T_VARS
-        _LAURENT_T4 = Ambient("T4L", T_VARS, (1,) * 8, laurent=True,
-                              factor_of=tuple(i for i in range(4) for _ in (0, 1)))
-    return _LAURENT_T4
+    return MonomialMap(AMBIENT_XY, AMBIENT_T4L, domain, images, laurent=True)
 
 
 def verify_veronese_chart(domain=QQ) -> CheckReport:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from upv.bicanon import (affine_hessian, affine_hessian_rank, branch_locus_check,
@@ -139,6 +140,7 @@ def test_branch_loci_good_draw():
     hits = rep.witness["hits"]
     assert hits["theta1.line"] > 0
     assert hits["theta1.conic"] > 0
+    assert all(type(v) is int for v in hits.values())
 
 
 def test_double_points():
@@ -203,6 +205,21 @@ def test_parameter_map_prime_field_explicit():
     # membership: the explicit parameters reproduce the pencil cubic
     from upv.bicanon import _pencil_cubic_at
     assert scubic(explicit) == _pencil_cubic_at(f, f.from_int(4))
+
+
+@pytest.mark.parametrize("domain", [GF(13), GF(2147483029), QQ], ids=str)
+def test_pencil_cubic_at_matches_the_displayed_formula(domain):
+    # (lam+1)^2/2 * prod(s_i - s0) + lam*s0*(s1+s2+s3-s0)^2, written out
+    from upv.ambient import AMBIENT_S
+    from upv.poly import Poly
+    s = [Poly.variable(AMBIENT_S, domain, f"s{i}") for i in range(4)]
+    for value in (3, 4, -7):
+        lam = domain.from_int(value)
+        half = domain.one() / domain.from_int(2)
+        prod_part = (s[1] - s[0]) * (s[2] - s[0]) * (s[3] - s[0])
+        want = prod_part * ((lam + domain.one()) ** 2 * half) \
+            + s[0] * (s[1] + s[2] + s[3] - s[0]) ** 2 * lam
+        assert bicanon._pencil_cubic_at(domain, lam) == want
 
 
 @pytest.mark.parametrize("p", [13, 17, 29])
@@ -290,3 +307,201 @@ def test_pencil_members_singular_exactly_at_node_preimages():
         if gp == ProjAut.identity(f):
             continue
         assert all(gp.act_point(pt, p) != pt for pt in pt_list)
+
+
+# -- the bicanonical point checks against their scalar oracles -------------------
+
+def s_coordinates(point16, p):
+    """The scalar oracle of ``s_rows``: s_i = (x_i0^2 + x_i1^2)/2 scaled so
+    that the first nonzero entry is 1, or None off the s-chart."""
+    from upv.ambient import X_INDEX
+    inv2 = pow(2, p - 2, p)
+    s = [((point16[X_INDEX[(i, 0)]] ** 2 + point16[X_INDEX[(i, 1)]] ** 2) * inv2) % p
+         for i in range(4)]
+    lead = next((v for v in s if v), None)
+    if lead is None:
+        return None
+    inv = pow(lead, p - 2, p)
+    return tuple((v * inv) % p for v in s)
+
+
+def locus_membership(sc, nu, p):
+    """The scalar oracle of ``locus_masks`` at one s-point, in GF(p)
+    arithmetic, with a projective comparison against each node."""
+    field = GF(p)
+    vals = [field.from_int(v) for v in sc]
+    l = sum((vals[k] * nu.nu[k] for k in range(4)), field.zero())
+    out = {}
+    for i in (1, 2, 3):
+        out[f"L{i}"] = not vals[0] and not vals[i]
+        ip, iq = (i % 3) + 1, ((i + 1) % 3) + 1
+        conic = (vals[ip] - vals[0]) * (vals[iq] - vals[0]) \
+            * (field.from_int(16) * nu.nu[4] ** 2) + l * l
+        out[f"C{i}"] = (not (vals[0] + vals[i])) and not conic
+        node = node_coordinates(nu, i)
+        la = next(v for v in vals if v)
+        lb = next(v for v in node if v)
+        out[f"n{i}"] = all(x * lb == y * la for x, y in zip(vals, node))
+    for i in (1, 2, 3):
+        ip, im = (i % 3) + 1, ((i + 1) % 3) + 1
+        out[f"D{i}"] = out[f"C{ip}"] or out[f"L{im}"]
+    out["pairwise"] = (out["D1"] and out["D2"]) or (out["D1"] and out["D3"]) \
+        or (out["D2"] and out["D3"])
+    return out
+
+
+def scalar_off_cubic(points):
+    """The scalar oracle of ``scubic_points_report``: (points in the s-chart,
+    images off the cubic or off the chart), one ``cubic.evaluate`` a point."""
+    from upv.cover import sigma_images
+    p, cubic, field = points.p, scubic(points.nu), GF(points.p)
+    total = bad = 0
+    for img in sigma_images(points.points).tolist():
+        sc = s_coordinates(img, p)
+        if sc is None:
+            bad += 1
+        else:
+            total += 1
+            bad += bool(cubic.evaluate([field.from_int(v) for v in sc]))
+    return total, bad
+
+
+def assert_masks_match(s, masks, nu, p, rows=None):
+    """``s_rows`` and ``locus_masks`` against the oracles at every row;
+    returns the names of the loci that were hit."""
+    hit = set()
+    for n in range(len(s)):
+        sc = s_coordinates(rows[n], p) if rows is not None else tuple(s[n].tolist())
+        assert s[n].tolist() == (list(sc) if sc else [0, 0, 0, 0])
+        if sc:
+            want = locus_membership(sc, nu, p)
+            assert {k: bool(m[n]) for k, m in masks.items()} == want
+            hit.update(k for k, v in want.items() if v)
+    return hit
+
+
+ORACLE_SURFACES = {13: ((1, 1, 1, 1, 3), (3, 1, 4, 1, 5), (2, 7, 1, 8, 2)),
+                   17: ((2, 3, 5, 7, 11), (1, 2, 3, 4, 5), (3, 1, 4, 1, 5))}
+
+
+@pytest.mark.parametrize("p", sorted(ORACLE_SURFACES))
+def test_s_rows_and_locus_masks_match_scalar_oracles(p):
+    from upv.cover import distinct_rows, sigma_images
+    hit = set()
+    for nu_ints in ORACLE_SURFACES[p]:
+        nu = FamilyParams(GF(p), nu_ints)
+        rows = distinct_rows(sigma_images(enumerate_surface(p, nu).points))
+        s = bicanon.s_rows(rows, p)
+        hit |= assert_masks_match(s, bicanon.locus_masks(s, nu, p), nu, p,
+                                  rows.tolist())
+    assert {"L1", "L2", "L3", "C1", "C2", "C3", "pairwise"} <= hit
+
+
+def test_s_rows_and_locus_masks_exact_near_prime_bound():
+    p = 2147483029
+    f = GF(p)
+    eps = int(f.sqrt_minus_one())
+    rng = random.Random(5)
+    rows = np.array([[rng.randrange(p) for _ in range(16)] for _ in range(200)]
+                    + [[0] * 8 + [rng.randrange(p) for _ in range(8)]], dtype=np.int64)
+    nu = FamilyParams(f, tuple(rng.randrange(1, p) for _ in range(5)))
+    s = bicanon.s_rows(rows, p)
+    assert not s[-1].any()
+    assert_masks_match(s, bicanon.locus_masks(s, nu, p), nu, p, rows.tolist())
+    # s-rows on each line, node and conic: the conic point (-s0 at position
+    # i, s0 + a^2 and s0 + b^2 at the other two) is on C_i once
+    # 16*nu4^2*a^2*b^2 = -l^2, i.e. nu4 = eps*l/(4ab)
+    pts, nus = [], []
+    for i in (1, 2, 3):
+        v = [rng.randrange(1, p) for _ in range(4)]
+        s0, a, b = (rng.randrange(1, p) for _ in range(3))
+        ip, iq = (i % 3) + 1, ((i + 1) % 3) + 1
+        pt = [0] * 4
+        pt[0], pt[i], pt[ip], pt[iq] = s0, p - s0, (s0 + a * a) % p, (s0 + b * b) % p
+        l = sum(x * y for x, y in zip(v, pt)) % p
+        nu4 = eps * l % p * pow(4 * a * b % p, p - 2, p) % p
+        cnu = FamilyParams(f, tuple(v) + (nu4,))
+        line = [0] * 4
+        line[ip], line[iq] = rng.randrange(p), 1
+        node = [int(c) for c in node_coordinates(cnu, i)]
+        pts += [pt, line, node]
+        nus += [cnu] * 3
+    s = bicanon._lead_one(np.array(pts, dtype=np.int64), p)
+    hit = set()
+    for n, cnu in enumerate(nus):
+        hit |= assert_masks_match(s[n:n + 1], bicanon.locus_masks(s[n:n + 1], cnu, p),
+                                  cnu, p)
+    assert {"L1", "L2", "L3", "C1", "C2", "C3", "n1", "n2", "n3"} <= hit
+
+
+def mismatched_points(p, points_nu, loci_nu):
+    """A point set of one nu presented with another nu's loci: every check
+    on it fails, with counts, misses and examples to pin."""
+    import dataclasses
+    pts = enumerate_surface(p, FamilyParams(GF(p), points_nu))
+    return dataclasses.replace(pts, nu=FamilyParams(GF(p), loci_nu))
+
+
+MISMATCHED = {13: ((1, 1, 1, 1, 3), (2, 3, 5, 7, 11)),
+              17: ((2, 3, 5, 7, 11), (1, 2, 3, 4, 5))}
+
+
+@pytest.mark.parametrize("p", sorted(ORACLE_SURFACES))
+def test_s3_points_count_matches_scalar_loop(p):
+    sets = [enumerate_surface(p, FamilyParams(GF(p), nu)) for nu in ORACLE_SURFACES[p]]
+    sets.append(mismatched_points(p, *MISMATCHED[p]))
+    for pts in sets:
+        rep = scubic_points_report(pts)
+        total, bad = scalar_off_cubic(pts)
+        assert (rep.witness["points"], rep.witness["off_cubic"]) == (total, bad)
+    # the last set is the mismatched one: images off the cubic, counted as int
+    assert type(rep.witness["off_cubic"]) is int and rep.witness["off_cubic"] > 0
+
+
+# sha256 of the failing records on mismatched point sets (`MISMATCHED`):
+# off-cubic counts, branch-loci violations, misses and example tuples
+FAILING_RECORD_SHA256 = {
+    ("s3", 13): "f9ba1131e877b2d63a8604c3859721ddfda08559fff7860c48454980edb4e993",
+    ("s3", 17): "7c134302af64bb6cc96c5133c2c4dfbcf292b651a0d79834607e2dd4dce87ddb",
+    ("branch", 13): "c9559f5c3dc7d8eadbac2302c09362f0bee191980c9c7c2f7d03ddab9e07de64",
+    ("branch", 17): "e2b2aec2dcc2366e4f4d156716bda9e79ab1c7dc6e46d43ce92ec4d54520e8f2",
+}
+
+
+@pytest.mark.parametrize("p", sorted(MISMATCHED))
+def test_failing_records_pinned(p):
+    import hashlib
+    pts = mismatched_points(p, *MISMATCHED[p])
+    s3 = scubic_points_report(pts)
+    branch = branch_locus_check(pts)
+    assert not s3.passed and not branch.passed
+    assert s3.witness["off_cubic"] == {13: 240, 17: 176}[p]
+    assert any("e.g." in v for v in branch.witness["violations"])
+    for key, rep in (("s3", s3), ("branch", branch)):
+        digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+        assert digest == FAILING_RECORD_SHA256[key, p]
+
+
+def test_branch_loci_needs_every_node():
+    pts = mismatched_points(13, (1, 1, 1, 1, 3), (1, 1, 0, 1, 3))
+    with pytest.raises(ValueError, match="node n_2 needs nu_2 != 0"):
+        branch_locus_check(pts)
+
+
+def test_images_off_the_s_chart_counted_at_5():
+    # every point of (P^1(F_5))^4, not only the surface: 136 of the 1296
+    # images lie off the s-chart, and b1*b2 fixes some of them
+    import dataclasses
+    import hashlib
+    from upv.cover import PointArray
+    p = 5
+    pts = enumerate_surface(p, FamilyParams(GF(p), (1, 1, 1, 1, 3)))
+    grid = dataclasses.replace(pts, points=PointArray.all_p1(p))
+    s3 = scubic_points_report(grid)
+    assert (s3.witness["points"], s3.witness["off_cubic"]) == scalar_off_cubic(grid)
+    assert s3.witness["points"] == 1296 - 136
+    branch = branch_locus_check(grid)
+    assert branch.witness["violations"][0] == "b1*b2: fixed point off the s-chart"
+    digests = [hashlib.sha256(r.to_json().encode()).hexdigest() for r in (s3, branch)]
+    assert digests == ["8bb78856546c438a8834f1a8c991683f00eb568c000ef3d168d698060869f1e4",
+                       "c0257f90876015aea33dded1b7814511bc011e5b7594e90b91d6cf06cfd0f5c0"]

@@ -92,8 +92,9 @@ def test_stabilizer_identity_fixes_everything():
     p = 13
     pts = [canonical_weighted([1] + [0] * 15, p),
            canonical_weighted([0] * 8 + [1] + [0] * 7, p)]
-    fixed = stabilizer_classification(np.array(pts, dtype=np.int64), [parse_word("1")], p)
-    assert fixed[parse_word("1")] == pts
+    rows = np.array(pts, dtype=np.int64)
+    fixed = stabilizer_classification(rows, [parse_word("1")], p)
+    assert [tuple(r) for r in rows[fixed[parse_word("1")]].tolist()] == pts
 
 
 def loop_stabilizers(points, words, p):
@@ -122,7 +123,8 @@ def test_array_stabilizers_match_the_point_loop_at_13():
     hits = 0
     for nu in ((1, 1, 1, 1, 3), (3, 1, 4, 1, 5), (2, 7, 1, 8, 2)):
         rows = distinct_rows(sigma_images(enumerate_surface(p, FamilyParams(GF(p), nu)).points))
-        got = stabilizer_classification(rows, words, p)
+        got = {w: [tuple(r) for r in rows[mask].tolist()]
+               for w, mask in stabilizer_classification(rows, words, p).items()}
         assert got == loop_stabilizers([tuple(r) for r in rows.tolist()], words, p)
         hits += sum(map(len, got.values()))
     assert hits

@@ -219,6 +219,21 @@ def test_downstairs_checks_stream_pinned_at_seed_1000000():
     assert hashlib.sha256(stream.encode()).hexdigest() == DOWNSTAIRS_SEED_1000000_SHA256
 
 
+# sha256 of `upv run bicanon.s3_points bicanon.branch_loci grouprep.delta_set
+# grouprep.fixed_loci burniat.parameter_map --seed 1000000`: the bicanonical
+# point checks and the group and pencil checks around them
+BICANONICAL_SEED_1000000_SHA256 = \
+    "f22e684a775d967705c42ea80c229a80c835a25255d6e4cdd21d55d61073c97c"
+
+
+def test_bicanonical_checks_stream_pinned_at_seed_1000000():
+    targets = ["bicanon.s3_points", "bicanon.branch_loci", "grouprep.delta_set",
+               "grouprep.fixed_loci", "burniat.parameter_map"]
+    reports = run_checks(resolve_targets(targets), RunContext(RunConfig(seed=1000000)))
+    stream = "".join(r.to_json() + "\n" for r in reports)
+    assert hashlib.sha256(stream.encode()).hexdigest() == BICANONICAL_SEED_1000000_SHA256
+
+
 # sha256 of `upv dump points` output: the point file format and point order
 DUMP_POINTS_SHA256 = {
     ("13", "42"): "bad7db959137a6828eeb7eb72f20a51b2849ca061ea91073d51e1ea1cb8a391f",
