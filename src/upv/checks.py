@@ -52,6 +52,7 @@ class RunContext:
         self._group: Optional[cover.FiniteProjGroup] = None
         self._group_report: Optional[CheckReport] = None
         self._points: Dict[tuple, cover.SurfacePointSet] = {}
+        self._certificates: Dict[tuple, CheckReport] = {}
         self._rngs: Dict[str, random.Random] = {}
 
     def rng(self, purpose: str) -> random.Random:
@@ -72,10 +73,16 @@ class RunContext:
             raise RuntimeError(f"group certification failed: {rep.witness}")
         return self._group
 
+    def draws(self, n: int) -> int:
+        """How many distinct draws a check asking for n can make: one when
+        ``nu`` is fixed."""
+        return 1 if self.cfg.nu is not None else n
+
     def draw_nu(self, p: int, purpose: str,
                 require_distinct_nodes: bool = True) -> FamilyParams:
         """One generic parameter draw: rejects degenerate tuples, vanishing
-        nu4, and (by default) collapsed-node tuples."""
+        nu4, and (by default) collapsed-node tuples.  A fixed ``nu`` is
+        returned as given."""
         if self.cfg.nu is not None:
             return FamilyParams(GF(p), tuple(self.cfg.nu))
         rng = self.rng(f"{purpose}:{p}")
@@ -94,23 +101,38 @@ class RunContext:
             self._points[key] = cover.enumerate_surface(p, nu)
         return self._points[key]
 
+    def certificate(self, p: int, nu: FamilyParams) -> CheckReport:
+        """The freeness and smoothness certificate of a surface, once per run."""
+        key = (p, tuple(int(v) for v in nu.nu))
+        if key not in self._certificates:
+            self._certificates[key] = cover.certify_free_and_smooth(
+                self.points(p, nu), self.group())
+        return self._certificates[key]
+
     def smooth_points(self, p: int, purpose: str,
                       cap: int = 40) -> Tuple[cover.SurfacePointSet, List[str]]:
         """Draw until the enumerated surface is free and smooth over F_p;
-        returns the accepted point set and the recorded redraws."""
+        returns the accepted point set and the recorded redraws.  A fixed
+        ``nu`` gets one attempt, and its failure says why."""
         redraws = []
-        for _ in range(cap):
+        for _ in range(self.draws(cap)):
             nu = self.draw_nu(p, purpose)
-            pts = self.points(p, nu)
-            rep = cover.certify_free_and_smooth(pts, self.group())
+            rep = self.certificate(p, nu)
             if rep.passed:
-                return pts, redraws
+                return self.points(p, nu), redraws
             problems = " | ".join(rep.witness.get("problems", []))
+            ints = tuple(int(v) for v in nu.nu)
+            degenerate, reason = nu.degenerate()
+            if self.cfg.nu is not None and (degenerate or not nu.nu[4]):
+                raise RuntimeError(f"fixed nu={ints} is degenerate "
+                                   f"({reason or 'nu4 = 0'}): {problems}")
             if "fixes" in problems:
                 raise RuntimeError(
-                    f"free action failed for non-degenerate nu={nu.nu}: {problems}")
-            redraws.append(f"nu={tuple(int(v) for v in nu.nu)}: rational singular "
-                           f"point (discriminant mod {p})")
+                    f"free action failed for non-degenerate nu={ints}: {problems}")
+            if self.cfg.nu is not None:
+                raise RuntimeError(f"fixed nu={ints} has a rational singular point "
+                                   f"(discriminant mod {p}): {problems}")
+            redraws.append(f"nu={ints}: rational singular point (discriminant mod {p})")
         raise RuntimeError(f"no smooth draw found over GF({p}) in {cap} attempts")
 
 
@@ -128,7 +150,7 @@ def _free_action_check(ctx: RunContext) -> CheckReport:
     for p in ctx.cfg.primes:
         accepted = []
         redrawn: List[str] = []
-        for k in range(5):
+        for k in range(ctx.draws(5)):
             try:
                 pts, redraws = ctx.smooth_points(p, f"free{k}")
             except RuntimeError as exc:
@@ -138,7 +160,7 @@ def _free_action_check(ctx: RunContext) -> CheckReport:
             accepted.append({"nu": [int(v) for v in pts.nu.nu],
                              "points": pts.count})
         detail[str(p)] = {"accepted": accepted, "redraws": redrawn}
-        if len(accepted) < 5:
+        if len(accepted) < ctx.draws(5):
             problems.append(f"GF({p}): only {len(accepted)} accepted draws")
     return verdict("cover.free_action", problems, {"per_prime": detail},
                    params={"primes": list(ctx.cfg.primes), "seed": ctx.cfg.seed})
@@ -210,7 +232,7 @@ def _sigma_pullback_check(ctx: RunContext) -> CheckReport:
 
 
 def _hilbert_t_check(ctx: RunContext) -> CheckReport:
-    nus = {p: [ctx.draw_nu(p, f"hilbert{k}") for k in range(3)]
+    nus = {p: [ctx.draw_nu(p, f"hilbert{k}") for k in range(ctx.draws(3))]
            for p in ctx.cfg.primes}
     return invariants.hilbert_t_report(ctx.cfg.primes, nus,
                                        max_degree=max(2, ctx.cfg.max_degree))
@@ -220,7 +242,7 @@ def _s3_derivation_check(ctx: RunContext) -> CheckReport:
     problems = []
     runs = 0
     for p in ctx.cfg.primes:
-        for k in range(20):
+        for k in range(ctx.draws(20)):
             nu = ctx.draw_nu(p, f"s3d{k}")
             _, rep = bicanon.derive_s3_cubic(nu)
             runs += 1
@@ -267,8 +289,8 @@ def _branch_loci_check(ctx: RunContext) -> CheckReport:
     problems = []
     details = []
     covered: Dict[str, int] = {k: 0 for k in wanted_hits}
-    for k in range(25):
-        if accepted >= 3 and all(covered.values()):
+    for k in range(ctx.draws(25)):
+        if accepted >= ctx.draws(3) and all(covered.values()):
             break
         pts, smooth_redraws = ctx.smooth_points(p, f"branch{k}")
         redraws.extend(smooth_redraws)
@@ -283,7 +305,7 @@ def _branch_loci_check(ctx: RunContext) -> CheckReport:
         for key in wanted_hits:
             covered[key] += hits.get(key, 0)
         details.append({"nu": [int(v) for v in pts.nu.nu], "hits": hits})
-    if accepted < 3:
+    if accepted < ctx.draws(3):
         problems.append(f"only {accepted} draws with clean containment")
     unseen = [k for k, n in covered.items() if not n]
     if unseen:

@@ -93,10 +93,10 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
-def _emit(reports: Sequence[CheckReport], cfg: RunConfig, out=sys.stdout):
+def _emit(reports: Sequence[CheckReport], cfg: RunConfig):
     lines = [r.to_json(timings=cfg.timings) for r in reports]
     for line in lines:
-        print(line, file=out)
+        print(line)
     if cfg.output:
         with open(cfg.output, "w") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -12,15 +12,15 @@ coordinates pull back to squares.  On top of it live
   an explicit bijective homomorphism,
 * the hypersurfaces Z1 (multidegree (1,1,1,1)) and Z2 = 2*sigma^#(q)
   (multidegree (2,2,2,2)) cutting the simply connected surface upstairs, and
-* the enumeration of its F_p points, with Z1 solved for the first factor,
-  used to certify that the group acts freely and that no rational point is
-  singular.
+* the enumeration of its F_p points, with Z1 solved for the first factor
+  on coefficient tensors of Z1 and Z2, used to certify that the group acts
+  freely and that no rational point is singular.
 
-Every scan over points, the enumeration included, runs on the point kernel
-(``PointArray``): the points as int64 arrays, the group elements reduced mod
-p once, images, keys and Jacobians computed for all points at once.  Every
-product is reduced mod p before it is added, so the kernel is exact for
-every prime ``GF`` admits (p < 2^31).
+Every scan over points runs on the point kernel (``PointArray``): the points
+as int64 arrays, the group elements reduced mod p once, images, keys and
+Jacobians computed for all points at once.  Every product is reduced mod p
+before it is added, in the kernel and in the tensor contractions, so both
+are exact for every prime ``GF`` admits (p < 2^31).
 ``ProjAut.act_point``, ``Poly.evaluate`` and ``canonical_weighted`` stay as
 the per-point oracles of the tests.
 """
@@ -816,47 +816,84 @@ class SurfacePointSet:
         return lines
 
 
+def coefficient_tensor(f: Poly, d: int, p: int) -> np.ndarray:
+    """A form of multidegree (d,d,d,d) over GF(p) as a (d+1)^4 int64 tensor:
+    C[a0, a1, a2, a3] is the coefficient of prod t_j0^(d-a_j) t_j1^(a_j)."""
+    field = GF(p)
+    tensor = np.zeros((d + 1,) * 4, dtype=np.int64)
+    for e, c in f.terms.items():
+        if any(e[T_INDEX[(j, 0)]] + e[T_INDEX[(j, 1)]] != d for j in range(4)):
+            raise ValueError(f"a term of multidegree other than {(d,) * 4}")
+        tensor[tuple(e[T_INDEX[(j, 1)]] for j in range(4))] = int(field.coerce(c))
+    return tensor
+
+
+def p1_table(d: int, p: int) -> np.ndarray:
+    """V[k, a] = t0^(d-a) * t1^a at the k-th point of P^1(F_p): (1, k) for
+    k < p, then (0, 1).  Shape (p + 1, d + 1)."""
+    table = np.stack([pow_mod(np.arange(p + 1), a, p) for a in range(d + 1)], axis=1)
+    table[p] = np.arange(d + 1) == d
+    return table
+
+
+def contract(tensor: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """Mode product mod p: the leading axis of ``tensor`` (an exponent a) is
+    summed against ``table[k, a]``, and the axis of k is appended last.
+    Every product of two residues (< 2^62) is reduced before it is added,
+    and a sum of d + 1 residues stays far below 2^63."""
+    out = 0
+    for a in range(table.shape[1]):
+        out = out + tensor[a][..., None] * table[:, a] % p
+    return out % p
+
+
 def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
     """All F_p points of Z1 = Z2 = 0, with Z1 solved for the first factor.
 
-    Z1 has multidegree (1,1,1,1), so it reads C*t00 + D*t01 with C and D
-    free of factor 0.  For each point of factor 1, C and D are evaluated on
-    all (p+1)^2 points of factors 2 and 3.  Where (C, D) != (0, 0), factor
-    0 is the single point (D : -C); where C = D = 0, every point of factor 0
-    is a candidate.  The candidates on Z2 are kept.  O(p^3) work, O(p^2)
-    memory.
+    Z1 and Z2 are coefficient tensors, evaluated by mode products with the
+    tables of P^1(F_p).  Factors 2 and 3 are contracted once, on all
+    (p+1)^2 of their points.  Then, for each point of factor 1, one more
+    contraction gives Z1 = C*t00 + D*t01 and Z2 = B0*t00^2 + B1*t00*t01 +
+    B2*t01^2 with C, D, B0, B1, B2 free of factor 0.  Where (C, D) !=
+    (0, 0), factor 0 is the single point (D : -C), on Z2 iff D^2*B0 -
+    D*C*B1 + C^2*B2 = 0; where C = D = 0, Z2 is evaluated at every point of
+    factor 0.  O(p^3) work, O(p^2) memory.
     """
     field = GF(p)
     if not isinstance(nu.domain, PrimeField) or nu.domain.p != p:
         nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
     equations = (z1_poly(field), z2_poly(nu))
-    z1, z2 = ([(int(c), e) for e, c in f.terms.items()] for f in equations)
-    # C and D: the terms with t00 and with t01, in the variables of factors 1-3
-    cd = [[(c, e[2:]) for c, e in z1 if e[a]] for a in (0, 1)]
-    n = p + 1  # the points of P^1(F_p): (1, u) for u < p, then (0, 1)
-    line_chart = (np.arange(n) == p).astype(np.int64)
-    line_vals = np.arange(n) % p
-    pair = np.indices((n, n)).reshape(2, -1)  # factors 2 and 3
-    grid = PointArray(p, np.zeros((n * n, 4), dtype=np.int64),
-                      np.zeros((n * n, 4), dtype=np.int64))
-    grid.chart[:, 2:], grid.vals[:, 2:] = line_chart[pair].T, line_vals[pair].T
-    charts, vals = [], []
+    n = p + 1  # the points of P^1(F_p), indexed as in ``p1_table``
+    v1, v2 = p1_table(1, p), p1_table(2, p)
+    # axes (a2, a3, a1, a0) contracted twice: (a1, a0, k2, k3), then the
+    # points of factors 2 and 3 flattened to k2*n + k3
+    g1, g2 = (contract(contract(coefficient_tensor(f, d, p).transpose(2, 3, 1, 0),
+                                v, p), v, p).reshape(d + 1, d + 1, n * n)
+              for f, d, v in zip(equations, (1, 2), (v1, v2)))
+    pairs, kept = [], []  # per point of factor 1: points on Z2, (C, D, B)
     for k in range(n):
-        grid.chart[:, 1], grid.vals[:, 1] = line_chart[k], line_vals[k]
-        c, d = eval_terms(cd, grid.homogeneous().reshape(-1, 8)[:, 2:], p)
-        solved = (c != 0) | (d != 0)
-        free = np.flatnonzero(~solved)
-        rows = np.concatenate([np.flatnonzero(solved), free.repeat(n)])
-        cand = PointArray(p, grid.chart[rows], grid.vals[rows])
-        # factor 0: (D : -C), by a Fermat inverse (0 where D = 0, which is
-        # the point (0 : 1)), or every point of P^1 where C = D = 0
-        cand.chart[:, 0] = np.concatenate([d[solved] == 0, np.tile(line_chart, free.size)])
-        cand.vals[:, 0] = np.concatenate([(p - c[solved]) * pow_mod(d[solved], p - 2, p) % p,
-                                          np.tile(line_vals, free.size)])
-        on = eval_terms([z2], cand.homogeneous().reshape(-1, 8), p)[0] == 0
-        charts.append(cand.chart[on])
-        vals.append(cand.vals[on])
-    chart, vals = np.concatenate(charts), np.concatenate(vals)
+        cdb = np.concatenate([contract(g1, v1[k:k + 1], p)[..., 0],
+                              contract(g2, v2[k:k + 1], p)[..., 0]])
+        c, d, b0, b1, b2 = cdb
+        # Z2 at (D : -C), each product reduced before the sum; it is 0 at
+        # every C = D = 0, which is sorted out below
+        on = np.flatnonzero((d * (d * b0 % p - c * b1 % p) % p + c * c % p * b2 % p)
+                            % p == 0)
+        pairs.append(on)
+        kept.append(cdb[:, on])
+    k1 = np.repeat(np.arange(n), [len(on) for on in pairs])
+    pair, cdb = np.concatenate(pairs), np.hstack(kept)
+    c, d, b = cdb[0], cdb[1], cdb[2:]
+    zero = (c == 0) & (d == 0)
+    # (D : -C) is (1, -C/D) by a Fermat inverse, or (0, 1) where D = 0
+    c, d = c[~zero], d[~zero]
+    solved = np.stack([np.where(d == 0, p, (p - c) * pow_mod(d, p - 2, p) % p),
+                       k1[~zero], *np.divmod(pair[~zero], n)], axis=1)
+    # C = D = 0: Z2 at every point of factor 0
+    f, k0 = np.nonzero(contract(b[:, zero], v2, p) == 0)
+    free = np.stack([k0, k1[zero][f], *np.divmod(pair[zero][f], n)], axis=1)
+    index = np.concatenate([solved, free])
+    chart, vals = (index == p).astype(np.int64), index % p
     order = np.lexsort(np.concatenate([chart, vals], axis=1).T[::-1])
     return SurfacePointSet(p, nu, PointArray(p, chart[order], vals[order]), equations)
 
@@ -903,11 +940,6 @@ def local_equations(p: int, nu: FamilyParams, chart: Chart) -> List[Poly]:
             images[tname(i, 1)] = (field.one(), (0, 0, 0, 0))
     m = MonomialMap(AMBIENT_T4, AMBIENT_LOCAL4, field, images)
     return [m.apply(z1), m.apply(z2)]
-
-
-def local_point(point: Point) -> Tuple[int, int, int, int]:
-    chart, vals = point
-    return tuple(vals[i] if chart[i] == 0 else 0 for i in range(4))
 
 
 def certify_free_and_smooth(points: SurfacePointSet,

@@ -458,21 +458,24 @@ def _triple_fixed_points(nu) -> List[list]:
     x_{j1} is a square root of -x00^2, and the weight-2 coordinates are
     forced to (-1)^a * (that product); only the section equation survives.
     The 64 generators of V do not involve nu, so ``_triple_candidates``
-    tests them once per field; here only q(nu) is evaluated.
+    tests them once per field; q(nu) is linear in nu, so its value at a
+    candidate is read off the cached values of its five basis forms.
     """
-    from .unproj import q_section
-
-    q = q_section(nu)
-    return [vec for vec in _triple_candidates(nu.domain) if not q.evaluate(vec)]
+    zero = nu.domain.zero()
+    return [vec for vec, basis in _triple_candidates(nu.domain)
+            if not sum((v * b for v, b in zip(nu.nu, basis)), zero)]
 
 
 @lru_cache(maxsize=None)
-def _triple_candidates(field) -> List[list]:
-    """The sign-triple points on which every generator of V vanishes."""
-    from .unproj import build_v_ideal
+def _triple_candidates(field) -> List[Tuple[list, tuple]]:
+    """The sign-triple points on which every generator of V vanishes, each
+    with the values there of s_0, .., s_3 and the y-eigenvector: q(nu) =
+    sum nu_i*s_i + nu4*y (``unproj.q_section``)."""
+    from .unproj import build_v_ideal, s_form, y_eigenvector
 
     eps = field.sqrt_minus_one()
     gens = build_v_ideal(field).polys()
+    basis = [s_form(field, i) for i in range(4)] + [y_eigenvector(field)]
     out = []
     for signs in product((1, -1), repeat=3):
         c = [eps * field.from_int(s) for s in signs]
@@ -485,7 +488,7 @@ def _triple_candidates(field) -> List[list]:
             coords[yname(t)] = prod_c if t[0] == 0 else -prod_c
         vec = [coords[n] for n in AMBIENT_XY.variables]
         if all(not g.evaluate(vec) for g in gens):
-            out.append(vec)
+            out.append((vec, tuple(b.evaluate(vec) for b in basis)))
     return out
 
 

@@ -101,29 +101,6 @@ def rank_naive(matrix: Sequence[Sequence[object]], domain) -> int:
     return r
 
 
-def det_field(matrix: Sequence[Sequence[object]], domain):
-    """Exact determinant of a square matrix of field elements."""
-    m = [[domain.coerce(x) for x in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    det = domain.one()
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return domain.zero()
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = domain.one() / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
-
-
 def det_poly(matrix: List[List[Poly]]) -> Poly:
     """Exact determinant of a square matrix of polynomials.
 

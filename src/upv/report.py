@@ -64,12 +64,6 @@ class CheckReport:
         return json.dumps(self.to_record(timings), sort_keys=False,
                           separators=(", ", ": "))
 
-    @staticmethod
-    def from_json(line: str) -> "CheckReport":
-        rec = json.loads(line)
-        return CheckReport(rec["check"], rec["status"], rec.get("witness", ""),
-                           rec.get("wall_ms", 0.0), rec.get("params", {}))
-
 
 def verdict(check_id: str, problems: Sequence[str], witness: Dict[str, Any] | None = None,
             *, on_pass: Dict[str, Any] | None = None, on_fail: Dict[str, Any] | None = None,

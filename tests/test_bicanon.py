@@ -258,7 +258,7 @@ def test_pencil_members_singular_exactly_at_node_preimages():
     from upv.ambient import AMBIENT_XY
     from upv.cover import (AMBIENT_LOCAL4, build_lifts_and_certify,
                            canonical_weighted, enumerate_surface,
-                           local_equations, local_point, sigma_images)
+                           local_equations, sigma_images)
     p = 17
     f = GF(p)
     out, rep = burniat_parameter_map(f.from_int(2))
@@ -275,7 +275,7 @@ def test_pencil_members_singular_exactly_at_node_preimages():
         eqs = local_equations(p, nu, chart)
         jac = [[eq.derivative(v) for v in AMBIENT_LOCAL4.variables] for eq in eqs]
         for pt in ps:
-            w = [f.from_int(x) for x in local_point(pt)]
+            w = [f.from_int(x if c == 0 else 0) for c, x in zip(*pt)]
             r0 = [jac[0][k].evaluate(w) for k in range(4)]
             r1 = [jac[1][k].evaluate(w) for k in range(4)]
             if not any(r0[a] * r1[b] - r0[b] * r1[a]

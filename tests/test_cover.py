@@ -11,12 +11,13 @@ from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
                        all_p1_points, aut_arrays, brute_force_count,
                        build_lifts_and_certify, build_z2, canonical_weighted,
                        canonical_weighted_rows, certify_free_and_smooth,
-                       distinct_rows, downstairs_image_set, enumerate_surface,
-                       eval_terms, expand_point, gtilde_generators,
-                       hplane_problems, jacobian_rank2, local_equations,
-                       local_point, normalize_factors, partial_terms, pow_mod,
-                       s_surface_pattern, sigma_deck_report, sigma_images,
-                       sigma_map, s_involution_map, table2_generators,
+                       coefficient_tensor, contract, distinct_rows,
+                       downstairs_image_set, enumerate_surface, eval_terms,
+                       expand_point, gtilde_generators, hplane_problems,
+                       jacobian_rank2, local_equations, normalize_factors,
+                       p1_table, partial_terms, pow_mod, s_surface_pattern,
+                       sigma_deck_report, sigma_images, sigma_map,
+                       s_involution_map, table2_generators,
                        tabulated_generator_rows, verify_branch_structure,
                        verify_hplane_decomposition, y_point_count_report,
                        z1_display, z1_poly, z2_display, z2_poly)
@@ -160,6 +161,99 @@ def test_enumeration_equals_brute_force_point_set(p):
                       if any(pt[0][i] == 0 and pt[1][i] == 0 for i in (1, 2, 3))
                       and any(pt[0][i] == 1 for i in (1, 2, 3))]
         assert on_cd_zero
+
+
+def eval_terms_enumerate(p, nu):
+    """The oracle of the tensor enumerator: Z1 solved for the first factor,
+    slice by slice, with C, D and Z2 evaluated term by term (eval_terms)."""
+    f = GF(p)
+    nu = FamilyParams(f, tuple(f.coerce(v) for v in nu.nu))
+    z1, z2 = (int_terms(g) for g in (z1_poly(f), z2_poly(nu)))
+    cd = [[(c, e[2:]) for c, e in z1 if e[a]] for a in (0, 1)]
+    n = p + 1
+    line_chart = (np.arange(n) == p).astype(np.int64)
+    line_vals = np.arange(n) % p
+    pair = np.indices((n, n)).reshape(2, -1)
+    grid = PointArray(p, np.zeros((n * n, 4), dtype=np.int64),
+                      np.zeros((n * n, 4), dtype=np.int64))
+    grid.chart[:, 2:], grid.vals[:, 2:] = line_chart[pair].T, line_vals[pair].T
+    charts, vals = [], []
+    for k in range(n):
+        grid.chart[:, 1], grid.vals[:, 1] = line_chart[k], line_vals[k]
+        c, d = eval_terms(cd, grid.homogeneous().reshape(-1, 8)[:, 2:], p)
+        solved = (c != 0) | (d != 0)
+        free = np.flatnonzero(~solved)
+        rows = np.concatenate([np.flatnonzero(solved), free.repeat(n)])
+        cand = PointArray(p, grid.chart[rows], grid.vals[rows])
+        cand.chart[:, 0] = np.concatenate([d[solved] == 0, np.tile(line_chart, free.size)])
+        cand.vals[:, 0] = np.concatenate([(p - c[solved]) * pow_mod(d[solved], p - 2, p) % p,
+                                          np.tile(line_vals, free.size)])
+        on = eval_terms([z2], cand.homogeneous().reshape(-1, 8), p)[0] == 0
+        charts.append(cand.chart[on])
+        vals.append(cand.vals[on])
+    chart, vals = np.concatenate(charts), np.concatenate(vals)
+    order = np.lexsort(np.concatenate([chart, vals], axis=1).T[::-1])
+    return chart[order], vals[order]
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29])
+def test_tensor_enumeration_matches_eval_terms_oracle(p):
+    f = GF(p)
+    rng = random.Random(1000 + p)
+    draws = [(3, 1, 4, 1, 0), (1, 1, 0, 1, 3)]  # nu4 = 0; nu2 = 0 (degenerate)
+    while len(draws) < 12:
+        nu = tuple(rng.randrange(p) for _ in range(5))
+        if any(nu):
+            draws.append(nu)
+    for nu in draws:
+        pts = enumerate_surface(p, FamilyParams(f, nu)).points
+        chart, vals = eval_terms_enumerate(p, FamilyParams(f, nu))
+        assert np.array_equal(pts.chart, chart) and np.array_equal(pts.vals, vals), nu
+
+
+def test_tensor_enumeration_matches_eval_terms_oracle_at_61():
+    nu = FamilyParams(GF(61), (2, 3, 5, 7, 11))
+    pts = enumerate_surface(61, nu).points
+    chart, vals = eval_terms_enumerate(61, nu)
+    assert np.array_equal(pts.chart, chart) and np.array_equal(pts.vals, vals)
+
+
+def test_coefficient_tensors_evaluate_like_poly():
+    p = 5
+    f = GF(p)
+    z2 = z2_poly(FamilyParams(f, (3, 1, 4, 1, 5)))
+    for poly, d in ((z1_poly(f), 1), (z2, 2)):
+        # each mode product moves the leading exponent axis to the end as
+        # the axis of points: (a0, a1, a2, a3) becomes (k0, k1, k2, k3)
+        value = coefficient_tensor(poly, d, p)
+        for _ in range(4):
+            value = contract(value, p1_table(d, p), p)
+        grid = PointArray.all_p1(p)
+        index = np.where(grid.chart == 1, p, grid.vals)
+        got = value[tuple(index.T)]
+        expect = [int(poly.evaluate([f.from_int(x) for x in row]))
+                  for row in grid.homogeneous().reshape(-1, 8).tolist()]
+        assert got.tolist() == expect
+    with pytest.raises(ValueError):
+        coefficient_tensor(z2, 1, p)
+
+
+def test_contract_exact_near_prime_bound():
+    # (p-1)^2 is just below 2^62, so three unreduced products overflow int64
+    p = BOUND_PRIME
+    tensor = np.full((3, 3, 3, 3), p - 1, dtype=np.int64)
+    table = np.full((4, 3), p - 1, dtype=np.int64)
+    got = contract(tensor, table, p)
+    assert got.shape == (3, 3, 3, 4)
+    assert np.all(got == 3 * (p - 1) ** 2 % p)
+    rng = random.Random(2)
+    tensor = np.array([rng.randrange(p - 100, p) for _ in range(81)],
+                      dtype=np.int64).reshape(3, 3, 3, 3)
+    table = np.array([rng.randrange(p - 100, p) for _ in range(12)],
+                     dtype=np.int64).reshape(4, 3)
+    expect = [[[[sum(int(tensor[a, i, j, l]) * int(table[k, a]) for a in range(3)) % p
+                 for k in range(4)] for l in range(3)] for j in range(3)] for i in range(3)]
+    assert contract(tensor, table, p).tolist() == expect
 
 
 def test_points_satisfy_equations_on_reload():
@@ -313,6 +407,12 @@ def test_orbit_closure(lifted):
 # -- the point kernel against its scalar oracles ------------------------------
 
 BOUND_PRIME = 2147483029  # below 2^31 and 1 mod 4
+
+
+def local_point(point):
+    """The local coordinates w_i of a chart-form point (see local_equations)."""
+    chart, vals = point
+    return tuple(vals[i] if chart[i] == 0 else 0 for i in range(4))
 
 
 def scalar_rank2(p, nu, pts):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,23 @@ def test_delta_set_aliasing():
     r17 = delta_set_report(17, seed=0, draws=4)
     assert r17.passed
     assert r17.witness["delta_multiples_of_eps"] == [-8, 8]
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_triple_candidate_basis_values_give_q(p):
+    from upv.grouprep import _triple_candidates, _triple_fixed_points
+    from upv.unproj import FamilyParams, q_section
+    f = GF(p)
+    rng = random.Random(p)
+    candidates = _triple_candidates(f)
+    assert candidates
+    for _ in range(20):
+        nu = FamilyParams(f, tuple(rng.randrange(p) for _ in range(4)) + (rng.randrange(1, p),))
+        q = q_section(nu)
+        for vec, basis in candidates:
+            assert sum((v * b for v, b in zip(nu.nu, basis)), f.zero()) == q.evaluate(vec)
+        assert _triple_fixed_points(nu) == [vec for vec, _ in candidates
+                                            if not q.evaluate(vec)]
 
 
 def test_stabilizer_identity_fixes_everything():

@@ -6,11 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upv.ambient import AMBIENT_XY
-from upv.linalg import (SparseRows, det_field, det_poly, rank, rank_mod_p,
-                        rank_naive)
+from upv.linalg import SparseRows, det_poly, rank, rank_mod_p, rank_naive
 from upv.poly import Poly, PolyError
 from upv.scalars import GF, QQ
 from upv.unproj import plane_equations
+
+
+def det_field(matrix, domain):
+    """Exact determinant of a square matrix of field elements, by Gaussian
+    elimination: the oracle of det_poly."""
+    m = [[domain.coerce(x) for x in row] for row in matrix]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    det = domain.one()
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return domain.zero()
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det = det * m[c][c]
+        inv = domain.one() / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
 
 
 def test_identity_rank():

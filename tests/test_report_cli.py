@@ -23,11 +23,17 @@ def run_cli(args, env=None):
                           capture_output=True, text=True, env=e)
 
 
+def report_from_json(line):
+    rec = json.loads(line)
+    return CheckReport(rec["check"], rec["status"], rec.get("witness", ""),
+                       rec.get("wall_ms", 0.0), rec.get("params", {}))
+
+
 def test_report_roundtrip_lossless():
     rep = CheckReport("cover.free_action", "pass",
                       {"points": 288, "free": True}, 12.5,
                       {"prime": 13, "nu": ["1", "2"]})
-    back = CheckReport.from_json(rep.to_json(timings=True))
+    back = report_from_json(rep.to_json(timings=True))
     assert back.check_id == rep.check_id
     assert back.status == rep.status
     assert back.witness == rep.witness
@@ -232,6 +238,57 @@ def test_bicanonical_checks_stream_pinned_at_seed_1000000():
     reports = run_checks(resolve_targets(targets), RunContext(RunConfig(seed=1000000)))
     stream = "".join(r.to_json() + "\n" for r in reports)
     assert hashlib.sha256(stream.encode()).hexdigest() == BICANONICAL_SEED_1000000_SHA256
+
+
+def _count_certificates(monkeypatch):
+    calls = []
+    real = cover.certify_free_and_smooth
+
+    def counting(points, group):
+        calls.append(tuple(int(v) for v in points.nu.nu))
+        return real(points, group)
+
+    monkeypatch.setattr(cover, "certify_free_and_smooth", counting)
+    return calls
+
+
+def _run_records(args, capsys):
+    code = main(args)
+    return code, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_fixed_degenerate_nu_is_named_degenerate(monkeypatch, capsys):
+    calls = _count_certificates(monkeypatch)
+    code, (rec,) = _run_records(["run", "bicanon.branch_loci", "--nu", "1,1,0,1,3"], capsys)
+    assert code == 1 and rec["status"] == "fail"
+    error = rec["witness"]["error"]
+    assert error.startswith("RuntimeError: fixed nu=(1, 1, 0, 1, 3) is degenerate "
+                            "(nu1*nu2*nu3 = 0): ")
+    assert "non-degenerate" not in error
+    assert calls == [(1, 1, 0, 1, 3)]
+
+
+def test_fixed_singular_nu_is_certified_once(monkeypatch, capsys):
+    calls = _count_certificates(monkeypatch)
+    code, (rec,) = _run_records(["run", "cover.free_action", "--nu", "8,3,6,7,3",
+                                 "--primes", "13"], capsys)
+    assert code == 1 and rec["status"] == "fail"
+    problems = rec["witness"]["problems"]
+    assert problems[0].startswith("fixed nu=(8, 3, 6, 7, 3) has a rational singular "
+                                  "point (discriminant mod 13): rank drop at ")
+    assert not any("attempts" in m for m in problems)
+    assert rec["witness"]["per_prime"] == {"13": {"accepted": [], "redraws": []}}
+    assert calls == [(8, 3, 6, 7, 3)]
+
+
+def test_fixed_smooth_nu_is_one_accepted_draw(monkeypatch, capsys):
+    calls = _count_certificates(monkeypatch)
+    code, records = _run_records(["run", "cover.free_action", "bicanon.s3_points",
+                                  "--nu", "1,1,1,1,3", "--primes", "13"], capsys)
+    assert code == 0 and [r["status"] for r in records] == ["pass", "pass"]
+    assert records[0]["witness"]["per_prime"] == {
+        "13": {"accepted": [{"nu": [1, 1, 1, 1, 3], "points": 432}], "redraws": []}}
+    assert calls == [(1, 1, 1, 1, 3)]
 
 
 # sha256 of `upv dump points` output: the point file format and point order
