@@ -20,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -58,37 +59,48 @@ def scubic(nu: FamilyParams) -> Poly:
     return prod_part * (eight * nu.nu[4] * nu.nu[4]) - s[0] * l * l
 
 
-def _s_substitution_images(domain) -> Dict[str, Poly]:
+@lru_cache(maxsize=None)
+def _s_substitution_images(domain) -> Mapping[str, Poly]:
     """s_i -> (x_i0^2 + x_i1^2)/2 for i > 0 and s0 -> x00^2 (the rewritten
-    value of (x00^2 + x01^2)/2 on the hyperplane)."""
+    value of (x00^2 + x01^2)/2 on the hyperplane); read-only, as it is
+    shared."""
     images = {"s0": xvar(domain, 0, 0) ** 2}
     for i in (1, 2, 3):
         images[f"s{i}"] = s_form(domain, i)
-    return images
+    return MappingProxyType(images)
+
+
+@lru_cache(maxsize=None)
+def _s3_derivation_parts(domain) -> Tuple[Poly, Poly, Tuple[str, ...]]:
+    """The nu-free parts of ``derive_s3_cubic``: x00^2, prod((x_i0+x_i1))^2,
+    and the problems found in the squared-sum rewriting used on the way,
+    (x_i0+x_i1)^2 = 2(s_i - s0)."""
+    x00_sq = xvar(domain, 0, 0) ** 2
+    problems = []
+    for i in (1, 2, 3):
+        sq = reduce_by_rewriting((xvar(domain, i, 0) + xvar(domain, i, 1)) ** 2)
+        want = reduce_by_rewriting((s_form(domain, i) - x00_sq) * domain.from_int(2))
+        if sq != want:
+            problems.append(f"(x{i}0+x{i}1)^2 does not rewrite to 2(s{i} - x00^2)")
+    return x00_sq, product_of_sums(domain) ** 2, tuple(problems)
 
 
 def derive_s3_cubic(nu: FamilyParams) -> Tuple[Poly, CheckReport]:
     """Build the cubic and verify the squaring derivation exactly:
     rewriting x00^2*l^2 - nu4^2*prod((x_i0+x_i1)^2) equals minus the cubic
-    evaluated at the invariant quadrics."""
+    evaluated at the invariant quadrics.  The nu-free parts are built and
+    checked once per field (``_s3_derivation_parts``)."""
     d = nu.domain
+    x00_sq, prod_sq, squared_sum_problems = _s3_derivation_parts(d)
     cubic = scubic(nu)
-    lhs = xvar(d, 0, 0) ** 2 * l_form(nu) ** 2 \
-        - product_of_sums(d) ** 2 * (nu.nu[4] * nu.nu[4])
-    a = reduce_by_rewriting(lhs)
+    a = reduce_by_rewriting(x00_sq * l_form(nu) ** 2 - prod_sq * (nu.nu[4] * nu.nu[4]))
     b = reduce_by_rewriting(
         ring_substitute(cubic, AMBIENT_XY, _s_substitution_images(d)))
     difference = a + b
     problems = []
     if not difference.is_zero():
         problems.append(f"difference {str(difference)[:300]}")
-    # the squared-sum rewriting used on the way: (x_i0+x_i1)^2 = 2(s_i - s0)
-    for i in (1, 2, 3):
-        sq = reduce_by_rewriting((xvar(d, i, 0) + xvar(d, i, 1)) ** 2)
-        want = reduce_by_rewriting(
-            (s_form(d, i) - xvar(d, 0, 0) ** 2) * d.from_int(2))
-        if sq != want:
-            problems.append(f"(x{i}0+x{i}1)^2 does not rewrite to 2(s{i} - x00^2)")
+    problems += squared_sum_problems
     return cubic, verdict(
         "bicanon.s3_derivation", problems,
         on_pass={"identity": "rewrite(x00^2 l^2 - nu4^2 prod^2) = -cubic(s)"},

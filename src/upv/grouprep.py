@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .ambient import AMBIENT_XY, EVEN_TUPLES, comp, xname, yname
-from .poly import MonomialMap, Poly, proportional
+from .poly import MonomialMap, Poly, PolyError, proportional
 from .report import CheckReport, verdict
 from .scalars import GF, QQ
 
@@ -93,26 +94,61 @@ def _signed_images_cached(word: Word):
     return _signed_images(word)
 
 
-class SignedAction:
-    """A group word together with its signed-permutation substitution map."""
+@lru_cache(maxsize=None)
+def _key_permutation(word: Word) -> Tuple[Callable, Tuple[int, ...]]:
+    """How the word moves an exponent key e: the image key is ``permute(e)``,
+    whose slot j holds the exponent of the variable the word sends to slot j,
+    and the coefficient changes sign when the exponents in the negated slots
+    ``neg`` have an odd sum."""
+    index = AMBIENT_XY.index
+    src = [0] * AMBIENT_XY.nvars
+    neg = []
+    for name, (sign, target) in _signed_images_cached(word).items():
+        src[index(target)] = index(name)
+        if sign < 0:
+            neg.append(index(name))
+    return itemgetter(*src), tuple(neg)
 
-    __slots__ = ("word", "domain", "map")
+
+class SignedAction:
+    """A group word acting on ``AMBIENT_XY`` by a signed permutation of the
+    variables; ``map`` is the same substitution as a ``MonomialMap``."""
+
+    __slots__ = ("word", "domain", "_map")
 
     def __init__(self, word: Word, domain=QQ):
         self.word = tuple(word)
         self.domain = domain
-        images = {}
-        for name, (sign, target) in _signed_images_cached(self.word).items():
-            e = [0] * AMBIENT_XY.nvars
-            e[AMBIENT_XY.index(target)] = 1
-            images[name] = (domain.from_int(sign), tuple(e))
-        self.map = MonomialMap(AMBIENT_XY, AMBIENT_XY, domain, images)
+        self._map = None
+
+    @property
+    def map(self) -> MonomialMap:
+        if self._map is None:
+            images = {}
+            for name, (sign, target) in _signed_images_cached(self.word).items():
+                e = [0] * AMBIENT_XY.nvars
+                e[AMBIENT_XY.index(target)] = 1
+                images[name] = (self.domain.from_int(sign), tuple(e))
+            self._map = MonomialMap(AMBIENT_XY, AMBIENT_XY, self.domain, images)
+        return self._map
 
     def __mul__(self, other: "SignedAction") -> "SignedAction":
         return SignedAction(word_mul(self.word, other.word), self.domain)
 
     def apply(self, f: Poly) -> Poly:
-        return self.map.apply(f)
+        """The image of f: each exponent key permuted, each coefficient
+        negated by the parity of its negated exponents.  A permutation of
+        keys is injective, so no two terms collide."""
+        if f.ambient != AMBIENT_XY:
+            raise PolyError(f"ambient mismatch: poly in {f.ambient.tag}, "
+                            f"action on {AMBIENT_XY.tag}")
+        permute, neg = _key_permutation(self.word)
+        coerce = self.domain.coerce
+        terms = {}
+        for e, c in f.terms.items():
+            c = coerce(c)
+            terms[permute(e)] = -c if sum([e[k] for k in neg]) & 1 else c
+        return Poly._trusted(AMBIENT_XY, self.domain, terms)
 
     def is_involution(self) -> bool:
         return self.word != IDENTITY_WORD
@@ -404,7 +440,6 @@ def q_invariance_report(p: int = 13, draws: int = 20, seed: int = 0) -> CheckRep
     than the sign for generic nu (checked for seeded random draws over GF(p))."""
     import random
 
-    from .scalars import GF
     from .unproj import FamilyParams, q_section
 
     d = GF(p)

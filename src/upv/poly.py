@@ -13,6 +13,7 @@ exponents) must be explicitly allowed by the map and by the target ambient.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .ambient import Ambient, AmbientError
@@ -127,7 +128,7 @@ class Poly:
         terms: Dict[Exponents, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = terms.get(e)
                 s = c if s is None else s + c

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -268,6 +269,10 @@ def hyperplane_section(domain) -> Poly:
     return xvar(domain, 0, 0) + xvar(domain, 0, 1)
 
 
+# ``s_form``, ``y_eigenvector`` and ``product_of_sums`` do not depend on nu, so
+# each is built once per field; a Poly is immutable, so callers share it.
+
+@lru_cache(maxsize=None)
 def s_form(domain, i: int) -> Poly:
     """s_i = (x_{i0}^2 + x_{i1}^2) / 2, the i-th invariant quadric."""
     half = domain.coerce(Fraction(1, 2))
@@ -282,14 +287,12 @@ def l_form(nu: FamilyParams) -> Poly:
     return acc
 
 
-def y_eigenvector(domain, character=None) -> Poly:
-    """sum eps(b,c,d) y_{abcd}; default character (-1)^(b+c+d) = (-1)^a."""
+@lru_cache(maxsize=None)
+def y_eigenvector(domain) -> Poly:
+    """sum (-1)^(b+c+d) y_{abcd} = sum (-1)^a y_{abcd}."""
     acc = Poly.zero(AMBIENT_XY, domain)
     for t in EVEN_TUPLES:
-        if character is None:
-            sign = -1 if (t[1] + t[2] + t[3]) % 2 else 1
-        else:
-            sign = character(t[1], t[2], t[3])
+        sign = -1 if (t[1] + t[2] + t[3]) % 2 else 1
         acc = acc + yvar(domain, t) * domain.from_int(sign)
     return acc
 
@@ -450,9 +453,10 @@ def reduce_by_rewriting(f: Poly) -> Poly:
                 out.pop(exps, None)
         else:
             work.append(step)
-    return Poly(AMBIENT_XY, domain, out)
+    return Poly._trusted(AMBIENT_XY, domain, out)
 
 
+@lru_cache(maxsize=None)
 def product_of_sums(domain) -> Poly:
     acc = Poly.one(AMBIENT_XY, domain)
     for i in range(1, 4):

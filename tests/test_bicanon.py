@@ -41,6 +41,45 @@ def test_derivation_identity():
     assert rep.passed
 
 
+@pytest.mark.parametrize("nu", [good_nu(), FamilyParams(GF(17), (2, 3, 5, 7, 11))],
+                         ids=["GF(13)", "GF(17)"])
+def test_mutant_cubic_fails_with_a_warm_cache(nu, monkeypatch):
+    real = bicanon.scubic
+
+    def mutant(nu):
+        s1, s2, s3 = (bicanon.svar(nu.domain, i) for i in (1, 2, 3))
+        return real(nu) + s1 * s2 * s3 * (nu.nu[4] * nu.nu[4])
+
+    assert derive_s3_cubic(nu)[1].passed
+    hits = bicanon._s3_derivation_parts.cache_info().hits
+    monkeypatch.setattr(bicanon, "scubic", mutant)
+    _, rep = derive_s3_cubic(nu)
+    assert bicanon._s3_derivation_parts.cache_info().hits == hits + 1
+    assert not rep.passed
+    assert rep.witness["problems"][0].startswith("difference ")
+
+
+def test_cached_forms_stay_unchanged():
+    from upv.grouprep import q_invariance_report
+    from upv.unproj import (elimination_cubic_report, product_of_sums, s_form,
+                            y_eigenvector)
+    f = GF(13)
+    images = bicanon._s_substitution_images(f)
+    forms = [s_form(f, i) for i in range(4)] + [product_of_sums(f), y_eigenvector(f)]
+    forms += list(images.values()) + list(bicanon._s3_derivation_parts(f)[:2])
+    snapshot = [dict(g.terms) for g in forms]
+    assert s_form(f, 1) is forms[1] and y_eigenvector(f) is forms[5]
+    rng = random.Random(5)
+    for _ in range(3):
+        nu = FamilyParams(f, tuple(rng.randrange(1, 13) for _ in range(5)))
+        assert derive_s3_cubic(nu)[1].passed
+        assert elimination_cubic_report(nu).passed
+    assert q_invariance_report(13, draws=3).passed
+    assert [dict(g.terms) for g in forms] == snapshot
+    with pytest.raises(TypeError):
+        images["s0"] = forms[0]
+
+
 def test_squared_sum_rewrites_to_difference():
     # (x_i0 + x_i1)^2 reduces to 2(s_i - s0) under the rewriting system
     from upv.unproj import reduce_by_rewriting, s_form, xvar

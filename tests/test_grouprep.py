@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from upv.ambient import AMBIENT_XY
+from upv import grouprep
+from upv.ambient import AMBIENT_S, AMBIENT_XY
 from upv.grouprep import (SignedAction,
                           check_regular_representation, delta_set_report,
                           fixed_loci_report, fixed_locus, group_G, group_H,
@@ -11,7 +14,10 @@ from upv.grouprep import (SignedAction,
                           q_invariance_report, stabilizer_classification,
                           subgroup_census_report, table1_relations_report,
                           theta_class, word_str)
-from upv.scalars import GF, QQ
+from upv.poly import Poly, PolyError
+from upv.scalars import GF, QI, QQ
+
+ALL_WORDS = list(product((0, 1), repeat=6))
 
 
 def test_word_parsing_roundtrip():
@@ -78,6 +84,93 @@ def test_q_invariance():
 
 def test_j_stability():
     assert j_generator_stability_report().passed
+
+
+def random_xy_poly(field, rng):
+    coefs = {QQ: lambda: Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
+             QI: lambda: QI.from_int(rng.randrange(-5, 6))
+             + QI.sqrt_minus_one() * QI.from_int(rng.randrange(-5, 6))}
+    coef = coefs.get(field, lambda: field.from_int(rng.randrange(field.char)))
+    terms = {}
+    for _ in range(rng.randrange(1, 9)):
+        e = [0] * AMBIENT_XY.nvars
+        for _ in range(rng.randrange(0, 6)):
+            e[rng.randrange(AMBIENT_XY.nvars)] += 1
+        terms[tuple(e)] = coef()
+    return Poly(AMBIENT_XY, field, terms)
+
+
+def assert_apply_matches_map(polys, field):
+    for w in ALL_WORDS:
+        act = SignedAction(w, field)
+        for f in polys:
+            assert act.apply(f) == act.map.apply(f), (word_str(w), str(f))
+
+
+def test_apply_matches_the_map_on_the_unprojection_generators():
+    from upv.unproj import build_unprojection_ideal
+    polys = build_unprojection_ideal(QQ).polys()
+    assert len(polys) == 63
+    assert_apply_matches_map(polys, QQ)
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_apply_matches_the_map_on_q_sections(p):
+    from upv.unproj import FamilyParams, q_section
+    f = GF(p)
+    rng = random.Random(p)
+    assert_apply_matches_map(
+        [q_section(FamilyParams(f, tuple(rng.randrange(1, p) for _ in range(5))))
+         for _ in range(5)], f)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(13), QI], ids=str)
+def test_apply_matches_the_map_on_random_polys(field):
+    rng = random.Random(12)
+    assert_apply_matches_map([random_xy_poly(field, rng) for _ in range(12)], field)
+
+
+def test_apply_rejects_other_ambients():
+    s1 = Poly.variable(AMBIENT_S, QQ, "s1")
+    for w in (parse_word("1"), parse_word("a1*b2")):
+        with pytest.raises(PolyError):
+            SignedAction(w, QQ).apply(s1)
+
+
+@pytest.fixture
+def b1_without_y_sign(monkeypatch):
+    """The sign table with b1's sign on the weight-2 variables dropped, in
+    every word containing b1; the per-word caches are rebuilt around it."""
+    real = grouprep._signed_images
+
+    def mutant(word):
+        out = real(word)
+        if word[3]:
+            out = {n: (-s if n.startswith("y") else s, t) for n, (s, t) in out.items()}
+        return out
+
+    def clear():
+        grouprep._signed_images_cached.cache_clear()
+        grouprep._key_permutation.cache_clear()
+
+    clear()
+    monkeypatch.setattr(grouprep, "_signed_images", mutant)
+    yield
+    monkeypatch.undo()
+    clear()
+
+
+def test_flipped_sign_fails_j_stability(b1_without_y_sign):
+    assert SignedAction(parse_word("b1"), QQ).image_of_variable("y0000") == (1, "y0000")
+    rep = j_generator_stability_report()
+    assert not rep.passed
+    assert rep.witness["problems"][0].startswith("b1 moves ")
+
+
+def test_flipped_sign_fails_q_invariance(b1_without_y_sign):
+    rep = q_invariance_report(13, draws=5)
+    assert not rep.passed
+    assert all("b1" in m and "breaks q invariance" in m for m in rep.witness["problems"])
 
 
 def test_delta_set_aliasing():
