@@ -167,54 +167,99 @@ def nodes_distinct(nu: FamilyParams) -> bool:
 def verify_nodes(p: int = 13, draws: int = 100, seed: int = 0) -> CheckReport:
     """For seeded random parameters: the cubic and all four partials vanish
     at each node, and the affine Hessian there has full rank 3 (an ordinary
-    double point); degenerate draws and collapsed-node draws are rejected."""
+    double point); degenerate draws and collapsed-node draws are rejected.
+
+    The accepted cubics are evaluated together by ``cubic_jets``; rank 3 is
+    a nonzero 3x3 determinant mod p, and the exact rank is computed only
+    for a node that fails, to quote it."""
     import random
     field = GF(p)
     rng = random.Random(seed)
-    problems = []
-    done = 0
+    accepted, cubics, nodes = [], [], []
     attempts = 0
-    while done < draws and attempts < draws * 20:
+    while len(accepted) < draws and attempts < draws * 20:
         attempts += 1
         nu = FamilyParams(field, tuple(rng.randrange(p) for _ in range(5)))
         deg, _ = nu.degenerate()
         if deg or not nu.nu[4] or not nodes_distinct(nu):
             continue
-        cubic = scubic(nu)
-        grads = [cubic.derivative(f"s{k}") for k in range(4)]
-        hessian = affine_hessian(grads)
-        for i in (1, 2, 3):
-            n = node_coordinates(nu, i)
-            if cubic.evaluate(n):
-                problems.append(f"cubic(n_{i}) != 0 at nu={nu.nu}")
-            for g in grads:
-                if g.evaluate(n):
-                    problems.append(f"grad(n_{i}) != 0 at nu={nu.nu}")
-            hess = affine_hessian_rank(hessian, n, field)
-            if hess != 3:
-                problems.append(f"Hessian rank {hess} at n_{i}, nu={nu.nu}")
-        done += 1
-    if done < draws:
-        problems.append(f"only {done} non-degenerate draws found")
-    return verdict("bicanon.nodes", problems[:5], {"draws": done},
+        accepted.append(nu)
+        cubics.append(scubic(nu))
+        nodes.append([[int(v) for v in node_coordinates(nu, i)] for i in (1, 2, 3)])
+    value, grad, hess = cubic_jets(cubics, np.array(nodes, dtype=np.int64).reshape(-1, 3, 4), p)
+    det = _symmetric_det3(hess, p)
+    problems = []
+    for d, k in zip(*np.nonzero((value != 0) | grad.any(axis=2) | (det == 0))):
+        nu, i = accepted[d], k + 1
+        if value[d, k]:
+            problems.append(f"cubic(n_{i}) != 0 at nu={nu.nu}")
+        problems += [f"grad(n_{i}) != 0 at nu={nu.nu}"] * int(np.count_nonzero(grad[d, k]))
+        if not det[d, k]:
+            h = hess[d, k].tolist()
+            matrix = [h[0:3], [h[1], h[3], h[4]], [h[2], h[4], h[5]]]
+            problems.append(f"Hessian rank {rank(matrix, field)} at n_{i}, nu={nu.nu}")
+    if len(accepted) < draws:
+        problems.append(f"only {len(accepted)} non-degenerate draws found")
+    return verdict("bicanon.nodes", problems[:5], {"draws": len(accepted)},
                    on_pass={"hessian_rank": 3}, params={"prime": p, "seed": seed})
 
 
-def affine_hessian(grads: Sequence[Poly]) -> List[List[Poly]]:
-    """The 3x3 matrix of second partials in s1..s3 from the four first
-    partials of the cubic: six distinct entries, the matrix is symmetric."""
-    second = {(a, b): grads[a].derivative(f"s{b}")
-              for a in (1, 2, 3) for b in (1, 2, 3) if a <= b}
-    return [[second[min(a, b), max(a, b)] for b in (1, 2, 3)] for a in (1, 2, 3)]
+def cubic_jets(cubics: Sequence[Poly], points: np.ndarray,
+               p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values mod p of D forms in s0..s3 over GF(p) at K points each.
+
+    ``points`` (D, K, 4) holds residue rows with s0 != 0.  Returns the
+    values (D, K), the four first partials there (D, K, 4), and the six
+    second partials in s1..s3 -- (11, 12, 13, 22, 23, 33) -- at the affine
+    point (1, s1/s0, s2/s0, s3/s0) (D, K, 6).  The forms are stacked as one
+    coefficient array over their union of monomials and contracted with
+    per-point power tables x^a and derivative tables a*x^(a-1) and
+    a*(a-1)*x^(a-2), so no derivative of a form is built.  Every product
+    is reduced mod p before it is added, so this is exact for p < 2^31.
+    """
+    keys = sorted({e for f in cubics for e in f.terms})
+    column = {e: m for m, e in enumerate(keys)}
+    coeffs = np.zeros((len(cubics), len(keys)), dtype=np.int64)
+    for row, f in zip(coeffs, cubics):
+        for e, c in f.terms.items():
+            row[column[e]] = int(c) % p
+    exps = np.array(keys, dtype=np.int64).reshape(-1, 4)
+    a = np.arange(int(exps.max(initial=0)) + 1)
+
+    def tables(x):
+        """x^a, a*x^(a-1) and a*(a-1)*x^(a-2) as (D, K, 4, A) arrays."""
+        pw = np.stack([pow_mod(x, int(k), p) for k in a], axis=-1)
+        return (pw, a * pw[..., np.maximum(a - 1, 0)] % p,
+                a * (a - 1) * pw[..., np.maximum(a - 2, 0)] % p)
+
+    def contract(pw, replaced):
+        """sum over monomials of coeff * prod_v table_v[exponent_v] mod p,
+        with table_v the power table unless ``replaced`` names another."""
+        t = coeffs[:, None, :]
+        for v in range(4):
+            t = t * replaced.get(v, pw)[:, :, v][..., exps[:, v]] % p
+        return t.sum(axis=-1) % p
+
+    x = points % p
+    pw, d1, _ = tables(x)
+    value = contract(pw, {})
+    grad = np.stack([contract(pw, {u: d1}) for u in range(4)], axis=-1)
+    apw, ad1, ad2 = tables(x * pow_mod(x[..., :1], p - 2, p) % p)
+    hess = np.stack([contract(apw, {u: ad2} if u == w else {u: ad1, w: ad1})
+                     for u in (1, 2, 3) for w in (1, 2, 3) if u <= w], axis=-1)
+    return value, grad, hess
 
 
-def affine_hessian_rank(hessian: Sequence[Sequence[Poly]], node, field) -> int:
-    """Rank of the Hessian in the affine chart s0 = 1 at the node.  Setting
-    s0 = 1 commutes with d/ds_i for i >= 1, so this is the matrix of second
-    partials evaluated at (1, n1/n0, n2/n0, n3/n0)."""
-    inv0 = field.one() / node[0]
-    pt = [v * inv0 for v in node]
-    return rank([[h.evaluate(pt) for h in row] for row in hessian], field)
+def _symmetric_det3(h: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of symmetric 3x3 matrices given by their entries
+    (11, 12, 13, 22, 23, 33) along the last axis, each product reduced."""
+    a, b, c, d, e, f = (h[..., k] for k in range(6))
+
+    def minor(w, x, y, z):
+        return (w * x % p - y * z % p) % p
+
+    return (a * minor(d, f, e, e) % p - b * minor(b, f, e, c) % p
+            + c * minor(b, e, d, c) % p) % p
 
 
 def nodes_error_paths() -> Tuple[bool, str]:

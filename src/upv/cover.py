@@ -311,29 +311,42 @@ class FiniteProjGroup:
 
     @classmethod
     def closure(cls, gens: Dict[str, ProjAut], cap: int = 256) -> "FiniteProjGroup":
+        """Breadth-first closure under right multiplication by the generators.
+
+        The search forms every product e_i * g_k once, so it records the
+        table ``right[i][k]`` and, for each new element, the element and
+        generator it was reached from (its name spells that word).  Then
+        e_a * e_b is e_a times b's word, one generator at a time, and by
+        associativity ``cayley[a][b] = right[cayley[a][parent]][k]`` with no
+        further products of automorphisms.
+        """
         domain = next(iter(gens.values())).domain
         elements = [ProjAut.identity(domain)]
         names = ["1"]
         index = {elements[0].key(): 0}
-        frontier = [0]
+        right: List[List[int]] = []
+        steps = []  # (parent, generator) of elements 1, 2, ...
         gen_items = sorted(gens.items())
-        while frontier:
-            new_frontier = []
-            for i in frontier:
-                for gname, g in gen_items:
-                    h = elements[i].mul(g)
-                    if h.key() not in index:
-                        if len(elements) >= cap:
-                            raise ValueError("closure exceeded cap")
-                        index[h.key()] = len(elements)
-                        nm = gname if names[i] == "1" else f"{names[i]}*{gname}"
-                        elements.append(h)
-                        names.append(nm)
-                        new_frontier.append(index[h.key()])
-            frontier = new_frontier
-        n = len(elements)
-        cayley = [[index[elements[i].mul(elements[j]).key()] for j in range(n)]
-                  for i in range(n)]
+        while len(right) < len(elements):
+            i = len(right)
+            row = []
+            for k, (gname, g) in enumerate(gen_items):
+                h = elements[i].mul(g)
+                if h.key() not in index:
+                    if len(elements) >= cap:
+                        raise ValueError("closure exceeded cap")
+                    index[h.key()] = len(elements)
+                    elements.append(h)
+                    names.append(gname if names[i] == "1" else f"{names[i]}*{gname}")
+                    steps.append((i, k))
+                row.append(index[h.key()])
+            right.append(row)
+        cayley = []
+        for a in range(len(elements)):
+            row = [a]
+            for parent, k in steps:
+                row.append(right[row[parent]][k])
+            cayley.append(row)
         return cls(domain, elements, names, cayley)
 
     @property

@@ -4,8 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from upv.bicanon import (affine_hessian, affine_hessian_rank, branch_locus_check,
-                         burniat_charts_report, burniat_f3_report,
+from upv.bicanon import (branch_locus_check, burniat_charts_report, burniat_f3_report,
                          burniat_nodes_report,
                          burniat_parameter_map, chart_map_xi2, derive_s3_cubic,
                          double_point_set, f1_poly, f2_poly,
@@ -15,6 +14,8 @@ from upv.bicanon import (affine_hessian, affine_hessian_rank, branch_locus_check
                          split_plane_sections, verify_nodes)
 from upv import bicanon
 from upv.cover import enumerate_surface
+from upv.linalg import rank
+from upv.report import verdict
 from upv.scalars import GF, QI, QQ
 from upv.unproj import FamilyParams
 
@@ -117,6 +118,180 @@ def test_verify_nodes_and_error_paths():
     assert ok, note
     with pytest.raises(ValueError):
         node_coordinates(FamilyParams(GF(13), (1, 0, 1, 1, 1)), 1)
+
+
+def affine_hessian(grads):
+    """The 3x3 matrix of second partials in s1..s3 from the four first
+    partials of the cubic: six distinct entries, the matrix is symmetric."""
+    second = {(a, b): grads[a].derivative(f"s{b}")
+              for a in (1, 2, 3) for b in (1, 2, 3) if a <= b}
+    return [[second[min(a, b), max(a, b)] for b in (1, 2, 3)] for a in (1, 2, 3)]
+
+
+def affine_hessian_rank(hessian, node, field):
+    """Rank of the Hessian in the affine chart s0 = 1 at the node.  Setting
+    s0 = 1 commutes with d/ds_i for i >= 1, so this is the matrix of second
+    partials evaluated at (1, n1/n0, n2/n0, n3/n0)."""
+    inv0 = field.one() / node[0]
+    pt = [v * inv0 for v in node]
+    return rank([[h.evaluate(pt) for h in row] for row in hessian], field)
+
+
+def scalar_verify_nodes(p, draws=100, seed=0):
+    """The oracle of ``verify_nodes``: the same draws, with one GF(p)
+    ``Poly.evaluate`` per node for the cubic, each gradient and each Hessian
+    entry, and the exact rank of every Hessian."""
+    field = GF(p)
+    rng = random.Random(seed)
+    problems = []
+    done = 0
+    attempts = 0
+    while done < draws and attempts < draws * 20:
+        attempts += 1
+        nu = FamilyParams(field, tuple(rng.randrange(p) for _ in range(5)))
+        deg, _ = nu.degenerate()
+        if deg or not nu.nu[4] or not nodes_distinct(nu):
+            continue
+        cubic = bicanon.scubic(nu)
+        grads = [cubic.derivative(f"s{k}") for k in range(4)]
+        hessian = affine_hessian(grads)
+        for i in (1, 2, 3):
+            n = node_coordinates(nu, i)
+            if cubic.evaluate(n):
+                problems.append(f"cubic(n_{i}) != 0 at nu={nu.nu}")
+            for g in grads:
+                if g.evaluate(n):
+                    problems.append(f"grad(n_{i}) != 0 at nu={nu.nu}")
+            hess = affine_hessian_rank(hessian, n, field)
+            if hess != 3:
+                problems.append(f"Hessian rank {hess} at n_{i}, nu={nu.nu}")
+        done += 1
+    if done < draws:
+        problems.append(f"only {done} non-degenerate draws found")
+    return verdict("bicanon.nodes", problems[:5], {"draws": done},
+                   on_pass={"hessian_rank": 3}, params={"prime": p, "seed": seed})
+
+
+HESSIAN_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def assert_jets_match_oracle(cubics, points, field):
+    """``cubic_jets`` against GF(p) evaluation at every point: the value,
+    the four partials, the six affine second partials, and a nonzero
+    determinant exactly where the Hessian has rank 3."""
+    p = field.p
+    rows = np.array([[[int(v) for v in pt] for pt in pts] for pts in points],
+                    dtype=np.int64).reshape(len(cubics), -1, 4)
+    value, grad, hess = bicanon.cubic_jets(cubics, rows, p)
+    det = bicanon._symmetric_det3(hess, p)
+    ranks = []
+    for d, (cubic, pts) in enumerate(zip(cubics, points)):
+        grads = [cubic.derivative(f"s{k}") for k in range(4)]
+        hessian = affine_hessian(grads)
+        for k, pt in enumerate(pts):
+            inv0 = field.one() / pt[0]
+            affine = [v * inv0 for v in pt]
+            assert value[d, k] == int(cubic.evaluate(pt))
+            assert grad[d, k].tolist() == [int(g.evaluate(pt)) for g in grads]
+            assert hess[d, k].tolist() == [int(hessian[a][b].evaluate(affine))
+                                           for a, b in HESSIAN_ENTRIES]
+            ranks.append(affine_hessian_rank(hessian, pt, field))
+            assert bool(det[d, k]) == (ranks[-1] == 3)
+    return ranks
+
+
+@pytest.mark.parametrize("p", [13, 17, 2147483029])
+def test_node_jets_match_scalar_oracle(p):
+    """Every draw and node of ``verify_nodes(p, 40, seed=p)``, plus two
+    random points a draw where nothing vanishes, and the nu4 = 0 cubic
+    -s0*l^2, of Hessian rank 1 on l = s0+2s1+3s2+4s3 = 0."""
+    f = GF(p)
+    rng = random.Random(p)
+    cubics, points = [], []
+    while len(cubics) < 40:
+        nu = FamilyParams(f, tuple(rng.randrange(p) for _ in range(5)))
+        if nu.degenerate()[0] or not nu.nu[4] or not nodes_distinct(nu):
+            continue
+        cubics.append(scubic(nu))
+        points.append([node_coordinates(nu, i) for i in (1, 2, 3)]
+                      + [tuple(f.from_int(rng.randrange(k == 0, p)) for k in range(4))
+                         for _ in range(2)])
+    ranks = assert_jets_match_oracle(cubics, points, f)
+    assert all(r == 3 for r in ranks[::5] + ranks[1::5] + ranks[2::5])
+    degenerate = scubic(FamilyParams(f, (1, 2, 3, 4, 0)))
+    rank_one = tuple(f.from_int(v) for v in (1, p - 2, 1, 0))  # l = 1 - 4 + 3 = 0
+    assert assert_jets_match_oracle([degenerate], [[rank_one]], f) == [1]
+    assert verify_nodes(p, 40, seed=p).to_json() == scalar_verify_nodes(p, 40, seed=p).to_json()
+
+
+def plus_s1s2s3(real):
+    def mutant(nu):
+        s1, s2, s3 = (bicanon.svar(nu.domain, i) for i in (1, 2, 3))
+        return real(nu) + s1 * s2 * s3 * (nu.nu[4] * nu.nu[4])
+    return mutant
+
+
+def line_through_n1(nu):
+    """L = (nu0+nu2+nu3)*s0 + nu1*s1, which vanishes at n_1 but not at n_2
+    or n_3 (the nodes are distinct)."""
+    s0, s1 = (bicanon.svar(nu.domain, i) for i in (0, 1))
+    return s0 * (nu.nu[0] + nu.nu[2] + nu.nu[3]) + s1 * nu.nu[1]
+
+
+def line_times_square(real):
+    """L*M^2 with M = s0, which does not vanish at n_1: the cubic is zero at
+    n_1, its gradient is not, and its affine Hessian there is zero."""
+    def mutant(nu):
+        s0 = bicanon.svar(nu.domain, 0)
+        return line_through_n1(nu) * s0 * s0
+    return mutant
+
+
+def plus_line_times_s0_squared(real):
+    """The cubic plus L*s0^2: still zero at n_1, with the same affine
+    Hessian there (L is affine-linear in the chart s0 = 1), but a nonzero
+    gradient, so only the gradient test can fail at n_1."""
+    def mutant(nu):
+        s0 = bicanon.svar(nu.domain, 0)
+        return real(nu) + line_through_n1(nu) * s0 * s0
+    return mutant
+
+
+@pytest.mark.parametrize("p", [13, 17])
+@pytest.mark.parametrize("make", [plus_s1s2s3, line_times_square,
+                                  plus_line_times_s0_squared],
+                         ids=["plus_s1s2s3", "line_times_square", "plus_line_times_s0_squared"])
+def test_mutant_cubics_fail_alike_on_both_paths(make, p, monkeypatch):
+    monkeypatch.setattr(bicanon, "scubic", make(bicanon.scubic))
+    for seed in range(3):
+        rep = verify_nodes(p, 10, seed)
+        assert not rep.passed
+        problems = rep.witness["problems"]
+        assert problems == scalar_verify_nodes(p, 10, seed).witness["problems"]
+        at_n1 = [pr.split(" ")[0] for pr in problems if "n_1" in pr]
+        if make is line_times_square:
+            assert at_n1[0] == "grad(n_1)" and at_n1[-1] == "Hessian"
+            assert "Hessian rank 0 at n_1" in problems[len(at_n1) - 1]
+        if make is plus_line_times_s0_squared:
+            assert set(at_n1) == {"grad(n_1)"}
+
+
+# `verify_nodes` records of the scalar loop, byte for byte: an empty stack
+# of draws, and the smallest admissible prime
+NODES_RECORDS = {
+    (13, 0, 0): '{"check": "bicanon.nodes", "status": "pass", "witness": '
+                '{"draws": 0, "hessian_rank": 3}, "wall_ms": 0.0, '
+                '"params": {"prime": 13, "seed": 0}}',
+    (5, 100, 0): '{"check": "bicanon.nodes", "status": "pass", "witness": '
+                 '{"draws": 100, "hessian_rank": 3}, "wall_ms": 0.0, '
+                 '"params": {"prime": 5, "seed": 0}}',
+}
+
+
+@pytest.mark.parametrize("args", sorted(NODES_RECORDS))
+def test_nodes_records_pinned(args):
+    assert verify_nodes(*args).to_json() == NODES_RECORDS[args]
+    assert scalar_verify_nodes(*args).to_json() == NODES_RECORDS[args]
 
 
 def substitution_hessian_rank(cubic, point, field):

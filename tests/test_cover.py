@@ -92,6 +92,44 @@ def test_group_certification(lifted):
     assert squares == {s}
 
 
+LIFTED_GROUP_NAMES = [
+    "1", "a1~b2~", "a2~b3~", "a3~b1~", "a1~b2~*a1~b2~", "a1~b2~*a2~b3~",
+    "a1~b2~*a3~b1~", "a2~b3~*a1~b2~", "a2~b3~*a3~b1~", "a3~b1~*a1~b2~",
+    "a3~b1~*a2~b3~", "a1~b2~*a1~b2~*a1~b2~", "a1~b2~*a1~b2~*a2~b3~",
+    "a1~b2~*a1~b2~*a3~b1~", "a1~b2~*a2~b3~*a3~b1~", "a1~b2~*a3~b1~*a2~b3~"]
+
+
+def all_pairs_cayley(group):
+    """The oracle: every product of two elements, looked up by its key."""
+    index = {g.key(): i for i, g in enumerate(group.elements)}
+    return [[index[a.mul(b).key()] for b in group.elements] for a in group.elements]
+
+
+@pytest.mark.parametrize("field", [QI, GF(13)], ids=["QI", "GF(13)"])
+def test_walked_cayley_table_matches_all_pairs_products(field, monkeypatch):
+    gens = {name: g.map_entries(field) for name, g in gtilde_generators(QI).items()}
+    calls = []
+    real_mul = ProjAut.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(ProjAut, "mul", counted)
+    group = FiniteProjGroup.closure(gens)
+    # one product per element and generator, none for the table
+    assert len(calls) == 16 * 3
+    monkeypatch.undo()
+    assert group.names == LIFTED_GROUP_NAMES
+    assert [g.key() for g in group.elements] == \
+        [g.map_entries(field).key() for g in FiniteProjGroup.closure(
+            gtilde_generators(QI)).elements]
+    assert group.cayley == all_pairs_cayley(group)
+    with pytest.raises(ValueError, match="closure exceeded cap"):
+        FiniteProjGroup.closure(gens, cap=15)
+    assert FiniteProjGroup.closure(gens, cap=16).cayley == group.cayley
+
+
 def test_projaut_normalization_and_inverse():
     s = table2_generators(QI)["s"]
     assert s.mul(s) == ProjAut.identity(QI)

@@ -240,6 +240,21 @@ def test_bicanonical_checks_stream_pinned_at_seed_1000000():
     assert hashlib.sha256(stream.encode()).hexdigest() == BICANONICAL_SEED_1000000_SHA256
 
 
+# sha256 of `upv run bicanon.nodes cover.group_structure --primes 17,13
+# --seed 1000000`: the node check at a second prime and the group's Cayley
+# table
+NODES_GROUP_P17_SEED_1000000_SHA256 = \
+    "de0d546a72760f84fd4c6108238d33db66f06f986229341164ba296bbf8589e0"
+
+
+def test_nodes_and_group_stream_pinned_at_17_seed_1000000():
+    targets = ["bicanon.nodes", "cover.group_structure"]
+    reports = run_checks(resolve_targets(targets),
+                         RunContext(RunConfig(primes=(17, 13), seed=1000000)))
+    stream = "".join(r.to_json() + "\n" for r in reports)
+    assert hashlib.sha256(stream.encode()).hexdigest() == NODES_GROUP_P17_SEED_1000000_SHA256
+
+
 def _count_certificates(monkeypatch):
     calls = []
     real = cover.certify_free_and_smooth
