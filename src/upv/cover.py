@@ -27,6 +27,7 @@ the per-point oracles of the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -355,20 +356,21 @@ class FiniteProjGroup:
 
     def element_orders(self) -> List[int]:
         """Orders from index walks g, g^2, ... in the Cayley table until the
-        identity, which the closure puts at index 0."""
+        identity, which the closure puts at index 0.  An order divides the
+        group order, so a walk that passes it raises ``ValueError``."""
         orders = []
         for g in range(self.order):
             n, h = 1, g
             while h != 0:
+                if n == self.order:
+                    raise ValueError(f"the powers of {self.names[g]} never reach "
+                                     f"the identity in the Cayley table")
                 n, h = n + 1, self.cayley[h][g]
             orders.append(n)
         return orders
 
     def order_histogram(self) -> Dict[int, int]:
-        hist: Dict[int, int] = {}
-        for o in self.element_orders():
-            hist[o] = hist.get(o, 0) + 1
-        return hist
+        return dict(Counter(self.element_orders()))
 
     def is_abelian(self) -> bool:
         n = len(self.elements)
@@ -456,14 +458,19 @@ def build_lifts_and_certify(domain=QI) -> Tuple[FiniteProjGroup, CheckReport]:
     group = FiniteProjGroup.closure(gens)
     if group.order != 16:
         problems.append(f"|closure| = {group.order}")
-    hist = group.order_histogram()
+    try:
+        orders = group.element_orders()
+    except ValueError as exc:
+        problems.append(str(exc))
+        orders = []
+    hist = dict(Counter(orders))
     if hist != {1: 1, 2: 3, 4: 12}:
         problems.append(f"order histogram {hist}")
     if group.is_abelian():
         problems.append("closure is abelian")
     s_aut = table2_generators(domain)["s"]
     index = {g.key(): i for i, g in enumerate(group.elements)}
-    squares = {group.cayley[i][i] for i, o in enumerate(group.element_orders()) if o == 4}
+    squares = {group.cayley[i][i] for i, o in enumerate(orders) if o == 4}
     if squares != {index.get(s_aut.key())}:
         problems.append("order-4 elements do not share the single square s")
     # generator squares and the Kronecker commutation rule

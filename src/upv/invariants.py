@@ -5,6 +5,8 @@ prime fields as (number of ambient monomials of the degree) minus the rank of
 the span of generator multiples, and cross-checked across primes; identical
 ranks over independent primes give overwhelming confidence at a fraction of
 the characteristic-0 cost, and disagreements are reported, never averaged.
+The surfaces T share the ν-free rows of V, which ``t_profiles`` eliminates
+once per prime and degree for all draws.
 
 The intersection-theoretic sanity checks live in the 16-dimensional ring
 Z[h1,h2,h3,h4]/(h1^2, h2^2, h3^2, h4^2) of (P^1)^4.
@@ -12,18 +14,18 @@ Z[h1,h2,h3,h4]/(h1^2, h2^2, h3^2, h4^2) of (P^1)^4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ambient import AMBIENT_P7, Ambient
-from .linalg import SparseRows, rank_mod_p
+from .linalg import SparseRows, eliminate, rank_mod_p
 from .poly import Poly
 from .report import CheckReport, verdict
 from .scalars import GF, PrimeField
-from .unproj import (FamilyParams, IdealPresentation, build_t_ideal,
-                     build_unprojection_ideal, build_v_ideal, build_x_ideal)
+from .unproj import (QUADRIC_SECTION, FamilyParams, IdealPresentation,
+                     build_v_ideal, build_x_ideal, q_section)
 
 
 class DegreeBudgetError(ValueError):
@@ -65,6 +67,20 @@ def monomials_of_weighted_degree(ambient: Ambient, d: int) -> Tuple[Tuple[int, .
     return tuple(sorted(out))
 
 
+def exponent_key(e: Tuple[int, ...], base: int) -> int:
+    """The exponents as the digits of one integer in the given base."""
+    k = 0
+    for a in reversed(e):
+        k = k * base + a
+    return k
+
+
+@lru_cache(maxsize=64)
+def monomial_keys(ambient: Ambient, d: int, base: int) -> Tuple[int, ...]:
+    """``exponent_key`` of each monomial of weighted degree d, in order."""
+    return tuple(exponent_key(e, base) for e in monomials_of_weighted_degree(ambient, d))
+
+
 def monomial_count(ambient: Ambient, d: int) -> int:
     """#monomials of weighted degree d: sum_j C(d-2j+n1-1, n1-1)*C(j+n2-1, n2-1)
     over the weight-2 total j, with n1 weight-1 and n2 weight-2 variables."""
@@ -90,6 +106,7 @@ def hilbert_rows(ideal: IdealPresentation, d: int, p: int) -> SparseRows:
     An exponent vector of weighted degree <= d has entries <= d, so its
     digits in base d + 1 make one integer key, distinct for distinct vectors;
     the key of a generator term times a monomial is the sum of their keys.
+    A generator's term degrees and keys are read once per call.
     """
     field = GF(p)
     ambient = ideal.ambient
@@ -97,27 +114,22 @@ def hilbert_rows(ideal: IdealPresentation, d: int, p: int) -> SparseRows:
     if ncols > MONOMIAL_BUDGET:
         raise DegreeBudgetError(
             f"degree {d} needs {ncols} monomials (budget {MONOMIAL_BUDGET})")
+    over_p = isinstance(ideal.domain, PrimeField)
+    if over_p and ideal.domain.p != p:
+        raise ValueError("ideal coefficients live in a different prime field")
     base = d + 1
-
-    def key(e: Tuple[int, ...]) -> int:
-        k = 0
-        for a in reversed(e):
-            k = k * base + a
-        return k
-
-    col = {key(e): k for k, e in enumerate(monomials_of_weighted_degree(ambient, d))}
+    col = {k: j for j, k in enumerate(monomial_keys(ambient, d, base))}
     rows: List[Dict[int, int]] = []
     for _, g, _ in ideal.generators:
-        if not g.is_homogeneous():
+        degrees = {ambient.weighted_degree(e) for e in g.terms}
+        if len(degrees) > 1:
             raise ValueError("hilbert_function needs homogeneous generators")
-        gp = g.map_coefficients(field) if not isinstance(ideal.domain, PrimeField) else g
-        if isinstance(ideal.domain, PrimeField) and ideal.domain.p != p:
-            raise ValueError("ideal coefficients live in a different prime field")
-        e = gp.weighted_degree()
+        gp = g if over_p else g.map_coefficients(field)
+        e = degrees.pop() if gp.terms else None
         if e is None or e > d:
             continue
-        terms = [(key(ge), int(gc)) for ge, gc in gp.terms.items()]
-        for km in map(key, monomials_of_weighted_degree(ambient, d - e)):
+        terms = [(exponent_key(ge, base), int(gc)) for ge, gc in gp.terms.items()]
+        for km in monomial_keys(ambient, d - e, base):
             rows.append({col[kg + km]: c for kg, c in terms})
     return SparseRows(rows, (len(rows), ncols))
 
@@ -131,6 +143,30 @@ def hilbert_function(ideal: IdealPresentation, d: int, p: int) -> int:
     if not rows:
         return ncols
     return ncols - rank_mod_p(rows, p)
+
+
+def t_profiles(p: int, nus: Sequence[FamilyParams],
+               max_degree: int) -> List[List[Tuple[int, int]]]:
+    """``[(d, h_T(d)) for d <= max_degree]`` over GF(p), one list per ν.
+
+    T = V + (q(ν)) and only q depends on ν.  The rows of T are V's
+    multiples followed by q's, so at each degree V's rows are eliminated
+    once and each ν continues from their pivots with its q-multiples alone:
+    rank T = |V pivots| + |new pivots|.  V's pivots are dropped before the
+    next degree.
+    """
+    field = GF(p)
+    v = build_v_ideal(field)
+    qs = [replace(v, name="q", generators=[
+        ("q", q_section(FamilyParams(field, nu.nu)), QUADRIC_SECTION)]) for nu in nus]
+    profiles: List[List[Tuple[int, int]]] = [[] for _ in qs]
+    for d in range(max_degree + 1):
+        v_rows = hilbert_rows(v, d, p)
+        v_pivots = eliminate(v_rows, p)
+        for values, q in zip(profiles, qs):
+            new = eliminate(hilbert_rows(q, d, p), p, v_pivots)
+            values.append((d, v_rows.shape[1] - len(v_pivots) - len(new)))
+    return profiles
 
 
 @dataclass
@@ -155,19 +191,16 @@ def hilbert_profile(name: str, p: int, max_degree: int,
     if name == "T":
         if nu is None:
             raise ValueError("the T ideal needs family parameters")
-        if not isinstance(nu.domain, PrimeField) or nu.domain.p != p:
-            nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
-        ideal = build_t_ideal(nu)
-    elif name == "V":
+        nu = FamilyParams(field, nu.nu)
+        return HilbertProfile(name, p, nu, t_profiles(p, [nu], max_degree)[0])
+    if name == "V":
         ideal = build_v_ideal(field)
-    elif name == "Y":
-        ideal = build_unprojection_ideal(field)
     elif name == "X":
         ideal = x_ideal_p7(field)
     else:
         raise ValueError(f"unknown ideal {name!r}")
     values = [(d, hilbert_function(ideal, d, p)) for d in range(max_degree + 1)]
-    return HilbertProfile(name, p, nu if name == "T" else None, values)
+    return HilbertProfile(name, p, None, values)
 
 
 def x_ideal_p7(domain) -> IdealPresentation:
@@ -227,12 +260,11 @@ def hilbert_t_report(primes: Sequence[int], nus: Dict[int, List[FamilyParams]],
     problems = []
     runs = 0
     for p in primes:
-        for nu in nus[p]:
-            prof = hilbert_profile("T", p, max_degree, nu)
+        for nu, values in zip(nus[p], t_profiles(p, nus[p], max_degree)):
             runs += 1
-            if prof.values != expected:
+            if values != expected:
                 problems.append(
-                    f"GF({p}) nu={tuple(int(v) for v in nu.nu)}: {prof.values}")
+                    f"GF({p}) nu={tuple(int(v) for v in nu.nu)}: {values}")
     return verdict("invariants.hilbert_t", problems,
                    {"expected": expected, "runs": runs},
                    params={"primes": list(primes), "max_degree": max_degree})

@@ -1,11 +1,14 @@
 """Exact linear algebra over the coefficient fields.
 
 ``rank`` is exact Gaussian elimination.  Prime-field matrices go through
-``rank_mod_p``, a sparse elimination on rows held as ``{column: residue}``
+``eliminate``, a sparse elimination on rows held as ``{column: residue}``
 dicts with Python-int arithmetic, so it is exact for every prime and costs
 time and memory in proportion to the nonzeros (the Hilbert matrices hold
-about three per row); every other field uses the pure-Python elimination,
-which also serves as the independent oracle in the property tests.
+about three per row).  It can continue from the pivots of rows eliminated
+before without touching them, so a block of rows shared by many matrices is
+eliminated once; ``rank_mod_p`` is ``eliminate`` from no pivots.  Every
+other field uses the pure-Python elimination, which also serves as the
+independent oracle in the property tests.
 ``det_poly`` computes determinants of polynomial matrices by sparse cofactor
 expansion, which is exact and fast on the near-diagonal matrices arising
 from the Jacobian and chart checks.
@@ -13,7 +16,7 @@ from the Jacobian and chart checks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,15 +33,12 @@ class SparseRows(list):
         self.shape = shape
 
 
+Pivots = Dict[int, Dict[int, int]]
+
+
 def rank_mod_p(matrix, p: int) -> int:
     """Exact rank over GF(p) of an integer matrix, given as a 2-D array-like
-    or as ``SparseRows``.
-
-    Each row in turn is reduced by the pivot row of its leading column until
-    it leads a column no pivot holds (it becomes that column's pivot,
-    normalised to a leading 1) or it vanishes; the rank is the number of
-    pivots.  Python ints keep every product exact.
-    """
+    or as ``SparseRows``: the number of pivots ``eliminate`` finds."""
     if not isinstance(matrix, SparseRows):
         a = np.asarray(matrix)
         matrix = [{} for _ in range(len(a))]
@@ -46,15 +46,30 @@ def rank_mod_p(matrix, p: int) -> int:
             r, c = np.nonzero(a)
             for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
                 matrix[i][j] = v
-    pivots: Dict[int, Dict[int, int]] = {}
-    for given in matrix:
+    return len(eliminate(matrix, p))
+
+
+def eliminate(rows: Iterable[Dict[int, int]], p: int,
+              pivots: Optional[Pivots] = None) -> Pivots:
+    """The new pivot rows, keyed by leading column, that the integer rows
+    ``{column: value}`` add over GF(p) to ``pivots``, which is read and never
+    written; the rank of all rows so far is ``len(pivots) + len(new)``.
+
+    Each row in turn is reduced by the pivot row of its leading column until
+    it leads a column no pivot holds (it becomes that column's pivot,
+    normalised to a leading 1) or it vanishes.  Python ints keep every
+    product exact.
+    """
+    old = pivots or {}
+    new: Pivots = {}
+    for given in rows:
         row = {c: v % p for c, v in given.items() if v % p}
         while row:
             lead = min(row)
-            pivot = pivots.get(lead)
+            pivot = new.get(lead) or old.get(lead)
             if pivot is None:
                 inv = pow(row[lead], p - 2, p)
-                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                new[lead] = {c: v * inv % p for c, v in row.items()}
                 break
             f = p - row[lead]
             for c, v in pivot.items():
@@ -63,7 +78,7 @@ def rank_mod_p(matrix, p: int) -> int:
                     row[c] = x
                 else:
                     row.pop(c, None)
-    return len(pivots)
+    return new
 
 
 def rank(matrix: Sequence[Sequence[object]], domain) -> int:

@@ -1,4 +1,5 @@
 import random
+import signal
 from itertools import combinations
 from math import prod
 
@@ -128,6 +129,32 @@ def test_walked_cayley_table_matches_all_pairs_products(field, monkeypatch):
     with pytest.raises(ValueError, match="closure exceeded cap"):
         FiniteProjGroup.closure(gens, cap=15)
     assert FiniteProjGroup.closure(gens, cap=16).cayley == group.cayley
+
+
+def test_corrupt_cayley_table_fails_the_certificate_promptly(lifted, monkeypatch):
+    group = lifted[0]
+    cayley = [row[:] for row in group.cayley]
+    for h in range(group.order):
+        cayley[h][1] = h or 1  # h·g = h, so the powers of g = element 1 stay at 1
+    bad = FiniteProjGroup(group.domain, group.elements, group.names, cayley)
+    message = f"the powers of {group.names[1]} never reach the identity in the Cayley table"
+
+    def stop(signum, frame):
+        raise TimeoutError("the power walk did not stop")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError) as err:
+            bad.element_orders()
+        monkeypatch.setattr(FiniteProjGroup, "closure", staticmethod(lambda gens, cap=256: bad))
+        _, rep = build_lifts_and_certify()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(err.value) == message
+    assert not rep.passed
+    assert rep.witness["problems"][:2] == [message, "order histogram {}"]
 
 
 def test_projaut_normalization_and_inverse():

@@ -1,6 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
+import upv.invariants
+import upv.unproj
 from upv.ambient import AMBIENT_P7, AMBIENT_XY
 from upv.invariants import (IntersectionClass, ci_series_coefficient,
                             hilbert_function, hilbert_profile, hilbert_rows,
@@ -8,9 +12,10 @@ from upv.invariants import (IntersectionClass, ci_series_coefficient,
                             hilbert_x_report, intersection_number,
                             intersection_numbers_report, monomial_count,
                             monomials_of_weighted_degree, plurigenus_expected,
-                            x_ideal_p7)
+                            t_profiles, x_ideal_p7)
 from upv.scalars import GF, PrimeField
-from upv.unproj import FamilyParams, build_t_ideal, build_v_ideal
+from upv.unproj import (FamilyParams, IdealPresentation, build_t_ideal,
+                        build_v_ideal, hyperplane_section, q_section, xvar)
 
 
 def test_monomial_count_matches_enumeration():
@@ -70,6 +75,76 @@ def test_sparse_hilbert_rows_match_dense_construction(name, d):
             dense[i, j] = v
     assert np.array_equal(dense, _dense_hilbert_rows(ideal, d, 13))
     assert all(0 < v < 13 for row in rows for v in row.values())
+
+
+def full_t_profile(nu, max_degree, p):
+    """The oracle: h_T(d) from the rank of the whole T matrix at each degree."""
+    return [(d, hilbert_function(build_t_ideal(nu), d, p)) for d in range(max_degree + 1)]
+
+
+@pytest.mark.parametrize("p", [13, 17, 29])
+def test_t_profiles_match_the_full_matrix(p):
+    f = GF(p)
+    rng = random.Random(p)
+    draws = [(rng.randrange(p), rng.randrange(p), rng.randrange(p), rng.randrange(p),
+              rng.randrange(1, p)) for _ in range(10)]
+    nus = [FamilyParams(f, nu) for nu in draws + [(3, 1, 4, 1, 0), (1, 1, 0, 1, 3)]]
+    profiles = t_profiles(p, nus, 5)
+    assert profiles == [full_t_profile(nu, 5, p) for nu in nus]
+    assert profiles[0] == [(0, 1), (1, 7), (2, 32), (3, 80), (4, 152), (5, 248)]
+
+
+def test_t_profiles_of_a_section_inside_v(monkeypatch):
+    def inside_v(nu):  # x00·(x00 + x01) lies in V's ideal, so T = V
+        return xvar(nu.domain, 0, 0) * hyperplane_section(nu.domain)
+
+    monkeypatch.setattr(upv.invariants, "q_section", inside_v)
+    monkeypatch.setattr(upv.unproj, "q_section", inside_v)
+    nus = {p: [FamilyParams(GF(p), (3, 1, 4, 1, 5))] for p in (13, 17)}
+    for p, (nu,) in nus.items():
+        values = t_profiles(p, [nu], 4)[0]
+        assert values == full_t_profile(nu, 4, p) == hilbert_profile("V", p, 4).values
+    rep = hilbert_t_report((13, 17), nus, max_degree=4)
+    assert not rep.passed
+    assert len(rep.witness["problems"]) == 2
+
+
+def test_hilbert_t_report_eliminates_v_once_per_prime_and_degree(monkeypatch):
+    calls = []
+    real_eliminate = upv.invariants.eliminate
+
+    def counted(rows, p, pivots=None):
+        new = real_eliminate(rows, p, pivots)
+        calls.append((p, rows, pivots, new))
+        return new
+
+    def no_full_matrix(matrix, p):
+        raise AssertionError("hilbert_t eliminated a whole T matrix")
+
+    monkeypatch.setattr(upv.invariants, "eliminate", counted)
+    monkeypatch.setattr(upv.invariants, "rank_mod_p", no_full_matrix)
+    primes, max_degree = (13, 17, 29), 5
+    nus = {p: [FamilyParams(GF(p), (3 + k, 1, 4, 1, 5)) for k in range(3)] for p in primes}
+    assert hilbert_t_report(primes, nus, max_degree).passed
+    expected = []
+    for p in primes:
+        v = build_v_ideal(GF(p))
+        qs = [IdealPresentation("q", AMBIENT_XY, GF(p), [("q", q_section(nu), "q")])
+              for nu in nus[p]]
+        for d in range(max_degree + 1):
+            expected.append((p, list(hilbert_rows(v, d, p)), None))
+            for q in qs:
+                q_rows = list(hilbert_rows(q, d, p))
+                assert len(q_rows) == (monomial_count(AMBIENT_XY, d - 2) if d >= 2 else 0)
+                expected.append((p, q_rows, "V"))
+    seen, v_pivots = [], None
+    for p, rows, pivots, new in calls:
+        if pivots is None:
+            v_pivots = new
+        else:
+            assert pivots is v_pivots
+        seen.append((p, list(rows), None if pivots is None else "V"))
+    assert seen == expected
 
 
 def test_plurigenus_formula():

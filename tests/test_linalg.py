@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upv.ambient import AMBIENT_XY
-from upv.linalg import SparseRows, det_poly, rank, rank_mod_p, rank_naive
+from upv.linalg import (SparseRows, det_poly, eliminate, rank, rank_mod_p,
+                        rank_naive)
 from upv.poly import Poly, PolyError
 from upv.scalars import GF, QQ
 from upv.unproj import plane_equations
@@ -150,3 +151,18 @@ def test_rank_mod_p_both_forms_match_naive(case):
     sparse = SparseRows([{j: v for j, v in enumerate(row) if v} for row in m],
                         (len(m), ncols))
     assert rank_mod_p(sparse, p) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_matrices(), st.randoms(use_true_random=False))
+def test_elimination_continued_from_given_pivots_matches_naive(case, rng):
+    p, m, _ = case
+    split = rng.randrange(len(m) + 1)
+    rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+    first = eliminate(rows[:split], p)
+    snapshot = {c: dict(row) for c, row in first.items()}
+    new = eliminate(rows[split:], p, first)
+    assert first == snapshot
+    assert not set(new) & set(first)
+    assert len(first) + len(new) == rank_naive(m, GF(p))
+    assert len(first) == rank_naive(m[:split], GF(p))

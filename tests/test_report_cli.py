@@ -320,6 +320,14 @@ def test_dump_points_pinned(prime, seed, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == DUMP_POINTS_SHA256[(prime, seed)]
 
 
+def test_dump_hilbert_pinned(capsys):
+    # as printed when each draw's T matrix was eliminated whole
+    assert main(["dump", "hilbert", "--max-degree", "5", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == (
+        "# T  GF(13)  nu=(0, 12, 4, 6, 1)\ndegree\tdimension\n"
+        "0\t1\n1\t7\n2\t32\n3\t80\n4\t152\n5\t248\n")
+
+
 def test_benchmark_command_lines_parse():
     # every benchmark child runs `upv run` with these arguments (`--threads 1`
     # included, which is accepted and ignored)
