@@ -27,8 +27,7 @@ import numpy as np
 
 from .ambient import (AMBIENT_LU, AMBIENT_S, AMBIENT_X3L, AMBIENT_XY, Ambient,
                       EVEN_TUPLES, X_INDEX, comp, xname, yname)
-from .cover import (SurfacePointSet, distinct_rows, eval_terms, pow_mod,
-                    sigma_images)
+from .cover import SurfacePointSet, distinct_rows, pow_mod, sigma_images
 from .grouprep import (parse_word, stabilizer_classification, theta_class,
                        word_str)
 from .linalg import rank
@@ -133,9 +132,9 @@ def scubic_points_report(points: SurfacePointSet) -> CheckReport:
     nu = points.nu
     s = s_rows(sigma_images(points.points), p)
     on_chart = s.any(axis=1)
-    terms = [(int(c), e) for e, c in scubic(nu).terms.items()]
+    value, = cubic_jets([scubic(nu)], s[on_chart][None], p, order=0)
     total = int(on_chart.sum())
-    bad = len(s) - total + int(np.count_nonzero(eval_terms([terms], s[on_chart], p)))
+    bad = len(s) - total + int(np.count_nonzero(value))
     problems = [f"{bad} point images off the cubic"] if bad else []
     if not total:
         problems.append("no point image in the s-chart")
@@ -204,18 +203,19 @@ def verify_nodes(p: int = 13, draws: int = 100, seed: int = 0) -> CheckReport:
                    on_pass={"hessian_rank": 3}, params={"prime": p, "seed": seed})
 
 
-def cubic_jets(cubics: Sequence[Poly], points: np.ndarray,
-               p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cubic_jets(cubics: Sequence[Poly], points: np.ndarray, p: int,
+               order: int = 2) -> Tuple[np.ndarray, ...]:
     """Values mod p of D forms in s0..s3 over GF(p) at K points each.
 
-    ``points`` (D, K, 4) holds residue rows with s0 != 0.  Returns the
-    values (D, K), the four first partials there (D, K, 4), and the six
-    second partials in s1..s3 -- (11, 12, 13, 22, 23, 33) -- at the affine
-    point (1, s1/s0, s2/s0, s3/s0) (D, K, 6).  The forms are stacked as one
-    coefficient array over their union of monomials and contracted with
-    per-point power tables x^a and derivative tables a*x^(a-1) and
-    a*(a-1)*x^(a-2), so no derivative of a form is built.  Every product
-    is reduced mod p before it is added, so this is exact for p < 2^31.
+    ``points`` (D, K, 4) holds residue rows.  Returns the values (D, K),
+    alone for ``order`` 0; else also the four first partials (D, K, 4) and
+    the six second partials in s1..s3 -- (11, 12, 13, 22, 23, 33) -- at the
+    affine point (1, s1/s0, s2/s0, s3/s0) (D, K, 6), which needs s0 != 0.
+    The forms are stacked as one coefficient array over their union of
+    monomials and contracted with per-point power tables x^a and derivative
+    tables a*x^(a-1) and a*(a-1)*x^(a-2), so no derivative of a form is
+    built.  Every product is reduced mod p before it is added, so this is
+    exact for p < 2^31.
     """
     keys = sorted({e for f in cubics for e in f.terms})
     column = {e: m for m, e in enumerate(keys)}
@@ -243,6 +243,8 @@ def cubic_jets(cubics: Sequence[Poly], points: np.ndarray,
     x = points % p
     pw, d1, _ = tables(x)
     value = contract(pw, {})
+    if order == 0:
+        return (value,)
     grad = np.stack([contract(pw, {u: d1}) for u in range(4)], axis=-1)
     apw, ad1, ad2 = tables(x * pow_mod(x[..., :1], p - 2, p) % p)
     hess = np.stack([contract(apw, {u: ad2} if u == w else {u: ad1, w: ad1})
@@ -717,6 +719,12 @@ def pencil_vanishes_on_plane_model() -> bool:
     return composed.is_zero()
 
 
+def check_pencil_lambda(lam) -> None:
+    """Raises ``ValueError`` at the excluded pencil parameters 0 and 1."""
+    if lam == 0 or lam == 1:
+        raise ValueError("lambda = 0, 1 are excluded parameters")
+
+
 def burniat_parameter_map(lam_value) -> Tuple[dict, CheckReport]:
     """Solve the pencil normalization against the plane model.
 
@@ -730,8 +738,7 @@ def burniat_parameter_map(lam_value) -> Tuple[dict, CheckReport]:
     problems = []
     domain = QQ if isinstance(lam_value, (int, Fraction)) else lam_value.field
     lam = domain.coerce(lam_value)
-    if lam == domain.zero() or lam == domain.one():
-        raise ValueError("lambda = 0, 1 are excluded parameters")
+    check_pencil_lambda(lam)
     nu4 = (lam + domain.one()) / domain.from_int(4)
     if not pencil_vanishes_on_plane_model():
         problems.append("pencil cubic does not vanish on the plane model")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,9 +39,18 @@ class RunConfig:
         if not self.primes:
             raise ValueError("at least one prime is required")
         for p in self.primes:
-            GF(p)  # raises with the eps requirement message when p != 1 mod 4
+            field = GF(p)  # raises with the eps requirement message when p != 1 mod 4
+            if self.nu is not None:
+                FamilyParams(field, tuple(self.nu))
         if self.max_degree < 1:
             raise ValueError("max degree must be at least 1")
+        invariants.check_budget(self.max_degree)
+        if self.lam is not None:
+            try:
+                lam = Fraction(self.lam)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"lambda {self.lam!r} is not a rational") from None
+            bicanon.check_pencil_lambda(lam)
 
 
 class RunContext:
@@ -112,8 +122,9 @@ class RunContext:
     def smooth_points(self, p: int, purpose: str,
                       cap: int = 40) -> Tuple[cover.SurfacePointSet, List[str]]:
         """Draw until the enumerated surface is free and smooth over F_p;
-        returns the accepted point set and the recorded redraws.  A fixed
-        ``nu`` gets one attempt, and its failure says why."""
+        returns the accepted point set and the recorded redraws.  Only a
+        lone rank drop is redrawn, and a fixed ``nu`` gets one attempt; any
+        other failure raises and says why."""
         redraws = []
         for _ in range(self.draws(cap)):
             nu = self.draw_nu(p, purpose)
@@ -126,7 +137,7 @@ class RunContext:
             if self.cfg.nu is not None and (degenerate or not nu.nu[4]):
                 raise RuntimeError(f"fixed nu={ints} is degenerate "
                                    f"({reason or 'nu4 = 0'}): {problems}")
-            if "fixes" in problems:
+            if rep.witness["rank2_everywhere"] or len(rep.witness["problems"]) > 1:
                 raise RuntimeError(
                     f"free action failed for non-degenerate nu={ints}: {problems}")
             if self.cfg.nu is not None:
@@ -317,7 +328,6 @@ def _branch_loci_check(ctx: RunContext) -> CheckReport:
 
 
 def _parameter_map_check(ctx: RunContext) -> CheckReport:
-    from fractions import Fraction
     lam = Fraction(ctx.cfg.lam) if ctx.cfg.lam else Fraction(3)
     _, rep = bicanon.burniat_parameter_map(lam)
     p = ctx.cfg.primes[0]

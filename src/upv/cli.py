@@ -23,15 +23,8 @@ class UsageError(Exception):
     pass
 
 
-def _parse_primes(text: str):
+def _parse_ints(text: str):
     return tuple(int(x) for x in text.replace(",", " ").split())
-
-
-def _parse_nu(text: str):
-    vals = tuple(int(x) for x in text.replace(",", " ").split())
-    if len(vals) != 5:
-        raise UsageError(f"nu needs 5 integers, got {len(vals)}")
-    return vals
 
 
 def _read_config_file(path: str) -> dict:
@@ -73,14 +66,13 @@ def build_config(args) -> RunConfig:
             raw[key] = value
     cfg = RunConfig()
     if "primes" in raw:
-        cfg.primes = _parse_primes(raw["primes"]) if isinstance(raw["primes"], str) \
-            else tuple(raw["primes"])
+        cfg.primes = _parse_ints(raw["primes"])
     if getattr(args, "prime", None) is not None:
         cfg.primes = (args.prime,)
     if "seed" in raw:
         cfg.seed = int(raw["seed"])
     if "nu" in raw and raw["nu"]:
-        cfg.nu = _parse_nu(raw["nu"]) if isinstance(raw["nu"], str) else tuple(raw["nu"])
+        cfg.nu = _parse_ints(raw["nu"])
     if "lam" in raw and raw["lam"]:
         cfg.lam = str(raw["lam"])
     if "max_degree" in raw:
@@ -131,25 +123,16 @@ def cmd_dump(args) -> int:
     p = cfg.primes[0]
     if args.artifact == "ideal":
         from . import unproj
-        name = args.ideal
-        if name == "T":
-            nu = ctx.draw_nu(p, "dump")
-            ideal = unproj.build_t_ideal(nu)
-        else:
-            ideal = unproj.build_ideal(name)
+        ideal = (unproj.build_t_ideal(ctx.draw_nu(p, "dump")) if args.ideal == "T"
+                 else unproj.build_ideal(args.ideal))
         lines = ideal.dump_lines()
     elif args.artifact == "points":
         nu = ctx.draw_nu(p, "dump")
         lines = ctx.points(p, nu).dump_lines()
-    elif args.artifact == "hilbert":
+    else:
         from . import invariants
         nu = ctx.draw_nu(p, "dump")
-        prof = invariants.hilbert_profile("T", p, cfg.max_degree, nu)
-        lines = prof.table()
-    else:
-        print(f"unknown artifact {args.artifact!r} "
-              f"(expected ideal, points or hilbert)", file=sys.stderr)
-        return 2
+        lines = invariants.hilbert_profile("T", p, cfg.max_degree, nu).table()
     text = "\n".join(lines) + "\n"
     if cfg.output:
         with open(cfg.output, "w") as fh:
@@ -191,7 +174,7 @@ def make_parser() -> argparse.ArgumentParser:
     listp.set_defaults(fn=cmd_list)
 
     dumpp = sub.add_parser("dump", help="dump an artifact in its external format")
-    dumpp.add_argument("artifact", help="ideal | points | hilbert")
+    dumpp.add_argument("artifact", choices=("ideal", "points", "hilbert"))
     dumpp.add_argument("--ideal", default="T", choices=("X", "Y", "V", "T"),
                        help="which ideal to dump (default T)")
     common(dumpp)

@@ -18,11 +18,12 @@ coordinates pull back to squares.  On top of it live
 
 Every scan over points runs on the point kernel (``PointArray``): the points
 as int64 arrays, the group elements reduced mod p once, images, keys and
-Jacobians computed for all points at once.  Every product is reduced mod p
-before it is added, in the kernel and in the tensor contractions, so both
-are exact for every prime ``GF`` admits (p < 2^31).
-``ProjAut.act_point``, ``Poly.evaluate`` and ``canonical_weighted`` stay as
-the per-point oracles of the tests.
+Jacobians computed for all points at once.  A form is its coefficient
+tensor (or a sigma-monomial its exponent row) read against the P^1 rows
+t0^(d-a) * t1^a of the points' factors (``p1_rows``).  Every product is
+reduced mod p before it is added, so all of it is exact for every prime
+``GF`` admits (p < 2^31).  ``ProjAut.act_point``, ``Poly.evaluate`` and
+``canonical_weighted`` stay as the per-point oracles of the tests.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -663,14 +664,6 @@ def normalize_factors(factors: Sequence[Tuple[int, int]], p: int) -> Point:
     return (tuple(chart), tuple(vals))
 
 
-def all_p1_points(p: int) -> Iterable[Point]:
-    """Every point of (P^1(F_p))^4 in chart order."""
-    for chart in CHARTS:
-        ranges = [range(p) if c == 0 else range(1) for c in chart]
-        for vals in product(*ranges):
-            yield (chart, tuple(vals))
-
-
 def pow_mod(arr: np.ndarray, e: int, p: int) -> np.ndarray:
     out = np.ones_like(arr)
     base = arr % p
@@ -702,7 +695,7 @@ class PointArray:
 
     @classmethod
     def all_p1(cls, p: int) -> "PointArray":
-        """Every point of (P^1(F_p))^4, in the order of ``all_p1_points``."""
+        """Every point of (P^1(F_p))^4, by chart and then by values."""
         charts, vals = [], []
         for chart in CHARTS:
             grid = np.indices([p if c == 0 else 1 for c in chart],
@@ -766,54 +759,6 @@ def act_points(pi: np.ndarray, mats: np.ndarray,
             np.take_along_axis(vals, src, axis=2).transpose(0, 2, 1))
 
 
-def partial_terms(f: Poly, k: int, p: int) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Integer terms (c, exps) mod p of the partial derivative in variable k."""
-    field = GF(p)
-    return [(int(field.coerce(c)) * e[k] % p, e[:k] + (e[k] - 1,) + e[k + 1:])
-            for e, c in f.terms.items() if e[k]]
-
-
-def eval_terms(polys: Sequence[Sequence[Tuple[int, Tuple[int, ...]]]],
-               coords: np.ndarray, p: int) -> np.ndarray:
-    """Values mod p of integer term lists at the rows of ``coords`` (N, k):
-    shape (len(polys), N).  Every product is reduced mod p before it is
-    added (no product exceeds (p-1)^2 < 2^62); each sum of residues is
-    reduced once, at the end."""
-    cols = coords.T % p
-    powers = {1: cols}
-    out = np.zeros((len(polys), cols.shape[1]), dtype=np.int64)
-    for row, terms in zip(out, polys):
-        for c, e in terms:
-            t = c % p
-            for k, ek in enumerate(e):
-                if ek:
-                    if ek not in powers:
-                        powers[ek] = pow_mod(cols, ek, p)
-                    t = t * powers[ek][k] % p
-            row += t  # fewer than 2^32 residues cannot reach 2^63
-        row %= p
-    return out
-
-
-def jacobian_rank2(pa: PointArray, equations: Sequence[Poly]) -> np.ndarray:
-    """Whether the local 2x4 Jacobian of two equations has rank 2 at each point.
-
-    The local coordinate w_i of factor i is t_{i1} in chart bit 0 and t_{i0}
-    in chart bit 1, the other coordinate set to 1 (as in ``local_equations``),
-    so d/dw_i is the partial in that t-variable at the chart-form
-    homogeneous coordinates.
-    """
-    p = pa.p
-    partials = [partial_terms(f, k, p) for f in equations for k in range(8)]
-    vals = eval_terms(partials, pa.homogeneous().reshape(-1, 8), p).reshape(2, 4, 2, len(pa))
-    j0, j1 = np.where(pa.chart.T == 1, vals[:, :, 0], vals[:, :, 1])
-    rank2 = np.zeros(len(pa), dtype=bool)
-    for a, b in combinations(range(4), 2):
-        # a difference of two products of residues lies within +-2^62
-        rank2 |= (j0[a] * j1[b] - j0[b] * j1[a]) % p != 0
-    return rank2
-
-
 @dataclass
 class SurfacePointSet:
     """All F_p points of the upstairs surface, sorted by (chart, vals), with
@@ -848,12 +793,26 @@ def coefficient_tensor(f: Poly, d: int, p: int) -> np.ndarray:
     return tensor
 
 
+def p1_rows(t0: np.ndarray, t1: np.ndarray, d: int, p: int) -> np.ndarray:
+    """R[..., a] = t0^(d-a) * t1^a mod p for residue arrays t0, t1."""
+    return np.stack([pow_mod(t0, d - a, p) * pow_mod(t1, a, p) % p
+                     for a in range(d + 1)], axis=-1)
+
+
 def p1_table(d: int, p: int) -> np.ndarray:
-    """V[k, a] = t0^(d-a) * t1^a at the k-th point of P^1(F_p): (1, k) for
-    k < p, then (0, 1).  Shape (p + 1, d + 1)."""
-    table = np.stack([pow_mod(np.arange(p + 1), a, p) for a in range(d + 1)], axis=1)
-    table[p] = np.arange(d + 1) == d
-    return table
+    """``p1_rows`` at (1, k) for k < p, then (0, 1): all of P^1(F_p)."""
+    k = np.arange(p + 1)
+    return p1_rows((k < p).astype(np.int64), np.where(k < p, k, 1), d, p)
+
+
+def monomial_values(rows: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
+    """prod_j rows[n, j, exps[m, j]] mod p, shape (N, M): M monomials, one
+    P^1 row entry per factor, at N points with rows (N, 4, d + 1)."""
+    out = rows[:, 0, exps[:, 0]]
+    for j in (1, 2, 3):
+        out *= rows[:, j, exps[:, j]]
+        out %= p
+    return out
 
 
 def contract(tensor: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
@@ -944,7 +903,7 @@ def brute_force_count(p: int, nu: FamilyParams) -> int:
 def local_equations(p: int, nu: FamilyParams, chart: Chart) -> List[Poly]:
     """Z1, Z2 dehomogenized in the affine chart around its points: factor i
     contributes local variable w_i (= t_{i1} when chart bit 0, else t_{i0}).
-    The scalar oracle of ``jacobian_rank2``."""
+    Their derivatives are the scalar oracle of ``local_partials``."""
     field = GF(p)
     z1 = z1_poly(field)
     z2 = z2_poly(nu)
@@ -960,6 +919,39 @@ def local_equations(p: int, nu: FamilyParams, chart: Chart) -> List[Poly]:
             images[tname(i, 1)] = (field.one(), (0, 0, 0, 0))
     m = MonomialMap(AMBIENT_T4, AMBIENT_LOCAL4, field, images)
     return [m.apply(z1), m.apply(z2)]
+
+
+def local_partials(pa: PointArray, equations: Sequence[Poly]) -> np.ndarray:
+    """d/dw_k of Z1 and Z2 at each point, shape (2, 4, N), with w_k local
+    on factor k as in ``local_equations``: the coefficient tensors read
+    against the P^1 rows, with the derivative row for factor k."""
+    p = pa.p
+    h = pa.homogeneous()
+    out = np.empty((2, 4, len(pa)), dtype=np.int64)
+    for f, d, partials in zip(equations, (1, 2), out):
+        tensor = coefficient_tensor(f, d, p)
+        exps = np.argwhere(tensor)
+        coef = tensor[tuple(exps.T)]
+        rows = p1_rows(h[..., 0], h[..., 1], d, p)  # (N, 4, d+1)
+        a = np.arange(d + 1)
+        # the row at (1, w) is w^a, so a*w^(a-1) is a*rows[a-1] (0 at a = 0)
+        deriv = np.where(pa.chart[..., None] == 0, a * rows[..., a - 1] % p, a == d - 1)
+        for k in range(4):
+            swapped = np.where(np.arange(4)[:, None] == k, deriv, rows)
+            # M products of residues (M <= 81) sum far below 2^63
+            partials[k] = (monomial_values(swapped, exps, p) * coef % p).sum(axis=1) % p
+    return out
+
+
+def jacobian_rank2(pa: PointArray, equations: Sequence[Poly]) -> np.ndarray:
+    """Whether the local 2x4 Jacobian of Z1 and Z2 has rank 2 at each point."""
+    p = pa.p
+    j0, j1 = local_partials(pa, equations)
+    rank2 = np.zeros(len(pa), dtype=bool)
+    for a, b in combinations(range(4), 2):
+        # a difference of two products of residues lies within +-2^62
+        rank2 |= (j0[a] * j1[b] - j0[b] * j1[a]) % p != 0
+    return rank2
 
 
 def certify_free_and_smooth(points: SurfacePointSet,
@@ -1057,7 +1049,8 @@ def canonical_weighted(coords: Sequence[int], p: int) -> Tuple[int, ...]:
 
 def canonical_weighted_rows(coords: np.ndarray, p: int) -> np.ndarray:
     """``canonical_weighted`` applied to each row of an (N, 16) array."""
-    xs, ys = coords[:, :8] % p, coords[:, 8:] % p
+    out = coords % p  # scaled in place below, with no (N, 16) temporary
+    xs, ys = out[:, :8], out[:, 8:]
     rows = np.arange(len(coords))
     has_x = xs.any(axis=1)
     if not (has_x | ys.any(axis=1)).all():
@@ -1066,13 +1059,22 @@ def canonical_weighted_rows(coords: np.ndarray, p: int) -> np.ndarray:
     lead_y = ys[rows, (ys != 0).argmax(axis=1)]
     target = np.where(pow_mod(lead_y, (p - 1) // 2, p) == 1, 1, smallest_non_residue(p))
     scale_y = np.where(has_x, lam * lam % p, target * pow_mod(lead_y, p - 2, p) % p)
-    return np.concatenate([xs * lam[:, None] % p, ys * scale_y[:, None] % p], axis=1)
+    xs *= lam[:, None]
+    ys *= scale_y[:, None]
+    out %= p
+    return out
+
+
+# the exponent of t_{k1} in sigma^#(v), halved for the weight-2 squares
+SIGMA_ROWS = np.array([[SIGMA_EXPS[name][T_INDEX[(k, 1)]] // w for k in range(4)]
+                       for name, w in zip(AMBIENT_XY.variables, AMBIENT_XY.weights)])
 
 
 def sigma_images(pa: PointArray) -> np.ndarray:
-    """Canonical weighted coordinates of the images of upstairs points, (N, 16)."""
-    monomials = [[(1, SIGMA_EXPS[name])] for name in AMBIENT_XY.variables]
-    coords = eval_terms(monomials, pa.homogeneous().reshape(-1, 8), pa.p).T
+    """Canonical weighted coordinates of the images of upstairs points, (N, 16):
+    products of one homogeneous coordinate (P^1 row of degree 1) per factor."""
+    coords = monomial_values(pa.homogeneous(), SIGMA_ROWS, pa.p)
+    coords[:, 8:] **= 2  # < 2^62, reduced by canonical_weighted_rows
     return canonical_weighted_rows(coords, pa.p)
 
 
@@ -1129,9 +1131,7 @@ def verify_branch_structure(p: int = 13) -> CheckReport:
                     problems.append(f"chart U_{xname(i, a)}: {name} has local degree {deg}")
                 if deg == 2:
                     degree2.add(local_exps)
-            expected = {tuple(ea + eb for ea, eb in zip(r1, r2))
-                        for r1 in _unit_exps(4) for r2 in _unit_exps(4)}
-            if degree2 != expected:
+            if degree2 != {e for e in product(range(3), repeat=4) if sum(e) == 2}:
                 problems.append(f"chart U_{xname(i, a)}: degree-2 pullbacks "
                                 f"{len(degree2)} != 10")
     z1 = z1_poly(field)
@@ -1146,15 +1146,6 @@ def verify_branch_structure(p: int = 13) -> CheckReport:
                             "local_ideal": "(w0,w1,w2,w3)^2",
                             "coordinate_points_on_z1": 14},
                    params={"prime": p})
-
-
-def _unit_exps(n: int):
-    out = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        out.append(tuple(e))
-    return out
 
 
 def y_point_count_report(p: int = 13) -> CheckReport:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ambient import AMBIENT_P7, Ambient
+from .ambient import AMBIENT_P7, AMBIENT_XY, Ambient
 from .linalg import SparseRows, eliminate, rank_mod_p
 from .poly import Poly
 from .report import CheckReport, verdict
@@ -98,6 +98,16 @@ def monomial_count(ambient: Ambient, d: int) -> int:
 MONOMIAL_BUDGET = 60000
 
 
+def check_budget(d: int, ambient: Ambient = AMBIENT_XY) -> int:
+    """#monomials of weighted degree d in ``ambient`` (by default that of V
+    and T), at most ``MONOMIAL_BUDGET``."""
+    ncols = monomial_count(ambient, d)
+    if ncols > MONOMIAL_BUDGET:
+        raise DegreeBudgetError(
+            f"degree {d} needs {ncols} monomials (budget {MONOMIAL_BUDGET})")
+    return ncols
+
+
 def hilbert_rows(ideal: IdealPresentation, d: int, p: int) -> SparseRows:
     """The degree-d multiples of the generators over GF(p): one sparse row per
     (generator, monomial) pair, in generator order and ascending monomial
@@ -110,10 +120,7 @@ def hilbert_rows(ideal: IdealPresentation, d: int, p: int) -> SparseRows:
     """
     field = GF(p)
     ambient = ideal.ambient
-    ncols = monomial_count(ambient, d)
-    if ncols > MONOMIAL_BUDGET:
-        raise DegreeBudgetError(
-            f"degree {d} needs {ncols} monomials (budget {MONOMIAL_BUDGET})")
+    ncols = check_budget(d, ambient)
     over_p = isinstance(ideal.domain, PrimeField)
     if over_p and ideal.domain.p != p:
         raise ValueError("ideal coefficients live in a different prime field")

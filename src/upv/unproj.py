@@ -50,10 +50,11 @@ class FamilyParams:
 
     def __post_init__(self):
         if len(self.nu) != 5:
-            raise ValueError("nu must have 5 entries")
+            raise ValueError(f"nu={tuple(self.nu)} must have 5 entries")
+        given = tuple(self.nu)
         object.__setattr__(self, "nu", tuple(self.domain.coerce(v) for v in self.nu))
         if not any(self.nu):
-            raise ValueError("nu must not be identically zero")
+            raise ValueError(f"nu={given} is zero over {self.domain}")
 
     def degenerate(self) -> Tuple[bool, str]:
         """Parameters for which the small-group action acquires fixed points.

@@ -1,6 +1,6 @@
 import random
 import signal
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import numpy as np
@@ -9,14 +9,13 @@ import pytest
 from upv.ambient import AMBIENT_T4, AMBIENT_XY, EVEN_TUPLES, X_INDEX, Y_INDEX
 from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
                        PointArray, ProjAut, SurfacePointSet, act_points,
-                       all_p1_points, aut_arrays, brute_force_count,
-                       build_lifts_and_certify, build_z2, canonical_weighted,
-                       canonical_weighted_rows, certify_free_and_smooth,
-                       coefficient_tensor, contract, distinct_rows,
-                       downstairs_image_set, enumerate_surface, eval_terms,
+                       aut_arrays, brute_force_count, build_lifts_and_certify,
+                       build_z2, canonical_weighted, canonical_weighted_rows,
+                       certify_free_and_smooth, coefficient_tensor, contract,
+                       distinct_rows, downstairs_image_set, enumerate_surface,
                        expand_point, gtilde_generators, hplane_problems,
-                       jacobian_rank2, local_equations, normalize_factors,
-                       p1_table, partial_terms, pow_mod, s_surface_pattern,
+                       jacobian_rank2, local_equations, local_partials,
+                       normalize_factors, p1_table, pow_mod, s_surface_pattern,
                        sigma_deck_report, sigma_images, sigma_map,
                        s_involution_map, table2_generators,
                        tabulated_generator_rows, verify_branch_structure,
@@ -31,6 +30,14 @@ from upv.unproj import FamilyParams
 def lifted():
     """The lifted group and its certificate, built once for this module."""
     return build_lifts_and_certify()
+
+
+def all_p1_points(p):
+    """Every point of (P^1(F_p))^4 in chart order, as tuples."""
+    for chart in CHARTS:
+        ranges = [range(p) if c == 0 else range(1) for c in chart]
+        for vals in product(*ranges):
+            yield (chart, tuple(vals))
 
 
 def point_list(pa):
@@ -226,6 +233,34 @@ def test_enumeration_equals_brute_force_point_set(p):
                       if any(pt[0][i] == 0 and pt[1][i] == 0 for i in (1, 2, 3))
                       and any(pt[0][i] == 1 for i in (1, 2, 3))]
         assert on_cd_zero
+
+
+def partial_terms(f, k, p):
+    """Integer terms (c, exps) mod p of the partial derivative in variable k."""
+    field = GF(p)
+    return [(int(field.coerce(c)) * e[k] % p, e[:k] + (e[k] - 1,) + e[k + 1:])
+            for e, c in f.terms.items() if e[k]]
+
+
+def eval_terms(polys, coords, p):
+    """Values mod p of integer term lists at the rows of ``coords`` (N, k):
+    shape (len(polys), N).  Every product is reduced mod p before it is
+    added (no product exceeds (p-1)^2 < 2^62); each sum of residues is
+    reduced once, at the end."""
+    cols = coords.T % p
+    powers = {1: cols}
+    out = np.zeros((len(polys), cols.shape[1]), dtype=np.int64)
+    for row, terms in zip(out, polys):
+        for c, e in terms:
+            t = c % p
+            for k, ek in enumerate(e):
+                if ek:
+                    if ek not in powers:
+                        powers[ek] = pow_mod(cols, ek, p)
+                    t = t * powers[ek][k] % p
+            row += t  # fewer than 2^32 residues cannot reach 2^63
+        row %= p
+    return out
 
 
 def eval_terms_enumerate(p, nu):
@@ -561,6 +596,25 @@ def test_array_jacobian_matches_poly_evaluate():
         got = jacobian_rank2(pts.points, (z1_poly(f), z2_poly(nu))).tolist()
         assert got == scalar_rank2(13, nu, point_list(pts.points))
         assert all(got) == smooth
+
+
+@pytest.mark.parametrize("p", [13, BOUND_PRIME])
+def test_local_partials_match_poly_derivatives(p):
+    # points of every chart, off the surface too, so that each factor is
+    # seen at (1, w) and at (0, 1); p - 1 is the largest residue
+    f = GF(p)
+    rng = random.Random(p)
+    nu = FamilyParams(f, (p - 1, 2, 3, p - 4, 5))
+    points = [(chart, tuple(0 if c else x for c, x in zip(chart, vals)))
+              for chart in CHARTS
+              for vals in ((p - 1,) * 4, tuple(rng.randrange(p) for _ in range(4)))]
+    got = local_partials(point_array(points, p), (z1_poly(f), z2_poly(nu)))
+    assert got.shape == (2, 4, len(points))
+    for n, pt in enumerate(points):
+        w = [f.from_int(x) for x in local_point(pt)]
+        expect = [[int(eq.derivative(v).evaluate(w)) for v in AMBIENT_LOCAL4.variables]
+                  for eq in local_equations(p, nu, pt[0])]
+        assert got[:, :, n].tolist() == expect, pt
 
 
 def test_certify_matches_scalar_oracle(lifted):

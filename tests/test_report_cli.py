@@ -10,8 +10,9 @@ import pytest
 from upv import cover
 from upv.checks import (ALIASES, CATALOG, CheckDef, RunConfig, RunContext,
                         resolve_targets, run_checks)
-from upv.cli import cmd_run, main, make_parser
+from upv.cli import build_config, cmd_run, main, make_parser
 from upv.report import CheckReport, verdict
+from upv.scalars import GF
 
 
 def run_cli(args, env=None):
@@ -330,11 +331,47 @@ def test_dump_hilbert_pinned(capsys):
 
 def test_benchmark_command_lines_parse():
     # every benchmark child runs `upv run` with these arguments (`--threads 1`
-    # included, which is accepted and ignored)
+    # included, which is accepted and ignored), and the configuration they
+    # build must pass validation
     from perfbench.run import WORKLOADS, upv_argv
     for workload in WORKLOADS.values():
         args = make_parser().parse_args(["run", *upv_argv(workload, 0)])
         assert args.fn is cmd_run
+        build_config(args)
+
+
+@pytest.mark.parametrize("args,message", [
+    (["cover.free_action", "--nu", "0,0,0,0,0"],
+     "nu=(0, 0, 0, 0, 0) is zero over GF(13)"),
+    (["cover.free_action", "--nu", "13,26,0,0,0", "--primes", "13"],
+     "nu=(13, 26, 0, 0, 0) is zero over GF(13)"),
+    # zero modulo the second default prime only
+    (["cover.free_action", "--nu", "17,34,0,0,0"],
+     "nu=(17, 34, 0, 0, 0) is zero over GF(17)"),
+    (["cover.free_action", "--nu", "1,2,3"], "nu=(1, 2, 3) must have 5 entries"),
+    (["burniat.parameter_map", "--lambda", "abc"], "lambda 'abc' is not a rational"),
+    (["burniat.parameter_map", "--lambda", "3/0"], "lambda '3/0' is not a rational"),
+    (["burniat.parameter_map", "--lambda", "0"], "lambda = 0, 1 are excluded parameters"),
+    (["burniat.parameter_map", "--lambda", "1"], "lambda = 0, 1 are excluded parameters"),
+    (["invariants.hilbert_t", "--max-degree", "9"],
+     "degree 9 needs 84448 monomials (budget 60000)"),
+])
+def test_configuration_errors_exit_two(args, message, capsys):
+    assert main(["run", *args]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_max_degree_budget_is_one_rule_for_run_and_dump(capsys):
+    assert main(["dump", "hilbert", "--max-degree", "9"]) == 2
+    dump_err = capsys.readouterr().err
+    assert main(["run", "unproj.ideal_census", "--max-degree", "9"]) == 2
+    assert capsys.readouterr().err == dump_err
+
+
+def test_rational_lambda_is_accepted(capsys):
+    code, (rec,) = _run_records(["run", "burniat.parameter_map", "--lambda", "5/2"], capsys)
+    assert code == 0 and rec["params"] == {"lambda": "5/2"}
 
 
 def test_tracer_targets_resolve():
@@ -431,6 +468,25 @@ def test_failed_group_certificate_is_reported_and_blocks_consumers(monkeypatch):
     assert structure.witness == {"problems": ["|closure| = 15"]}
     assert free.status == "fail"
     assert any("group certification failed" in m for m in free.witness["problems"])
+    assert len(calls) == 1
+
+
+def test_broken_orbit_closure_raises_instead_of_redrawing(monkeypatch):
+    # (t0 : t1) -> (t1 : 2*t0) on factor 0 has order 2 and, 2 being a
+    # non-square mod 13, no fixed point over F_13; it does not keep Z1
+    f = GF(13)
+    eye = ((1, 0), (0, 1))
+    g = cover.ProjAut(f, (0, 1, 2, 3), (((0, 1), (2, 0)), eye, eye, eye))
+    group = cover.FiniteProjGroup(f, [cover.ProjAut.identity(f), g], ["1", "g"],
+                                  [[0, 1], [1, 0]])
+    _count_group_builds(monkeypatch, (group, verdict("cover.group_structure", [])))
+    calls = _count_certificates(monkeypatch)
+    ctx = RunContext(RunConfig(primes=(13,)))
+    with pytest.raises(RuntimeError) as exc:
+        ctx.smooth_points(13, "closure")
+    message = str(exc.value)
+    assert message.startswith("free action failed for non-degenerate nu=")
+    assert "leaves the surface under g" in message and "fixes" not in message
     assert len(calls) == 1
 
 
