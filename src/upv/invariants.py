@@ -5,8 +5,19 @@ prime fields as (number of ambient monomials of the degree) minus the rank of
 the span of generator multiples, and cross-checked across primes; identical
 ranks over independent primes give overwhelming confidence at a fraction of
 the characteristic-0 cost, and disagreements are reported, never averaged.
-The surfaces T share the ν-free rows of V, which ``t_profiles`` eliminates
-once per prime and degree for all draws.
+
+``extend`` computes the same ranks with fewer rows, by the Koszul half of
+Faugère's F5 criterion: at degree d, generator g_k of degree e multiplies
+only the degree-(d-e) monomials whose column leads no pivot made by a
+generator g_i with i < k.  The rows it leaves out are redundant:
+  1. every monomial m of degree d-e is r + v, with r in the span of the
+     monomials kept and v in I_{k-1} = (g_i : i < k), since the columns an
+     echelon basis of (I_{k-1})_{d-e} leaves unled span the quotient by it;
+  2. g_k·v = sum_{i<k} (g_k·a_i)·g_i is a sum of earlier generators' rows;
+  3. by induction on k and d the kept rows span every graded piece.
+No geometry is assumed: a generator may be a zero divisor or lie in the
+ideal of the ones before it.  The surfaces T = V + (q(ν)) share V's
+echelon, which ``t_profiles`` builds once per prime for all draws.
 
 The intersection-theoretic sanity checks live in the 16-dimensional ring
 Z[h1,h2,h3,h4]/(h1^2, h2^2, h3^2, h4^2) of (P^1)^4.
@@ -14,18 +25,18 @@ Z[h1,h2,h3,h4]/(h1^2, h2^2, h3^2, h4^2) of (P^1)^4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ambient import AMBIENT_P7, AMBIENT_XY, Ambient
-from .linalg import SparseRows, eliminate, rank_mod_p
+from .linalg import Pivots, SparseRows, eliminate, rank_mod_p
 from .poly import Poly
 from .report import CheckReport, verdict
 from .scalars import GF, PrimeField
-from .unproj import (QUADRIC_SECTION, FamilyParams, IdealPresentation,
-                     build_v_ideal, build_x_ideal, q_section)
+from .unproj import (FamilyParams, IdealPresentation, build_v_ideal,
+                     build_x_ideal, q_section)
 
 
 class DegreeBudgetError(ValueError):
@@ -108,6 +119,20 @@ def check_budget(d: int, ambient: Ambient = AMBIENT_XY) -> int:
     return ncols
 
 
+def graded_terms(g: Poly, p: int, base: int) -> Tuple[Optional[int], List[Tuple[int, int]]]:
+    """The weighted degree of the homogeneous g over GF(p) (None if it is 0
+    there) and its terms as (``exponent_key`` in ``base``, residue) pairs."""
+    degrees = {g.ambient.weighted_degree(e) for e in g.terms}
+    if len(degrees) > 1:
+        raise ValueError("hilbert_function needs homogeneous generators")
+    if not isinstance(g.domain, PrimeField):
+        g = g.map_coefficients(GF(p))
+    elif g.domain.p != p:
+        raise ValueError("ideal coefficients live in a different prime field")
+    terms = [(exponent_key(e, base), int(c)) for e, c in g.terms.items()]
+    return (degrees.pop() if terms else None), terms
+
+
 def hilbert_rows(ideal: IdealPresentation, d: int, p: int) -> SparseRows:
     """The degree-d multiples of the generators over GF(p): one sparse row per
     (generator, monomial) pair, in generator order and ascending monomial
@@ -118,24 +143,15 @@ def hilbert_rows(ideal: IdealPresentation, d: int, p: int) -> SparseRows:
     the key of a generator term times a monomial is the sum of their keys.
     A generator's term degrees and keys are read once per call.
     """
-    field = GF(p)
     ambient = ideal.ambient
     ncols = check_budget(d, ambient)
-    over_p = isinstance(ideal.domain, PrimeField)
-    if over_p and ideal.domain.p != p:
-        raise ValueError("ideal coefficients live in a different prime field")
     base = d + 1
     col = {k: j for j, k in enumerate(monomial_keys(ambient, d, base))}
     rows: List[Dict[int, int]] = []
     for _, g, _ in ideal.generators:
-        degrees = {ambient.weighted_degree(e) for e in g.terms}
-        if len(degrees) > 1:
-            raise ValueError("hilbert_function needs homogeneous generators")
-        gp = g if over_p else g.map_coefficients(field)
-        e = degrees.pop() if gp.terms else None
+        e, terms = graded_terms(g, p, base)
         if e is None or e > d:
             continue
-        terms = [(exponent_key(ge, base), int(gc)) for ge, gc in gp.terms.items()]
         for km in monomial_keys(ambient, d - e, base):
             rows.append({col[kg + km]: c for kg, c in terms})
     return SparseRows(rows, (len(rows), ncols))
@@ -152,28 +168,78 @@ def hilbert_function(ideal: IdealPresentation, d: int, p: int) -> int:
     return ncols - rank_mod_p(rows, p)
 
 
+@dataclass
+class Echelon:
+    """An ideal's graded pieces over GF(p) in degrees 0..len(pivots)-1, as
+    ``extend`` leaves them after its first ``count`` generators: per degree,
+    the pivot rows keyed by leading column, and the index of the generator
+    whose rows made each pivot."""
+    ambient: Ambient
+    p: int
+    count: int
+    pivots: List[Pivots]
+    makers: List[Dict[int, int]]
+
+    def profile(self) -> List[Tuple[int, int]]:
+        """``[(d, dim of the degree-d part of the quotient ring)]``."""
+        return [(d, monomial_count(self.ambient, d) - len(pivots))
+                for d, pivots in enumerate(self.pivots)]
+
+
+def extend(ambient: Ambient, generators: Sequence[Poly], p: int, max_degree: int,
+           prefix: Optional[Echelon] = None) -> Echelon:
+    """The echelon of the ideal of ``prefix``'s generators (none if it is
+    None) followed by ``generators``, in degrees <= max_degree over GF(p).
+
+    Degree by degree and generator by generator, generator k of degree e
+    multiplies only the degree-(d-e) monomials whose column leads no pivot
+    made by a generator with index < k (the criterion of the module
+    docstring), and ``linalg.eliminate`` continues the degree-d pivots with
+    those rows.  ``prefix`` is read and never written, so one echelon can be
+    extended by many generator lists.  Exponent keys are in base
+    max_degree + 1, which bounds every exponent.
+    """
+    for d in range(max_degree + 1):
+        check_budget(d, ambient)
+    if prefix is not None and (prefix.ambient != ambient or prefix.p != p
+                               or len(prefix.pivots) <= max_degree):
+        raise ValueError("the prefix echelon has another ring or fewer degrees")
+    base = max_degree + 1
+    graded = [graded_terms(g, p, base) for g in generators]
+    first = prefix.count if prefix else 0
+    pivots: List[Pivots] = []
+    makers: List[Dict[int, int]] = []
+    for d in range(max_degree + 1):
+        col = {k: j for j, k in enumerate(monomial_keys(ambient, d, base))}
+        pivots.append(dict(prefix.pivots[d]) if prefix else {})
+        makers.append(dict(prefix.makers[d]) if prefix else {})
+        for k, (e, terms) in enumerate(graded, first):
+            if e is None or e > d:
+                continue
+            led = makers[d - e]
+            rows = ({col[kg + km]: c for kg, c in terms}
+                    for j, km in enumerate(monomial_keys(ambient, d - e, base))
+                    if led.get(j, k) >= k)
+            new = eliminate(rows, p, pivots[d])
+            pivots[d].update(new)
+            makers[d].update(dict.fromkeys(new, k))
+    return Echelon(ambient, p, first + len(graded), pivots, makers)
+
+
 def t_profiles(p: int, nus: Sequence[FamilyParams],
                max_degree: int) -> List[List[Tuple[int, int]]]:
     """``[(d, h_T(d)) for d <= max_degree]`` over GF(p), one list per ν.
 
-    T = V + (q(ν)) and only q depends on ν.  The rows of T are V's
-    multiples followed by q's, so at each degree V's rows are eliminated
-    once and each ν continues from their pivots with its q-multiples alone:
-    rank T = |V pivots| + |new pivots|.  V's pivots are dropped before the
-    next degree.
+    T = V + (q(ν)) and only q depends on ν, so V's echelon is built once
+    and each draw extends it by q alone.  By the criterion q, the last
+    generator, multiplies only the monomials standard for V: at degree d
+    its h_V(d-2) rows, continued from V's pivots.
     """
     field = GF(p)
     v = build_v_ideal(field)
-    qs = [replace(v, name="q", generators=[
-        ("q", q_section(FamilyParams(field, nu.nu)), QUADRIC_SECTION)]) for nu in nus]
-    profiles: List[List[Tuple[int, int]]] = [[] for _ in qs]
-    for d in range(max_degree + 1):
-        v_rows = hilbert_rows(v, d, p)
-        v_pivots = eliminate(v_rows, p)
-        for values, q in zip(profiles, qs):
-            new = eliminate(hilbert_rows(q, d, p), p, v_pivots)
-            values.append((d, v_rows.shape[1] - len(v_pivots) - len(new)))
-    return profiles
+    v_echelon = extend(v.ambient, [g for _, g, _ in v.generators], p, max_degree)
+    return [extend(v.ambient, [q_section(FamilyParams(field, nu.nu))], p,
+                   max_degree, v_echelon).profile() for nu in nus]
 
 
 @dataclass

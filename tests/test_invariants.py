@@ -1,18 +1,22 @@
+import inspect
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import upv.invariants
 import upv.unproj
 from upv.ambient import AMBIENT_P7, AMBIENT_XY
-from upv.invariants import (IntersectionClass, ci_series_coefficient,
+from upv.invariants import (IntersectionClass, ci_series_coefficient, extend,
                             hilbert_function, hilbert_profile, hilbert_rows,
                             hilbert_t_report, hilbert_v_report,
                             hilbert_x_report, intersection_number,
                             intersection_numbers_report, monomial_count,
                             monomials_of_weighted_degree, plurigenus_expected,
                             t_profiles, x_ideal_p7)
+from upv.poly import Poly
 from upv.scalars import GF, PrimeField
 from upv.unproj import (FamilyParams, IdealPresentation, build_t_ideal,
                         build_v_ideal, hyperplane_section, q_section, xvar)
@@ -109,42 +113,157 @@ def test_t_profiles_of_a_section_inside_v(monkeypatch):
     assert len(rep.witness["problems"]) == 2
 
 
+def full_profile(ambient, generators, p, max_degree):
+    """The oracle: h(d) from the rank of every generator multiple at degree d."""
+    ideal = IdealPresentation("I", ambient, GF(p), [("g", g, "g") for g in generators])
+    return [(d, hilbert_function(ideal, d, p)) for d in range(max_degree + 1)]
+
+
+def var(ambient, p, k):
+    e = [0] * ambient.nvars
+    e[k] = 1
+    return Poly.monomial(ambient, GF(p), e)
+
+
+@st.composite
+def small_ideals(draw):
+    """Forms of weighted degree 1-3 on a few variables of P^7, or of the
+    weighted space with two weight-2 variables, so that the ideals are far
+    from generic; with some of them repeated, multiplied into a later
+    generator, or listed after a lower-degree divisor, and the list shuffled."""
+    ambient = draw(st.sampled_from([AMBIENT_P7, AMBIENT_XY]))
+    p = draw(st.sampled_from([5, 13, 29]))
+    f = GF(p)
+    support = {0, 1, 2, 8, 9}
+
+    def form(e):
+        basis = [m for m in monomials_of_weighted_degree(ambient, e)
+                 if all(k in support for k, a in enumerate(m) if a)]
+        exps = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3))
+        return Poly(ambient, f, {m: f.coerce(draw(st.integers(1, p - 1))) for m in exps})
+
+    gens = [form(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
+    for kind in draw(st.lists(st.sampled_from(["repeat", "inside", "divisor"]), max_size=2)):
+        if kind == "repeat":
+            gens.append(draw(st.sampled_from(gens)))
+        elif kind == "inside":
+            g = draw(st.sampled_from(gens))
+            gens.append(form(1) * g + form(g.weighted_degree() + 1))
+        else:
+            u = form(1)
+            gens += [u * form(1), u]
+    return ambient, p, draw(st.permutations(gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals(), st.data())
+def test_extend_matches_the_full_matrix(case, data):
+    ambient, p, gens = case
+    oracle = full_profile(ambient, gens, p, 4)
+    assert extend(ambient, gens, p, 4).profile() == oracle
+    split = data.draw(st.integers(0, len(gens)))
+    prefix = extend(ambient, gens[:split], p, 4)
+    assert extend(ambient, gens[split:], p, 4, prefix).profile() == oracle
+
+
+@pytest.mark.parametrize("case", ["repeated", "inside", "zero divisor",
+                                  "higher degree first", "unit last", "weighted"])
+def test_extend_on_adversarial_generator_lists(case):
+    p = 13
+    x = [var(AMBIENT_P7, p, k) for k in range(4)]
+    q = x[0] * x[1] + x[2] * x[2]
+    w = [var(AMBIENT_XY, p, k) for k in (0, 1, 2, 8)]  # x00, x01, x10 and a weight-2 y
+    ambient, gens = {
+        "repeated": (AMBIENT_P7, [q, q, x[3], q]),
+        "inside": (AMBIENT_P7, [x[0] * x[0] - x[1] * x[2], x[1] * x[1],
+                                x[3] * (x[0] * x[0] - x[1] * x[2]) + x[0] * x[1] * x[1]]),
+        "zero divisor": (AMBIENT_P7, [x[0] * x[1], x[0], x[1] + x[2]]),
+        "higher degree first": (AMBIENT_P7, [x[0] ** 3 + x[1] ** 3, x[0] * x[0], x[1]]),
+        "unit last": (AMBIENT_P7, [x[0] * x[0], Poly.one(AMBIENT_P7, GF(p))]),
+        "weighted": (AMBIENT_XY, [w[0] * w[3] - w[1] ** 3, w[3] - w[0] * w[1],
+                                  w[2] * w[3], w[3] * w[3]]),
+    }[case]
+    assert extend(ambient, gens, p, 4).profile() == full_profile(ambient, gens, p, 4)
+
+
+def test_a_criterion_that_skips_its_own_leads_is_caught():
+    # the mutant also drops the monomials led by generator k itself
+    source = inspect.getsource(upv.invariants.extend)
+    assert source.count("led.get(j, k) >= k") == 1
+    namespace = dict(vars(upv.invariants))
+    exec(source.replace("led.get(j, k) >= k", "led.get(j, k + 1) > k"), namespace)
+    mutant = namespace["extend"]
+    x0 = var(AMBIENT_P7, 13, 0)
+    oracle = full_profile(AMBIENT_P7, [x0], 13, 3)
+    assert extend(AMBIENT_P7, [x0], 13, 3).profile() == oracle == [
+        (0, 1), (1, 7), (2, 28), (3, 84)]
+    assert mutant(AMBIENT_P7, [x0], 13, 3).profile() != oracle
+
+
+def test_generator_rows_reject_inhomogeneous_or_foreign_generators():
+    x0, x1 = var(AMBIENT_P7, 13, 0), var(AMBIENT_P7, 13, 1)
+    foreign = var(AMBIENT_P7, 17, 0)
+    for gens, message in [([x0 * x0 + x1], "needs homogeneous generators"),
+                          ([foreign], "ideal coefficients live in a different prime field")]:
+        ideal = IdealPresentation("I", AMBIENT_P7, gens[0].domain,
+                                  [("g", g, "g") for g in gens])
+        with pytest.raises(ValueError, match=message):
+            hilbert_function(ideal, 2, 13)
+        with pytest.raises(ValueError, match=message):
+            extend(AMBIENT_P7, gens, 13, 2)
+    prefix = extend(AMBIENT_P7, [x0], 13, 2)
+    for ambient, p, max_degree in [(AMBIENT_XY, 13, 2), (AMBIENT_P7, 17, 2),
+                                   (AMBIENT_P7, 13, 3)]:
+        with pytest.raises(ValueError, match="another ring or fewer degrees"):
+            extend(ambient, [], p, max_degree, prefix)
+
+
 def test_hilbert_t_report_eliminates_v_once_per_prime_and_degree(monkeypatch):
     calls = []
-    real_eliminate = upv.invariants.eliminate
+    real_extend, real_eliminate = upv.invariants.extend, upv.invariants.eliminate
+
+    def traced_extend(ambient, generators, p, max_degree, prefix=None):
+        call = {"p": p, "generators": list(generators), "prefix": prefix, "rows": []}
+        calls.append(call)
+        echelon = call["echelon"] = real_extend(ambient, generators, p, max_degree, prefix)
+        call["copy"] = [{c: dict(row) for c, row in pivots.items()} for pivots in echelon.pivots]
+        return echelon
 
     def counted(rows, p, pivots=None):
-        new = real_eliminate(rows, p, pivots)
-        calls.append((p, rows, pivots, new))
-        return new
+        rows = list(rows)
+        calls[-1]["rows"].append((rows, dict(pivots)))
+        return real_eliminate(rows, p, pivots)
 
     def no_full_matrix(matrix, p):
         raise AssertionError("hilbert_t eliminated a whole T matrix")
 
+    primes, max_degree = (13, 17, 29), 5
+    h_v_oracle = {p: hilbert_profile("V", p, max_degree).values for p in primes}
+    monkeypatch.setattr(upv.invariants, "extend", traced_extend)
     monkeypatch.setattr(upv.invariants, "eliminate", counted)
     monkeypatch.setattr(upv.invariants, "rank_mod_p", no_full_matrix)
-    primes, max_degree = (13, 17, 29), 5
     nus = {p: [FamilyParams(GF(p), (3 + k, 1, 4, 1, 5)) for k in range(3)] for p in primes}
     assert hilbert_t_report(primes, nus, max_degree).passed
-    expected = []
-    for p in primes:
+    assert len(calls) == 4 * len(primes)
+    for i, p in enumerate(primes):
+        v_call, *q_calls = calls[4 * i: 4 * i + 4]
         v = build_v_ideal(GF(p))
-        qs = [IdealPresentation("q", AMBIENT_XY, GF(p), [("q", q_section(nu), "q")])
-              for nu in nus[p]]
-        for d in range(max_degree + 1):
-            expected.append((p, list(hilbert_rows(v, d, p)), None))
-            for q in qs:
-                q_rows = list(hilbert_rows(q, d, p))
-                assert len(q_rows) == (monomial_count(AMBIENT_XY, d - 2) if d >= 2 else 0)
-                expected.append((p, q_rows, "V"))
-    seen, v_pivots = [], None
-    for p, rows, pivots, new in calls:
-        if pivots is None:
-            v_pivots = new
-        else:
-            assert pivots is v_pivots
-        seen.append((p, list(rows), None if pivots is None else "V"))
-    assert seen == expected
+        v_echelon = v_call["echelon"]
+        assert v_call["p"] == p and v_call["prefix"] is None
+        assert v_call["generators"] == [g for _, g, _ in v.generators]
+        assert v_echelon.pivots == v_call["copy"]  # no draw wrote V's pivots
+        assert v_echelon.profile() == h_v_oracle[p]
+        h_v = dict(h_v_oracle[p])
+        for q_call, nu in zip(q_calls, nus[p]):
+            assert q_call["p"] == p and q_call["prefix"] is v_echelon
+            assert q_call["generators"] == [q_section(nu)]
+            # one block of q-multiples per degree, continued from V's pivots
+            assert [pivots for _, pivots in q_call["rows"]] == v_echelon.pivots[2:]
+            assert [len(rows) for rows, _ in q_call["rows"]] == [
+                h_v[d - 2] for d in range(2, max_degree + 1)]
+        if p == 13:
+            assert sum(len(rows) for rows, _ in v_call["rows"]) == 3027
+            assert len(q_calls[0]["rows"][-1][0]) == h_v[3] == 87
 
 
 def test_plurigenus_formula():

@@ -133,7 +133,8 @@ def test_cli_dump_hilbert_rows():
     assert res.returncode == 0
     lines = res.stdout.strip().splitlines()
     data = [l for l in lines if l and not l.startswith("#") and "degree" not in l]
-    assert len(data) == 5
+    assert [l.split("\t") for l in data] == [
+        [str(d), str(h)] for d, h in enumerate([1, 7, 32, 80, 152])]
 
 
 def test_cli_dump_unknown_artifact():
