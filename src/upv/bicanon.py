@@ -34,7 +34,7 @@ from .linalg import rank
 from .poly import MonomialMap, Poly, exact_divide, proportional, ring_substitute
 from .report import CheckReport, verdict
 from .scalars import GF, QI, QQ, PrimeField, smallest_non_residue
-from .unproj import (FamilyParams, l_form, product_of_sums,
+from .unproj import (FamilyParams, l_form, nodes_distinct, product_of_sums,
                      reduce_by_rewriting, s_form, xvar)
 
 AMBIENT_ZCHART = Ambient.graded("ZCHART", ("zx00", "zx21", "zx31"), laurent=True)
@@ -154,13 +154,6 @@ def node_coordinates(nu: FamilyParams, i: int) -> Tuple[object, ...]:
         s[k] = nu.nu[i]
     s[i] = -(nu.nu[0] + sum((nu.nu[k] for k in others), d.zero()))
     return tuple(s)
-
-
-def nodes_distinct(nu: FamilyParams) -> bool:
-    """The three nodes are pairwise distinct iff nu0+nu1+nu2+nu3 != 0; when
-    the sum vanishes they all collapse to (1:1:1:1) and the double point is
-    no longer ordinary."""
-    return bool(nu.nu[0] + nu.nu[1] + nu.nu[2] + nu.nu[3])
 
 
 def verify_nodes(p: int = 13, draws: int = 100, seed: int = 0) -> CheckReport:

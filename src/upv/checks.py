@@ -7,22 +7,35 @@ draws come from one seeded stream per (purpose, prime); draws failing the
 degeneracy predicate, or with vanishing last coordinate, or with collapsed
 cubic nodes are rejected upfront, and draws that land on other components of
 the discriminant over the small field are redrawn with the reason recorded.
+
+The suite modules ``cover``, ``bicanon`` and ``grouprep`` (and with them
+numpy) are imported by the first check or cache that needs them, so a run
+loads only what its selected checks use: ``upv run invariants`` never
+imports them.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import bicanon, cover, grouprep, invariants, unproj
+from . import invariants, unproj
 from .report import FAIL, CheckReport, verdict
 from .scalars import GF, QQ
-from .unproj import FamilyParams
+from .unproj import FamilyParams, nodes_distinct
+
+if TYPE_CHECKING:
+    from . import cover
+
+
+def _load(name: str):
+    """The module ``upv.<name>``, imported at its first use: the lambda
+    runners' form of a function-level import."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 @dataclass
@@ -50,6 +63,7 @@ class RunConfig:
                 lam = Fraction(self.lam)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"lambda {self.lam!r} is not a rational") from None
+            from . import bicanon
             bicanon.check_pencil_lambda(lam)
 
 
@@ -64,6 +78,7 @@ class RunContext:
         self._points: Dict[tuple, cover.SurfacePointSet] = {}
         self._certificates: Dict[tuple, CheckReport] = {}
         self._rngs: Dict[str, random.Random] = {}
+        self._v_echelons: Dict[int, invariants.Echelon] = {}
 
     def rng(self, purpose: str) -> random.Random:
         if purpose not in self._rngs:
@@ -73,6 +88,7 @@ class RunContext:
     def group_report(self) -> CheckReport:
         """The certificate of the lifted group, built once per run."""
         if self._group_report is None:
+            from . import cover
             self._group, self._group_report = cover.build_lifts_and_certify()
         return self._group_report
 
@@ -82,6 +98,13 @@ class RunContext:
         if not rep.passed:
             raise RuntimeError(f"group certification failed: {rep.witness}")
         return self._group
+
+    def v_echelon(self, p: int) -> invariants.Echelon:
+        """V's echelon over GF(p), built once per run in the degrees that
+        ``hilbert_v`` (3) and ``hilbert_t`` (max(2, max_degree)) read."""
+        if p not in self._v_echelons:
+            self._v_echelons[p] = invariants.v_echelon(p, max(3, self.cfg.max_degree))
+        return self._v_echelons[p]
 
     def draws(self, n: int) -> int:
         """How many distinct draws a check asking for n can make: one when
@@ -101,13 +124,14 @@ class RunContext:
             degenerate, _ = nu.degenerate()
             if degenerate or not nu.nu[4]:
                 continue
-            if require_distinct_nodes and not bicanon.nodes_distinct(nu):
+            if require_distinct_nodes and not nodes_distinct(nu):
                 continue
             return nu
 
     def points(self, p: int, nu: FamilyParams) -> cover.SurfacePointSet:
         key = (p, tuple(int(v) for v in nu.nu))
         if key not in self._points:
+            from . import cover
             self._points[key] = cover.enumerate_surface(p, nu)
         return self._points[key]
 
@@ -115,6 +139,7 @@ class RunContext:
         """The freeness and smoothness certificate of a surface, once per run."""
         key = (p, tuple(int(v) for v in nu.nu))
         if key not in self._certificates:
+            from . import cover
             self._certificates[key] = cover.certify_free_and_smooth(
                 self.points(p, nu), self.group())
         return self._certificates[key]
@@ -178,6 +203,9 @@ def _free_action_check(ctx: RunContext) -> CheckReport:
 
 
 def _enumeration_check(ctx: RunContext) -> CheckReport:
+    import numpy as np
+
+    from . import cover
     p = ctx.cfg.primes[0]
     problems = []
     nu = ctx.draw_nu(p, "enum")
@@ -224,6 +252,7 @@ def _ideal_census_check(ctx: RunContext) -> CheckReport:
 
 
 def _sigma_pullback_check(ctx: RunContext) -> CheckReport:
+    from . import cover
     problems = []
     sig = cover.sigma_map(QQ)
     j = unproj.build_unprojection_ideal(QQ)
@@ -246,10 +275,12 @@ def _hilbert_t_check(ctx: RunContext) -> CheckReport:
     nus = {p: [ctx.draw_nu(p, f"hilbert{k}") for k in range(ctx.draws(3))]
            for p in ctx.cfg.primes}
     return invariants.hilbert_t_report(ctx.cfg.primes, nus,
-                                       max_degree=max(2, ctx.cfg.max_degree))
+                                       max_degree=max(2, ctx.cfg.max_degree),
+                                       echelon=ctx.v_echelon)
 
 
 def _s3_derivation_check(ctx: RunContext) -> CheckReport:
+    from . import bicanon
     problems = []
     runs = 0
     for p in ctx.cfg.primes:
@@ -264,6 +295,7 @@ def _s3_derivation_check(ctx: RunContext) -> CheckReport:
 
 
 def _s3_points_check(ctx: RunContext) -> CheckReport:
+    from . import bicanon
     p = ctx.cfg.primes[0]
     pts, redraws = ctx.smooth_points(p, "s3pts")
     rep = bicanon.scubic_points_report(pts)
@@ -273,6 +305,7 @@ def _s3_points_check(ctx: RunContext) -> CheckReport:
 
 
 def _nodes_check(ctx: RunContext) -> CheckReport:
+    from . import bicanon
     rep = bicanon.verify_nodes(ctx.cfg.primes[0], draws=100, seed=ctx.cfg.seed)
     ok_paths, note = bicanon.nodes_error_paths()
     if ok_paths:
@@ -283,6 +316,7 @@ def _nodes_check(ctx: RunContext) -> CheckReport:
 
 
 def _plane_sections_check(ctx: RunContext) -> CheckReport:
+    from . import bicanon
     p = ctx.cfg.primes[0]
     nu = ctx.draw_nu(p, "sections")
     return bicanon.split_plane_sections(nu)
@@ -293,6 +327,7 @@ def _branch_loci_check(ctx: RunContext) -> CheckReport:
     hits (each line and each conic visibly met) may accumulate across draws,
     since a single small-field draw can have an entirely non-rational branch
     curve upstairs."""
+    from . import bicanon
     p = ctx.cfg.primes[0]
     wanted_hits = [f"theta{i}.{kind}" for i in (1, 2, 3) for kind in ("line", "conic")]
     accepted = 0
@@ -328,6 +363,7 @@ def _branch_loci_check(ctx: RunContext) -> CheckReport:
 
 
 def _parameter_map_check(ctx: RunContext) -> CheckReport:
+    from . import bicanon
     lam = Fraction(ctx.cfg.lam) if ctx.cfg.lam else Fraction(3)
     _, rep = bicanon.burniat_parameter_map(lam)
     p = ctx.cfg.primes[0]
@@ -382,37 +418,37 @@ CATALOG: List[CheckDef] = [
     CheckDef("grouprep.table1_relations",
              "the six signed-permutation generators",
              "six commuting involutions acting as tabulated",
-             lambda ctx: grouprep.table1_relations_report()),
+             lambda ctx: _load("grouprep").table1_relations_report()),
     CheckDef("grouprep.subgroup_census",
              "the order-8 and order-32 subgroups and the three cosets",
              "|G| = 8, |H| = 32, theta_i are disjoint 8-element cosets",
-             lambda ctx: grouprep.subgroup_census_report()),
+             lambda ctx: _load("grouprep").subgroup_census_report()),
     CheckDef("grouprep.regular_representation",
              "characters on the weight-1 span and the signed y-sums",
              "regular character on the x-span; 8 eigenvectors realize all characters",
-             lambda ctx: grouprep.check_regular_representation()),
+             lambda ctx: _load("grouprep").check_regular_representation()),
     CheckDef("grouprep.fixed_loci",
              "eigen-conditions cutting the fixed loci of the involutions",
              "constraints are eigenvectors; reference displays match",
-             lambda ctx: grouprep.fixed_loci_report()),
+             lambda ctx: _load("grouprep").fixed_loci_report()),
     CheckDef("grouprep.q_invariance",
              "which words preserve the section up to sign",
              "exactly the even-exponent words send q to +-q",
-             lambda ctx: grouprep.q_invariance_report(
+             lambda ctx: _load("grouprep").q_invariance_report(
                  ctx.cfg.primes[0], seed=ctx.cfg.seed)),
     CheckDef("grouprep.j_stability",
              "stability of the 63 generators under the full group",
              "every word permutes the generators up to sign",
-             lambda ctx: grouprep.j_generator_stability_report()),
+             lambda ctx: _load("grouprep").j_generator_stability_report()),
     CheckDef("grouprep.delta_set",
              "parameters at which the three-letter involution has fixed points",
              "fixed points appear exactly at delta = +-8*eps",
-             lambda ctx: grouprep.delta_set_report(
+             lambda ctx: _load("grouprep").delta_set_report(
                  ctx.cfg.primes[0], seed=ctx.cfg.seed)),
     CheckDef("cover.sigma_deck",
              "the deck involution commutes with the covering map",
              "s rescales every pullback by (-1)^weight",
-             lambda ctx: cover.sigma_deck_report()),
+             lambda ctx: _load("cover").sigma_deck_report()),
     CheckDef("cover.group_structure",
              "closure and certification of the lifted group",
              "order 16, statistics (1,3,12), unique common square, Z/2 x Q8",
@@ -420,12 +456,12 @@ CATALOG: List[CheckDef] = [
     CheckDef("cover.z2_construction",
              "the multidegree-(2,2,2,2) equation of the surface family",
              "2 sigma#(q) equals the display and is group-semi-invariant",
-             lambda ctx: cover.build_z2(
+             lambda ctx: _load("cover").build_z2(
                  ctx.draw_nu(ctx.cfg.primes[0], "z2"))[1]),
     CheckDef("cover.branch_structure",
              "branching of the degree-2 covering map",
              "16 deck fixed points; local pullback ideal is the squared maximal ideal",
-             lambda ctx: cover.verify_branch_structure(ctx.cfg.primes[0])),
+             lambda ctx: _load("cover").verify_branch_structure(ctx.cfg.primes[0])),
     CheckDef("cover.enumeration",
              "point enumeration against the naive oracle",
              "the enumerated count matches the full scan; image count matches",
@@ -437,7 +473,7 @@ CATALOG: List[CheckDef] = [
     CheckDef("cover.hplane_decomposition",
              "the hyperplane sections of the image decompose as stated",
              "each section is one coordinate point plus six quartic surfaces",
-             lambda ctx: cover.verify_hplane_decomposition(ctx.cfg.primes[0])),
+             lambda ctx: _load("cover").verify_hplane_decomposition(ctx.cfg.primes[0])),
     CheckDef("invariants.hilbert_x",
              "Hilbert function of the quadric complete intersection",
              "h_X(d) matches the series of 3 quadrics in 8 variables, d <= 6",
@@ -449,7 +485,8 @@ CATALOG: List[CheckDef] = [
     CheckDef("invariants.hilbert_v",
              "Hilbert function of the key 3-fold",
              "h_V(1) = 7; higher degrees stable across primes",
-             lambda ctx: invariants.hilbert_v_report(ctx.cfg.primes[:2])),
+             lambda ctx: invariants.hilbert_v_report(ctx.cfg.primes[:2],
+                                                     echelon=ctx.v_echelon)),
     CheckDef("invariants.intersection_numbers",
              "intersection numbers in the cohomology of (P^1)^4",
              "H^4 = 24; degree 12 downstairs; K^2 = 24 for the surfaces",
@@ -477,19 +514,19 @@ CATALOG: List[CheckDef] = [
     CheckDef("burniat.nodes",
              "the 24 double points of the special pencil chart",
              "F1 = F2 = 0 on all 24 points with Hessian diagonal -4",
-             lambda ctx: bicanon.burniat_nodes_report()),
+             lambda ctx: _load("bicanon").burniat_nodes_report()),
     CheckDef("burniat.charts",
              "the torus chart and the pencil generators",
              "pullbacks are -F1 and F2 exactly; the chart lies on the 3-fold",
-             lambda ctx: bicanon.burniat_charts_report()),
+             lambda ctx: _load("bicanon").burniat_charts_report()),
     CheckDef("burniat.f3",
              "smoothness of the pencil member along the second chart",
              "the two partials at x00 = 0 have no common zero off the axes",
-             lambda ctx: bicanon.burniat_f3_report()),
+             lambda ctx: _load("bicanon").burniat_f3_report()),
     CheckDef("burniat.lambda_identity",
              "the plane-model identity",
              "(lam+1)^2 prod(s_i - s0) + 2 lam s0 (sum s_i - s0)^2 = 0 identically",
-             lambda ctx: bicanon.lambda_identity_report()),
+             lambda ctx: _load("bicanon").lambda_identity_report()),
     CheckDef("burniat.parameter_map",
              "matching the pencil against the plane model",
              "nu4 = (lambda+1)/4 empirically; printed 4(lambda+1) off by 16",

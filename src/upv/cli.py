@@ -23,8 +23,19 @@ class UsageError(Exception):
     pass
 
 
-def _parse_ints(text: str):
-    return tuple(int(x) for x in text.replace(",", " ").split())
+def _parse_ints(key: str, text: str) -> tuple:
+    """The integers of a comma- or space-separated value of ``key``."""
+    try:
+        return tuple(int(x) for x in text.replace(",", " ").split())
+    except ValueError:
+        raise UsageError(f"{key} {text!r} is not a list of integers") from None
+
+
+def _parse_int(key: str, text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{key} {text!r} is not an integer") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -66,23 +77,30 @@ def build_config(args) -> RunConfig:
             raw[key] = value
     cfg = RunConfig()
     if "primes" in raw:
-        cfg.primes = _parse_ints(raw["primes"])
+        cfg.primes = _parse_ints("primes", raw["primes"])
     if getattr(args, "prime", None) is not None:
         cfg.primes = (args.prime,)
     if "seed" in raw:
-        cfg.seed = int(raw["seed"])
+        cfg.seed = _parse_int("seed", raw["seed"])
     if "nu" in raw and raw["nu"]:
-        cfg.nu = _parse_ints(raw["nu"])
+        cfg.nu = _parse_ints("nu", raw["nu"])
     if "lam" in raw and raw["lam"]:
         cfg.lam = str(raw["lam"])
     if "max_degree" in raw:
-        cfg.max_degree = int(raw["max_degree"])
+        cfg.max_degree = _parse_int("max_degree", raw["max_degree"])
     if "output" in raw and raw["output"]:
         cfg.output = str(raw["output"])
     if "timings" in raw and raw["timings"]:
         cfg.timings = str(raw["timings"]).lower() not in ("0", "false", "no")
     cfg.validate()
     return cfg
+
+
+def _claim_output(cfg: RunConfig) -> None:
+    """Create the output file before any work, so that a path that cannot
+    be written is a configuration error (exit 2) and nothing is printed."""
+    if cfg.output:
+        open(cfg.output, "w").close()
 
 
 def _emit(reports: Sequence[CheckReport], cfg: RunConfig):
@@ -101,6 +119,7 @@ def cmd_run(args) -> int:
     except KeyError as exc:
         print(f"unknown check or suite: {exc.args[0]} (try `list`)", file=sys.stderr)
         return 2
+    _claim_output(cfg)
     ctx = RunContext(cfg)
     reports = run_checks(defs, ctx)
     _emit(reports, cfg)
@@ -119,6 +138,7 @@ def cmd_list(args) -> int:
 
 def cmd_dump(args) -> int:
     cfg = build_config(args)
+    _claim_output(cfg)
     ctx = RunContext(cfg)
     p = cfg.primes[0]
     if args.artifact == "ideal":
@@ -190,7 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ScalarError, ValueError) as exc:
+    except (UsageError, ScalarError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

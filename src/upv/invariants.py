@@ -17,7 +17,8 @@ generator g_i with i < k.  The rows it leaves out are redundant:
   3. by induction on k and d the kept rows span every graded piece.
 No geometry is assumed: a generator may be a zero divisor or lie in the
 ideal of the ones before it.  The surfaces T = V + (q(ν)) share V's
-echelon, which ``t_profiles`` builds once per prime for all draws.
+echelon, which a run builds once per prime (``checks.RunContext.v_echelon``)
+for every draw and for h_V itself.
 
 The intersection-theoretic sanity checks live in the 16-dimensional ring
 Z[h1,h2,h3,h4]/(h1^2, h2^2, h3^2, h4^2) of (P^1)^4.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ambient import AMBIENT_P7, AMBIENT_XY, Ambient
 from .linalg import Pivots, SparseRows, eliminate, rank_mod_p
@@ -43,39 +44,23 @@ class DegreeBudgetError(ValueError):
     """The monomial basis for the requested degree exceeds the budget."""
 
 
-def _compositions(total: int, parts: int):
-    """All exponent tuples of the given length with the given sum."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 @lru_cache(maxsize=64)
 def monomials_of_weighted_degree(ambient: Ambient, d: int) -> Tuple[Tuple[int, ...], ...]:
-    """All exponent vectors of weighted degree d, in ascending order."""
+    """All exponent vectors of weighted degree d, in ascending order.
+
+    Built from the last variable to the first: ``tails[r]`` lists the
+    exponent vectors of the variables after the current one that have
+    weighted degree r, ascending, so prefixing each exponent a in turn to
+    ``tails[r - a*w]`` keeps the order."""
     weights = ambient.weights
-    heavy = [k for k, w in enumerate(weights) if w == 2]
-    light = [k for k, w in enumerate(weights) if w == 1]
-    if len(heavy) + len(light) != len(weights):
+    if any(w not in (1, 2) for w in weights):
         raise DegreeBudgetError("only weights 1 and 2 are supported")
-    out = []
-    for j in range(d // 2 + 1):
-        for he in _compositions(j, len(heavy)):
-            for le in _compositions(d - 2 * j, len(light)):
-                e = [0] * len(weights)
-                for k, v in zip(heavy, he):
-                    e[k] = v
-                for k, v in zip(light, le):
-                    e[k] = v
-                out.append(tuple(e))
-    return tuple(sorted(out))
+    tails: List[List[Tuple[int, ...]]] = [[()]] + [[]] * d
+    for w in reversed(weights[1:]):
+        tails = [[(a,) + t for a in range(r // w + 1) for t in tails[r - a * w]]
+                 for r in range(d + 1)]
+    w = weights[0]
+    return tuple((a,) + t for a in range(d // w + 1) for t in tails[d - a * w])
 
 
 def exponent_key(e: Tuple[int, ...], base: int) -> int:
@@ -226,20 +211,27 @@ def extend(ambient: Ambient, generators: Sequence[Poly], p: int, max_degree: int
     return Echelon(ambient, p, first + len(graded), pivots, makers)
 
 
-def t_profiles(p: int, nus: Sequence[FamilyParams],
-               max_degree: int) -> List[List[Tuple[int, int]]]:
+def v_echelon(p: int, max_degree: int) -> Echelon:
+    """The echelon of V's ideal over GF(p) in degrees <= max_degree."""
+    v = build_v_ideal(GF(p))
+    return extend(v.ambient, [g for _, g, _ in v.generators], p, max_degree)
+
+
+def t_profiles(p: int, nus: Sequence[FamilyParams], max_degree: int,
+               v: Optional[Echelon] = None) -> List[List[Tuple[int, int]]]:
     """``[(d, h_T(d)) for d <= max_degree]`` over GF(p), one list per ν.
 
-    T = V + (q(ν)) and only q depends on ν, so V's echelon is built once
-    and each draw extends it by q alone.  By the criterion q, the last
-    generator, multiplies only the monomials standard for V: at degree d
-    its h_V(d-2) rows, continued from V's pivots.
+    T = V + (q(ν)) and only q depends on ν, so V's echelon ``v`` (in at
+    least these degrees; built here when None) is shared and each draw
+    extends it by q alone.  By the criterion q, the last generator,
+    multiplies only the monomials standard for V: at degree d its h_V(d-2)
+    rows, continued from V's pivots.
     """
     field = GF(p)
-    v = build_v_ideal(field)
-    v_echelon = extend(v.ambient, [g for _, g, _ in v.generators], p, max_degree)
+    if v is None:
+        v = v_echelon(p, max_degree)
     return [extend(v.ambient, [q_section(FamilyParams(field, nu.nu))], p,
-                   max_degree, v_echelon).profile() for nu in nus]
+                   max_degree, v).profile() for nu in nus]
 
 
 @dataclass
@@ -325,15 +317,20 @@ def hilbert_x_report(p: int = 13, max_degree: int = 6) -> CheckReport:
 
 
 def hilbert_t_report(primes: Sequence[int], nus: Dict[int, List[FamilyParams]],
-                     max_degree: int = 4) -> CheckReport:
+                     max_degree: int = 4,
+                     echelon: Optional[Callable[[int], Echelon]] = None) -> CheckReport:
     """h_T(1) = 7 and h_T(n) = 8 + 12n(n-1) for 2 <= n <= max_degree,
-    identically across all supplied primes and parameter draws."""
+    identically across all supplied primes and parameter draws.
+
+    ``echelon(p)`` is V's echelon over GF(p) in at least max_degree
+    degrees; without it each prime builds its own."""
     expected = [(0, 1), (1, 7)] + [(n, plurigenus_expected(n))
                                    for n in range(2, max_degree + 1)]
     problems = []
     runs = 0
     for p in primes:
-        for nu, values in zip(nus[p], t_profiles(p, nus[p], max_degree)):
+        v = echelon(p) if echelon else None
+        for nu, values in zip(nus[p], t_profiles(p, nus[p], max_degree, v)):
             runs += 1
             if values != expected:
                 problems.append(
@@ -343,12 +340,17 @@ def hilbert_t_report(primes: Sequence[int], nus: Dict[int, List[FamilyParams]],
                    params={"primes": list(primes), "max_degree": max_degree})
 
 
-def hilbert_v_report(primes: Sequence[int], max_degree: int = 3) -> CheckReport:
+def hilbert_v_report(primes: Sequence[int], max_degree: int = 3,
+                     echelon: Optional[Callable[[int], Echelon]] = None) -> CheckReport:
     """h_V(1) = 7; higher values recorded and required stable across primes.
 
-    A cross-prime disagreement is flagged ``unstable`` rather than averaged."""
-    profiles = {p: hilbert_profile("V", p, max_degree) for p in primes}
-    values = {p: prof.values for p, prof in profiles.items()}
+    The values are read from ``echelon(p)``, V's echelon over GF(p) in at
+    least max_degree degrees, which is built here when not given.  A
+    cross-prime disagreement is flagged ``unstable`` rather than averaged."""
+    values = {}
+    for p in primes:
+        v = echelon(p) if echelon else v_echelon(p, max_degree)
+        values[p] = v.profile()[:max_degree + 1]
     distinct = {tuple(v) for v in values.values()}
     problems = []
     stable = len(distinct) == 1

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .poly import Poly, PolyError
 from .scalars import PrimeField
 
@@ -40,12 +38,8 @@ def rank_mod_p(matrix, p: int) -> int:
     """Exact rank over GF(p) of an integer matrix, given as a 2-D array-like
     or as ``SparseRows``: the number of pivots ``eliminate`` finds."""
     if not isinstance(matrix, SparseRows):
-        a = np.asarray(matrix)
-        matrix = [{} for _ in range(len(a))]
-        if a.size:
-            r, c = np.nonzero(a)
-            for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
-                matrix[i][j] = v
+        # int() turns numpy integers into Python ints, which never overflow
+        matrix = [{j: int(v) for j, v in enumerate(row) if v} for row in matrix]
     return len(eliminate(matrix, p))
 
 

@@ -76,6 +76,13 @@ class FamilyParams:
         return {"nu": [str(v) for v in self.nu], "field": getattr(self.domain, "name", str(self.domain))}
 
 
+def nodes_distinct(nu: FamilyParams) -> bool:
+    """The three nodes of the bicanonical cubic are pairwise distinct iff
+    nu0+nu1+nu2+nu3 != 0; when the sum vanishes they all collapse to
+    (1:1:1:1) and the double point is no longer ordinary."""
+    return bool(nu.nu[0] + nu.nu[1] + nu.nu[2] + nu.nu[3])
+
+
 @dataclass
 class IdealPresentation:
     """Named, provenance-tagged generator list in a fixed ambient."""

@@ -1,5 +1,6 @@
 import inspect
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 import upv.invariants
 import upv.unproj
-from upv.ambient import AMBIENT_P7, AMBIENT_XY
-from upv.invariants import (IntersectionClass, ci_series_coefficient, extend,
+from upv.ambient import AMBIENT_P7, AMBIENT_XY, Ambient
+from upv.invariants import (DegreeBudgetError, IntersectionClass,
+                            ci_series_coefficient, extend,
                             hilbert_function, hilbert_profile, hilbert_rows,
                             hilbert_t_report, hilbert_v_report,
                             hilbert_x_report, intersection_number,
@@ -27,6 +29,67 @@ def test_monomial_count_matches_enumeration():
         assert monomial_count(AMBIENT_XY, d) == len(monomials_of_weighted_degree(AMBIENT_XY, d))
         assert monomial_count(AMBIENT_P7, d) == len(monomials_of_weighted_degree(AMBIENT_P7, d))
     assert monomial_count(AMBIENT_XY, 2) == 44   # 36 quadratic + 8 weight-2
+
+
+def _compositions(total, parts):
+    """All exponent tuples of the given length with the given sum."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def monomials_by_recursion(ambient, d):
+    """The former enumeration: weight-2 and weight-1 parts by recursive
+    compositions, merged and sorted; the oracle of the iterative one."""
+    heavy = [k for k, w in enumerate(ambient.weights) if w == 2]
+    light = [k for k, w in enumerate(ambient.weights) if w == 1]
+    out = []
+    for j in range(d // 2 + 1):
+        for he in _compositions(j, len(heavy)):
+            for le in _compositions(d - 2 * j, len(light)):
+                e = [0] * len(ambient.weights)
+                for k, v in zip(heavy, he):
+                    e[k] = v
+                for k, v in zip(light, le):
+                    e[k] = v
+                out.append(tuple(e))
+    return tuple(sorted(out))
+
+
+SMALL_AMBIENTS = [Ambient("W5", "abcde", (2, 1, 2, 1, 1)),
+                  Ambient("W4", "abcd", (1, 2, 2, 1)),
+                  Ambient("H3", "abc", (2, 2, 2)),
+                  Ambient("L1", "a", (1,))]
+
+
+def test_monomials_match_the_recursion_and_the_count():
+    cases = [(AMBIENT_XY, 6), (AMBIENT_P7, 6)] + [(a, 7) for a in SMALL_AMBIENTS]
+    for ambient, top in cases:
+        for d in range(top + 1):
+            got = monomials_of_weighted_degree(ambient, d)
+            assert type(got) is tuple
+            assert got == monomials_by_recursion(ambient, d)
+            assert len(got) == monomial_count(ambient, d)
+
+
+def test_monomials_match_a_brute_force_filter():
+    for ambient in SMALL_AMBIENTS:
+        for d in range(6):
+            expected = tuple(e for e in product(range(d + 1), repeat=ambient.nvars)
+                             if ambient.weighted_degree(e) == d)
+            assert monomials_of_weighted_degree(ambient, d) == expected
+
+
+def test_monomials_need_weights_one_and_two():
+    with pytest.raises(DegreeBudgetError, match="only weights 1 and 2"):
+        monomials_of_weighted_degree(Ambient("W3", "ab", (1, 3)), 3)
 
 
 def test_h_of_degree_zero_is_one():

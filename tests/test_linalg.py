@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from upv import linalg
 from upv.ambient import AMBIENT_XY
 from upv.linalg import (SparseRows, det_poly, eliminate, rank, rank_mod_p,
                         rank_naive)
@@ -119,6 +120,31 @@ def test_rank_mod_p_exact_just_below_prime_bound():
         m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
              for row in left]
         assert rank_mod_p(np.array(m, dtype=np.int64), p) == rank_naive(m, f)
+
+
+def test_rank_mod_p_reads_numpy_entries_near_p_as_python_ints(monkeypatch):
+    # int64 entries within 50 of p or -p, with a sum row and a row shifted
+    # by -p: each reaches `eliminate` as a Python int, as `.tolist()` gave
+    p = 2147483029
+    rng = random.Random(11)
+    seen = set()
+    real = linalg.eliminate
+
+    def recording(rows, q, pivots=None):
+        rows = list(rows)
+        seen.update(type(v) for row in rows for v in row.values())
+        return real(rows, q, pivots)
+
+    monkeypatch.setattr(linalg, "eliminate", recording)
+    for _ in range(20):
+        base = [[rng.choice((1, -1)) * (p - rng.randrange(1, 50)) for _ in range(6)]
+                for _ in range(3)]
+        m = base + [[a + b for a, b in zip(base[0], base[1])], [a - p for a in base[2]]]
+        rng.shuffle(m)
+        expected = rank_naive(m, GF(p))
+        assert expected <= 3
+        assert rank_mod_p(np.array(m, dtype=np.int64), p) == expected
+    assert seen == {int}
 
 
 @st.composite

@@ -363,6 +363,44 @@ def test_configuration_errors_exit_two(args, message, capsys):
     assert out.out == "" and out.err == f"error: {message}\n"
 
 
+def test_unreadable_config_or_unwritable_output_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for args in (["--config", str(missing), "run", "invariants.intersection_numbers"],
+                 ["run", "invariants.intersection_numbers", "--output", str(missing / "x")],
+                 ["dump", "hilbert", "--output", str(missing / "x")]):
+        assert main(args) == 2
+        out = capsys.readouterr()
+        # nothing ran: no record on stdout, one error line naming the path
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert str(missing) in out.err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("seed", "abc", "seed 'abc' is not an integer"),
+    ("max_degree", "4.5", "max_degree '4.5' is not an integer"),
+    ("primes", "13,abc", "primes '13,abc' is not a list of integers"),
+    ("nu", "1,2,x,4,5", "nu '1,2,x,4,5' is not a list of integers"),
+])
+def test_non_integer_configuration_value_names_its_key(key, value, message, tmp_path,
+                                                       monkeypatch, capsys):
+    config = tmp_path / "upv.conf"
+    config.write_text(f"{key} = {value}\n")
+    assert main(["--config", str(config), "run", "invariants.intersection_numbers"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+    monkeypatch.setenv("UPV_" + key.upper(), value)
+    assert main(["run", "invariants.intersection_numbers"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_output_file_holds_the_stream(tmp_path, capsys):
+    path = tmp_path / "stream.jsonl"
+    assert main(["run", "invariants.intersection_numbers", "--output", str(path)]) == 0
+    assert path.read_text() == capsys.readouterr().out
+
+
 def test_max_degree_budget_is_one_rule_for_run_and_dump(capsys):
     assert main(["dump", "hilbert", "--max-degree", "9"]) == 2
     dump_err = capsys.readouterr().err
@@ -397,6 +435,70 @@ def test_invariants_deg5_stream_pinned():
                          RunContext(RunConfig(max_degree=5)))
     stream = "".join(r.to_json() + "\n" for r in reports)
     assert hashlib.sha256(stream.encode()).hexdigest() == INVARIANTS_DEG5_SHA256
+
+
+# the modules of the package that each command loads in a fresh interpreter:
+# the invariants suite needs no numpy and none of cover, bicanon or grouprep
+INVARIANTS_MODULES = ["upv", "upv.ambient", "upv.checks", "upv.cli", "upv.invariants",
+                      "upv.linalg", "upv.poly", "upv.report", "upv.scalars", "upv.unproj"]
+ALL_MODULES = sorted(INVARIANTS_MODULES + ["numpy", "upv.bicanon", "upv.cover",
+                                           "upv.grouprep"])
+# sha256 of `upv dump hilbert` (seed 0, degrees <= 4)
+DUMP_HILBERT_SHA256 = "0eeb6abf5afc1d285c2f46a678eb851011e7fe4e66f9b958190bceae104d3f67"
+
+LOADED_MODULES = """
+import sys
+from upv.cli import main
+code = main(sys.argv[1:])
+top = [m for m in sys.modules if m == "numpy" or m == "upv" or m.startswith("upv.")]
+print(" ".join(sorted(top)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("args,modules,sha256", [
+    (["run", "invariants", "--max-degree", "5"], INVARIANTS_MODULES,
+     INVARIANTS_DEG5_SHA256),
+    (["dump", "hilbert"], INVARIANTS_MODULES, DUMP_HILBERT_SHA256),
+    (["run", "all"], ALL_MODULES, FULL_CATALOG_SHA256),
+])
+def test_a_command_loads_only_the_modules_its_checks_use(args, modules, sha256):
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    res = subprocess.run([sys.executable, "-c", LOADED_MODULES, *args],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.split() == modules
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == sha256
+
+
+def test_v_echelon_is_built_once_per_prime_for_hilbert_t_and_hilbert_v(monkeypatch):
+    import upv.invariants as invariants
+    oracle = {p: [list(v) for v in invariants.hilbert_profile("V", p, 3).values]
+              for p in (13, 17)}
+    built = []
+    real = invariants.v_echelon
+
+    def counting(p, max_degree):
+        built.append((p, max_degree))
+        return real(p, max_degree)
+
+    def no_full_matrix(*args):
+        raise AssertionError("hilbert_v ran a full-matrix rank")
+
+    monkeypatch.setattr(invariants, "v_echelon", counting)
+    monkeypatch.setattr(invariants, "hilbert_function", no_full_matrix)
+    for max_degree, order in ((4, ["invariants.hilbert_v", "invariants.hilbert_t"]),
+                              (1, ["invariants.hilbert_t", "invariants.hilbert_v"])):
+        built.clear()
+        ctx = RunContext(RunConfig(max_degree=max_degree))
+        reports = {r.check_id: r for r in run_checks(resolve_targets(order), ctx)}
+        assert all(r.passed for r in reports.values())
+        # degree 3 for hilbert_v, max(2, max_degree) for hilbert_t
+        assert sorted(built) == [(p, max(3, max_degree)) for p in (13, 17, 29)]
+        v = reports["invariants.hilbert_v"]
+        assert v.witness == {"values": oracle[13], "stable_across_primes": True}
+        assert oracle[13] == oracle[17]
+        assert v.params == {"primes": [13, 17], "max_degree": 3}
 
 
 def _sleeper(ctx):
