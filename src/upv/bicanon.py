@@ -34,7 +34,7 @@ from .linalg import rank
 from .poly import MonomialMap, Poly, exact_divide, proportional, ring_substitute
 from .report import CheckReport, verdict
 from .scalars import GF, QI, QQ, PrimeField, smallest_non_residue
-from .unproj import (FamilyParams, l_form, nodes_distinct, product_of_sums,
+from .unproj import (FamilyParams, l_form, node_defect, product_of_sums,
                      reduce_by_rewriting, s_form, xvar)
 
 AMBIENT_ZCHART = Ambient.graded("ZCHART", ("zx00", "zx21", "zx31"), laurent=True)
@@ -156,31 +156,28 @@ def node_coordinates(nu: FamilyParams, i: int) -> Tuple[object, ...]:
     return tuple(s)
 
 
-def verify_nodes(p: int = 13, draws: int = 100, seed: int = 0) -> CheckReport:
-    """For seeded random parameters: the cubic and all four partials vanish
-    at each node, and the affine Hessian there has full rank 3 (an ordinary
-    double point); degenerate draws and collapsed-node draws are rejected.
+def verify_nodes(p: int, nus: Sequence[FamilyParams]) -> CheckReport:
+    """For the given parameters over GF(p): the cubic and all four partials
+    vanish at each node, and the affine Hessian there has full rank 3 (an
+    ordinary double point).  A parameter with a ``node_defect`` is outside
+    that claim: it is not tested, and it fails the check with the reason.
 
-    The accepted cubics are evaluated together by ``cubic_jets``; rank 3 is
+    The tested cubics are evaluated together by ``cubic_jets``; rank 3 is
     a nonzero 3x3 determinant mod p, and the exact rank is computed only
     for a node that fails, to quote it."""
-    import random
     field = GF(p)
-    rng = random.Random(seed)
-    accepted, cubics, nodes = [], [], []
-    attempts = 0
-    while len(accepted) < draws and attempts < draws * 20:
-        attempts += 1
-        nu = FamilyParams(field, tuple(rng.randrange(p) for _ in range(5)))
-        deg, _ = nu.degenerate()
-        if deg or not nu.nu[4] or not nodes_distinct(nu):
-            continue
-        accepted.append(nu)
-        cubics.append(scubic(nu))
-        nodes.append([[int(v) for v in node_coordinates(nu, i)] for i in (1, 2, 3)])
+    problems, accepted = [], []
+    for nu in nus:
+        reason = node_defect(nu)
+        if reason:
+            problems.append(f"nu={tuple(int(v) for v in nu.nu)} is outside the claim: {reason}")
+        else:
+            accepted.append(nu)
+    cubics = [scubic(nu) for nu in accepted]
+    nodes = [[[int(v) for v in node_coordinates(nu, i)] for i in (1, 2, 3)]
+             for nu in accepted]
     value, grad, hess = cubic_jets(cubics, np.array(nodes, dtype=np.int64).reshape(-1, 3, 4), p)
     det = _symmetric_det3(hess, p)
-    problems = []
     for d, k in zip(*np.nonzero((value != 0) | grad.any(axis=2) | (det == 0))):
         nu, i = accepted[d], k + 1
         if value[d, k]:
@@ -190,10 +187,8 @@ def verify_nodes(p: int = 13, draws: int = 100, seed: int = 0) -> CheckReport:
             h = hess[d, k].tolist()
             matrix = [h[0:3], [h[1], h[3], h[4]], [h[2], h[4], h[5]]]
             problems.append(f"Hessian rank {rank(matrix, field)} at n_{i}, nu={nu.nu}")
-    if len(accepted) < draws:
-        problems.append(f"only {len(accepted)} non-degenerate draws found")
     return verdict("bicanon.nodes", problems[:5], {"draws": len(accepted)},
-                   on_pass={"hessian_rank": 3}, params={"prime": p, "seed": seed})
+                   on_pass={"hessian_rank": 3})
 
 
 def cubic_jets(cubics: Sequence[Poly], points: np.ndarray, p: int,

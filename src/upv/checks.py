@@ -2,11 +2,15 @@
 
 Checks are grouped in dependency order (ideals, group action, cover,
 invariants, bicanonical geometry); heavy intermediate artifacts (the lifted
-group, enumerated point sets) are cached on the run context.  Parameter
-draws come from one seeded stream per (purpose, prime); draws failing the
-degeneracy predicate, or with vanishing last coordinate, or with collapsed
-cubic nodes are rejected upfront, and draws that land on other components of
-the discriminant over the small field are redrawn with the reason recorded.
+group, enumerated point sets) are cached on the run context.  Every random
+choice of a check comes from the run context: one seeded stream per
+(purpose, prime), set by ``seed``.  Parameter draws failing the degeneracy
+predicate, or with vanishing last coordinate, or with collapsed cubic nodes
+are rejected upfront, and draws that land on other components of the
+discriminant over the small field are redrawn with the reason recorded.  A
+fixed ``nu`` replaces every parameter draw, so a check tests it once per
+prime; ``grouprep.delta_set`` alone draws its parameters on the
+hyperplanes it studies, where a fixed ``nu`` does not apply.
 
 The suite modules ``cover``, ``bicanon`` and ``grouprep`` (and with them
 numpy) are imported by the first check or cache that needs them, so a run
@@ -26,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from . import invariants, unproj
 from .report import FAIL, CheckReport, verdict
 from .scalars import GF, QQ
-from .unproj import FamilyParams, nodes_distinct
+from .unproj import FamilyParams, node_defect
 
 if TYPE_CHECKING:
     from . import cover
@@ -111,22 +115,17 @@ class RunContext:
         ``nu`` is fixed."""
         return 1 if self.cfg.nu is not None else n
 
-    def draw_nu(self, p: int, purpose: str,
-                require_distinct_nodes: bool = True) -> FamilyParams:
-        """One generic parameter draw: rejects degenerate tuples, vanishing
-        nu4, and (by default) collapsed-node tuples.  A fixed ``nu`` is
-        returned as given."""
+    def draw_nu(self, p: int, purpose: str) -> FamilyParams:
+        """One generic parameter draw: rejects degenerate tuples and those
+        with a node defect (``unproj.node_defect``: vanishing nu4 or
+        collapsed nodes).  A fixed ``nu`` is returned as given."""
         if self.cfg.nu is not None:
             return FamilyParams(GF(p), tuple(self.cfg.nu))
         rng = self.rng(f"{purpose}:{p}")
         while True:
             nu = FamilyParams(GF(p), tuple(rng.randrange(p) for _ in range(5)))
-            degenerate, _ = nu.degenerate()
-            if degenerate or not nu.nu[4]:
-                continue
-            if require_distinct_nodes and not nodes_distinct(nu):
-                continue
-            return nu
+            if not nu.degenerate()[0] and not node_defect(nu):
+                return nu
 
     def points(self, p: int, nu: FamilyParams) -> cover.SurfacePointSet:
         key = (p, tuple(int(v) for v in nu.nu))
@@ -306,13 +305,30 @@ def _s3_points_check(ctx: RunContext) -> CheckReport:
 
 def _nodes_check(ctx: RunContext) -> CheckReport:
     from . import bicanon
-    rep = bicanon.verify_nodes(ctx.cfg.primes[0], draws=100, seed=ctx.cfg.seed)
+    p = ctx.cfg.primes[0]
+    rep = bicanon.verify_nodes(p, [ctx.draw_nu(p, "nodes") for _ in range(ctx.draws(100))])
+    params = {"prime": p, "seed": ctx.cfg.seed}
     ok_paths, note = bicanon.nodes_error_paths()
     if ok_paths:
-        rep.witness = dict(rep.witness, error_paths=note)
-        return rep
+        return replace(rep, witness=dict(rep.witness, error_paths=note), params=params)
     return verdict("bicanon.nodes", rep.witness.get("problems", []) + [note],
-                   {"draws": rep.witness["draws"]}, params=rep.params)
+                   {"draws": rep.witness["draws"]}, params=params)
+
+
+def _q_invariance_check(ctx: RunContext) -> CheckReport:
+    p = ctx.cfg.primes[0]
+    nus = [ctx.draw_nu(p, "qinv") for _ in range(ctx.draws(20))]
+    rep = _load("grouprep").q_invariance_report(nus, ctx.rng(f"qinv_words:{p}"))
+    return replace(rep, params={"prime": p, "seed": ctx.cfg.seed})
+
+
+def _delta_set_check(ctx: RunContext) -> CheckReport:
+    """The parameters lie on the hyperplanes of the delta set by
+    construction, so a fixed ``nu`` does not apply; only the draws of
+    nu1..nu4 come from the run's stream."""
+    p = ctx.cfg.primes[0]
+    rep = _load("grouprep").delta_set_report(p, ctx.rng(f"delta:{p}"))
+    return replace(rep, params={"prime": p, "seed": ctx.cfg.seed})
 
 
 def _plane_sections_check(ctx: RunContext) -> CheckReport:
@@ -434,8 +450,7 @@ CATALOG: List[CheckDef] = [
     CheckDef("grouprep.q_invariance",
              "which words preserve the section up to sign",
              "exactly the even-exponent words send q to +-q",
-             lambda ctx: _load("grouprep").q_invariance_report(
-                 ctx.cfg.primes[0], seed=ctx.cfg.seed)),
+             _q_invariance_check),
     CheckDef("grouprep.j_stability",
              "stability of the 63 generators under the full group",
              "every word permutes the generators up to sign",
@@ -443,8 +458,7 @@ CATALOG: List[CheckDef] = [
     CheckDef("grouprep.delta_set",
              "parameters at which the three-letter involution has fixed points",
              "fixed points appear exactly at delta = +-8*eps",
-             lambda ctx: _load("grouprep").delta_set_report(
-                 ctx.cfg.primes[0], seed=ctx.cfg.seed)),
+             _delta_set_check),
     CheckDef("cover.sigma_deck",
              "the deck involution commutes with the covering map",
              "s rescales every pullback by (-1)^weight",

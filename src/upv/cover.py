@@ -184,8 +184,8 @@ class ProjAut:
             g = g.mul(self)
         raise ValueError("order exceeds cap")
 
-    def to_monomial_map(self, target_domain=None) -> MonomialMap:
-        d = target_domain or self.domain
+    def to_monomial_map(self) -> MonomialMap:
+        d = self.domain
         images = {}
         for j in range(4):
             for a in (0, 1):

@@ -22,6 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 from operator import itemgetter
+from random import Random
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -209,7 +210,7 @@ def theta_class(i: int) -> List[Word]:
     return sorted(word_mul(tuple(rep), g) for g in group_G())
 
 
-def subgroup_census_report(domain=QQ) -> CheckReport:
+def subgroup_census_report() -> CheckReport:
     """|G| = 8, |H| = 32, G < H, the theta_i are disjoint 8-element cosets,
     and theta_1 equals the reference list of involution words."""
     G = group_G()
@@ -435,20 +436,19 @@ def check_regular_representation(domain=QQ) -> CheckReport:
                    on_pass={"x_span_character": "regular", "y_characters": 8})
 
 
-def q_invariance_report(p: int = 13, draws: int = 20, seed: int = 0) -> CheckReport:
+def q_invariance_report(nus: Sequence, rng: Random) -> CheckReport:
     """H-words send q(nu) to +-q(nu) exactly; words outside H change more
-    than the sign for generic nu (checked for seeded random draws over GF(p))."""
-    import random
+    than the sign for generic nu, checked at each given nu for 8 words
+    sampled with ``rng``.  (A word outside H fixes s0..s3 and negates the
+    y-eigenvector, so it sends q(nu) to +-q(nu) only when nu4 = 0 or
+    nu0 = .. = nu3 = 0.)"""
+    from .unproj import q_section
 
-    from .unproj import FamilyParams, q_section
-
-    d = GF(p)
-    rng = random.Random(seed)
     problems = []
     H = set(group_H())
     non_h = [w for w in product((0, 1), repeat=6) if w not in H]
-    for _ in range(draws):
-        nu = FamilyParams(d, tuple(rng.randrange(1, p) for _ in range(5)))
+    for nu in nus:
+        d = nu.domain
         q = q_section(nu)
         for w in H:
             img = SignedAction(w, d).apply(q)
@@ -459,8 +459,7 @@ def q_invariance_report(p: int = 13, draws: int = 20, seed: int = 0) -> CheckRep
             if img == q or img == -q:
                 problems.append(f"{word_str(w)} outside H fixed q at nu={nu.nu}")
     return verdict("grouprep.q_invariance", problems[:5],
-                   on_pass={"draws": draws, "H_words": 32},
-                   params={"prime": p, "seed": seed})
+                   on_pass={"draws": len(nus), "H_words": 32})
 
 
 def j_generator_stability_report(domain=QQ) -> CheckReport:
@@ -527,26 +526,26 @@ def _triple_candidates(field) -> List[Tuple[list, tuple]]:
     return out
 
 
-def delta_set_report(p: int = 13, seed: int = 0, draws: int = 6) -> CheckReport:
+def delta_set_report(p: int, rng: Random) -> CheckReport:
     """Determine empirically the multiples delta = m*eps for which enforcing
     nu0 - nu1 - nu2 - nu3 + delta*nu4 = 0 gives the three-letter involution
     fixed points on the surface: expected exactly m = +-8.
 
     Each candidate point is verified against all 65 equations and against
     projective fixedness under the word."""
-    import random
-
     from .cover import canonical_weighted_rows
     from .unproj import FamilyParams
 
     field = GF(p)
     eps = field.sqrt_minus_one()
-    rng = random.Random(seed)
     hits = {}
     vecs, labels = [], []
     for m in range(-8, 9):
         found = 0
-        for _ in range(draws):
+        # at every sign-triple candidate s0 = 1, s1 = s2 = s3 = -1 and the
+        # y-eigenvector is Y = +-8*eps, so on this hyperplane q(nu) there is
+        # nu4*(Y - m*eps) with nu4 != 0: the hits do not depend on the draw
+        for _ in range(6):
             n1, n2, n3, n4 = (field.from_int(rng.randrange(1, p))
                               for _ in range(4))
             n0 = n1 + n2 + n3 - field.from_int(m) * eps * n4
@@ -570,8 +569,7 @@ def delta_set_report(p: int = 13, seed: int = 0, draws: int = 6) -> CheckReport:
     return verdict("grouprep.delta_set", problems,
                    {"delta_multiples_of_eps": empirical,
                     "canonical_set": "{+8, -8} (mod p aliases included)",
-                    "points_at_8": hits.get(8, 0)},
-                   params={"prime": p, "seed": seed})
+                    "points_at_8": hits.get(8, 0)})
 
 
 # -- stabilizers on enumerated point sets --------------------------------------

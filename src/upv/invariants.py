@@ -20,15 +20,17 @@ ideal of the ones before it.  The surfaces T = V + (q(ν)) share V's
 echelon, which a run builds once per prime (``checks.RunContext.v_echelon``)
 for every draw and for h_V itself.
 
-The intersection-theoretic sanity checks live in the 16-dimensional ring
-Z[h1,h2,h3,h4]/(h1^2, h2^2, h3^2, h4^2) of (P^1)^4.
+The intersection-theoretic sanity checks are top-degree products in the
+ring Z[h1,h2,h3,h4]/(h1^2, h2^2, h3^2, h4^2) of (P^1)^4: permanents of
+multidegree matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from itertools import permutations
+from math import comb, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ambient import AMBIENT_P7, AMBIENT_XY, Ambient
@@ -287,22 +289,10 @@ def plurigenus_expected(n: int) -> int:
 
 
 def ci_series_coefficient(d: int) -> int:
-    """Hilbert series of 3 quadric relations on 8 degree-1 generators,
-    computed as the power-series product (1-t^2)^3 * (1-t)^-8."""
-    if d < 0:
-        return 0
-    num = {0: 1}
-    for _ in range(3):
-        nxt: Dict[int, int] = {}
-        for k, c in num.items():
-            nxt[k] = nxt.get(k, 0) + c
-            nxt[k + 2] = nxt.get(k + 2, 0) - c
-        num = nxt
-    total = 0
-    for k, c in num.items():
-        if k <= d:
-            total += c * comb(d - k + 7, 7)
-    return total
+    """Hilbert series of 3 quadric relations on 8 degree-1 generators: the
+    t^d coefficient of (1-t^2)^3 * (1-t)^-8."""
+    return sum((-1) ** k * comb(3, k) * comb(d - 2 * k + 7, 7)
+               for k in range(4) if 2 * k <= d)
 
 
 def hilbert_x_report(p: int = 13, max_degree: int = 6) -> CheckReport:
@@ -364,101 +354,25 @@ def hilbert_v_report(primes: Sequence[int], max_degree: int = 3,
                    params={"primes": list(primes), "max_degree": max_degree})
 
 
-# -- the intersection ring of (P^1)^4 -----------------------------------------
+# -- intersection numbers on (P^1)^4 ------------------------------------------
 
-class IntersectionClass:
-    """Element of Z[h1..h4]/(h1^2,..,h4^2) as 16 integer coefficients
-    indexed by subsets of {0,1,2,3}."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Optional[Dict[frozenset, int]] = None):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
-
-    @classmethod
-    def unit(cls) -> "IntersectionClass":
-        return cls({frozenset(): 1})
-
-    @classmethod
-    def h(cls, i: int) -> "IntersectionClass":
-        return cls({frozenset([i]): 1})
-
-    @classmethod
-    def hyperplane(cls) -> "IntersectionClass":
-        """H = h1 + h2 + h3 + h4, the class pulled back from the weighted space."""
-        return cls({frozenset([i]): 1 for i in range(4)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return IntersectionClass(out)
-
-    def __neg__(self):
-        return IntersectionClass({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, n: int) -> "IntersectionClass":
-        return IntersectionClass({k: n * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        out: Dict[frozenset, int] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                if k1 & k2:
-                    continue  # h_i^2 = 0
-                k = k1 | k2
-                out[k] = out.get(k, 0) + v1 * v2
-        return IntersectionClass(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = IntersectionClass.unit()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def top_coefficient(self) -> int:
-        return self.coeffs.get(frozenset(range(4)), 0)
-
-    def is_top_degree(self) -> bool:
-        return set(self.coeffs) <= {frozenset(range(4))}
-
-    def __eq__(self, other):
-        return isinstance(other, IntersectionClass) and other.coeffs == self.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs, key=lambda s: (len(s), sorted(s))):
-            mono = "*".join(f"h{i + 1}" for i in sorted(k)) or "1"
-            parts.append(f"{self.coeffs[k]}*{mono}")
-        return " + ".join(parts)
-
-
-def intersection_number(classes: Sequence[IntersectionClass]) -> int:
-    """Coefficient of h1*h2*h3*h4 in the product; the product must be top."""
-    acc = IntersectionClass.unit()
-    for c in classes:
-        acc = acc * c
-    if not acc.is_top_degree():
-        raise ValueError(f"product is not of top degree: {acc}")
-    return acc.top_coefficient()
+def intersection_number(multidegrees: Sequence[Sequence[int]]) -> int:
+    """D1*D2*D3*D4 for divisors of multidegrees a_k = (a_k1, .., a_k4) on
+    (P^1)^4.  D_k = sum_j a_kj*h_j with h_j^2 = 0 and h1*h2*h3*h4 = 1, so
+    the product is the permanent of the 4x4 matrix (a_kj)."""
+    if len(multidegrees) != 4 or any(len(a) != 4 for a in multidegrees):
+        raise ValueError(f"need four multidegrees of length 4, got {multidegrees}")
+    return sum(prod(a[j] for a, j in zip(multidegrees, perm))
+               for perm in permutations(range(4)))
 
 
 def intersection_numbers_report() -> CheckReport:
     """H^4 = 24; deg of the unprojected 4-fold is H^4/2 = 12; the halved
     anticanonical cube of the hyperplane section is 12; the canonical square
     of the surface upstairs is H^2*Z1*Z2 = 48, halving to 24."""
-    H = IntersectionClass.hyperplane()
+    H = (1, 1, 1, 1)  # h1 + h2 + h3 + h4, pulled back from the weighted space
     z1 = H
-    z2 = H.scale(2)
+    z2 = (2, 2, 2, 2)
     problems = []
     h4 = intersection_number([H, H, H, H])
     if h4 != 24:

@@ -14,7 +14,7 @@ exponents) must be explicitly allowed by the map and by the target ambient.
 from __future__ import annotations
 
 from operator import add
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .ambient import Ambient, AmbientError
 
@@ -224,10 +224,10 @@ class Poly:
             acc = acc + t
         return acc
 
-    def map_coefficients(self, domain, fn: Callable = None) -> "Poly":
-        """Push coefficients into another domain (default: domain.coerce)."""
-        fn = fn or domain.coerce
-        return Poly(self.ambient, domain, {e: fn(c) for e, c in self.terms.items()})
+    def map_coefficients(self, domain) -> "Poly":
+        """Push coefficients into another domain with ``domain.coerce``."""
+        return Poly(self.ambient, domain,
+                    {e: domain.coerce(c) for e, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:

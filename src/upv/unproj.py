@@ -83,6 +83,20 @@ def nodes_distinct(nu: FamilyParams) -> bool:
     return bool(nu.nu[0] + nu.nu[1] + nu.nu[2] + nu.nu[3])
 
 
+def node_defect(nu: FamilyParams) -> str:
+    """Why the nodes of the bicanonical cubic at ``nu`` fall outside the
+    claim that they are three ordinary double points, or "" when they do
+    not: node n_i needs nu_i != 0, nu4 = 0 makes the cubic the reducible
+    -s0*l^2, and a vanishing nu0+nu1+nu2+nu3 collapses the three nodes."""
+    if not (nu.nu[1] * nu.nu[2] * nu.nu[3]):
+        return "nu1*nu2*nu3 = 0"
+    if not nu.nu[4]:
+        return "nu4 = 0"
+    if not nodes_distinct(nu):
+        return "nu0+nu1+nu2+nu3 = 0, so the three nodes collapse"
+    return ""
+
+
 @dataclass
 class IdealPresentation:
     """Named, provenance-tagged generator list in a fixed ambient."""
@@ -536,15 +550,15 @@ VERONESE_MATRIX = (
 )
 
 
-def chart_sigma_map(domain, chart_var: str = "x10"):
-    """v -> sigma(v) / sigma(chart_var)^weight(v), a Laurent monomial map.
+def chart_sigma_map(domain):
+    """v -> sigma(v) / sigma(x10)^weight(v), a Laurent monomial map.
 
     Vanishing of a chart polynomial under this pullback certifies vanishing
     on the chart of Y, since the double cover surjects onto Y.
     """
     from .cover import sigma_map  # local import: cover depends on unproj
     sig = sigma_map(domain)
-    base_c, base_e = sig.images[AMBIENT_XY.index(chart_var)]
+    base_c, base_e = sig.images[AMBIENT_XY.index("x10")]
     images = {}
     for k, name in enumerate(AMBIENT_XY.variables):
         w = AMBIENT_XY.weights[k]
@@ -556,7 +570,7 @@ def chart_sigma_map(domain, chart_var: str = "x10"):
 def verify_veronese_chart(domain=QQ) -> CheckReport:
     """In the chart x10 = 1: the eliminations hold and every distinct 2x2
     minor of the displayed symmetric 4x4 matrix vanishes on the chart."""
-    pull = chart_sigma_map(domain, "x10")
+    pull = chart_sigma_map(domain)
     failures = []
     # elimination identities: y_{a0cd} = x_{0a'} x_{2c'} x_{3d'} and x11 = x00*x01
     for t in EVEN_TUPLES:

@@ -111,7 +111,7 @@ def test_criterion_08_bicanonical_cubic(ctx):
     rep_pts = bicanon.scubic_points_report(pts)
     if not rep_pts.passed:
         problems.append("point images off the cubic")
-    rep_nodes = bicanon.verify_nodes(13, draws=100, seed=0)
+    rep_nodes = bicanon.verify_nodes(13, [ctx.draw_nu(13, "acc8n") for _ in range(100)])
     if not rep_nodes.passed:
         problems.append("node check failed")
     rep_split = bicanon.split_plane_sections(ctx.draw_nu(13, "acc8s"))

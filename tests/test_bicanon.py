@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,15 +10,23 @@ from upv.bicanon import (branch_locus_check, burniat_charts_report, burniat_f3_r
                          burniat_parameter_map, chart_map_xi2, derive_s3_cubic,
                          double_point_set, f1_poly, f2_poly,
                          f3_chart_polynomial, lambda_identity_report,
-                         node_coordinates, nodes_distinct, nodes_error_paths,
+                         node_coordinates, nodes_error_paths,
                          plane_model_cubics, scubic, scubic_points_report,
                          split_plane_sections, verify_nodes)
 from upv import bicanon
+from upv.checks import RunConfig, RunContext
 from upv.cover import enumerate_surface
 from upv.linalg import rank
 from upv.report import verdict
 from upv.scalars import GF, QI, QQ
-from upv.unproj import FamilyParams
+from upv.unproj import FamilyParams, node_defect, nodes_distinct
+
+
+def node_draws(p, n, seed):
+    """n parameter draws over GF(p) from the stream that ``bicanon.nodes``
+    draws from at ``seed``."""
+    ctx = RunContext(RunConfig(primes=(p,), seed=seed))
+    return [ctx.draw_nu(p, "nodes") for _ in range(n)]
 
 
 def good_nu(p=13):
@@ -71,11 +80,11 @@ def test_cached_forms_stay_unchanged():
     snapshot = [dict(g.terms) for g in forms]
     assert s_form(f, 1) is forms[1] and y_eigenvector(f) is forms[5]
     rng = random.Random(5)
-    for _ in range(3):
-        nu = FamilyParams(f, tuple(rng.randrange(1, 13) for _ in range(5)))
+    nus = [FamilyParams(f, tuple(rng.randrange(1, 13) for _ in range(5))) for _ in range(3)]
+    for nu in nus:
         assert derive_s3_cubic(nu)[1].passed
         assert elimination_cubic_report(nu).passed
-    assert q_invariance_report(13, draws=3).passed
+    assert q_invariance_report(nus, rng).passed
     assert [dict(g.terms) for g in forms] == snapshot
     with pytest.raises(TypeError):
         images["s0"] = forms[0]
@@ -113,11 +122,24 @@ def test_node_coordinates_and_gradient():
 
 
 def test_verify_nodes_and_error_paths():
-    assert verify_nodes(13, draws=25, seed=0).passed
+    assert verify_nodes(13, node_draws(13, 25, 0)).passed
     ok, note = nodes_error_paths()
     assert ok, note
     with pytest.raises(ValueError):
         node_coordinates(FamilyParams(GF(13), (1, 0, 1, 1, 1)), 1)
+
+
+def test_nodes_outside_the_claim_are_named_not_tested():
+    f = GF(13)
+    nus = [good_nu()] + [FamilyParams(f, nu) for nu in
+                         ((1, 0, 3, 4, 5), (1, 2, 3, -6, 5), (1, 2, 3, 4, 0))]
+    rep = verify_nodes(13, nus)
+    assert rep.witness == {"draws": 1, "problems": [
+        "nu=(1, 0, 3, 4, 5) is outside the claim: nu1*nu2*nu3 = 0",
+        "nu=(1, 2, 3, 7, 5) is outside the claim: nu0+nu1+nu2+nu3 = 0, "
+        "so the three nodes collapse",
+        "nu=(1, 2, 3, 4, 0) is outside the claim: nu4 = 0"]}
+    assert rep.to_json() == scalar_verify_nodes(13, nus).to_json()
 
 
 def affine_hessian(grads):
@@ -137,20 +159,18 @@ def affine_hessian_rank(hessian, node, field):
     return rank([[h.evaluate(pt) for h in row] for row in hessian], field)
 
 
-def scalar_verify_nodes(p, draws=100, seed=0):
-    """The oracle of ``verify_nodes``: the same draws, with one GF(p)
+def scalar_verify_nodes(p, nus):
+    """The oracle of ``verify_nodes``: the same parameters, with one GF(p)
     ``Poly.evaluate`` per node for the cubic, each gradient and each Hessian
     entry, and the exact rank of every Hessian."""
     field = GF(p)
-    rng = random.Random(seed)
     problems = []
     done = 0
-    attempts = 0
-    while done < draws and attempts < draws * 20:
-        attempts += 1
-        nu = FamilyParams(field, tuple(rng.randrange(p) for _ in range(5)))
-        deg, _ = nu.degenerate()
-        if deg or not nu.nu[4] or not nodes_distinct(nu):
+    for nu in nus:
+        reason = node_defect(nu)
+        if reason:
+            problems.append(f"nu={tuple(int(v) for v in nu.nu)} is outside the claim: "
+                            f"{reason}")
             continue
         cubic = bicanon.scubic(nu)
         grads = [cubic.derivative(f"s{k}") for k in range(4)]
@@ -166,10 +186,8 @@ def scalar_verify_nodes(p, draws=100, seed=0):
             if hess != 3:
                 problems.append(f"Hessian rank {hess} at n_{i}, nu={nu.nu}")
         done += 1
-    if done < draws:
-        problems.append(f"only {done} non-degenerate draws found")
     return verdict("bicanon.nodes", problems[:5], {"draws": done},
-                   on_pass={"hessian_rank": 3}, params={"prime": p, "seed": seed})
+                   on_pass={"hessian_rank": 3})
 
 
 HESSIAN_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -202,16 +220,17 @@ def assert_jets_match_oracle(cubics, points, field):
 
 @pytest.mark.parametrize("p", [13, 17, 2147483029])
 def test_node_jets_match_scalar_oracle(p):
-    """Every draw and node of ``verify_nodes(p, 40, seed=p)``, plus two
-    random points a draw where nothing vanishes, and the nu4 = 0 cubic
-    -s0*l^2, of Hessian rank 1 on l = s0+2s1+3s2+4s3 = 0."""
+    """Every node of 40 random generic draws, plus two random points a draw
+    where nothing vanishes, and the nu4 = 0 cubic -s0*l^2, of Hessian rank
+    1 on l = s0+2s1+3s2+4s3 = 0."""
     f = GF(p)
     rng = random.Random(p)
-    cubics, points = [], []
+    nus, cubics, points = [], [], []
     while len(cubics) < 40:
         nu = FamilyParams(f, tuple(rng.randrange(p) for _ in range(5)))
         if nu.degenerate()[0] or not nu.nu[4] or not nodes_distinct(nu):
             continue
+        nus.append(nu)
         cubics.append(scubic(nu))
         points.append([node_coordinates(nu, i) for i in (1, 2, 3)]
                       + [tuple(f.from_int(rng.randrange(k == 0, p)) for k in range(4))
@@ -221,7 +240,7 @@ def test_node_jets_match_scalar_oracle(p):
     degenerate = scubic(FamilyParams(f, (1, 2, 3, 4, 0)))
     rank_one = tuple(f.from_int(v) for v in (1, p - 2, 1, 0))  # l = 1 - 4 + 3 = 0
     assert assert_jets_match_oracle([degenerate], [[rank_one]], f) == [1]
-    assert verify_nodes(p, 40, seed=p).to_json() == scalar_verify_nodes(p, 40, seed=p).to_json()
+    assert verify_nodes(p, nus).to_json() == scalar_verify_nodes(p, nus).to_json()
 
 
 def plus_s1s2s3(real):
@@ -264,10 +283,11 @@ def plus_line_times_s0_squared(real):
 def test_mutant_cubics_fail_alike_on_both_paths(make, p, monkeypatch):
     monkeypatch.setattr(bicanon, "scubic", make(bicanon.scubic))
     for seed in range(3):
-        rep = verify_nodes(p, 10, seed)
+        nus = node_draws(p, 10, seed)
+        rep = verify_nodes(p, nus)
         assert not rep.passed
         problems = rep.witness["problems"]
-        assert problems == scalar_verify_nodes(p, 10, seed).witness["problems"]
+        assert problems == scalar_verify_nodes(p, nus).witness["problems"]
         at_n1 = [pr.split(" ")[0] for pr in problems if "n_1" in pr]
         if make is line_times_square:
             assert at_n1[0] == "grad(n_1)" and at_n1[-1] == "Hessian"
@@ -276,8 +296,9 @@ def test_mutant_cubics_fail_alike_on_both_paths(make, p, monkeypatch):
             assert set(at_n1) == {"grad(n_1)"}
 
 
-# `verify_nodes` records of the scalar loop, byte for byte: an empty stack
-# of draws, and the smallest admissible prime
+# `verify_nodes` records of the scalar loop, byte for byte, at (prime,
+# draws, seed) with the check's params: an empty stack of draws, and the
+# smallest admissible prime
 NODES_RECORDS = {
     (13, 0, 0): '{"check": "bicanon.nodes", "status": "pass", "witness": '
                 '{"draws": 0, "hessian_rank": 3}, "wall_ms": 0.0, '
@@ -290,8 +311,11 @@ NODES_RECORDS = {
 
 @pytest.mark.parametrize("args", sorted(NODES_RECORDS))
 def test_nodes_records_pinned(args):
-    assert verify_nodes(*args).to_json() == NODES_RECORDS[args]
-    assert scalar_verify_nodes(*args).to_json() == NODES_RECORDS[args]
+    p, n, seed = args
+    nus = node_draws(p, n, seed)
+    params = {"prime": p, "seed": seed}
+    assert replace(verify_nodes(p, nus), params=params).to_json() == NODES_RECORDS[args]
+    assert replace(scalar_verify_nodes(p, nus), params=params).to_json() == NODES_RECORDS[args]
 
 
 def substitution_hessian_rank(cubic, point, field):

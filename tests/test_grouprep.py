@@ -7,6 +7,7 @@ import pytest
 
 from upv import grouprep
 from upv.ambient import AMBIENT_S, AMBIENT_XY
+from upv.checks import RunConfig, RunContext
 from upv.grouprep import (SignedAction,
                           check_regular_representation, delta_set_report,
                           fixed_loci_report, fixed_locus, group_G, group_H,
@@ -18,6 +19,13 @@ from upv.poly import Poly, PolyError
 from upv.scalars import GF, QI, QQ
 
 ALL_WORDS = list(product((0, 1), repeat=6))
+
+
+def q_invariance_args(draws, seed=0):
+    """The parameters and the word stream of ``grouprep.q_invariance`` at
+    prime 13 and ``seed``, with ``draws`` draws."""
+    ctx = RunContext(RunConfig(primes=(13,), seed=seed))
+    return [ctx.draw_nu(13, "qinv") for _ in range(draws)], ctx.rng("qinv_words:13")
 
 
 def test_word_parsing_roundtrip():
@@ -79,7 +87,7 @@ def test_regular_representation():
 
 
 def test_q_invariance():
-    assert q_invariance_report(13, draws=5, seed=0).passed
+    assert q_invariance_report(*q_invariance_args(5)).passed
 
 
 def test_j_stability():
@@ -168,16 +176,16 @@ def test_flipped_sign_fails_j_stability(b1_without_y_sign):
 
 
 def test_flipped_sign_fails_q_invariance(b1_without_y_sign):
-    rep = q_invariance_report(13, draws=5)
+    rep = q_invariance_report(*q_invariance_args(5))
     assert not rep.passed
     assert all("b1" in m and "breaks q invariance" in m for m in rep.witness["problems"])
 
 
 def test_delta_set_aliasing():
-    r13 = delta_set_report(13, seed=0, draws=4)
+    r13 = delta_set_report(13, random.Random(0))
     assert r13.passed
     assert r13.witness["delta_multiples_of_eps"] == [-8, -5, 5, 8]
-    r17 = delta_set_report(17, seed=0, draws=4)
+    r17 = delta_set_report(17, random.Random(0))
     assert r17.passed
     assert r17.witness["delta_multiples_of_eps"] == [-8, 8]
 

@@ -1,6 +1,6 @@
 import inspect
 import random
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import upv.invariants
 import upv.unproj
 from upv.ambient import AMBIENT_P7, AMBIENT_XY, Ambient
-from upv.invariants import (DegreeBudgetError, IntersectionClass,
-                            ci_series_coefficient, extend,
+from upv.invariants import (DegreeBudgetError, ci_series_coefficient, extend,
                             hilbert_function, hilbert_profile, hilbert_rows,
                             hilbert_t_report, hilbert_v_report,
                             hilbert_x_report, intersection_number,
@@ -360,14 +359,20 @@ def test_profile_table_format():
 
 
 def test_intersection_ring():
-    H = IntersectionClass.hyperplane()
+    H = (1, 1, 1, 1)
     assert intersection_number([H, H, H, H]) == 24
     assert intersection_number([H, H, H, H]) // 2 == 12
-    h1 = IntersectionClass.h(0)
-    assert (h1 * h1).coeffs == {}
-    assert intersection_number([H, H, H.scale(2), H]) == 48
+    assert intersection_number([H, H, (2, 2, 2, 2), H]) == 48
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert intersection_number(e) == 1
+    for i, j in combinations(range(4), 2):
+        repeated = list(e)
+        repeated[j] = e[i]  # h_i^2 = 0
+        assert intersection_number(repeated) == 0
     with pytest.raises(ValueError):
         intersection_number([H, H, H])
+    with pytest.raises(ValueError):
+        intersection_number([H, H, H, (1, 1, 1)])
     assert intersection_numbers_report().passed
 
 

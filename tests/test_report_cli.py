@@ -212,6 +212,17 @@ def test_full_catalog_stream_pinned():
     assert hashlib.sha256(stream.encode()).hexdigest() == FULL_CATALOG_SHA256
 
 
+# sha256 of `upv run all --seed 100`: the benchmark's first sample seed
+FULL_CATALOG_SEED_100_SHA256 = \
+    "b5043d56fc81f1176fb5c1b72324141d6c2774ddbf43cfb13123f82cf886e3a0"
+
+
+def test_full_catalog_stream_pinned_at_seed_100():
+    reports = run_checks(resolve_targets(["all"]), RunContext(RunConfig(seed=100)))
+    stream = "".join(r.to_json() + "\n" for r in reports)
+    assert hashlib.sha256(stream.encode()).hexdigest() == FULL_CATALOG_SEED_100_SHA256
+
+
 # sha256 of `upv run cover.enumeration cover.hplane_decomposition
 # bicanon.branch_loci bicanon.nodes --seed 1000000`: the downstairs scans and
 # the node Hessians at a seed whose branch-loci redraws differ from seed 0
@@ -306,6 +317,42 @@ def test_fixed_smooth_nu_is_one_accepted_draw(monkeypatch, capsys):
     assert records[0]["witness"]["per_prime"] == {
         "13": {"accepted": [{"nu": [1, 1, 1, 1, 3], "points": 432}], "redraws": []}}
     assert calls == [(1, 1, 1, 1, 3)]
+
+
+def test_fixed_nu_reaches_nodes_and_q_invariance(capsys):
+    code, records = _run_records(["run", "bicanon.nodes", "grouprep.q_invariance",
+                                  "--nu", "1,2,3,4,5"], capsys)
+    assert code == 0 and [r["status"] for r in records] == ["pass", "pass"]
+    assert [r["witness"]["draws"] for r in records] == [1, 1]
+
+
+@pytest.mark.parametrize("nu,reason", [
+    ("1,0,3,4,5", "nu=(1, 0, 3, 4, 5) is outside the claim: nu1*nu2*nu3 = 0"),
+    ("1,2,3,-6,5", "nu=(1, 2, 3, 7, 5) is outside the claim: nu0+nu1+nu2+nu3 = 0, "
+                   "so the three nodes collapse"),
+])
+def test_fixed_nu_outside_the_node_claim_fails_named(nu, reason, capsys):
+    code, (rec,) = _run_records(["run", "bicanon.nodes", "--nu", nu, "--primes", "13"],
+                                capsys)
+    assert code == 1 and rec["status"] == "fail"
+    assert "error" not in rec["witness"]
+    assert rec["witness"]["problems"] == [reason]
+    assert rec["witness"]["draws"] == 0
+
+
+def test_default_draw_counts_of_nodes_and_q_invariance(monkeypatch):
+    purposes = []
+    real = RunContext.draw_nu
+
+    def counting(self, p, purpose):
+        purposes.append(purpose)
+        return real(self, p, purpose)
+
+    monkeypatch.setattr(RunContext, "draw_nu", counting)
+    reports = run_checks(resolve_targets(["bicanon.nodes", "grouprep.q_invariance"]),
+                         RunContext(RunConfig()))
+    assert all(r.passed for r in reports)
+    assert {k: purposes.count(k) for k in set(purposes)} == {"nodes": 100, "qinv": 20}
 
 
 # sha256 of `upv dump points` output: the point file format and point order
