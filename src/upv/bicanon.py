@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -44,58 +44,95 @@ def svar(domain, i: int) -> Poly:
     return Poly.variable(AMBIENT_S, domain, f"s{i}")
 
 
+def _frozen(f: Poly) -> Mapping:
+    """The terms of a cached form, read-only, as they are shared."""
+    return MappingProxyType(f.terms)
+
+
+def _weighted_sum(ambient: Ambient, domain, parts) -> Poly:
+    """sum of w * part over the (term map, scalar w) pairs ``parts``, as one
+    dict accumulation."""
+    acc: Dict[Tuple[int, ...], object] = {}
+    for part, w in parts:
+        if not w:
+            continue
+        for e, c in part.items():
+            s = acc.get(e)
+            acc[e] = c * w if s is None else s + c * w
+    return Poly._trusted(ambient, domain, acc)
+
+
+# (i, j) for the monomials s_i*s_j of l^2, i <= j
+PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))
+
+
+def _l_squared_weights(nu: FamilyParams) -> List[object]:
+    """The coefficients of l^2 = (sum nu_i*s_i)^2 at s_i*s_j, (i, j) in PAIRS."""
+    return [nu.nu[i] * nu.nu[j] * (1 if i == j else 2) for i, j in PAIRS]
+
+
+@lru_cache(maxsize=None)
+def _scubic_parts(domain) -> Tuple[Mapping, Tuple[Mapping, ...]]:
+    """The nu-free parts of ``scubic`` as read-only term maps:
+    8*prod(s_i - s0), and s0*s_i*s_j for (i, j) in PAIRS."""
+    s = [svar(domain, i) for i in range(4)]
+    prod = (s[1] - s[0]) * (s[2] - s[0]) * (s[3] - s[0]) * domain.from_int(8)
+    return _frozen(prod), tuple(_frozen(s[0] * s[i] * s[j]) for i, j in PAIRS)
+
+
 def scubic(nu: FamilyParams) -> Poly:
-    """8*nu4^2 * prod(s_i - s0) - s0 * l^2 in the s-coordinates."""
-    d = nu.domain
-    s = [svar(d, i) for i in range(4)]
-    prod_part = Poly.one(AMBIENT_S, d)
-    for i in (1, 2, 3):
-        prod_part = prod_part * (s[i] - s[0])
-    l = Poly.zero(AMBIENT_S, d)
-    for i in range(4):
-        l = l + s[i] * nu.nu[i]
-    eight = d.from_int(8)
-    return prod_part * (eight * nu.nu[4] * nu.nu[4]) - s[0] * l * l
+    """8*nu4^2 * prod(s_i - s0) - s0 * l^2 in the s-coordinates, summed from
+    the per-field parts ``_scubic_parts``."""
+    prod, pairs = _scubic_parts(nu.domain)
+    parts = [(prod, nu.nu[4] * nu.nu[4])]
+    parts += [(part, -w) for part, w in zip(pairs, _l_squared_weights(nu))]
+    return _weighted_sum(AMBIENT_S, nu.domain, parts)
 
 
 @lru_cache(maxsize=None)
-def _s_substitution_images(domain) -> Mapping[str, Poly]:
-    """s_i -> (x_i0^2 + x_i1^2)/2 for i > 0 and s0 -> x00^2 (the rewritten
-    value of (x00^2 + x01^2)/2 on the hyperplane); read-only, as it is
-    shared."""
-    images = {"s0": xvar(domain, 0, 0) ** 2}
-    for i in (1, 2, 3):
-        images[f"s{i}"] = s_form(domain, i)
-    return MappingProxyType(images)
-
-
-@lru_cache(maxsize=None)
-def _s3_derivation_parts(domain) -> Tuple[Poly, Poly, Tuple[str, ...]]:
-    """The nu-free parts of ``derive_s3_cubic``: x00^2, prod((x_i0+x_i1))^2,
-    and the problems found in the squared-sum rewriting used on the way,
-    (x_i0+x_i1)^2 = 2(s_i - s0)."""
+def _s3_derivation_parts(domain) -> Tuple[Tuple[Mapping, ...], Mapping,
+                                          Callable[[Tuple[int, ...]], Mapping],
+                                          Tuple[str, ...]]:
+    """The nu-free parts of ``derive_s3_cubic``, rewritten, as read-only term
+    maps: x00^2*s_i*s_j for (i, j) in PAIRS (the terms of x00^2*l^2),
+    prod((x_i0+x_i1))^2, and a lazily filled cache of the image of each
+    s-monomial, keyed by exponents, under s_i -> (x_i0^2 + x_i1^2)/2 for
+    i > 0 and s0 -> x00^2 (the rewritten value of (x00^2 + x01^2)/2 on the
+    hyperplane).  Last, the problems found in the squared-sum rewriting used
+    on the way, (x_i0+x_i1)^2 = 2(s_i - s0)."""
     x00_sq = xvar(domain, 0, 0) ** 2
+    s = [s_form(domain, i) for i in range(4)]
+    x00_side = tuple(_frozen(reduce_by_rewriting(x00_sq * s[i] * s[j])) for i, j in PAIRS)
+    prod_sq = _frozen(reduce_by_rewriting(product_of_sums(domain) ** 2))
+    images = {"s0": x00_sq, **{f"s{i}": s[i] for i in (1, 2, 3)}}
+
+    @lru_cache(maxsize=None)
+    def s_image(e: Tuple[int, ...]) -> Mapping:
+        monomial = Poly.monomial(AMBIENT_S, domain, e)
+        return _frozen(reduce_by_rewriting(ring_substitute(monomial, AMBIENT_XY, images)))
+
     problems = []
     for i in (1, 2, 3):
         sq = reduce_by_rewriting((xvar(domain, i, 0) + xvar(domain, i, 1)) ** 2)
-        want = reduce_by_rewriting((s_form(domain, i) - x00_sq) * domain.from_int(2))
+        want = reduce_by_rewriting((s[i] - x00_sq) * domain.from_int(2))
         if sq != want:
             problems.append(f"(x{i}0+x{i}1)^2 does not rewrite to 2(s{i} - x00^2)")
-    return x00_sq, product_of_sums(domain) ** 2, tuple(problems)
+    return x00_side, prod_sq, s_image, tuple(problems)
 
 
 def derive_s3_cubic(nu: FamilyParams) -> Tuple[Poly, CheckReport]:
     """Build the cubic and verify the squaring derivation exactly:
     rewriting x00^2*l^2 - nu4^2*prod((x_i0+x_i1)^2) equals minus the cubic
-    evaluated at the invariant quadrics.  The nu-free parts are built and
-    checked once per field (``_s3_derivation_parts``)."""
+    evaluated at the invariant quadrics.  Substitution and rewriting are
+    linear, so the difference of the two sides is summed from the per-field
+    rewritten images of ``_s3_derivation_parts``, weighted by nu_i*nu_j,
+    -nu4^2 and the cubic's own coefficients."""
     d = nu.domain
-    x00_sq, prod_sq, squared_sum_problems = _s3_derivation_parts(d)
+    x00_side, prod_sq, s_image, squared_sum_problems = _s3_derivation_parts(d)
     cubic = scubic(nu)
-    a = reduce_by_rewriting(x00_sq * l_form(nu) ** 2 - prod_sq * (nu.nu[4] * nu.nu[4]))
-    b = reduce_by_rewriting(
-        ring_substitute(cubic, AMBIENT_XY, _s_substitution_images(d)))
-    difference = a + b
+    parts = [*zip(x00_side, _l_squared_weights(nu)), (prod_sq, -(nu.nu[4] * nu.nu[4]))]
+    parts += [(s_image(e), c) for e, c in cubic.terms.items()]
+    difference = _weighted_sum(AMBIENT_XY, d, parts)
     problems = []
     if not difference.is_zero():
         problems.append(f"difference {str(difference)[:300]}")
@@ -179,14 +216,14 @@ def verify_nodes(p: int, nus: Sequence[FamilyParams]) -> CheckReport:
     value, grad, hess = cubic_jets(cubics, np.array(nodes, dtype=np.int64).reshape(-1, 3, 4), p)
     det = _symmetric_det3(hess, p)
     for d, k in zip(*np.nonzero((value != 0) | grad.any(axis=2) | (det == 0))):
-        nu, i = accepted[d], k + 1
+        ints, i = tuple(int(v) for v in accepted[d].nu), k + 1
         if value[d, k]:
-            problems.append(f"cubic(n_{i}) != 0 at nu={nu.nu}")
-        problems += [f"grad(n_{i}) != 0 at nu={nu.nu}"] * int(np.count_nonzero(grad[d, k]))
+            problems.append(f"cubic(n_{i}) != 0 at nu={ints}")
+        problems += [f"grad(n_{i}) != 0 at nu={ints}"] * int(np.count_nonzero(grad[d, k]))
         if not det[d, k]:
             h = hess[d, k].tolist()
             matrix = [h[0:3], [h[1], h[3], h[4]], [h[2], h[4], h[5]]]
-            problems.append(f"Hessian rank {rank(matrix, field)} at n_{i}, nu={nu.nu}")
+            problems.append(f"Hessian rank {rank(matrix, field)} at n_{i}, nu={ints}")
     return verdict("bicanon.nodes", problems[:5], {"draws": len(accepted)},
                    on_pass={"hessian_rank": 3})
 

@@ -55,8 +55,10 @@ class RunConfig:
     def validate(self):
         if not self.primes:
             raise ValueError("at least one prime is required")
-        for p in self.primes:
+        for k, p in enumerate(self.primes):
             field = GF(p)  # raises with the eps requirement message when p != 1 mod 4
+            if p in self.primes[:k]:
+                raise ValueError(f"prime {p} is given twice")
             if self.nu is not None:
                 FamilyParams(field, tuple(self.nu))
         if self.max_degree < 1:

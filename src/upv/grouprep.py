@@ -450,14 +450,15 @@ def q_invariance_report(nus: Sequence, rng: Random) -> CheckReport:
     for nu in nus:
         d = nu.domain
         q = q_section(nu)
+        ints = tuple(int(v) for v in nu.nu)
         for w in H:
             img = SignedAction(w, d).apply(q)
             if img != q and img != -q:
-                problems.append(f"{word_str(w)} breaks q invariance at nu={nu.nu}")
+                problems.append(f"{word_str(w)} breaks q invariance at nu={ints}")
         for w in rng.sample(non_h, 8):
             img = SignedAction(w, d).apply(q)
             if img == q or img == -q:
-                problems.append(f"{word_str(w)} outside H fixed q at nu={nu.nu}")
+                problems.append(f"{word_str(w)} outside H fixed q at nu={ints}")
     return verdict("grouprep.q_invariance", problems[:5],
                    on_pass={"draws": len(nus), "H_words": 32})
 

@@ -14,12 +14,15 @@ from upv.bicanon import (branch_locus_check, burniat_charts_report, burniat_f3_r
                          plane_model_cubics, scubic, scubic_points_report,
                          split_plane_sections, verify_nodes)
 from upv import bicanon
+from upv.ambient import AMBIENT_S, AMBIENT_XY
 from upv.checks import RunConfig, RunContext
 from upv.cover import enumerate_surface
 from upv.linalg import rank
+from upv.poly import Poly, ring_substitute
 from upv.report import verdict
 from upv.scalars import GF, QI, QQ
-from upv.unproj import FamilyParams, node_defect, nodes_distinct
+from upv.unproj import (FamilyParams, l_form, node_defect, nodes_distinct,
+                        product_of_sums, reduce_by_rewriting, s_form, xvar)
 
 
 def node_draws(p, n, seed):
@@ -71,23 +74,27 @@ def test_mutant_cubic_fails_with_a_warm_cache(nu, monkeypatch):
 
 def test_cached_forms_stay_unchanged():
     from upv.grouprep import q_invariance_report
-    from upv.unproj import (elimination_cubic_report, product_of_sums, s_form,
-                            y_eigenvector)
+    from upv.unproj import elimination_cubic_report, y_eigenvector
     f = GF(13)
-    images = bicanon._s_substitution_images(f)
     forms = [s_form(f, i) for i in range(4)] + [product_of_sums(f), y_eigenvector(f)]
-    forms += list(images.values()) + list(bicanon._s3_derivation_parts(f)[:2])
-    snapshot = [dict(g.terms) for g in forms]
-    assert s_form(f, 1) is forms[1] and y_eigenvector(f) is forms[5]
     rng = random.Random(5)
     nus = [FamilyParams(f, tuple(rng.randrange(1, 13) for _ in range(5))) for _ in range(3)]
+    prod, pairs = bicanon._scubic_parts(f)
+    x00_side, prod_sq, s_image, _ = bicanon._s3_derivation_parts(f)
+    s_images = [s_image(e) for e in scubic(nus[0]).terms]
+    term_maps = [prod, *pairs, *x00_side, prod_sq, *s_images]
+    snapshot = [dict(g.terms) for g in forms] + [dict(m) for m in term_maps]
+    assert s_form(f, 1) is forms[1] and y_eigenvector(f) is forms[5]
     for nu in nus:
         assert derive_s3_cubic(nu)[1].passed
         assert elimination_cubic_report(nu).passed
     assert q_invariance_report(nus, rng).passed
-    assert [dict(g.terms) for g in forms] == snapshot
-    with pytest.raises(TypeError):
-        images["s0"] = forms[0]
+    assert verify_nodes(13, nus).passed
+    assert [dict(g.terms) for g in forms] + [dict(m) for m in term_maps] == snapshot
+    for m in term_maps:
+        e = next(iter(m))
+        with pytest.raises(TypeError):
+            m[e] = f.zero()
 
 
 def test_squared_sum_rewrites_to_difference():
@@ -175,16 +182,17 @@ def scalar_verify_nodes(p, nus):
         cubic = bicanon.scubic(nu)
         grads = [cubic.derivative(f"s{k}") for k in range(4)]
         hessian = affine_hessian(grads)
+        ints = tuple(int(v) for v in nu.nu)
         for i in (1, 2, 3):
             n = node_coordinates(nu, i)
             if cubic.evaluate(n):
-                problems.append(f"cubic(n_{i}) != 0 at nu={nu.nu}")
+                problems.append(f"cubic(n_{i}) != 0 at nu={ints}")
             for g in grads:
                 if g.evaluate(n):
-                    problems.append(f"grad(n_{i}) != 0 at nu={nu.nu}")
+                    problems.append(f"grad(n_{i}) != 0 at nu={ints}")
             hess = affine_hessian_rank(hessian, n, field)
             if hess != 3:
-                problems.append(f"Hessian rank {hess} at n_{i}, nu={nu.nu}")
+                problems.append(f"Hessian rank {hess} at n_{i}, nu={ints}")
         done += 1
     return verdict("bicanon.nodes", problems[:5], {"draws": done},
                    on_pass={"hessian_rank": 3})
@@ -294,6 +302,115 @@ def test_mutant_cubics_fail_alike_on_both_paths(make, p, monkeypatch):
             assert "Hessian rank 0 at n_1" in problems[len(at_n1) - 1]
         if make is plus_line_times_s0_squared:
             assert set(at_n1) == {"grad(n_1)"}
+
+
+def product_and_square_scubic(nu):
+    """The oracle of ``scubic``: 8*nu4^2*prod(s_i - s0) - s0*l^2 built from
+    Poly products and the square of l."""
+    d = nu.domain
+    s = [bicanon.svar(d, i) for i in range(4)]
+    prod = Poly.one(AMBIENT_S, d)
+    for i in (1, 2, 3):
+        prod = prod * (s[i] - s[0])
+    l = Poly.zero(AMBIENT_S, d)
+    for i in range(4):
+        l = l + s[i] * nu.nu[i]
+    return prod * (d.from_int(8) * nu.nu[4] * nu.nu[4]) - s[0] * l * l
+
+
+def two_sided_difference(nu, cubic):
+    """The oracle of ``derive_s3_cubic``'s difference: each side of the
+    derivation built whole, then rewritten."""
+    d = nu.domain
+    x00_sq = xvar(d, 0, 0) ** 2
+    images = {"s0": x00_sq, **{f"s{i}": s_form(d, i) for i in (1, 2, 3)}}
+    a = reduce_by_rewriting(x00_sq * l_form(nu) ** 2
+                            - product_of_sums(d) ** 2 * (nu.nu[4] * nu.nu[4]))
+    return a + reduce_by_rewriting(ring_substitute(cubic, AMBIENT_XY, images))
+
+
+def derivation_difference(nu, monkeypatch):
+    """The cubic and the difference that ``derive_s3_cubic`` tests for zero,
+    caught from the sum that builds it."""
+    seen = []
+    real = bicanon._weighted_sum
+
+    def spy(ambient, domain, parts):
+        out = real(ambient, domain, parts)
+        if ambient == AMBIENT_XY:
+            seen.append(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(bicanon, "_weighted_sum", spy)
+        cubic, rep = derive_s3_cubic(nu)
+    (difference,) = seen
+    assert rep.passed == difference.is_zero()
+    return cubic, difference
+
+
+def random_nus(field, n, seed):
+    """n parameters over ``field`` with small entries, zero now and then
+    (a Gaussian part over QI), then ones with zero entries and nu4 = 0."""
+    rng = random.Random(seed)
+
+    def entry():
+        v = field.coerce(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)))
+        return v + field.sqrt_minus_one() * rng.randrange(-3, 4) if field is QI else v
+
+    nus = [FamilyParams(field, tuple(entry() for _ in range(5))) for _ in range(n)]
+    return nus + [FamilyParams(field, nu) for nu in
+                  ((1, 0, 2, 0, 3), (1, 2, 3, 4, 0), (0, 0, 0, 0, 1), (0, 5, 0, 0, 0))]
+
+
+CUBIC_FIELDS = [QQ, QI, GF(13), GF(2147483029)]
+
+
+@pytest.mark.parametrize("field", CUBIC_FIELDS, ids=str)
+def test_scubic_matches_product_and_square(field):
+    for nu in random_nus(field, 12, str(field)):
+        assert scubic(nu) == product_and_square_scubic(nu)
+
+
+def plus_nu4_squared_s1_cubed(real):
+    """The cubic plus nu4^2*s1^3: s1^3 is no monomial of the real cubic."""
+    def mutant(nu):
+        return real(nu) + bicanon.svar(nu.domain, 1) ** 3 * (nu.nu[4] * nu.nu[4])
+    return mutant
+
+
+@pytest.mark.parametrize("field", [QQ, GF(13), GF(17)], ids=str)
+@pytest.mark.parametrize("make", [None, plus_s1s2s3, line_times_square,
+                                  plus_line_times_s0_squared, plus_nu4_squared_s1_cubed],
+                         ids=["real", "plus_s1s2s3", "line_times_square",
+                              "plus_line_times_s0_squared", "plus_nu4_squared_s1_cubed"])
+def test_derivation_difference_matches_two_sided_pipeline(make, field, monkeypatch):
+    if make:
+        monkeypatch.setattr(bicanon, "scubic", make(bicanon.scubic))
+    for nu in random_nus(field, 4, f"{field}:{getattr(make, '__name__', 'real')}"):
+        cubic, difference = derivation_difference(nu, monkeypatch)
+        assert difference == two_sided_difference(nu, cubic)
+        # a mutant passes only where it coincides with the real cubic
+        assert difference.is_zero() == (cubic == product_and_square_scubic(nu))
+    if make is plus_nu4_squared_s1_cubed:
+        # the unseen monomial's image was added to the per-field cache
+        s_image = bicanon._s3_derivation_parts(field)[2]
+        hits = s_image.cache_info().hits
+        s_image((0, 3, 0, 0))
+        assert s_image.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("field", CUBIC_FIELDS, ids=str)
+def test_x00_side_images_sum_to_the_rewritten_products(field):
+    x00_side, prod_sq, _, _ = bicanon._s3_derivation_parts(field)
+    assert Poly(AMBIENT_XY, field, prod_sq) == reduce_by_rewriting(product_of_sums(field) ** 2)
+    x00_sq = xvar(field, 0, 0) ** 2
+    for nu in random_nus(field, 6, f"x00:{field}"):
+        got = Poly.zero(AMBIENT_XY, field)
+        for (i, j), part in zip(bicanon.PAIRS, x00_side):
+            w = nu.nu[i] * nu.nu[j] * field.from_int(1 if i == j else 2)
+            got = got + Poly(AMBIENT_XY, field, part) * w
+        assert got == reduce_by_rewriting(x00_sq * l_form(nu) ** 2)
 
 
 # `verify_nodes` records of the scalar loop, byte for byte, at (prime,

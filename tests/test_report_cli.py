@@ -326,6 +326,16 @@ def test_fixed_nu_reaches_nodes_and_q_invariance(capsys):
     assert [r["witness"]["draws"] for r in records] == [1, 1]
 
 
+def test_q_invariance_names_nu_as_integers(capsys):
+    # nu4 = 0: the sampled words outside H fix q
+    assert main(["run", "grouprep.q_invariance", "--nu", "1,2,3,4,0", "--primes", "13"]) == 1
+    at = "outside H fixed q at nu=(1, 2, 3, 4, 0)"
+    assert capsys.readouterr().out == (
+        '{"check": "grouprep.q_invariance", "status": "fail", "witness": {"problems": '
+        f'["a1*b1*b3 {at}", "b1*b2*b3 {at}", "a1*a2*a3*b1*b3 {at}", "a1*a2*a3 {at}", '
+        f'"a1*a2*b1 {at}"]}}, "wall_ms": 0.0, "params": {{"prime": 13, "seed": 0}}}}\n')
+
+
 @pytest.mark.parametrize("nu,reason", [
     ("1,0,3,4,5", "nu=(1, 0, 3, 4, 5) is outside the claim: nu1*nu2*nu3 = 0"),
     ("1,2,3,-6,5", "nu=(1, 2, 3, 7, 5) is outside the claim: nu0+nu1+nu2+nu3 = 0, "
@@ -408,6 +418,24 @@ def test_configuration_errors_exit_two(args, message, capsys):
     assert main(["run", *args]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_repeated_prime_exits_two(tmp_path, monkeypatch, capsys):
+    # a repeated prime would rerun that prime's draws, continuing the same
+    # random streams, and overwrite or double-count its results
+    targets = ["cover.free_action", "invariants.hilbert_t"]
+    config = tmp_path / "upv.conf"
+    config.write_text("primes = 13,17,13\n")
+    runs = [(["run", *targets, "--primes", "13,13"], None),
+            (["--config", str(config), "run", *targets], None),
+            (["run", *targets], "29 13 29")]
+    for argv, env in runs:
+        if env:
+            monkeypatch.setenv("UPV_PRIMES", env)
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        prime = 29 if env else 13
+        assert out.out == "" and out.err == f"error: prime {prime} is given twice\n"
 
 
 def test_unreadable_config_or_unwritable_output_exits_two(tmp_path, capsys):

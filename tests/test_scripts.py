@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,3 +14,30 @@ def test_count_points_smoke():
     assert res.returncode == 0, res.stderr
     assert "group certification: pass" in res.stdout
     assert "GF(13), image downstairs 19216" in res.stdout
+
+
+def test_stream_digests_smoke():
+    args = ["bicanon.s3_derivation", "--primes", "13"]
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "stream_digests.py"),
+         "--base", "5", "--samples", "2", *args],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    lines = []
+    for seed in (5, 1_000_005):
+        stream = subprocess.run([sys.executable, "-m", "upv", "run", *args, "--seed", str(seed)],
+                                capture_output=True, env=env, check=True).stdout
+        lines.append(f"seed {seed}: sha256 {hashlib.sha256(stream).hexdigest()} "
+                     "not_pass 0 exit 0")
+    assert res.stdout.splitlines() == lines
+
+
+def test_stream_digests_exit_one_on_a_failing_record():
+    # nu4 = 0 is outside the q-invariance claim, so the record fails
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "stream_digests.py"),
+         "--samples", "1", "grouprep.q_invariance", "--nu", "1,2,3,4,0", "--primes", "13"],
+        capture_output=True, text=True)
+    assert res.returncode == 1
+    assert res.stdout.startswith("seed 0: sha256 ") and res.stdout.endswith(" not_pass 1 exit 1\n")
