@@ -34,8 +34,9 @@ from .linalg import rank
 from .poly import MonomialMap, Poly, exact_divide, proportional, ring_substitute
 from .report import CheckReport, verdict
 from .scalars import GF, QI, QQ, PrimeField, smallest_non_residue
-from .unproj import (FamilyParams, l_form, node_defect, product_of_sums,
-                     reduce_by_rewriting, s_form, xvar)
+from .unproj import (FamilyParams, build_v_ideal, l_form, node_defect,
+                     product_of_sums, reduce_by_rewriting, s_form, xvar,
+                     y_eigenvector)
 
 AMBIENT_ZCHART = Ambient.graded("ZCHART", ("zx00", "zx21", "zx31"), laurent=True)
 
@@ -508,44 +509,39 @@ def double_point_set(domain=QI) -> List[Tuple[object, object, object]]:
     return out
 
 
+def _chart_map(target: Ambient, domain, x_images) -> MonomialMap:
+    """The Laurent monomial map into ``target`` that sends each of the eight
+    x-variables to its (coefficient, exponents) image in ``x_images`` and
+    each y_t to its rational section x_{1t1'}*x_{2t2'}*x_{3t3'}/x_{0t0}
+    (representation 0 of ``UnprojectionDatum``) at those images."""
+    images = dict(x_images)
+    for t in EVEN_TUPLES:
+        c0, e0 = x_images[xname(0, t[0])]
+        coef, exps = domain.one() / c0, [-k for k in e0]
+        for i in (1, 2, 3):
+            c, e = x_images[xname(i, comp(t[i]))]
+            coef, exps = coef * c, [a + b for a, b in zip(exps, e)]
+        images[yname(t)] = (coef, tuple(exps))
+    return MonomialMap(AMBIENT_XY, target, domain, images, laurent=True)
+
+
 def chart_map_xi2(domain=QI) -> MonomialMap:
     """The local inverse of x_i = x_{i0}/x_{00} on the open torus: x00 -> 1,
     x01 -> -1, x_{i0} -> x_i, x_{i1} -> -1/x_i, weight-2 variables by their
     defining rational sections."""
-    images = {}
-    zero3 = (0, 0, 0)
-    images["x00"] = (domain.one(), zero3)
-    images["x01"] = (-domain.one(), zero3)
-
-    def ximg(i, a):
-        e = [0, 0, 0]
-        e[i - 1] = 1 if a == 0 else -1
-        c = domain.one() if a == 0 else -domain.one()
-        return (c, tuple(e))
-
+    one = domain.one()
+    images = {"x00": (one, (0, 0, 0)), "x01": (-one, (0, 0, 0))}
     for i in (1, 2, 3):
-        for a in (0, 1):
-            images[xname(i, a)] = ximg(i, a)
-    for t in EVEN_TUPLES:
-        coef = domain.one()
-        e = [0, 0, 0]
-        for i in (1, 2, 3):
-            c, ee = ximg(i, comp(t[i]))
-            coef = coef * c
-            e = [a + b for a, b in zip(e, ee)]
-        if t[0] == 1:
-            coef = -coef  # divide by x01 = -1
-        images[yname(t)] = (coef, tuple(e))
-    return MonomialMap(AMBIENT_XY, AMBIENT_X3L, domain, images, laurent=True)
+        e = tuple(1 if k == i - 1 else 0 for k in range(3))
+        images[xname(i, 0)] = (one, e)
+        images[xname(i, 1)] = (-one, tuple(-k for k in e))
+    return _chart_map(AMBIENT_X3L, domain, images)
 
 
 def pencil_generators(domain) -> Tuple[Poly, Poly]:
     """The two quadric sections spanning the special pencil: l with
     (-1,1,1,1) and the signed sum of the weight-2 variables."""
-    q1 = l_form(FamilyParams(domain, (-1, 1, 1, 1, 0)))
-    from .unproj import y_eigenvector
-    q2 = y_eigenvector(domain)
-    return q1, q2
+    return l_form(FamilyParams(domain, (-1, 1, 1, 1, 0))), y_eigenvector(domain)
 
 
 def burniat_nodes_report(domain=QI) -> CheckReport:
@@ -593,7 +589,6 @@ def burniat_charts_report(domain=QI) -> CheckReport:
     of its equations pull back to zero."""
     problems = []
     xi2 = chart_map_xi2(domain)
-    from .unproj import build_v_ideal
     for name, g, _ in build_v_ideal(domain).generators:
         if not xi2.apply(g).is_zero():
             problems.append(f"{name} does not vanish on the chart")
@@ -614,7 +609,7 @@ def chart_map_zeta2(domain=QQ) -> MonomialMap:
     weight-2 coordinate set to 1; every ambient variable becomes a signed
     Laurent monomial through the chart relations."""
     one = domain.one()
-    base: Dict[str, Tuple[object, Tuple[int, int, int]]] = {
+    return _chart_map(AMBIENT_ZCHART, domain, {
         "x00": (one, (1, 0, 0)),
         "x01": (-one, (1, 0, 0)),
         "x21": (one, (0, 1, 0)),
@@ -623,23 +618,7 @@ def chart_map_zeta2(domain=QQ) -> MonomialMap:
         "x30": (-one, (2, 0, -1)),
         "x10": (-one, (1, 1, 1)),
         "x11": (one, (1, -1, -1)),
-    }
-
-    def mul(a, b):
-        return (a[0] * b[0], tuple(x + y for x, y in zip(a[1], b[1])))
-
-    def inv(a):
-        return (one / a[0], tuple(-x for x in a[1]))
-
-    images = dict(base)
-    for t in EVEN_TUPLES:
-        acc = (one, (0, 0, 0))
-        for i, var in ((1, xname(1, comp(t[1]))), (2, xname(2, comp(t[2]))),
-                       (3, xname(3, comp(t[3])))):
-            acc = mul(acc, base[var])
-        acc = mul(acc, inv(base[xname(0, t[0])]))
-        images[yname(t)] = acc
-    return MonomialMap(AMBIENT_XY, AMBIENT_ZCHART, domain, images, laurent=True)
+    })
 
 
 def f3_chart_polynomial(domain=QQ) -> Poly:
@@ -704,44 +683,34 @@ def plane_model_cubics(domain=QQ) -> List[Poly]:
     return [s0, s1, s2, s3]
 
 
+def pencil_cubic(s: Sequence[Poly], lam) -> Poly:
+    """The cubic of the pencil member with nu = (-v, v, v, v, nu4), v^2 =
+    -lam and nu4 = (lam+1)/4, at the four forms ``s`` of one ring:
+    (lam+1)^2/2 * prod(s_i - s0) + lam*s0*(s1+s2+s3-s0)^2.  ``lam`` is a
+    scalar or a polynomial of that ring."""
+    s0, s1, s2, s3 = s
+    half = s0.domain.coerce(Fraction(1, 2))
+    return (s1 - s0) * (s2 - s0) * (s3 - s0) * ((lam + 1) ** 2 * half) \
+        + s0 * (s1 + s2 + s3 - s0) ** 2 * lam
+
+
+@lru_cache(maxsize=None)
+def _plane_model_residue(domain) -> Poly:
+    """``pencil_cubic`` at the plane-model cubics, in Q[lam, u0, u1, u2]: the
+    zero polynomial exactly when the plane-model identity holds.  Derived
+    once per field and shared by ``lambda_identity_report`` and
+    ``burniat_parameter_map``."""
+    return pencil_cubic(plane_model_cubics(domain), Poly.variable(AMBIENT_LU, domain, "lam"))
+
+
 def lambda_identity_report(domain=QQ) -> CheckReport:
-    """(lam+1)^2 (s1-s0)(s2-s0)(s3-s0) + 2 lam s0 (s1+s2+s3-s0)^2 is the zero
-    polynomial of Q[lam, u0, u1, u2] for the displayed cubics."""
-    s0, s1, s2, s3 = plane_model_cubics(domain)
-    lam = Poly.variable(AMBIENT_LU, domain, "lam")
-    one = Poly.one(AMBIENT_LU, domain)
-    lhs = (lam + one) ** 2 * (s1 - s0) * (s2 - s0) * (s3 - s0)
-    rhs = lam * s0 * (s1 + s2 + s3 - s0) ** 2 * (-2)
-    diff = lhs - rhs
+    """(lam+1)^2 (s1-s0)(s2-s0)(s3-s0) + 2 lam s0 (s1+s2+s3-s0)^2, twice the
+    ``pencil_cubic`` at the displayed cubics, is the zero polynomial of
+    Q[lam, u0, u1, u2]."""
+    diff = _plane_model_residue(domain) * 2
     return verdict("burniat.lambda_identity",
                    [] if diff.is_zero() else [f"difference {str(diff)[:200]}"],
                    on_pass={"identity": "zero polynomial"})
-
-
-def pencil_cubic_squared(domain=QQ) -> Poly:
-    """The cubic of the pencil member with nu = (-v, v, v, v, nu4),
-    v^2 = -lam and nu4 = (lam+1)/4, as a polynomial in Q[lam][s]:
-    (lam+1)^2/2 * prod(s_i-s0) + lam*s0*(s1+s2+s3-s0)^2."""
-    sl = Ambient.graded("SL", ("lam", "s0", "s1", "s2", "s3"))
-    lam = Poly.variable(sl, domain, "lam")
-    s = [Poly.variable(sl, domain, f"s{i}") for i in range(4)]
-    one = Poly.one(sl, domain)
-    half = domain.coerce(Fraction(1, 2))
-    prod_part = (s[1] - s[0]) * (s[2] - s[0]) * (s[3] - s[0])
-    return (lam + one) ** 2 * prod_part * half \
-        + lam * s[0] * (s[1] + s[2] + s[3] - s[0]) ** 2
-
-
-@lru_cache(maxsize=1)
-def pencil_vanishes_on_plane_model() -> bool:
-    """Membership: the symbolic pencil cubic, in Q[lam][s], vanishes on the
-    plane model in Q[lam, u0, u1, u2].  It does not depend on a value of
-    lambda, so it is derived once per process."""
-    s0, s1, s2, s3 = plane_model_cubics(QQ)
-    composed = ring_substitute(pencil_cubic_squared(QQ), AMBIENT_LU,
-                               {"lam": Poly.variable(AMBIENT_LU, QQ, "lam"),
-                                "s0": s0, "s1": s1, "s2": s2, "s3": s3})
-    return composed.is_zero()
 
 
 def check_pencil_lambda(lam) -> None:
@@ -765,7 +734,7 @@ def burniat_parameter_map(lam_value) -> Tuple[dict, CheckReport]:
     lam = domain.coerce(lam_value)
     check_pencil_lambda(lam)
     nu4 = (lam + domain.one()) / domain.from_int(4)
-    if not pencil_vanishes_on_plane_model():
+    if not _plane_model_residue(QQ).is_zero():
         problems.append("pencil cubic does not vanish on the plane model")
     solved = {"nu_squared": "-lambda", "nu4_formula": "(lambda+1)/4",
               "stated_nu4": "4*(lambda+1)", "ratio_to_stated": "16"}
@@ -777,22 +746,13 @@ def burniat_parameter_map(lam_value) -> Tuple[dict, CheckReport]:
             r = _sqrt_mod(int(neg), p)
             v = domain.from_int(r)
             explicit = FamilyParams(domain, (-v, v, v, v, nu4))
-            cubic = scubic(explicit)
-            ref = _pencil_cubic_at(domain, lam)
-            if cubic != ref:
+            if scubic(explicit) != pencil_cubic([svar(domain, i) for i in range(4)], lam):
                 problems.append("explicit parameters do not reproduce the pencil cubic")
         else:
             solved["note"] = f"-lambda is not a square mod {p}; parameters stay symbolic"
     out = {"nu4": nu4, "explicit": explicit, **solved}
     return out, verdict("burniat.parameter_map", problems, on_pass=solved,
                         params={"lambda": str(lam_value)})
-
-
-def _pencil_cubic_at(domain, lam) -> Poly:
-    """``pencil_cubic_squared`` specialised at lam = ``lam``, in AMBIENT_S."""
-    images = {f"s{i}": svar(domain, i) for i in range(4)}
-    images["lam"] = Poly.constant(AMBIENT_S, domain, lam)
-    return ring_substitute(pencil_cubic_squared(domain), AMBIENT_S, images)
 
 
 def _sqrt_mod(a: int, p: int) -> int:

@@ -150,19 +150,23 @@ class RunContext:
         """Draw until the enumerated surface is free and smooth over F_p;
         returns the accepted point set and the recorded redraws.  Only a
         lone rank drop is redrawn, and a fixed ``nu`` gets one attempt; any
-        other failure raises and says why."""
+        other failure raises and says why.  A fixed ``nu`` that
+        ``degenerate()`` flags, or with nu4 = 0, raises before its
+        certificate is built, as a drawn one is rejected: the group's fixed
+        points there need not be F_p-rational, so the certificate could
+        pass."""
         redraws = []
         for _ in range(self.draws(cap)):
             nu = self.draw_nu(p, purpose)
+            ints = tuple(int(v) for v in nu.nu)
+            degenerate, reason = nu.degenerate()
+            if self.cfg.nu is not None and (degenerate or not nu.nu[4]):
+                raise RuntimeError(f"fixed nu={ints} is degenerate over GF({p}) "
+                                   f"({reason or 'nu4 = 0'}), outside the freeness claim")
             rep = self.certificate(p, nu)
             if rep.passed:
                 return self.points(p, nu), redraws
             problems = " | ".join(rep.witness.get("problems", []))
-            ints = tuple(int(v) for v in nu.nu)
-            degenerate, reason = nu.degenerate()
-            if self.cfg.nu is not None and (degenerate or not nu.nu[4]):
-                raise RuntimeError(f"fixed nu={ints} is degenerate "
-                                   f"({reason or 'nu4 = 0'}): {problems}")
             if rep.witness["rank2_everywhere"] or len(rep.witness["problems"]) > 1:
                 raise RuntimeError(
                     f"free action failed for non-degenerate nu={ints}: {problems}")

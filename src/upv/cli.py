@@ -12,6 +12,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
+from . import invariants, unproj
 from .checks import ALIASES, CATALOG, RunConfig, RunContext, resolve_targets, run_checks
 from .report import CheckReport
 from .scalars import ScalarError
@@ -78,8 +79,6 @@ def build_config(args) -> RunConfig:
     cfg = RunConfig()
     if "primes" in raw:
         cfg.primes = _parse_ints("primes", raw["primes"])
-    if getattr(args, "prime", None) is not None:
-        cfg.primes = (args.prime,)
     if "seed" in raw:
         cfg.seed = _parse_int("seed", raw["seed"])
     if "nu" in raw and raw["nu"]:
@@ -142,7 +141,6 @@ def cmd_dump(args) -> int:
     ctx = RunContext(cfg)
     p = cfg.primes[0]
     if args.artifact == "ideal":
-        from . import unproj
         ideal = (unproj.build_t_ideal(ctx.draw_nu(p, "dump")) if args.ideal == "T"
                  else unproj.build_ideal(args.ideal))
         lines = ideal.dump_lines()
@@ -150,7 +148,6 @@ def cmd_dump(args) -> int:
         nu = ctx.draw_nu(p, "dump")
         lines = ctx.points(p, nu).dump_lines()
     else:
-        from . import invariants
         nu = ctx.draw_nu(p, "dump")
         lines = invariants.hilbert_profile("T", p, cfg.max_degree, nu).table()
     text = "\n".join(lines) + "\n"
@@ -172,7 +169,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--primes", help="comma-separated primes, all = 1 mod 4")
-        sp.add_argument("--prime", type=int, help="single-prime override")
         sp.add_argument("--seed", type=int, help="random seed (default 0)")
         sp.add_argument("--nu", help="fixed section parameters, 5 integers")
         sp.add_argument("--max-degree", dest="max_degree", type=int,

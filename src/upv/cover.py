@@ -152,20 +152,6 @@ class ProjAut:
                 for r in (0, 1)))
         return ProjAut(self.domain, pi, mats)
 
-    def inverse(self) -> "ProjAut":
-        inv_pi = [0] * 4
-        for j, m in enumerate(self.pi):
-            inv_pi[m] = j
-        mats = [None] * 4
-        for j in range(4):
-            (a, b), (c, d) = self.mats[j]
-            det = a * d - b * c
-            if not det:
-                raise ValueError("singular matrix in a projective automorphism")
-            idet = self.domain.one() / det
-            mats[self.pi[j]] = ((d * idet, -b * idet), (-c * idet, a * idet))
-        return ProjAut(self.domain, inv_pi, mats)
-
     def key(self):
         return (self.pi, self.mats)
 

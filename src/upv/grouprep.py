@@ -31,6 +31,8 @@ from .ambient import AMBIENT_XY, EVEN_TUPLES, comp, xname, yname
 from .poly import MonomialMap, Poly, PolyError, proportional
 from .report import CheckReport, verdict
 from .scalars import GF, QQ
+from .unproj import (FamilyParams, build_unprojection_ideal, build_v_ideal,
+                     q_section, s_form, y_eigenvector)
 
 Word = Tuple[int, int, int, int, int, int]
 
@@ -442,8 +444,6 @@ def q_invariance_report(nus: Sequence, rng: Random) -> CheckReport:
     sampled with ``rng``.  (A word outside H fixes s0..s3 and negates the
     y-eigenvector, so it sends q(nu) to +-q(nu) only when nu4 = 0 or
     nu0 = .. = nu3 = 0.)"""
-    from .unproj import q_section
-
     problems = []
     H = set(group_H())
     non_h = [w for w in product((0, 1), repeat=6) if w not in H]
@@ -466,8 +466,6 @@ def q_invariance_report(nus: Sequence, rng: Random) -> CheckReport:
 def j_generator_stability_report(domain=QQ) -> CheckReport:
     """Every word of the full group sends each of the 63 generators of the
     unprojection ideal to +-(a generator of the same provenance class)."""
-    from .unproj import build_unprojection_ideal
-
     ideal = build_unprojection_ideal(domain)
     by_prov: Dict[str, set] = {}
     for _, g, t in ideal.generators:
@@ -506,8 +504,6 @@ def _triple_candidates(field) -> List[Tuple[list, tuple]]:
     """The sign-triple points on which every generator of V vanishes, each
     with the values there of s_0, .., s_3 and the y-eigenvector: q(nu) =
     sum nu_i*s_i + nu4*y (``unproj.q_section``)."""
-    from .unproj import build_v_ideal, s_form, y_eigenvector
-
     eps = field.sqrt_minus_one()
     gens = build_v_ideal(field).polys()
     basis = [s_form(field, i) for i in range(4)] + [y_eigenvector(field)]
@@ -534,28 +530,23 @@ def delta_set_report(p: int, rng: Random) -> CheckReport:
 
     Each candidate point is verified against all 65 equations and against
     projective fixedness under the word."""
-    from .cover import canonical_weighted_rows
-    from .unproj import FamilyParams
+    from .cover import canonical_weighted_rows  # local import: cover depends on grouprep
 
     field = GF(p)
     eps = field.sqrt_minus_one()
     hits = {}
     vecs, labels = [], []
     for m in range(-8, 9):
-        found = 0
         # at every sign-triple candidate s0 = 1, s1 = s2 = s3 = -1 and the
         # y-eigenvector is Y = +-8*eps, so on this hyperplane q(nu) there is
-        # nu4*(Y - m*eps) with nu4 != 0: the hits do not depend on the draw
-        for _ in range(6):
-            n1, n2, n3, n4 = (field.from_int(rng.randrange(1, p))
-                              for _ in range(4))
-            n0 = n1 + n2 + n3 - field.from_int(m) * eps * n4
-            nu = FamilyParams(field, (n0, n1, n2, n3, n4))
-            pts = _triple_fixed_points(nu)
-            vecs += [[int(v) for v in vec] for vec in pts]
-            labels += [m] * len(pts)
-            found = max(found, len(pts))
-        hits[m] = found
+        # nu4*(Y - m*eps) with nu4 != 0: the hits do not depend on the draw,
+        # and one draw per multiple decides them
+        n1, n2, n3, n4 = (field.from_int(rng.randrange(1, p)) for _ in range(4))
+        n0 = n1 + n2 + n3 - field.from_int(m) * eps * n4
+        pts = _triple_fixed_points(FamilyParams(field, (n0, n1, n2, n3, n4)))
+        vecs += [[int(v) for v in vec] for vec in pts]
+        labels += [m] * len(pts)
+        hits[m] = len(pts)
     rows = canonical_weighted_rows(np.array(vecs, dtype=np.int64).reshape(-1, 16), p)
     fixed = stabilizer_classification(rows, [TRIPLE_WORD], p)[TRIPLE_WORD]
     problems = [f"constructed point not fixed at m={m}"
@@ -584,7 +575,7 @@ def stabilizer_classification(rows: np.ndarray, words: Sequence[Word],
     sign vector, then ``canonical_weighted_rows``, so that fixedness is
     projective equality.
     """
-    from .cover import canonical_weighted_rows
+    from .cover import canonical_weighted_rows  # local import: cover depends on grouprep
 
     index = {n: k for k, n in enumerate(AMBIENT_XY.variables)}
     fixed: Dict[Word, np.ndarray] = {}

@@ -10,9 +10,6 @@ supported:
                  two residues and is deterministic given p.  Primes must stay
                  below ``PRIME_BOUND`` = 2^31, where the product of two
                  residues is still exact in the int64 kernels.
-
-Scalar string grammar: ``a/b`` (rational), ``a/b+c/d*i`` (Gaussian rational),
-decimal residues for prime fields.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Union
 
 
 class ScalarError(ValueError):
-    """Raised for invalid field constructions or malformed scalar strings."""
+    """Raised for invalid field constructions and coercions."""
 
 
 PRIME_BOUND = 2 ** 31
@@ -35,13 +32,6 @@ def smallest_non_residue(p: int) -> int:
     while pow(n, (p - 1) // 2, p) != p - 1:
         n += 1
     return n
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScalarError(f"bad rational literal {text!r}") from exc
 
 
 class GaussianRational:
@@ -170,25 +160,6 @@ class GaussianRational:
         if im < 0:
             return f"{re}-{-im}*i"
         return f"{re}+{im}*i"
-
-    @staticmethod
-    def parse(text: str) -> "GaussianRational":
-        t = text.strip().replace(" ", "")
-        if "i" not in t:
-            return GaussianRational(parse_fraction(t))
-        body = t[:-2] if t.endswith("*i") else t[:-1]
-        # split into real part and imaginary coefficient at the last +/- that
-        # is not inside a fraction sign position 0
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/*":
-                re_s, im_s = body[:k], body[k:]
-                im_s = im_s[0] + (im_s[1:] or "1")
-                return GaussianRational(parse_fraction(re_s), parse_fraction(im_s))
-        if body in ("", "+"):
-            body = "1"
-        elif body == "-":
-            body = "-1"
-        return GaussianRational(0, parse_fraction(body))
 
 
 def _gaussian(a: int, b: int, d: int) -> GaussianRational:
@@ -329,9 +300,6 @@ class RationalField:
     def sqrt_minus_one(self):
         raise ScalarError("QQ contains no square root of -1 (use QI or GF(p))")
 
-    def parse(self, text: str) -> Fraction:
-        return parse_fraction(text)
-
     def __repr__(self):
         return "QQ"
 
@@ -360,9 +328,6 @@ class GaussianRationalField:
 
     def sqrt_minus_one(self) -> GaussianRational:
         return GaussianRational(0, 1)
-
-    def parse(self, text: str) -> GaussianRational:
-        return GaussianRational.parse(text)
 
     def __repr__(self):
         return "QI"
@@ -426,12 +391,6 @@ class PrimeField:
 
     def sqrt_minus_one(self) -> FpElement:
         return FpElement(self, self.eps_int)
-
-    def parse(self, text: str) -> FpElement:
-        try:
-            return FpElement(self, int(text.strip()))
-        except ValueError as exc:
-            raise ScalarError(f"bad residue literal {text!r}") from exc
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -105,7 +105,6 @@ class IdealPresentation:
     ambient: object
     domain: object
     generators: List[Tuple[str, Poly, str]]
-    family: Optional[FamilyParams] = None
 
     def polys(self) -> List[Poly]:
         return [g for _, g, _ in self.generators]
@@ -336,7 +335,7 @@ def build_t_ideal(nu: FamilyParams) -> IdealPresentation:
     v = build_v_ideal(nu.domain)
     gens = list(v.generators)
     gens.append(("q", q_section(nu), QUADRIC_SECTION))
-    return IdealPresentation("T", AMBIENT_XY, nu.domain, gens, family=nu)
+    return IdealPresentation("T", AMBIENT_XY, nu.domain, gens)
 
 
 def build_ideal(name: str, nu: Optional[FamilyParams] = None, domain=QQ) -> IdealPresentation:

@@ -7,22 +7,23 @@ import pytest
 
 from upv.bicanon import (branch_locus_check, burniat_charts_report, burniat_f3_report,
                          burniat_nodes_report,
-                         burniat_parameter_map, chart_map_xi2, derive_s3_cubic,
-                         double_point_set, f1_poly, f2_poly,
+                         burniat_parameter_map, chart_map_xi2, chart_map_zeta2,
+                         derive_s3_cubic, double_point_set, f1_poly, f2_poly,
                          f3_chart_polynomial, lambda_identity_report,
-                         node_coordinates, nodes_error_paths,
+                         node_coordinates, nodes_error_paths, pencil_cubic,
                          plane_model_cubics, scubic, scubic_points_report,
-                         split_plane_sections, verify_nodes)
+                         split_plane_sections, svar, verify_nodes)
 from upv import bicanon
-from upv.ambient import AMBIENT_S, AMBIENT_XY
+from upv.ambient import AMBIENT_LU, AMBIENT_S, AMBIENT_XY, EVEN_TUPLES, Ambient, yname
 from upv.checks import RunConfig, RunContext
 from upv.cover import enumerate_surface
 from upv.linalg import rank
 from upv.poly import Poly, ring_substitute
 from upv.report import verdict
 from upv.scalars import GF, QI, QQ
-from upv.unproj import (FamilyParams, l_form, node_defect, nodes_distinct,
-                        product_of_sums, reduce_by_rewriting, s_form, xvar)
+from upv.unproj import (FamilyParams, UnprojectionDatum, l_form, node_defect,
+                        nodes_distinct, product_of_sums, reduce_by_rewriting,
+                        s_form, xvar)
 
 
 def node_draws(p, n, seed):
@@ -558,15 +559,12 @@ def test_parameter_map_prime_field_explicit():
     assert -explicit.nu[0] == explicit.nu[1] == explicit.nu[2] == explicit.nu[3]
     assert explicit.nu[1] * explicit.nu[1] == -f.from_int(4)
     # membership: the explicit parameters reproduce the pencil cubic
-    from upv.bicanon import _pencil_cubic_at
-    assert scubic(explicit) == _pencil_cubic_at(f, f.from_int(4))
+    assert scubic(explicit) == pencil_cubic([svar(f, i) for i in range(4)], f.from_int(4))
 
 
 @pytest.mark.parametrize("domain", [GF(13), GF(2147483029), QQ], ids=str)
 def test_pencil_cubic_at_matches_the_displayed_formula(domain):
     # (lam+1)^2/2 * prod(s_i - s0) + lam*s0*(s1+s2+s3-s0)^2, written out
-    from upv.ambient import AMBIENT_S
-    from upv.poly import Poly
     s = [Poly.variable(AMBIENT_S, domain, f"s{i}") for i in range(4)]
     for value in (3, 4, -7):
         lam = domain.from_int(value)
@@ -574,7 +572,7 @@ def test_pencil_cubic_at_matches_the_displayed_formula(domain):
         prod_part = (s[1] - s[0]) * (s[2] - s[0]) * (s[3] - s[0])
         want = prod_part * ((lam + domain.one()) ** 2 * half) \
             + s[0] * (s[1] + s[2] + s[3] - s[0]) ** 2 * lam
-        assert bicanon._pencil_cubic_at(domain, lam) == want
+        assert pencil_cubic(s, lam) == want
 
 
 @pytest.mark.parametrize("p", [13, 17, 29])
@@ -599,12 +597,88 @@ def test_parameter_map_near_prime_bound():
 
 
 def test_parameter_map_failing_membership_reported_every_call(monkeypatch):
-    assert bicanon.pencil_vanishes_on_plane_model()
-    monkeypatch.setattr(bicanon, "pencil_vanishes_on_plane_model", lambda: False)
+    assert bicanon._plane_model_residue(QQ).is_zero()
+    residue = Poly.variable(AMBIENT_LU, QQ, "u0") ** 3
+    monkeypatch.setattr(bicanon, "_plane_model_residue", lambda domain: residue)
     for lam in (Fraction(3), GF(13).from_int(4)):
         _, rep = burniat_parameter_map(lam)
         assert not rep.passed
         assert rep.witness["problems"] == ["pencil cubic does not vanish on the plane model"]
+    rep = lambda_identity_report()
+    assert not rep.passed
+    assert rep.witness["problems"] == ["difference 2*u0^3"]
+
+
+# the symbolic pencil cubic in Q[lam][s], composed with the plane model by
+# ring_substitute: the oracle of pencil_cubic at the plane-model cubics
+AMBIENT_SL = Ambient.graded("SL", ("lam", "s0", "s1", "s2", "s3"))
+
+
+def symbolic_pencil_cubic(domain):
+    lam = Poly.variable(AMBIENT_SL, domain, "lam")
+    s = [Poly.variable(AMBIENT_SL, domain, f"s{i}") for i in range(4)]
+    one = Poly.one(AMBIENT_SL, domain)
+    half = domain.coerce(Fraction(1, 2))
+    prod_part = (s[1] - s[0]) * (s[2] - s[0]) * (s[3] - s[0])
+    return (lam + one) ** 2 * prod_part * half \
+        + lam * s[0] * (s[1] + s[2] + s[3] - s[0]) ** 2
+
+
+@pytest.mark.parametrize("mutant", [None, "s1 + u0^3", "s0 * lam", "s3 - u1*u2^2"])
+def test_pencil_cubic_matches_the_symbolic_composition(mutant):
+    s = plane_model_cubics(QQ)
+    lam, u0, u1, u2 = (Poly.variable(AMBIENT_LU, QQ, v) for v in ("lam", "u0", "u1", "u2"))
+    if mutant == "s1 + u0^3":
+        s[1] = s[1] + u0 ** 3
+    elif mutant == "s0 * lam":
+        s[0] = s[0] * lam
+    elif mutant == "s3 - u1*u2^2":
+        s[3] = s[3] - u1 * u2 ** 2
+    images = {"lam": lam, **{f"s{i}": s[i] for i in range(4)}}
+    composed = ring_substitute(symbolic_pencil_cubic(QQ), AMBIENT_LU, images)
+    assert pencil_cubic(s, lam) == composed
+    assert composed.is_zero() == (mutant is None)
+    if mutant is None:
+        assert bicanon._plane_model_residue(QQ) == composed
+
+
+def test_plane_model_identity_is_derived_once_per_field():
+    bicanon._plane_model_residue.cache_clear()
+    assert lambda_identity_report().passed
+    assert burniat_parameter_map(Fraction(3))[1].passed
+    assert burniat_parameter_map(GF(13).from_int(4))[1].passed
+    info = bicanon._plane_model_residue.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+@pytest.mark.parametrize("chart, domain", [(chart_map_xi2, QI), (chart_map_zeta2, QQ)],
+                         ids=["xi2", "zeta2"])
+def test_chart_y_images_are_representation_zero(chart, domain):
+    # y_t -> x_{1t1'}*x_{2t2'}*x_{3t3'}/x_{0t0}, read off UnprojectionDatum
+    # and evaluated on the chart's own x-images
+    images = chart(domain).images
+    for t in EVEN_TUPLES:
+        numerator, denominator = UnprojectionDatum(t).representations()[0]
+        c, e = images[AMBIENT_XY.index(denominator)]
+        coef, exps = domain.one() / c, [-k for k in e]
+        for k, power in enumerate(numerator):
+            if power:
+                ck, ek = images[k]
+                coef = coef * ck ** power
+                exps = [a + power * b for a, b in zip(exps, ek)]
+        assert images[AMBIENT_XY.index(yname(t))] == (coef, tuple(exps))
+
+
+@pytest.mark.parametrize("name", ["x00", "x10", "x21", "x31"])
+def test_flipping_one_x_image_fails_the_charts_check(name, monkeypatch):
+    real = bicanon._chart_map
+
+    def flipped(target, domain, x_images):
+        c, e = x_images[name]
+        return real(target, domain, dict(x_images, **{name: (-c, e)}))
+
+    monkeypatch.setattr(bicanon, "_chart_map", flipped)
+    assert not burniat_charts_report().passed
 
 
 def test_pencil_members_singular_exactly_at_node_preimages():

@@ -190,6 +190,26 @@ def test_delta_set_aliasing():
     assert r17.witness["delta_multiples_of_eps"] == [-8, 8]
 
 
+@pytest.mark.parametrize("p", [13, 17, 29])
+def test_delta_set_record_does_not_depend_on_the_draw(p):
+    reps = [delta_set_report(p, random.Random(seed)) for seed in (0, 12345)]
+    assert reps[0].passed
+    assert reps[0].to_json() == reps[1].to_json()
+
+
+def test_delta_set_draws_once_per_multiple(monkeypatch):
+    calls = []
+    real = grouprep._triple_fixed_points
+
+    def counting(nu):
+        calls.append(nu)
+        return real(nu)
+
+    monkeypatch.setattr(grouprep, "_triple_fixed_points", counting)
+    assert delta_set_report(13, random.Random(0)).passed
+    assert len(calls) == 17
+
+
 @pytest.mark.parametrize("p", [13, 17])
 def test_triple_candidate_basis_values_give_q(p):
     from upv.grouprep import _triple_candidates, _triple_fixed_points

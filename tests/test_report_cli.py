@@ -87,14 +87,14 @@ def test_cli_alias_runs_without_enumeration():
 
 
 def test_cli_bad_prime_exit_two():
-    res = run_cli(["run", "cover.free_action", "--prime", "7"])
+    res = run_cli(["run", "cover.free_action", "--primes", "7"])
     assert res.returncode == 2
     assert "eps" in res.stderr
 
 
 def test_cli_prime_five_is_accepted():
     # 5 = 1 (mod 4): eps = 2 exists, so 5 passes config validation
-    res = run_cli(["run", "unproj.plane_incidences", "--prime", "5"])
+    res = run_cli(["run", "unproj.plane_incidences", "--primes", "5"])
     assert res.returncode == 0
 
 
@@ -120,7 +120,7 @@ def test_cli_dump_ideal():
 
 
 def test_cli_dump_points_header():
-    res = run_cli(["dump", "points", "--prime", "13", "--seed", "42"])
+    res = run_cli(["dump", "points", "--primes", "13", "--seed", "42"])
     assert res.returncode == 0
     lines = res.stdout.strip().splitlines()
     head = lines[0].split()
@@ -186,8 +186,8 @@ def test_cli_bad_config_key(tmp_path):
 
 
 def test_cli_dump_points_deterministic():
-    a = run_cli(["dump", "points", "--prime", "13", "--seed", "42"])
-    b = run_cli(["dump", "points", "--prime", "13", "--seed", "42"])
+    a = run_cli(["dump", "points", "--primes", "13", "--seed", "42"])
+    b = run_cli(["dump", "points", "--primes", "13", "--seed", "42"])
     assert a.stdout == b.stdout
 
 
@@ -289,11 +289,38 @@ def test_fixed_degenerate_nu_is_named_degenerate(monkeypatch, capsys):
     calls = _count_certificates(monkeypatch)
     code, (rec,) = _run_records(["run", "bicanon.branch_loci", "--nu", "1,1,0,1,3"], capsys)
     assert code == 1 and rec["status"] == "fail"
-    error = rec["witness"]["error"]
-    assert error.startswith("RuntimeError: fixed nu=(1, 1, 0, 1, 3) is degenerate "
-                            "(nu1*nu2*nu3 = 0): ")
-    assert "non-degenerate" not in error
-    assert calls == [(1, 1, 0, 1, 3)]
+    assert rec["witness"]["error"] == ("RuntimeError: fixed nu=(1, 1, 0, 1, 3) is degenerate "
+                                       "over GF(13) (nu1*nu2*nu3 = 0), outside the freeness claim")
+    assert calls == []
+
+
+def test_fixed_nu_on_a_delta_hyperplane_fails_before_certification(monkeypatch, capsys):
+    # nu0-nu1-nu2-nu3 = -1 = -8*eps*nu4 mod 13 (eps = 5): the two involutions
+    # other than s fix points there, but over GF(169) only, since 13 = 5 mod 8,
+    # so the certificate on GF(13) points would pass
+    calls = _count_certificates(monkeypatch)
+    code, (rec,) = _run_records(["run", "cover.free_action", "--nu", "5,1,2,3,1",
+                                 "--primes", "13"], capsys)
+    assert code == 1
+    assert rec == {
+        "check": "cover.free_action", "status": "fail",
+        "witness": {"per_prime": {"13": {"accepted": [], "redraws": []}},
+                    "problems": ["fixed nu=(5, 1, 2, 3, 1) is degenerate over GF(13) "
+                                 "(nu0-nu1-nu2-nu3 = -delta*nu4 for delta in {+-8*eps}), "
+                                 "outside the freeness claim",
+                                 "GF(13): only 0 accepted draws"]},
+        "wall_ms": 0.0, "params": {"primes": [13], "seed": 0}}
+    assert calls == []
+
+
+def test_fixed_nu_with_vanishing_nu4_fails_before_certification(monkeypatch, capsys):
+    calls = _count_certificates(monkeypatch)
+    code, (rec,) = _run_records(["run", "bicanon.s3_points", "--nu", "1,2,3,4,0",
+                                 "--primes", "13"], capsys)
+    assert code == 1
+    assert rec["witness"]["error"] == ("RuntimeError: fixed nu=(1, 2, 3, 4, 0) is degenerate "
+                                       "over GF(13) (nu4 = 0), outside the freeness claim")
+    assert calls == []
 
 
 def test_fixed_singular_nu_is_certified_once(monkeypatch, capsys):
@@ -374,7 +401,7 @@ DUMP_POINTS_SHA256 = {
 
 @pytest.mark.parametrize("prime,seed", sorted(DUMP_POINTS_SHA256))
 def test_dump_points_pinned(prime, seed, capsys):
-    assert main(["dump", "points", "--prime", prime, "--seed", seed]) == 0
+    assert main(["dump", "points", "--primes", prime, "--seed", seed]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DUMP_POINTS_SHA256[(prime, seed)]
 
@@ -491,14 +518,20 @@ def test_rational_lambda_is_accepted(capsys):
 def test_tracer_targets_resolve():
     # the benchmark's tracer wraps these names from outside, so a rename or
     # deletion in `upv` must fail here and not in a traced benchmark run
+    # (the span name comes from the pair, so each name must be defined in
+    # the module the pair names, one of the source tree's own modules)
     import importlib
     from perfbench.tracer import TARGETS
+    src = os.path.dirname(os.path.abspath(cover.__file__))
     for module_name, qualname, _ in TARGETS:
         assert module_name.startswith("upv.")
-        obj = importlib.import_module(module_name)
+        module = importlib.import_module(module_name)
+        assert os.path.dirname(os.path.abspath(module.__file__)) == src
+        obj = module
         for attr in qualname.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), f"{module_name}.{qualname}"
+        assert (obj.__module__, obj.__qualname__) == (module_name, qualname)
 
 
 # sha256 of `upv run invariants --max-degree 5` (seed 0): h_T up to P_5 = 248
@@ -670,6 +703,6 @@ def test_broken_orbit_closure_raises_instead_of_redrawing(monkeypatch):
 
 def test_cli_prime_above_int64_bound_exit_two():
     # 2^32 + 61 = 1 (mod 4) is prime, but residue products overflow int64
-    res = run_cli(["run", "unproj.plane_incidences", "--prime", "4294967357"])
+    res = run_cli(["run", "unproj.plane_incidences", "--primes", "4294967357"])
     assert res.returncode == 2
     assert "2^31" in res.stderr

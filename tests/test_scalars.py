@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from upv.cover import build_lifts_and_certify
-from upv.scalars import GF, QI, QQ, GaussianRational, ScalarError
+from upv.scalars import GF, QI, GaussianRational, ScalarError
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -57,16 +57,6 @@ def pair(z):
     re, im = z.re, z.im
     assert type(re) is Fraction and type(im) is Fraction
     return (re, im)
-
-
-@given(fractions)
-def test_rational_string_roundtrip(x):
-    assert QQ.parse(str(x)) == x
-
-
-@given(gaussians)
-def test_gaussian_string_roundtrip(z):
-    assert QI.parse(str(z)) == z
 
 
 @given(gaussians, gaussians, gaussians)
@@ -124,10 +114,9 @@ def test_gaussian_matches_fraction_pair_reference(a, b, c, e, n):
     if b == 0:
         assert {a: "x"}.get(z) == "x"
     assert bool(z) == (x != (0, 0))
-    # printing and parsing as for the pair
+    # printing as for the pair
     assert str(z) == ref_str(x)
     assert repr(z) == f"GaussianRational({a!r}, {b!r})"
-    assert QI.parse(str(z)) == z
 
 
 def test_real_gaussian_hashes_like_its_real_part():
@@ -199,7 +188,6 @@ def test_prime_field_arithmetic():
     assert int(a + b) == 3
     assert int(a * b) == 63 % 13
     assert a * a.inverse() == f.one()
-    assert f.parse("20") == f.from_int(7)
     with pytest.raises(ZeroDivisionError):
         f.zero().inverse()
 
@@ -242,12 +230,3 @@ def test_fp_field_axioms(a, b):
     assert x + y == y + x
     assert x * y == y * x
     assert x * (y + f.one()) == x * y + x
-
-
-def test_gaussian_parse_edge_forms():
-    i = QI.sqrt_minus_one()
-    assert QI.parse("i") == i
-    assert QI.parse("-i") == -i
-    assert QI.parse("+i") == i
-    assert QI.parse("2*i") == GaussianRational(0, 2)
-    assert QI.parse("1/2-i") == GaussianRational(Fraction(1, 2), -1)
