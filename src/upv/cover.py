@@ -864,14 +864,14 @@ def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
 
 
 def brute_force_count(p: int, nu: FamilyParams) -> int:
-    """Independent oracle: substitute into Z1 and Z2 at every point of
-    (P^1(F_p))^4, term by term, multiplying in one coordinate factor at a
-    time and reducing mod p after each product (both factors are residues,
-    so no product exceeds (p-1)^2 < 2^62)."""
+    """Independent oracle: substitute into Z1 at every point of
+    (P^1(F_p))^4, and into Z2 at the points where that Z1 value vanished,
+    term by term, multiplying in one coordinate factor at a time and
+    reducing mod p after each product (both factors are residues, so no
+    product exceeds (p-1)^2 < 2^62)."""
     field = GF(p)
     nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
     cols = PointArray.all_p1(p).homogeneous().reshape(-1, 8).T
-    on = np.ones(cols.shape[1], dtype=bool)
     for f in (z1_poly(field), z2_poly(nu)):
         acc = np.zeros(cols.shape[1], dtype=np.int64)
         for e, c in f.terms.items():
@@ -880,8 +880,8 @@ def brute_force_count(p: int, nu: FamilyParams) -> int:
                 for _ in range(k):
                     t = t * col % p
             acc = (acc + t) % p
-        on &= acc == 0
-    return int(on.sum())
+        cols = cols[:, acc == 0]
+    return cols.shape[1]
 
 
 # -- freeness and smoothness ---------------------------------------------------
@@ -1065,11 +1065,34 @@ def sigma_images(pa: PointArray) -> np.ndarray:
 
 
 def distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-d array in lexicographic order, read-only."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    out = rows[keep]
+    """The distinct rows of an (N, k) array of nonnegative integers, in
+    lexicographic order, read-only.
+
+    Runs of columns are packed base ``max + 1`` into int64 keys, the first
+    column most significant, each key as wide as 2^63 allows (one key for
+    16 residues at p = 13, two at p = 29 and 37), so sorting the keys sorts
+    the rows."""
+    if rows.size and rows.min() < 0:
+        raise ValueError("distinct_rows needs nonnegative entries")
+    base = int(rows.max()) + 1 if rows.size else 1
+    ncols = rows.shape[1]
+    width = 1
+    while width < ncols and base ** (width + 1) <= 2 ** 63:
+        width += 1
+    keys = []
+    for start in range(0, ncols, width):
+        key = rows[:, start].astype(np.int64)
+        for j in range(start + 1, min(start + width, ncols)):
+            key *= base
+            key += rows[:, j]
+        keys.append(key)
+    order = np.lexsort(keys[::-1])
+    keep = np.zeros(len(order), dtype=bool)
+    keep[:1] = True
+    for key in keys:  # a row is kept where some key differs from the row before
+        key = key[order]
+        keep[1:] |= key[1:] != key[:-1]
+    out = rows[order[keep]]
     out.flags.writeable = False
     return out
 
@@ -1078,8 +1101,18 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
 def downstairs_image_set(p: int) -> np.ndarray:
     """Canonical images of every point of (P^1(F_p))^4, the F_p shadow of
     the unprojected 4-fold: an (M, 16) array of distinct rows in
-    lexicographic order, shared by every caller and hence read-only."""
-    return distinct_rows(sigma_images(PointArray.all_p1(p)))
+    lexicographic order, shared by every caller and hence read-only.
+
+    The sigma-images of the grid are built one factor at a time: the
+    coordinate rows of factors 0..j, times the 16 coordinates of factor
+    j + 1 at each of its p + 1 points, reduced mod p."""
+    h = p1_table(1, p)  # (t0, t1) at each point of P^1(F_p)
+    coords = h[:, SIGMA_ROWS[:, 0]]
+    for j in (1, 2, 3):
+        coords = (coords[:, None, :] * h[None, :, SIGMA_ROWS[:, j]]).reshape(-1, 16)
+        coords %= p
+    coords[:, 8:] **= 2  # < 2^62, reduced by canonical_weighted_rows
+    return distinct_rows(canonical_weighted_rows(coords, p))
 
 
 def verify_branch_structure(p: int = 13) -> CheckReport:

@@ -438,6 +438,15 @@ def check_regular_representation(domain=QQ) -> CheckReport:
                    on_pass={"x_span_character": "regular", "y_characters": 8})
 
 
+def _signed_image(items, word: Word) -> dict:
+    """The image of a polynomial given as (e, c, -c) triples under ``word``,
+    as a terms dict: each key permuted and, by the parity of its negated
+    exponents, ``c`` or ``-c`` kept (the two may be coefficient ids)."""
+    permute, neg = _key_permutation(word)
+    return {permute(e): neg_c if sum([e[k] for k in neg]) & 1 else c
+            for e, c, neg_c in items}
+
+
 def q_invariance_report(nus: Sequence, rng: Random) -> CheckReport:
     """H-words send q(nu) to +-q(nu) exactly; words outside H change more
     than the sign for generic nu, checked at each given nu for 8 words
@@ -448,16 +457,17 @@ def q_invariance_report(nus: Sequence, rng: Random) -> CheckReport:
     H = set(group_H())
     non_h = [w for w in product((0, 1), repeat=6) if w not in H]
     for nu in nus:
-        d = nu.domain
-        q = q_section(nu)
+        q = q_section(nu).terms
+        minus_q = {e: -c for e, c in q.items()}
+        items = [(e, c, -c) for e, c in q.items()]
         ints = tuple(int(v) for v in nu.nu)
         for w in H:
-            img = SignedAction(w, d).apply(q)
-            if img != q and img != -q:
+            img = _signed_image(items, w)
+            if img != q and img != minus_q:
                 problems.append(f"{word_str(w)} breaks q invariance at nu={ints}")
         for w in rng.sample(non_h, 8):
-            img = SignedAction(w, d).apply(q)
-            if img == q or img == -q:
+            img = _signed_image(items, w)
+            if img == q or img == minus_q:
                 problems.append(f"{word_str(w)} outside H fixed q at nu={ints}")
     return verdict("grouprep.q_invariance", problems[:5],
                    on_pass={"draws": len(nus), "H_words": 32})
@@ -465,16 +475,28 @@ def q_invariance_report(nus: Sequence, rng: Random) -> CheckReport:
 
 def j_generator_stability_report(domain=QQ) -> CheckReport:
     """Every word of the full group sends each of the 63 generators of the
-    unprojection ideal to +-(a generator of the same provenance class)."""
-    ideal = build_unprojection_ideal(domain)
+    unprojection ideal to +-(a generator of the same provenance class).
+
+    Coefficients are numbered once (equal values, equal ids), so a
+    generator's image is a frozenset of (key, id) pairs, looked up among
+    the +- generators of its class in the same form."""
+    ids: Dict[object, int] = {}
+
+    def number(c):
+        return ids.setdefault(c, len(ids))
+
+    gens = []
     by_prov: Dict[str, set] = {}
-    for _, g, t in ideal.generators:
-        by_prov.setdefault(t, set()).update((g, -g))
+    for name, g, t in build_unprojection_ideal(domain).generators:
+        items = [(e, number(c), number(-c)) for e, c in g.terms.items()]
+        gens.append((name, items, t))
+        by_prov.setdefault(t, set()).update(
+            (frozenset((e, c) for e, c, _ in items),
+             frozenset((e, neg_c) for e, _, neg_c in items)))
     problems = []
     for w in product((0, 1), repeat=6):
-        act = SignedAction(w, domain)
-        for name, g, t in ideal.generators:
-            if act.apply(g) not in by_prov[t]:
+        for name, items, t in gens:
+            if frozenset(_signed_image(items, w).items()) not in by_prov[t]:
                 problems.append(f"{word_str(w)} moves {name} outside the {t} set")
     return verdict("grouprep.j_stability", problems[:5],
                    on_pass={"words": 64, "generators": 63})

@@ -223,6 +223,10 @@ def test_enumeration_equals_brute_force_point_set(p):
         nu = FamilyParams(f, tuple(rng.randrange(p) for _ in range(5)))
         if nu.nu[4] and not nu.degenerate()[0]:
             draws.append(nu)
+    if p == 13:
+        delta = FamilyParams(f, (5, 1, 2, 3, 1))  # on a delta hyperplane mod 13
+        assert delta.degenerate()[0]
+        draws.append(delta)
     for nu in draws:
         z2 = int_terms(z2_poly(nu))
         got = point_list(enumerate_surface(p, nu).points)
@@ -235,6 +239,25 @@ def test_enumeration_equals_brute_force_point_set(p):
                       if any(pt[0][i] == 0 and pt[1][i] == 0 for i in (1, 2, 3))
                       and any(pt[0][i] == 1 for i in (1, 2, 3))]
         assert on_cd_zero
+
+
+def test_brute_force_shares_nothing_with_the_enumerator(monkeypatch):
+    import upv.cover as cover_module
+    p, nu = 13, FamilyParams(GF(13), (3, 1, 4, 1, 5))
+    f = GF(p)
+    z1, z2 = int_terms(z1_poly(f)), int_terms(z2_poly(nu))
+    expected = 0
+    for pt in all_p1_points(p):
+        coords = [x for pair in expand_point(pt) for x in pair]
+        expected += terms_value(z1, coords, p) == 0 and terms_value(z2, coords, p) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle used the enumerator's kernel")
+
+    for name in ("contract", "p1_table", "coefficient_tensor", "pow_mod",
+                 "enumerate_surface"):
+        monkeypatch.setattr(cover_module, name, forbidden)
+    assert brute_force_count(p, nu) == expected > 0
 
 
 def partial_terms(f, k, p):
@@ -409,6 +432,67 @@ def test_downstairs_image_is_the_sorted_set_of_sigma_images():
         {tuple(scalar_sigma_image(pt, p)) for pt in all_p1_points(p)})
     assert not image.flags.writeable
     assert distinct_rows(np.vstack([image[::-1], image[:7]])).tolist() == image.tolist()
+
+
+def lexsort_distinct_rows(rows):
+    """The oracle: a lexsort over all columns, then adjacent rows compared."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def surface_images(p, nu):
+    return sigma_images(enumerate_surface(p, FamilyParams(GF(p), nu)).points)
+
+
+def random_rows(high):
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, high, size=(300, 16), dtype=np.int64)
+    rows[::2, :2] = rows[0, :2]  # half the rows share their leading key
+    return np.vstack([rows, rows[::3], rows[:1]])
+
+
+@pytest.mark.parametrize("rows, nkeys", [
+    pytest.param(lambda: sigma_images(PointArray.all_p1(13)), 1, id="grid_13"),
+    pytest.param(lambda: surface_images(29, (3, 1, 4, 1, 5)), 2, id="surface_29"),
+    pytest.param(lambda: surface_images(37, (2, 3, 5, 7, 11)), 2, id="surface_37"),
+    # two residues below 2^31 - 1 share a key, since (2^31 - 2)^2 < 2^63
+    pytest.param(lambda: random_rows(2 ** 31 - 1), 8, id="residues_below_2^31"),
+    pytest.param(lambda: random_rows(2 ** 62), 16, id="entries_below_2^62"),
+    pytest.param(lambda: np.zeros((0, 16), dtype=np.int64), 1, id="empty"),
+    # base 16: fifteen columns in the first key, one in the second
+    pytest.param(lambda: np.arange(16, dtype=np.int64)[None], 2, id="one_row"),
+    pytest.param(lambda: np.tile(np.arange(16, dtype=np.int64) % 3, (9, 1)), 1,
+                 id="all_duplicates"),
+])
+def test_distinct_rows_matches_the_column_lexsort(rows, nkeys, monkeypatch):
+    rows = rows()
+    lexsort, seen = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: seen.append(len(keys)) or lexsort(keys))
+    got = distinct_rows(rows)
+    monkeypatch.undo()
+    assert seen == [nkeys]
+    want = lexsort_distinct_rows(rows)
+    assert got.shape == want.shape and got.dtype == rows.dtype
+    assert got.tolist() == want.tolist()
+    assert not got.flags.writeable
+    assert len(got) == len({tuple(r) for r in rows.tolist()})
+
+
+def test_distinct_rows_rejects_negative_entries():
+    rows = np.ones((4, 16), dtype=np.int64)
+    rows[2, 9] = -1
+    with pytest.raises(ValueError, match="nonnegative"):
+        distinct_rows(rows)
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_downstairs_image_set_matches_the_point_kernel(p):
+    # the grid built factor by factor against the chart-form kernel
+    image = downstairs_image_set(p)
+    assert image.tolist() == lexsort_distinct_rows(
+        sigma_images(PointArray.all_p1(p))).tolist()
 
 
 def tuple_hplane_problems(image, p):

@@ -16,7 +16,9 @@ from upv.grouprep import (SignedAction,
                           subgroup_census_report, table1_relations_report,
                           theta_class, word_str)
 from upv.poly import Poly, PolyError
+from upv.report import verdict
 from upv.scalars import GF, QI, QQ
+from upv.unproj import CUBIC, FamilyParams, IdealPresentation, q_section
 
 ALL_WORDS = list(product((0, 1), repeat=6))
 
@@ -179,6 +181,95 @@ def test_flipped_sign_fails_q_invariance(b1_without_y_sign):
     rep = q_invariance_report(*q_invariance_args(5))
     assert not rep.passed
     assert all("b1" in m and "breaks q invariance" in m for m in rep.witness["problems"])
+
+
+def poly_q_invariance_report(nus, rng):
+    """The oracle: ``q_invariance_report`` on ``SignedAction.apply`` and
+    ``Poly`` equality."""
+    problems = []
+    H = set(group_H())
+    non_h = [w for w in ALL_WORDS if w not in H]
+    for nu in nus:
+        d = nu.domain
+        q = q_section(nu)
+        ints = tuple(int(v) for v in nu.nu)
+        for w in H:
+            img = SignedAction(w, d).apply(q)
+            if img != q and img != -q:
+                problems.append(f"{word_str(w)} breaks q invariance at nu={ints}")
+        for w in rng.sample(non_h, 8):
+            img = SignedAction(w, d).apply(q)
+            if img == q or img == -q:
+                problems.append(f"{word_str(w)} outside H fixed q at nu={ints}")
+    return verdict("grouprep.q_invariance", problems[:5],
+                   on_pass={"draws": len(nus), "H_words": 32})
+
+
+def poly_j_stability_report(domain=QQ):
+    """The oracle: ``j_generator_stability_report`` on ``SignedAction.apply``
+    and sets of ``Poly``."""
+    ideal = grouprep.build_unprojection_ideal(domain)
+    by_prov = {}
+    for _, g, t in ideal.generators:
+        by_prov.setdefault(t, set()).update((g, -g))
+    problems = []
+    for w in ALL_WORDS:
+        act = SignedAction(w, domain)
+        for name, g, t in ideal.generators:
+            if act.apply(g) not in by_prov[t]:
+                problems.append(f"{word_str(w)} moves {name} outside the {t} set")
+    return verdict("grouprep.j_stability", problems[:5],
+                   on_pass={"words": 64, "generators": 63})
+
+
+@pytest.fixture
+def doubled_generator(monkeypatch):
+    """The unprojection ideal with its first cubic generator doubled: the
+    other words send it to twice a cubic generator, outside the +- set."""
+    real = grouprep.build_unprojection_ideal
+
+    def mutant(domain=QQ):
+        ideal = real(domain)
+        gens = list(ideal.generators)
+        k = next(k for k, (_, _, t) in enumerate(gens) if t == CUBIC)
+        name, g, t = gens[k]
+        gens[k] = (name, g + g, t)
+        return IdealPresentation(ideal.name, ideal.ambient, ideal.domain, gens)
+
+    monkeypatch.setattr(grouprep, "build_unprojection_ideal", mutant)
+
+
+@pytest.mark.parametrize("mutant", [None, "b1_without_y_sign", "doubled_generator"])
+@pytest.mark.parametrize("domain", [QQ, GF(13)], ids=str)
+def test_j_stability_matches_the_poly_path(domain, mutant, request):
+    if mutant:
+        request.getfixturevalue(mutant)
+    rep = j_generator_stability_report(domain)
+    assert rep.to_json() == poly_j_stability_report(domain).to_json()
+    assert rep.passed == (mutant is None)
+
+
+@pytest.mark.parametrize("mutant", [None, "b1_without_y_sign"])
+@pytest.mark.parametrize("case", ["drawn", "nu4_zero"])
+def test_q_invariance_matches_the_poly_path(case, mutant, request):
+    if mutant:
+        request.getfixturevalue(mutant)
+    nus, _ = q_invariance_args(5)
+    if case == "nu4_zero":  # words outside H fix q as well
+        nus = [FamilyParams(GF(13), (1, 2, 3, 4, 0)), *nus[:2]]
+    rep = q_invariance_report(nus, random.Random(3))
+    assert rep.to_json() == poly_q_invariance_report(nus, random.Random(3)).to_json()
+    assert rep.passed == (mutant is None and case == "drawn")
+
+
+def test_j_stability_hashes_no_poly(monkeypatch):
+    calls = []
+    real = Poly.__hash__
+    monkeypatch.setattr(Poly, "__hash__", lambda self: calls.append(1) or real(self))
+    assert j_generator_stability_report().passed
+    assert calls == []
+    assert poly_j_stability_report().passed
+    assert calls  # the probe sees the oracle's lookups
 
 
 def test_delta_set_aliasing():

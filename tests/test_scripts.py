@@ -41,3 +41,16 @@ def test_stream_digests_exit_one_on_a_failing_record():
         capture_output=True, text=True)
     assert res.returncode == 1
     assert res.stdout.startswith("seed 0: sha256 ") and res.stdout.endswith(" not_pass 1 exit 1\n")
+
+
+def test_rss_by_check_smoke():
+    targets = ["grouprep.q_invariance", "cover.enumeration", "grouprep.j_stability"]
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "rss_by_check.py"),
+         *targets, "--primes", "13", "--seed", "4"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    lines = [line.split() for line in res.stdout.splitlines()]
+    assert [(check, status) for check, status, _ in lines] == [(t, "pass") for t in targets]
+    rss = [float(mb) for _, _, mb in lines]
+    assert rss == sorted(rss) and rss[0] > 0
