@@ -33,10 +33,11 @@ def main() -> int:
         note = f", image downstairs {image}" if image else ""
         print(f"\nGF({p}){note}")
         for _ in range(args.draws):
-            nu = FamilyParams(GF(p), tuple(rng.randrange(p) for _ in range(5)))
-            degenerate, why = nu.degenerate()
-            if degenerate or not nu.nu[4]:
-                print(f"  nu={tuple(int(v) for v in nu.nu)}: rejected ({why or 'nu4 = 0'})")
+            draw = tuple(rng.randrange(p) for _ in range(5))
+            nu = FamilyParams(GF(p), draw) if any(draw) else None
+            degenerate, why = nu.degenerate() if nu else (True, "nu = 0")
+            if degenerate or not draw[4]:
+                print(f"  nu={draw}: rejected ({why or 'nu4 = 0'})")
                 continue
             pts = enumerate_surface(p, nu)
             verdict = certify_free_and_smooth(pts, group)

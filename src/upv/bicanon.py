@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +30,8 @@ from .cover import SurfacePointSet, distinct_rows, pow_mod, sigma_images
 from .grouprep import (parse_word, stabilizer_classification, theta_class,
                        word_str)
 from .linalg import rank
-from .poly import MonomialMap, Poly, exact_divide, proportional, ring_substitute
+from .poly import (MonomialMap, Poly, exact_divide, frozen_terms, proportional,
+                   ring_substitute, weighted_sum)
 from .report import CheckReport, verdict
 from .scalars import GF, QI, QQ, PrimeField, smallest_non_residue
 from .unproj import (FamilyParams, build_v_ideal, l_form, node_defect,
@@ -43,24 +43,6 @@ AMBIENT_ZCHART = Ambient.graded("ZCHART", ("zx00", "zx21", "zx31"), laurent=True
 
 def svar(domain, i: int) -> Poly:
     return Poly.variable(AMBIENT_S, domain, f"s{i}")
-
-
-def _frozen(f: Poly) -> Mapping:
-    """The terms of a cached form, read-only, as they are shared."""
-    return MappingProxyType(f.terms)
-
-
-def _weighted_sum(ambient: Ambient, domain, parts) -> Poly:
-    """sum of w * part over the (term map, scalar w) pairs ``parts``, as one
-    dict accumulation."""
-    acc: Dict[Tuple[int, ...], object] = {}
-    for part, w in parts:
-        if not w:
-            continue
-        for e, c in part.items():
-            s = acc.get(e)
-            acc[e] = c * w if s is None else s + c * w
-    return Poly._trusted(ambient, domain, acc)
 
 
 # (i, j) for the monomials s_i*s_j of l^2, i <= j
@@ -78,7 +60,7 @@ def _scubic_parts(domain) -> Tuple[Mapping, Tuple[Mapping, ...]]:
     8*prod(s_i - s0), and s0*s_i*s_j for (i, j) in PAIRS."""
     s = [svar(domain, i) for i in range(4)]
     prod = (s[1] - s[0]) * (s[2] - s[0]) * (s[3] - s[0]) * domain.from_int(8)
-    return _frozen(prod), tuple(_frozen(s[0] * s[i] * s[j]) for i, j in PAIRS)
+    return frozen_terms(prod), tuple(frozen_terms(s[0] * s[i] * s[j]) for i, j in PAIRS)
 
 
 def scubic(nu: FamilyParams) -> Poly:
@@ -87,7 +69,7 @@ def scubic(nu: FamilyParams) -> Poly:
     prod, pairs = _scubic_parts(nu.domain)
     parts = [(prod, nu.nu[4] * nu.nu[4])]
     parts += [(part, -w) for part, w in zip(pairs, _l_squared_weights(nu))]
-    return _weighted_sum(AMBIENT_S, nu.domain, parts)
+    return weighted_sum(AMBIENT_S, nu.domain, parts)
 
 
 @lru_cache(maxsize=None)
@@ -103,14 +85,14 @@ def _s3_derivation_parts(domain) -> Tuple[Tuple[Mapping, ...], Mapping,
     on the way, (x_i0+x_i1)^2 = 2(s_i - s0)."""
     x00_sq = xvar(domain, 0, 0) ** 2
     s = [s_form(domain, i) for i in range(4)]
-    x00_side = tuple(_frozen(reduce_by_rewriting(x00_sq * s[i] * s[j])) for i, j in PAIRS)
-    prod_sq = _frozen(reduce_by_rewriting(product_of_sums(domain) ** 2))
+    x00_side = tuple(frozen_terms(reduce_by_rewriting(x00_sq * s[i] * s[j])) for i, j in PAIRS)
+    prod_sq = frozen_terms(reduce_by_rewriting(product_of_sums(domain) ** 2))
     images = {"s0": x00_sq, **{f"s{i}": s[i] for i in (1, 2, 3)}}
 
     @lru_cache(maxsize=None)
     def s_image(e: Tuple[int, ...]) -> Mapping:
         monomial = Poly.monomial(AMBIENT_S, domain, e)
-        return _frozen(reduce_by_rewriting(ring_substitute(monomial, AMBIENT_XY, images)))
+        return frozen_terms(reduce_by_rewriting(ring_substitute(monomial, AMBIENT_XY, images)))
 
     problems = []
     for i in (1, 2, 3):
@@ -133,7 +115,7 @@ def derive_s3_cubic(nu: FamilyParams) -> Tuple[Poly, CheckReport]:
     cubic = scubic(nu)
     parts = [*zip(x00_side, _l_squared_weights(nu)), (prod_sq, -(nu.nu[4] * nu.nu[4]))]
     parts += [(s_image(e), c) for e, c in cubic.terms.items()]
-    difference = _weighted_sum(AMBIENT_XY, d, parts)
+    difference = weighted_sum(AMBIENT_XY, d, parts)
     problems = []
     if not difference.is_zero():
         problems.append(f"difference {str(difference)[:300]}")

@@ -118,14 +118,18 @@ class RunContext:
         return 1 if self.cfg.nu is not None else n
 
     def draw_nu(self, p: int, purpose: str) -> FamilyParams:
-        """One generic parameter draw: rejects degenerate tuples and those
-        with a node defect (``unproj.node_defect``: vanishing nu4 or
-        collapsed nodes).  A fixed ``nu`` is returned as given."""
+        """One generic parameter draw: rejects the zero tuple, degenerate
+        tuples and those with a node defect (``unproj.node_defect``:
+        vanishing nu4 or collapsed nodes).  A fixed ``nu`` is returned as
+        given."""
         if self.cfg.nu is not None:
             return FamilyParams(GF(p), tuple(self.cfg.nu))
         rng = self.rng(f"{purpose}:{p}")
         while True:
-            nu = FamilyParams(GF(p), tuple(rng.randrange(p) for _ in range(5)))
+            draw = tuple(rng.randrange(p) for _ in range(5))
+            if not any(draw):  # no projective point
+                continue
+            nu = FamilyParams(GF(p), draw)
             if not nu.degenerate()[0] and not node_defect(nu):
                 return nu
 
@@ -454,8 +458,8 @@ CATALOG: List[CheckDef] = [
              "constraints are eigenvectors; reference displays match",
              lambda ctx: _load("grouprep").fixed_loci_report()),
     CheckDef("grouprep.q_invariance",
-             "which words preserve the section up to sign",
-             "exactly the even-exponent words send q to +-q",
+             "which words fix the quadric section",
+             "exactly the even-exponent words send q to q",
              _q_invariance_check),
     CheckDef("grouprep.j_stability",
              "stability of the 63 generators under the full group",

@@ -17,32 +17,38 @@ coordinates pull back to squares.  On top of it live
   freely and that no rational point is singular.
 
 Every scan over points runs on the point kernel (``PointArray``): the points
-as int64 arrays, the group elements reduced mod p once, images, keys and
-Jacobians computed for all points at once.  A form is its coefficient
-tensor (or a sigma-monomial its exponent row) read against the P^1 rows
-t0^(d-a) * t1^a of the points' factors (``p1_rows``).  Every product is
-reduced mod p before it is added, so all of it is exact for every prime
-``GF`` admits (p < 2^31).  ``ProjAut.act_point``, ``Poly.evaluate`` and
-``canonical_weighted`` stay as the per-point oracles of the tests.
+as int64 arrays of P^1 indices, the group elements reduced mod p once,
+images, keys and Jacobians computed for all points at once.  Per prime, the
+kernel tabulates over the p + 1 points of P^1(F_p) what it reads per
+factor: the image of each point under each element's 2x2 maps
+(``ReducedGroup.tables``) and the P^1 rows t0^(d-a) * t1^a with their
+derivative rows (``p1_jet_table``), so a batch is one gather; near the
+prime bound, where such tables would not fit, only the points' distinct
+coordinates are evaluated (``p1_slots``).  A form is its coefficient
+tensor (or a sigma-monomial its exponent row) read against those rows.
+Every product is reduced mod p before it is added, so all of it is exact
+for every prime ``GF`` admits (p < 2^31).  ``ProjAut.act_point``,
+``Poly.evaluate`` and ``canonical_weighted`` stay as the per-point oracles
+of the tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ambient import (AMBIENT_T4, AMBIENT_XY, EVEN_TUPLES, T_INDEX, X_INDEX,
                       Y_INDEX, Ambient, comp, tname, xname, yname)
 from .grouprep import G_GENERATOR_WORDS, SignedAction
-from .poly import MonomialMap, Poly, proportional
+from .poly import MonomialMap, Poly, frozen_terms, proportional, weighted_sum
 from .report import CheckReport, verdict
 from .scalars import GF, QI, PrimeField, ScalarError, smallest_non_residue
-from .unproj import FamilyParams, q_section
+from .unproj import FamilyParams, q_basis
 
 Chart = Tuple[int, int, int, int]
 Point = Tuple[Chart, Tuple[int, int, int, int]]
@@ -371,13 +377,16 @@ class ReducedGroup:
 
     ``pi`` (M, 4) and ``mats`` (M, 4, 2, 2) hold the factor permutations and
     residue matrices of the M elements named ``names``; ``order`` counts the
-    distinct reductions, the identity included.
+    distinct reductions, the identity included.  ``tables`` (M, 4, p + 1),
+    built on first use, holds the P^1 index of mats[j] applied to each
+    point of P^1(F_p) (``p1_images``).
     """
 
     names: List[str]
     pi: np.ndarray
     mats: np.ndarray
     order: int
+    p: int
 
     @classmethod
     def of(cls, group: FiniteProjGroup, p: int) -> "ReducedGroup":
@@ -388,7 +397,13 @@ class ReducedGroup:
         kept = [(name, g) for name, g in reduced if g != ident]
         pi, mats = aut_arrays([g for _, g in kept], p)
         return cls([name for name, _ in kept], pi, mats,
-                   len({g.key() for _, g in reduced}))
+                   len({g.key() for _, g in reduced}), p)
+
+    @cached_property
+    def tables(self) -> np.ndarray:
+        tables = p1_images(self.mats, np.arange(self.p + 1), self.p)
+        tables.flags.writeable = False  # shared by every certificate at p
+        return tables
 
 
 def aut_arrays(auts: Sequence[ProjAut], p: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -589,10 +604,18 @@ def z2_display(nu: FamilyParams) -> Poly:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _z2_parts(domain) -> Tuple[Mapping, ...]:
+    """2*sigma^#(b) for the nu-free forms b of q (``q_basis``), as
+    read-only term maps."""
+    sigma, two = sigma_map(domain), domain.from_int(2)
+    return tuple(frozen_terms(sigma.apply(b) * two) for b in q_basis(domain))
+
+
 def z2_poly(nu: FamilyParams) -> Poly:
-    """Z2 = 2*sigma^#(q) over the field of the parameters."""
-    d = nu.domain
-    return sigma_map(d).apply(q_section(nu)) * d.from_int(2)
+    """Z2 = 2*sigma^#(q) over the field of the parameters: q is linear in
+    nu, so Z2 is summed from the per-field parts ``_z2_parts``."""
+    return weighted_sum(AMBIENT_T4, nu.domain, zip(_z2_parts(nu.domain), nu.nu))
 
 
 def build_z2(nu: FamilyParams) -> Tuple[Poly, CheckReport]:
@@ -702,14 +725,18 @@ class PointArray:
         return np.stack([1 - self.chart, np.where(self.chart == 1, 1, self.vals)],
                         axis=-1)
 
+    def digits(self) -> np.ndarray:
+        """The P^1 index of each factor of each point, (N, 4), as in
+        ``p1_table``: k < p stands for (1, k) and p for (0, 1)."""
+        return np.where(self.chart == 1, self.p, self.vals)
+
     def keys(self) -> np.ndarray:
-        return point_keys(self.chart, self.vals, self.p)
+        return point_keys(self.digits(), self.p)
 
 
-def point_keys(chart: np.ndarray, vals: np.ndarray, p: int) -> np.ndarray:
-    """One integer per point (over the last axis): base p+1 digits, digit p
-    for a chart-1 factor.  int64 while (p+1)^4 fits, Python ints beyond."""
-    digits = np.where(chart == 1, p, vals)
+def point_keys(digits: np.ndarray, p: int) -> np.ndarray:
+    """One integer per point from its four P^1 indices (the last axis), as
+    base p+1 digits.  int64 while (p+1)^4 fits, Python ints beyond."""
     if (p + 1) ** 4 > INT64_MAX:
         digits = digits.astype(object)
     key = digits[..., 0]
@@ -718,31 +745,50 @@ def point_keys(chart: np.ndarray, vals: np.ndarray, p: int) -> np.ndarray:
     return key
 
 
-def act_points(pi: np.ndarray, mats: np.ndarray,
-               pa: PointArray) -> Tuple[np.ndarray, np.ndarray]:
-    """Images of N points under M automorphisms (``aut_arrays``), in chart
-    form: chart and vals of shape (M, N, 4).
-
-    As in ``ProjAut.act_point``, factor j of the image is mats[j] applied to
-    factor pi[j] of the point.  That depends only on the coordinate of the
-    factor, so each 2x2 map is evaluated once per distinct coordinate of the
-    point set (at most p + 1 of them) and the images are gathered from there.
-    """
-    p = pa.p
-    digits = np.where(pa.chart == 1, p, pa.vals)  # digit p: the factor (0, 1)
-    values, where = np.unique(digits, return_inverse=True)
-    s0 = (values != p).astype(np.int64)
-    s1 = np.where(values == p, 1, values)
+def p1_images(mats: np.ndarray, digits: np.ndarray, p: int) -> np.ndarray:
+    """The P^1 index of m applied to the point of P^1 index k, for each 2x2
+    residue matrix m of ``mats`` (..., 2, 2) and each k of the 1-D
+    ``digits``: shape (..., len(digits)).  Images are renormalized by
+    Fermat inverses."""
+    s0 = (digits != p).astype(np.int64)
+    s1 = np.where(digits == p, 1, digits)
     # one product of two residues plus at most one residue: < p^2 + p < 2^63
-    t0 = (mats[..., 0, 0, None] * s0 + mats[..., 0, 1, None] * s1) % p  # (M, 4, U)
+    t0 = (mats[..., 0, 0, None] * s0 + mats[..., 0, 1, None] * s1) % p
     t1 = (mats[..., 1, 0, None] * s0 + mats[..., 1, 1, None] * s1) % p
     if np.any(t1[t0 == 0] == 0):
         raise ValueError("zero factor in a projective point")
-    chart = (t0 == 0).astype(np.int64)
-    vals = t1 * pow_mod(t0, p - 2, p) % p  # Fermat inverse, 0 for t0 = 0
-    src = where.reshape(digits.shape).T[pi]  # (M, 4, N): slot of factor pi[j]
-    return (np.take_along_axis(chart, src, axis=2).transpose(0, 2, 1),
-            np.take_along_axis(vals, src, axis=2).transpose(0, 2, 1))
+    return np.where(t0 == 0, p, t1 * pow_mod(t0, p - 2, p) % p)
+
+
+def p1_slots(pa: PointArray) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Where a kernel reads the per-factor values of a point set: a pair
+    (values, slots) with slots (N, 4) indexing a table over the P^1 indices
+    ``values``.
+
+    Normally the table covers all p + 1 points of P^1(F_p) and is kept per
+    prime by the caller: then ``values`` is None and the slots are the P^1
+    indices.  The size rule: when p + 1 exceeds the 4N coordinates of the
+    points (only near the prime bound, where a full table would take
+    gigabytes), ``values`` holds the distinct P^1 indices of the points and
+    only those are evaluated.
+    """
+    digits = pa.digits()
+    if pa.p + 1 <= digits.size:
+        return None, digits
+    values, where = np.unique(digits, return_inverse=True)
+    return values, where.reshape(digits.shape)
+
+
+def image_keys(red: "ReducedGroup", pa: PointArray) -> np.ndarray:
+    """Keys (M, N) of the images of N points under the M elements of
+    ``red``.  As in ``ProjAut.act_point``, factor j of an image is mats[j]
+    applied to factor pi[j] of the point, read from the element's P^1 table
+    (``ReducedGroup.tables``, or the distinct coordinates by the size rule
+    of ``p1_slots``)."""
+    values, slots = p1_slots(pa)
+    table = red.tables if values is None else p1_images(red.mats, values, pa.p)
+    src = slots.T[red.pi]  # (M, 4, N): the slot of factor pi[j]
+    return point_keys(np.take_along_axis(table, src, axis=2).transpose(0, 2, 1), pa.p)
 
 
 @dataclass
@@ -787,8 +833,28 @@ def p1_rows(t0: np.ndarray, t1: np.ndarray, d: int, p: int) -> np.ndarray:
 
 def p1_table(d: int, p: int) -> np.ndarray:
     """``p1_rows`` at (1, k) for k < p, then (0, 1): all of P^1(F_p)."""
-    k = np.arange(p + 1)
-    return p1_rows((k < p).astype(np.int64), np.where(k < p, k, 1), d, p)
+    return p1_jets(d, np.arange(p + 1), p)[0]
+
+
+def p1_jets(d: int, digits: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The P^1 rows of degree d at the points of P^1 index ``digits`` (1-D),
+    and their derivative rows in the local coordinate w: the row at (1, w)
+    is w^a, so its derivative is a*w^(a-1); the row at (0, 1) with t0 = w
+    is w^(d-a), whose derivative at w = 0 is [a = d-1]."""
+    affine = digits < p
+    rows = p1_rows(affine.astype(np.int64), np.where(affine, digits, 1), d, p)
+    a = np.arange(d + 1)
+    return rows, np.where(affine[:, None], a * rows[:, a - 1] % p, a == d - 1)
+
+
+@lru_cache(maxsize=8)
+def p1_jet_table(d: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``p1_jets`` over all of P^1(F_p), once per degree and prime, shared
+    by every caller and hence read-only."""
+    tables = p1_jets(d, np.arange(p + 1), p)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def monomial_values(rows: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
@@ -812,6 +878,11 @@ def contract(tensor: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
     return out % p
 
 
+# the most cells (points of factor 1 times points of factors 2 and 3) that
+# ``enumerate_surface`` treats in one numpy pass
+BLOCK_CELLS = 2 ** 13
+
+
 def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
     """All F_p points of Z1 = Z2 = 0, with Z1 solved for the first factor.
 
@@ -822,7 +893,11 @@ def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
     B2*t01^2 with C, D, B0, B1, B2 free of factor 0.  Where (C, D) !=
     (0, 0), factor 0 is the single point (D : -C), on Z2 iff D^2*B0 -
     D*C*B1 + C^2*B2 = 0; where C = D = 0, Z2 is evaluated at every point of
-    factor 0.  O(p^3) work, O(p^2) memory.
+    factor 0.  The points of factor 1 go in blocks of up to ``BLOCK_CELLS``
+    cells, one broadcast each with factor 1 leading and the (p+1)^2 points
+    of factors 2 and 3 innermost (one block at p = 13 and 17, one point of
+    factor 1 a block once (p+1)^2 > 2^12, as at p = 101).  O(p^3) work,
+    O(p^2) memory.
     """
     field = GF(p)
     if not isinstance(nu.domain, PrimeField) or nu.domain.p != p:
@@ -835,19 +910,30 @@ def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
     g1, g2 = (contract(contract(coefficient_tensor(f, d, p).transpose(2, 3, 1, 0),
                                 v, p), v, p).reshape(d + 1, d + 1, n * n)
               for f, d, v in zip(equations, (1, 2), (v1, v2)))
-    pairs, kept = [], []  # per point of factor 1: points on Z2, (C, D, B)
-    for k in range(n):
-        cdb = np.concatenate([contract(g1, v1[k:k + 1], p)[..., 0],
-                              contract(g2, v2[k:k + 1], p)[..., 0]])
-        c, d, b0, b1, b2 = cdb
+    step = max(1, BLOCK_CELLS // (n * n))
+    k1s, pairs, kept = [], [], []  # per block: the points on Z2 and their (C, D, B)
+    buf = np.empty((step, 5, n * n), dtype=np.int64)
+    for lo in range(0, n, step):
+        # (block, 5, n*n): C, D, B0, B1, B2 at each point of factor 1 in
+        # the block, each product of residues reduced before it is added
+        block = buf[:min(step, n - lo)]
+        for g, v, rows in ((g1, v1, block[:, :2]), (g2, v2, block[:, 2:])):
+            rows[...] = v[lo:lo + step, 0, None, None] * g[0] % p
+            for a in range(1, len(g)):
+                rows += v[lo:lo + step, a, None, None] * g[a] % p
+        block %= p
+        c, d, b0, b1, b2 = block.transpose(1, 0, 2)
         # Z2 at (D : -C), each product reduced before the sum; it is 0 at
         # every C = D = 0, which is sorted out below
-        on = np.flatnonzero((d * (d * b0 % p - c * b1 % p) % p + c * c % p * b2 % p)
-                            % p == 0)
-        pairs.append(on)
-        kept.append(cdb[:, on])
-    k1 = np.repeat(np.arange(n), [len(on) for on in pairs])
-    pair, cdb = np.concatenate(pairs), np.hstack(kept)
+        z2 = d * b0 % p
+        z2 -= c * b1 % p
+        z2 *= d
+        z2 += c * c % p * b2 % p  # |z2| < p^2 + p < 2^63
+        k, pair = np.divmod(np.flatnonzero(z2 % p == 0), n * n)
+        k1s.append(k + lo)
+        pairs.append(pair)
+        kept.append(block[k, :, pair])
+    k1, pair, cdb = np.concatenate(k1s), np.concatenate(pairs), np.concatenate(kept).T
     c, d, b = cdb[0], cdb[1], cdb[2:]
     zero = (c == 0) & (d == 0)
     # (D : -C) is (1, -C/D) by a Fermat inverse, or (0, 1) where D = 0
@@ -910,22 +996,31 @@ def local_equations(p: int, nu: FamilyParams, chart: Chart) -> List[Poly]:
 def local_partials(pa: PointArray, equations: Sequence[Poly]) -> np.ndarray:
     """d/dw_k of Z1 and Z2 at each point, shape (2, 4, N), with w_k local
     on factor k as in ``local_equations``: the coefficient tensors read
-    against the P^1 rows, with the derivative row for factor k."""
+    against the P^1 rows of the points' factors, with the derivative row
+    for factor k.  Rows and derivative rows are gathered from the per-prime
+    ``p1_jet_table``, or evaluated at the distinct coordinates by the size
+    rule of ``p1_slots``."""
     p = pa.p
-    h = pa.homogeneous()
+    values, slots = p1_slots(pa)
     out = np.empty((2, 4, len(pa)), dtype=np.int64)
     for f, d, partials in zip(equations, (1, 2), out):
         tensor = coefficient_tensor(f, d, p)
         exps = np.argwhere(tensor)
         coef = tensor[tuple(exps.T)]
-        rows = p1_rows(h[..., 0], h[..., 1], d, p)  # (N, 4, d+1)
-        a = np.arange(d + 1)
-        # the row at (1, w) is w^a, so a*w^(a-1) is a*rows[a-1] (0 at a = 0)
-        deriv = np.where(pa.chart[..., None] == 0, a * rows[..., a - 1] % p, a == d - 1)
+        rows, deriv = p1_jet_table(d, p) if values is None else p1_jets(d, values, p)
+        # per table point and factor, the row entry of each of the M
+        # monomials, (T, 4, M), and the derivative-row entry times the
+        # monomial's coefficient; then one gather per factor, (N, M) each
+        row_m, deriv_m = rows[:, exps.T], coef * deriv[:, exps.T] % p
+        r = [row_m[slots[:, j], j] for j in range(4)]
         for k in range(4):
-            swapped = np.where(np.arange(4)[:, None] == k, deriv, rows)
+            value = deriv_m[slots[:, k], k]
+            for j in range(4):
+                if j != k:
+                    value *= r[j]
+                    value %= p
             # M products of residues (M <= 81) sum far below 2^63
-            partials[k] = (monomial_values(swapped, exps, p) * coef % p).sum(axis=1) % p
+            partials[k] = value.sum(axis=1) % p
     return out
 
 
@@ -960,13 +1055,17 @@ def certify_free_and_smooth(points: SurfacePointSet,
     keys = pa.keys()
     sorted_keys = np.sort(keys)
     red = group.mod_p(p)
-    img = point_keys(*act_points(red.pi, red.mats, pa), p)
-    # an automorphism is injective, so it keeps the set iff it permutes the keys
-    kept = (np.sort(img, axis=1) == sorted_keys).all(axis=1)
+    img = image_keys(red, pa)
+    # an automorphism is injective, so it keeps the set iff it permutes the
+    # keys; per element, the first point it fixes and the first point it
+    # moves off the surface (n for none)
+    moved = ~(np.sort(img, axis=1) == sorted_keys).all(axis=1)
+    off = np.zeros(img.shape, dtype=bool)
+    off[moved] = ~_members(sorted_keys, img[moved])
+    fixes_at, leaves_at = _first(img == keys), _first(off)
     closed = free = True
-    for g, name in enumerate(red.names):
-        first_off = n if kept[g] else _first(~_members(sorted_keys, img[g]), n)
-        first_fixed = _first(img[g] == keys, n)
+    for first_fixed, first_off, name in zip(fixes_at.tolist(), leaves_at.tolist(),
+                                            red.names):
         if first_fixed < first_off:
             free = False
             problems.append(f"{name} fixes {pa.point(first_fixed)}")
@@ -1000,9 +1099,9 @@ def _members(sorted_keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == query
 
 
-def _first(mask: np.ndarray, default: int) -> int:
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else default
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Per row of an (M, N) mask, the first column where it holds, else N."""
+    return np.concatenate([mask, np.ones((len(mask), 1), dtype=bool)], axis=1).argmax(axis=1)
 
 
 # -- images on the unprojected 4-fold ------------------------------------------
@@ -1034,17 +1133,20 @@ def canonical_weighted(coords: Sequence[int], p: int) -> Tuple[int, ...]:
 
 
 def canonical_weighted_rows(coords: np.ndarray, p: int) -> np.ndarray:
-    """``canonical_weighted`` applied to each row of an (N, 16) array."""
+    """``canonical_weighted`` applied to each row of an (N, 16) array.  The
+    scale of the y-lead (its square class and inverse) is computed only on
+    the rows with no nonzero x."""
     out = coords % p  # scaled in place below, with no (N, 16) temporary
     xs, ys = out[:, :8], out[:, 8:]
-    rows = np.arange(len(coords))
     has_x = xs.any(axis=1)
-    if not (has_x | ys.any(axis=1)).all():
+    lam = pow_mod(xs[np.arange(len(out)), (xs != 0).argmax(axis=1)], p - 2, p)
+    scale_y = lam * lam % p
+    y_only = np.flatnonzero(~has_x)
+    lead_y = ys[y_only, (ys[y_only] != 0).argmax(axis=1)]
+    if not lead_y.all():
         raise ValueError("zero tuple is not a projective point")
-    lam = pow_mod(xs[rows, (xs != 0).argmax(axis=1)], p - 2, p)
-    lead_y = ys[rows, (ys != 0).argmax(axis=1)]
     target = np.where(pow_mod(lead_y, (p - 1) // 2, p) == 1, 1, smallest_non_residue(p))
-    scale_y = np.where(has_x, lam * lam % p, target * pow_mod(lead_y, p - 2, p) % p)
+    scale_y[y_only] = target * pow_mod(lead_y, p - 2, p) % p
     xs *= lam[:, None]
     ys *= scale_y[:, None]
     out %= p
@@ -1115,21 +1217,35 @@ def downstairs_image_set(p: int) -> np.ndarray:
     return distinct_rows(canonical_weighted_rows(coords, p))
 
 
+def factorwise_fixed_points(mats: np.ndarray, p: int) -> PointArray:
+    """The points of (P^1(F_p))^4 fixed by an automorphism that keeps every
+    factor (pi = id) and acts on factor j by the residue matrix mats[j]
+    (4, 2, 2): the product of the four fixed sets in P^1(F_p), in the
+    lexicographic order of the P^1 indices."""
+    k = np.arange(p + 1)
+    fixed = [k[p1_images(m, k, p) == k] for m in mats]
+    grid = np.stack(np.meshgrid(*fixed, indexing="ij"), axis=-1).reshape(-1, 4)
+    return PointArray(p, (grid == p).astype(np.int64), grid % p)
+
+
 def verify_branch_structure(p: int = 13) -> CheckReport:
     """(i) the deck involution fixes exactly the 16 coordinate points; (ii)
     in each of the 8 affine pieces at a weight-1 coordinate, the coordinate
     algebra pulls back onto exactly the squares of the local maximal ideal
     (monomials of degree >= 2, with all ten quadratics realized); (iii) Z1
-    passes through all 16 coordinate points."""
+    passes through all 16 coordinate points.  The deck involution keeps
+    every factor, so its fixed points are the product of its fixed points
+    on the four factors (``factorwise_fixed_points``)."""
     field = GF(p)
     problems = []
-    grid = PointArray.all_p1(p)
-    s_arrays = aut_arrays([table2_generators(QI)["s"]], p)
-    img = point_keys(*act_points(*s_arrays, grid), p)
-    fixed = [grid.point(n) for n in np.flatnonzero(img[0] == grid.keys())]
+    s_aut = table2_generators(QI)["s"]
     coord_points = [(chart, (0, 0, 0, 0)) for chart in CHARTS]
-    if sorted(fixed) != sorted(coord_points):
-        problems.append(f"deck involution fixes {len(fixed)} points")
+    if s_aut.pi != (0, 1, 2, 3):
+        problems.append(f"deck involution permutes the factors by {s_aut.pi}")
+    else:
+        fixed = factorwise_fixed_points(aut_arrays([s_aut], p)[1][0], p)
+        if sorted(map(fixed.point, range(len(fixed)))) != sorted(coord_points):
+            problems.append(f"deck involution fixes {len(fixed)} points")
     for i in range(4):
         for a in (0, 1):
             base = SIGMA_EXPS[xname(i, a)]

@@ -8,7 +8,7 @@ in positions 0 and i; b_i negates x_{i0}, x_{i1} and every y.  Inside sit
   the regular representation on the x-span and (for general parameters)
   freely on the family surfaces, and
 * H, the order-32 subgroup of words with even total exponent, exactly the
-  words sending the quadric section q to +-q,
+  words sending the quadric section q to q,
 
 together with the three order-8 cosets theta_i = [a_i*b_i] of G in H whose
 involutions drive the branch-locus bookkeeping.
@@ -32,7 +32,7 @@ from .poly import MonomialMap, Poly, PolyError, proportional
 from .report import CheckReport, verdict
 from .scalars import GF, QQ
 from .unproj import (FamilyParams, build_unprojection_ideal, build_v_ideal,
-                     q_section, s_form, y_eigenvector)
+                     q_basis, q_section)
 
 Word = Tuple[int, int, int, int, int, int]
 
@@ -447,28 +447,59 @@ def _signed_image(items, word: Word) -> dict:
             for e, c, neg_c in items}
 
 
+def _support_moves(support: Sequence[Tuple[int, ...]], words: Sequence[Word]) -> np.ndarray:
+    """How each word moves the terms of a form supported on ``support``,
+    read as a coefficient list with one zero slot appended: shape (W, 2,
+    S) for S = len(support).  Row 0 holds the source slot of each move,
+    plus S + 1 when the word negates that term; row 1 the slot of its
+    image key, or the zero slot S when the key lies outside the support."""
+    index = {e: i for i, e in enumerate(support)}
+    slots = len(support) + 1
+    out = np.empty((len(words), 2, len(support)), dtype=np.int64)
+    for row, w in zip(out, words):
+        permute, neg = _key_permutation(w)
+        row[0] = [i + slots * (sum([e[k] for k in neg]) & 1) for i, e in enumerate(support)]
+        row[1] = [index.get(permute(e), slots - 1) for e in support]
+    return out
+
+
 def q_invariance_report(nus: Sequence, rng: Random) -> CheckReport:
-    """H-words send q(nu) to +-q(nu) exactly; words outside H change more
+    """H-words send q(nu) to q(nu) exactly; words outside H change more
     than the sign for generic nu, checked at each given nu for 8 words
     sampled with ``rng``.  (A word outside H fixes s0..s3 and negates the
     y-eigenvector, so it sends q(nu) to +-q(nu) only when nu4 = 0 or
-    nu0 = .. = nu3 = 0.)"""
+    nu0 = .. = nu3 = 0.)
+
+    q(nu) is read as its coefficient list on the support of its nu-free
+    forms (``unproj.q_basis``) plus a zero slot, and the coefficients as
+    ids (equal values, equal ids) with their negatives after them.  A word
+    sends q to +q (to -q) iff along each of its moves (``_support_moves``)
+    the target coefficient equals the signed (negated) source coefficient;
+    every word of a draw is compared in one numpy pass."""
     problems = []
     H = set(group_H())
     non_h = [w for w in product((0, 1), repeat=6) if w not in H]
+    support = sorted({e for b in q_basis(QQ) for e in b.terms})
+    slots = len(support) + 1
+    h_words = list(H)
+    h_moves, non_h_moves = _support_moves(support, h_words), _support_moves(support, non_h)
+    non_h_row = {w: i for i, w in enumerate(non_h)}
     for nu in nus:
-        q = q_section(nu).terms
-        minus_q = {e: -c for e, c in q.items()}
-        items = [(e, c, -c) for e, c in q.items()]
+        q, zero = q_section(nu).terms, nu.domain.zero()
+        coef = [q.get(e, zero) for e in support] + [zero]
+        ids: Dict[object, int] = {}
+        signed = np.array([ids.setdefault(c, len(ids)) for c in coef + [-c for c in coef]])
         ints = tuple(int(v) for v in nu.nu)
-        for w in H:
-            img = _signed_image(items, w)
-            if img != q and img != minus_q:
-                problems.append(f"{word_str(w)} breaks q invariance at nu={ints}")
-        for w in rng.sample(non_h, 8):
-            img = _signed_image(items, w)
-            if img == q or img == minus_q:
-                problems.append(f"{word_str(w)} outside H fixed q at nu={ints}")
+        fixes = (signed[h_moves[:, 1]] == signed[h_moves[:, 0]]).all(axis=1)
+        problems += [f"{word_str(w)} breaks q invariance at nu={ints}"
+                     for w, ok in zip(h_words, fixes) if not ok]
+        sampled = rng.sample(non_h, 8)
+        moves = non_h_moves[[non_h_row[w] for w in sampled]]
+        target = signed[moves[:, 1]]
+        fixes = (target == signed[moves[:, 0]]).all(axis=1)
+        negates = (target == signed[(moves[:, 0] + slots) % (2 * slots)]).all(axis=1)
+        problems += [f"{word_str(w)} outside H fixed q at nu={ints}"
+                     for w, bad in zip(sampled, fixes | negates) if bad]
     return verdict("grouprep.q_invariance", problems[:5],
                    on_pass={"draws": len(nus), "H_words": 32})
 
@@ -528,7 +559,7 @@ def _triple_candidates(field) -> List[Tuple[list, tuple]]:
     sum nu_i*s_i + nu4*y (``unproj.q_section``)."""
     eps = field.sqrt_minus_one()
     gens = build_v_ideal(field).polys()
-    basis = [s_form(field, i) for i in range(4)] + [y_eigenvector(field)]
+    basis = q_basis(field)
     out = []
     for signs in product((1, -1), repeat=3):
         c = [eps * field.from_int(s) for s in signs]
@@ -593,17 +624,20 @@ def stabilizer_classification(rows: np.ndarray, words: Sequence[Word],
     """For each word, the boolean mask of the rows it fixes.
 
     ``rows`` is an (N, 16) array of canonical weighted coordinates over
-    GF(p).  A word acts on all rows at once: a column permutation times a
-    sign vector, then ``canonical_weighted_rows``, so that fixedness is
-    projective equality.
+    GF(p).  A word acts on a row by a column permutation times a sign
+    vector; the images of all rows under all W words are stacked into one
+    (W*N, 16) array and put through ``canonical_weighted_rows`` at once,
+    so that fixedness is projective equality.
     """
     from .cover import canonical_weighted_rows  # local import: cover depends on grouprep
 
-    index = {n: k for k, n in enumerate(AMBIENT_XY.variables)}
-    fixed: Dict[Word, np.ndarray] = {}
-    for w in words:
-        images = [_signed_images_cached(w)[name] for name in AMBIENT_XY.variables]
-        cols = [index[target] for _, target in images]
-        signs = np.array([sign for sign, _ in images], dtype=np.int64)
-        fixed[w] = (canonical_weighted_rows(rows[:, cols] * signs, p) == rows).all(axis=1)
-    return fixed
+    index = AMBIENT_XY.index
+    images = [[_signed_images_cached(w)[name] for name in AMBIENT_XY.variables]
+              for w in words]
+    cols = np.array([[index(target) for _, target in img] for img in images],
+                    dtype=np.int64).reshape(-1, 16)
+    signs = np.array([[sign for sign, _ in img] for img in images],
+                     dtype=np.int64).reshape(-1, 16)
+    stacked = np.moveaxis(rows[:, cols] * signs, 1, 0).reshape(-1, 16)
+    canonical = canonical_weighted_rows(stacked, p).reshape(len(words), len(rows), 16)
+    return dict(zip(words, (canonical == rows).all(axis=2)))

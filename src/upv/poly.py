@@ -14,6 +14,7 @@ exponents) must be explicitly allowed by the map and by the target ambient.
 from __future__ import annotations
 
 from operator import add
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .ambient import Ambient, AmbientError
@@ -341,6 +342,24 @@ class MonomialMap:
 
     def __repr__(self):
         return f"MonomialMap({self.source.tag} -> {self.target.tag})"
+
+
+def frozen_terms(f: Poly) -> Mapping:
+    """The terms of a cached form, read-only, as they are shared."""
+    return MappingProxyType(f.terms)
+
+
+def weighted_sum(ambient: Ambient, domain, parts) -> Poly:
+    """sum of w * part over the (term map, scalar w) pairs ``parts``, as one
+    dict accumulation."""
+    acc: Dict[Exponents, object] = {}
+    for part, w in parts:
+        if not w:
+            continue
+        for e, c in part.items():
+            s = acc.get(e)
+            acc[e] = c * w if s is None else s + c * w
+    return Poly._trusted(ambient, domain, acc)
 
 
 def exact_divide(f: Poly, g: Poly):

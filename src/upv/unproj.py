@@ -323,6 +323,13 @@ def q_section(nu: FamilyParams) -> Poly:
     return l_form(nu) + y_eigenvector(nu.domain) * nu.nu[4]
 
 
+@lru_cache(maxsize=None)
+def q_basis(domain) -> Tuple[Poly, ...]:
+    """The nu-free forms of q: s_0, .., s_3 and the y-eigenvector, so that
+    q(nu) = sum nu_i * q_basis[i]."""
+    return tuple(s_form(domain, i) for i in range(4)) + (y_eigenvector(domain),)
+
+
 def build_v_ideal(domain=QQ) -> IdealPresentation:
     j = build_unprojection_ideal(domain)
     gens = list(j.generators)

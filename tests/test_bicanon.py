@@ -334,7 +334,7 @@ def derivation_difference(nu, monkeypatch):
     """The cubic and the difference that ``derive_s3_cubic`` tests for zero,
     caught from the sum that builds it."""
     seen = []
-    real = bicanon._weighted_sum
+    real = bicanon.weighted_sum
 
     def spy(ambient, domain, parts):
         out = real(ambient, domain, parts)
@@ -343,7 +343,7 @@ def derivation_difference(nu, monkeypatch):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(bicanon, "_weighted_sum", spy)
+        m.setattr(bicanon, "weighted_sum", spy)
         cubic, rep = derive_s3_cubic(nu)
     (difference,) = seen
     assert rep.passed == difference.is_zero()

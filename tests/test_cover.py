@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 
 from upv.ambient import AMBIENT_T4, AMBIENT_XY, EVEN_TUPLES, X_INDEX, Y_INDEX
+from upv import cover
 from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
-                       PointArray, ProjAut, SurfacePointSet, act_points,
-                       aut_arrays, brute_force_count, build_lifts_and_certify,
-                       build_z2, canonical_weighted, canonical_weighted_rows,
+                       PointArray, ProjAut, SurfacePointSet, aut_arrays,
+                       brute_force_count, build_lifts_and_certify, build_z2,
+                       canonical_weighted, canonical_weighted_rows,
                        certify_free_and_smooth, coefficient_tensor, contract,
                        distinct_rows, downstairs_image_set, enumerate_surface,
-                       expand_point, gtilde_generators, hplane_problems,
-                       jacobian_rank2, local_equations, local_partials,
-                       normalize_factors, p1_table, pow_mod, s_surface_pattern,
-                       sigma_deck_report, sigma_images, sigma_map,
-                       s_involution_map, table2_generators,
+                       expand_point, factorwise_fixed_points, gtilde_generators,
+                       hplane_problems, image_keys, jacobian_rank2,
+                       local_equations, local_partials, normalize_factors,
+                       p1_jet_table, p1_rows, p1_table, point_keys, pow_mod,
+                       s_surface_pattern, sigma_deck_report, sigma_images,
+                       sigma_map, s_involution_map, table2_generators,
                        tabulated_generator_rows, verify_branch_structure,
                        verify_hplane_decomposition, y_point_count_report,
                        z1_display, z1_poly, z2_display, z2_poly)
@@ -336,6 +338,27 @@ def test_tensor_enumeration_matches_eval_terms_oracle(p):
         assert np.array_equal(pts.chart, chart) and np.array_equal(pts.vals, vals), nu
 
 
+@pytest.mark.parametrize("p", [13, 17, 29])
+def test_enumeration_in_blocks_of_one_point_matches_the_default(p, monkeypatch):
+    # BLOCK_CELLS = 1 takes one point of factor 1 a block, the per-point
+    # loop; the default takes one block at p = 13 and 17 and four at 29
+    f = GF(p)
+    rng = random.Random(3000 + p)
+    draws = [(5, 1, 2, 3, 1)]  # delta-degenerate mod 13
+    while len(draws) < 3:
+        nu = tuple(rng.randrange(p) for _ in range(5))
+        if nu[4] and not FamilyParams(f, nu).degenerate()[0]:
+            draws.append(nu)
+    for nu in map(lambda v: FamilyParams(f, v), draws):
+        default = enumerate_surface(p, nu).points
+        with monkeypatch.context() as m:
+            m.setattr(cover, "BLOCK_CELLS", 1)
+            single = enumerate_surface(p, nu).points
+        assert np.array_equal(single.chart, default.chart)
+        assert np.array_equal(single.vals, default.vals)
+        assert len(default) == brute_force_count(p, nu)
+
+
 def test_tensor_enumeration_matches_eval_terms_oracle_at_61():
     nu = FamilyParams(GF(61), (2, 3, 5, 7, 11))
     pts = enumerate_surface(61, nu).points
@@ -416,6 +439,54 @@ def test_nu4_zero_fails_smoothness(lifted):
 
 def test_branch_structure():
     assert verify_branch_structure(13).passed
+
+
+def grid_fixed_points(g, p):
+    """The oracle: the points of (P^1(F_p))^4 whose image under g, by the
+    array action ``act_points``, has the point's own key."""
+    grid = PointArray.all_p1(p)
+    chart, vals = act_points(*aut_arrays([g.map_entries(GF(p))], p), grid)
+    image = point_keys(np.where(chart[0] == 1, p, vals[0]), p)
+    return [grid.point(n) for n in np.flatnonzero(image == grid.keys())]
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_factorwise_fixed_points_match_the_grid_scan(p):
+    t2 = table2_generators(QI)
+    one, zero, eps = QI.one(), QI.zero(), QI.sqrt_minus_one()
+    swap, turn = ((zero, one), (one, zero)), ((zero, one), (eps, zero))
+    shear = ((one, one), (zero, one))  # fixes (1, 0) alone
+    auts = [t2[name] for name in ("s", "b1~", "b2~", "b3~")]
+    auts += [ProjAut(QI, (0, 1, 2, 3), (swap, turn, shear, t2["s"].mats[3])),
+             ProjAut.identity(QI)]
+    for g in auts:
+        fixed = factorwise_fixed_points(aut_arrays([g], p)[1][0], p)
+        assert sorted(point_list(fixed)) == grid_fixed_points(g, p)
+    # the deck involution: exactly the 16 coordinate points
+    assert grid_fixed_points(t2["s"], p) == [(chart, (0, 0, 0, 0)) for chart in CHARTS]
+
+
+@pytest.mark.parametrize("mutant, problem", [
+    ("antidiagonal", "deck involution fixes 16 points"),
+    ("permuted", "deck involution permutes the factors by (1, 0, 2, 3)"),
+])
+def test_branch_structure_fails_for_a_mutant_deck_involution(mutant, problem, monkeypatch):
+    real = cover.table2_generators
+
+    def mutated(domain=QI):
+        gens = real(domain)
+        s = gens["s"]
+        one, zero = domain.one(), domain.zero()
+        if mutant == "antidiagonal":  # fixes (1, 1) and (1, -1) on factor 0
+            gens["s"] = ProjAut(domain, s.pi, (((zero, one), (one, zero)),) + s.mats[1:])
+        else:
+            gens["s"] = ProjAut(domain, (1, 0, 2, 3), s.mats)
+        return gens
+
+    monkeypatch.setattr(cover, "table2_generators", mutated)
+    rep = verify_branch_structure(13)
+    assert not rep.passed
+    assert rep.witness["problems"] == [problem]
 
 
 def test_downstairs_image_count():
@@ -661,7 +732,29 @@ def hand_group(g):
     return FiniteProjGroup(QI, [ProjAut.identity(QI), g], ["1", "g"], [[0, 1], [1, 0]])
 
 
+def act_points(pi, mats, pa):
+    """The oracle of the image keys, beside ``ProjAut.act_point``: images of
+    N points under M automorphisms (``aut_arrays``) in chart form, chart and
+    vals of shape (M, N, 4), each 2x2 map evaluated by products and Fermat
+    inverses at the distinct coordinates of the point set."""
+    p = pa.p
+    digits = np.where(pa.chart == 1, p, pa.vals)  # digit p: the factor (0, 1)
+    values, where = np.unique(digits, return_inverse=True)
+    s0 = (values != p).astype(np.int64)
+    s1 = np.where(values == p, 1, values)
+    t0 = (mats[..., 0, 0, None] * s0 + mats[..., 0, 1, None] * s1) % p  # (M, 4, U)
+    t1 = (mats[..., 1, 0, None] * s0 + mats[..., 1, 1, None] * s1) % p
+    assert not np.any(t1[t0 == 0] == 0)
+    chart = (t0 == 0).astype(np.int64)
+    vals = t1 * pow_mod(t0, p - 2, p) % p  # Fermat inverse, 0 for t0 = 0
+    src = where.reshape(digits.shape).T[pi]  # (M, 4, N): slot of factor pi[j]
+    return (np.take_along_axis(chart, src, axis=2).transpose(0, 2, 1),
+            np.take_along_axis(vals, src, axis=2).transpose(0, 2, 1))
+
+
 def test_array_action_matches_act_point_everywhere_at_13(lifted):
+    # the per-prime P^1 tables of the kernel against act_point and against
+    # the distinct-coordinate oracle act_points, on all of (P^1(F_13))^4
     group, _ = lifted
     p, f = 13, GF(13)
     grid = PointArray.all_p1(p)
@@ -672,6 +765,13 @@ def test_array_action_matches_act_point_everywhere_at_13(lifted):
     for m, g in enumerate(reduced):
         expected = np.array([sum(g.act_point(pt, p), ()) for pt in pts])
         assert np.array_equal(np.concatenate([chart[m], vals[m]], axis=1), expected)
+    red = group.mod_p(p)
+    assert red.tables.shape == (15, 4, p + 1)
+    keys = image_keys(red, grid)
+    by_name = dict(zip(group.names, reduced))
+    for m, name in enumerate(red.names):
+        images = [by_name[name].act_point(pt, p) for pt in pts]
+        assert keys[m].tolist() == point_array(images, p).keys().tolist()
 
 
 def test_array_jacobian_matches_poly_evaluate():
@@ -781,6 +881,15 @@ def test_canonical_weighted_rows_match_scalar():
         assert got == [list(canonical_weighted(r, p)) for r in rows]
 
 
+def test_canonical_weighted_rows_rejects_a_zero_row():
+    rows = np.zeros((3, 16), dtype=np.int64)
+    rows[0, 0] = rows[2, 9] = 1
+    with pytest.raises(ValueError, match="zero tuple"):
+        canonical_weighted_rows(rows, 13)
+    assert canonical_weighted_rows(rows[::2], 13).tolist() == \
+        [list(canonical_weighted(r, 13)) for r in rows[::2].tolist()]
+
+
 def scalar_sigma_image(pt, p):
     coords = [c for pair in expand_point(pt) for c in pair]
     vals = [prod(pow(c, k, p) for c, k in zip(coords, SIGMA_EXPS[name])) % p
@@ -792,6 +901,38 @@ def test_sigma_images_match_scalar_everywhere_at_5():
     p = 5
     got = sigma_images(PointArray.all_p1(p)).tolist()
     assert got == [scalar_sigma_image(pt, p) for pt in all_p1_points(p)]
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(13), GF(BOUND_PRIME)], ids=str)
+def test_z2_from_parts_equals_twice_sigma_of_q(field):
+    from upv.unproj import q_section
+    rng = random.Random(4)
+    draws = [tuple(rng.randrange(-40, 40) for _ in range(5)) for _ in range(4)]
+    draws += [(1, 0, 3, 4, 5), (1, 2, 3, 4, 0), (0, 0, 0, 0, 1), (0, 5, 0, 0, 0)]
+    for nu in draws:
+        nu = FamilyParams(field, tuple(field.from_int(v) for v in nu))
+        oracle = sigma_map(field).apply(q_section(nu)) * field.from_int(2)
+        z2 = z2_poly(nu)
+        assert z2.terms == oracle.terms and all(z2.terms.values())
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_row_tables_match_p1_rows(p):
+    grid = PointArray.all_p1(p)
+    h = grid.homogeneous()
+    digits = grid.digits()
+    for d in (1, 2):
+        rows, deriv = p1_jet_table(d, p)
+        assert not rows.flags.writeable and not deriv.flags.writeable
+        assert np.array_equal(rows, p1_table(d, p))
+        assert np.array_equal(rows[digits], p1_rows(h[..., 0], h[..., 1], d, p))
+        # the derivative row in the local coordinate of each factor
+        for k in range(p + 1):
+            if k < p:
+                expect = [a * pow(k, a - 1, p) % p if a else 0 for a in range(d + 1)]
+            else:
+                expect = [int(a == d - 1) for a in range(d + 1)]
+            assert deriv[k].tolist() == expect
 
 
 def test_fermat_inverse_mod_p():

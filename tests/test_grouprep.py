@@ -147,27 +147,52 @@ def test_apply_rejects_other_ambients():
             SignedAction(w, QQ).apply(s1)
 
 
-@pytest.fixture
-def b1_without_y_sign(monkeypatch):
-    """The sign table with b1's sign on the weight-2 variables dropped, in
-    every word containing b1; the per-word caches are rebuilt around it."""
+def patched_sign_table(monkeypatch, edit):
+    """Patch the sign table: each word's images pass through ``edit(word,
+    images)``; the per-word caches are rebuilt around it.  A generator, for
+    fixtures."""
     real = grouprep._signed_images
-
-    def mutant(word):
-        out = real(word)
-        if word[3]:
-            out = {n: (-s if n.startswith("y") else s, t) for n, (s, t) in out.items()}
-        return out
 
     def clear():
         grouprep._signed_images_cached.cache_clear()
         grouprep._key_permutation.cache_clear()
 
     clear()
-    monkeypatch.setattr(grouprep, "_signed_images", mutant)
+    monkeypatch.setattr(grouprep, "_signed_images", lambda word: edit(word, real(word)))
     yield
     monkeypatch.undo()
     clear()
+
+
+def negated_y(images):
+    return {n: (-s if n.startswith("y") else s, t) for n, (s, t) in images.items()}
+
+
+@pytest.fixture
+def b1_without_y_sign(monkeypatch):
+    """The sign table with b1's sign on the weight-2 variables dropped, in
+    every word containing b1."""
+    yield from patched_sign_table(
+        monkeypatch, lambda word, images: negated_y(images) if word[3] else images)
+
+
+@pytest.fixture
+def a1_swapping_x00_and_a_y(monkeypatch):
+    """The sign table with the images of x00 and y0000 exchanged in every
+    word containing a1: such a word moves terms of q out of the support of
+    its nu-free forms."""
+    yield from patched_sign_table(
+        monkeypatch, lambda word, images: dict(images, x00=images["y0000"],
+                                               y0000=images["x00"]) if word[0] else images)
+
+
+@pytest.fixture
+def a1a2_negating_y(monkeypatch):
+    """The sign table with the H word a1*a2 negating every y as well, so
+    that it sends the y-eigenvector to its negative."""
+    yield from patched_sign_table(
+        monkeypatch,
+        lambda word, images: negated_y(images) if word == parse_word("a1*a2") else images)
 
 
 def test_flipped_sign_fails_j_stability(b1_without_y_sign):
@@ -194,8 +219,7 @@ def poly_q_invariance_report(nus, rng):
         q = q_section(nu)
         ints = tuple(int(v) for v in nu.nu)
         for w in H:
-            img = SignedAction(w, d).apply(q)
-            if img != q and img != -q:
+            if SignedAction(w, d).apply(q) != q:
                 problems.append(f"{word_str(w)} breaks q invariance at nu={ints}")
         for w in rng.sample(non_h, 8):
             img = SignedAction(w, d).apply(q)
@@ -249,17 +273,46 @@ def test_j_stability_matches_the_poly_path(domain, mutant, request):
     assert rep.passed == (mutant is None)
 
 
-@pytest.mark.parametrize("mutant", [None, "b1_without_y_sign"])
-@pytest.mark.parametrize("case", ["drawn", "nu4_zero"])
+@pytest.mark.parametrize("mutant", [None, "b1_without_y_sign", "a1a2_negating_y",
+                                    "a1_swapping_x00_and_a_y"])
+@pytest.mark.parametrize("case", ["drawn", "nu4_zero", "zero_entries"])
 def test_q_invariance_matches_the_poly_path(case, mutant, request):
     if mutant:
         request.getfixturevalue(mutant)
     nus, _ = q_invariance_args(5)
     if case == "nu4_zero":  # words outside H fix q as well
         nus = [FamilyParams(GF(13), (1, 2, 3, 4, 0)), *nus[:2]]
+    if case == "zero_entries":  # q has fewer terms than its nu-free forms;
+        # at (0,0,0,0,1) the words outside H send q to -q
+        nus = [FamilyParams(GF(13), nu)
+               for nu in ((0, 0, 0, 0, 1), (1, 0, 3, 4, 5), (1, 2, 3, 4, 0))]
     rep = q_invariance_report(nus, random.Random(3))
     assert rep.to_json() == poly_q_invariance_report(nus, random.Random(3)).to_json()
     assert rep.passed == (mutant is None and case == "drawn")
+
+
+def test_moves_out_of_the_support_land_in_the_zero_slot(a1_swapping_x00_and_a_y):
+    from upv.unproj import q_basis
+    support = sorted({e for b in q_basis(QQ) for e in b.terms})
+    key = {n: next(iter((Poly.variable(AMBIENT_XY, QQ, n) ** k).terms))
+           for n, k in (("x00", 2), ("y0000", 1))}
+    moves = grouprep._support_moves(support, [parse_word("a1"), parse_word("a2")])
+    assert moves.shape == (2, 2, 16)
+    assert sorted(support[i] for i in np.flatnonzero(moves[0, 1] == 16)) == sorted(key.values())
+    assert (moves[1, 1] < 16).all() and sorted(moves[1, 1]) == list(range(16))
+
+
+def test_an_h_word_sending_q_to_minus_q_breaks_q_invariance(a1a2_negating_y):
+    # at nu = (0,0,0,0,1), q is the y-eigenvector, which a1*a2 now negates:
+    # H words must fix q, not send it to -q
+    rep = q_invariance_report([FamilyParams(GF(13), (0, 0, 0, 0, 1))], random.Random(0))
+    assert not rep.passed
+    assert rep.witness["problems"][0] == "a1*a2 breaks q invariance at nu=(0, 0, 0, 0, 1)"
+    # then the first four of the 8 sampled words outside H, which negate q
+    # at this nu
+    assert len(rep.witness["problems"]) == 5
+    assert all(m.endswith(" outside H fixed q at nu=(0, 0, 0, 0, 1)")
+               for m in rep.witness["problems"][1:])
 
 
 def test_j_stability_hashes_no_poly(monkeypatch):
@@ -343,6 +396,39 @@ def loop_stabilizers(points, words, p):
             if canonical_weighted(img, p) == pt:
                 fixed[w].append(pt)
     return fixed
+
+
+def per_word_stabilizers(rows, words, p):
+    """The oracle of the stacked kernel: one ``canonical_weighted_rows``
+    call per word."""
+    from upv.cover import canonical_weighted_rows
+    fixed = {}
+    for w in words:
+        images = [SignedAction(w, QQ).image_of_variable(n) for n in AMBIENT_XY.variables]
+        cols = [AMBIENT_XY.index(target) for _, target in images]
+        signs = np.array([sign for sign, _ in images], dtype=np.int64)
+        fixed[w] = (canonical_weighted_rows(rows[:, cols] * signs, p) == rows).all(axis=1)
+    return fixed
+
+
+@pytest.mark.parametrize("words", [
+    pytest.param([], id="none"),
+    pytest.param([parse_word("a1*b1")], id="one"),
+    pytest.param(theta_class(2) + [parse_word("1"), parse_word("a1*a2*a3*b1*b2*b3")],
+                 id="theta_2_and_more"),
+])
+def test_stacked_stabilizers_match_a_per_word_loop(words):
+    from upv.cover import distinct_rows, downstairs_image_set, enumerate_surface, sigma_images
+    p = 13
+    surface = distinct_rows(sigma_images(
+        enumerate_surface(p, FamilyParams(GF(p), (3, 1, 4, 1, 5))).points))
+    # the whole image has rows with no x, which the y-lead scale handles
+    for rows in (surface, downstairs_image_set(p)[::7]):
+        got = stabilizer_classification(rows, words, p)
+        want = per_word_stabilizers(rows, words, p)
+        assert list(got) == list(want)
+        for w in words:
+            assert got[w].shape == (len(rows),) and np.array_equal(got[w], want[w])
 
 
 def test_array_stabilizers_match_the_point_loop_at_13():

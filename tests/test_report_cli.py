@@ -223,6 +223,21 @@ def test_full_catalog_stream_pinned_at_seed_100():
     assert hashlib.sha256(stream.encode()).hexdigest() == FULL_CATALOG_SEED_100_SHA256
 
 
+# sha256 of `upv run all --seed 7`, under any PYTHONHASHSEED
+FULL_CATALOG_SEED_7_SHA256 = \
+    "85ed29491e18f19e00fa5f0ac1d004ad6653a62bdb8477899889451105b9294d"
+
+
+def test_full_catalog_stream_does_not_depend_on_the_hash_seed():
+    # str and bytes hashing is salted per process; no cache or set may let
+    # it reach the order of the output
+    streams = [run_cli(["run", "all", "--seed", "7"], env={"PYTHONHASHSEED": seed})
+               for seed in ("0", "1")]
+    assert [r.returncode for r in streams] == [0, 0]
+    assert [hashlib.sha256(r.stdout.encode()).hexdigest() for r in streams] == \
+        [FULL_CATALOG_SEED_7_SHA256] * 2
+
+
 # sha256 of `upv run cover.enumeration cover.hplane_decomposition
 # bicanon.branch_loci bicanon.nodes --seed 1000000`: the downstairs scans and
 # the node Hessians at a seed whose branch-loci redraws differ from seed 0
@@ -390,6 +405,14 @@ def test_default_draw_counts_of_nodes_and_q_invariance(monkeypatch):
                          RunContext(RunConfig()))
     assert all(r.passed for r in reports)
     assert {k: purposes.count(k) for k in set(purposes)} == {"nodes": 100, "qinv": 20}
+
+
+def test_a_zero_draw_is_redrawn():
+    # at this seed one of the 100 node draws over GF(13) is (0, 0, 0, 0, 0),
+    # which is no projective point
+    reports = run_checks(resolve_targets(["bicanon.nodes"]),
+                         RunContext(RunConfig(seed=166000000)))
+    assert [(r.status, r.witness.get("draws")) for r in reports] == [("pass", 100)]
 
 
 # sha256 of `upv dump points` output: the point file format and point order

@@ -54,3 +54,14 @@ def test_rss_by_check_smoke():
     assert [(check, status) for check, status, _ in lines] == [(t, "pass") for t in targets]
     rss = [float(mb) for _, _, mb in lines]
     assert rss == sorted(rss) and rss[0] > 0
+
+
+def test_point_kernel_times_smoke():
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "point_kernel_times.py"),
+         "--primes", "13", "--repeats", "1"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    line, = res.stdout.splitlines()
+    assert line.startswith("p 13: nu (") and " points, enumerate_surface " in line
+    assert line.endswith(" ms") and ", certify_free_and_smooth " in line
