@@ -2,7 +2,11 @@
 
 Six commuting involutions a1, a2, a3, b1, b2, b3 act on the 16 coordinates:
 a_i exchanges x00 with x01 and x_{i0} with x_{i1} and complements the y-index
-in positions 0 and i; b_i negates x_{i0}, x_{i1} and every y.  Inside sit
+in positions 0 and i; b_i negates x_{i0}, x_{i1} and every y.  A word's
+action is one signed permutation of the 16 slots, read from its bits
+(``signed_permutation``); every reader of the action reads that table, and
+``_signed_image`` is the one code that moves polynomial terms under it.
+Inside sit
 
 * G, the order-8 subgroup generated by a1*b2, a2*b3, a3*b1, which acts with
   the regular representation on the x-span and (for general parameters)
@@ -27,7 +31,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .ambient import AMBIENT_XY, EVEN_TUPLES, comp, xname, yname
+from .ambient import AMBIENT_XY, EVEN_TUPLES, X_INDEX, Y_INDEX, comp, xname, yname
 from .poly import MonomialMap, Poly, PolyError, proportional
 from .report import CheckReport, verdict
 from .scalars import GF, QQ
@@ -62,39 +66,24 @@ def parse_word(text: str) -> Word:
     return tuple(bits)
 
 
-def _signed_images(word: Word) -> Dict[str, Tuple[int, str]]:
-    """Images of all 16 variables as (sign, variable name)."""
-    a1, a2, a3, b1, b2, b3 = word
-    betas = (0, b1, b2, b3)
-    out: Dict[str, Tuple[int, str]] = {}
-    # x00, x01 swap once per alpha
-    swap0 = (a1 + a2 + a3) % 2
-    for a in (0, 1):
-        out[xname(0, a)] = (1, xname(0, a ^ swap0))
-    for i in range(1, 4):
-        ai = word[i - 1]
-        sign = -1 if betas[i] else 1
-        for a in (0, 1):
-            out[xname(i, a)] = (sign, xname(i, a ^ ai))
-    ysign = -1 if (b1 + b2 + b3) % 2 else 1
-    for t in EVEN_TUPLES:
-        img = list(t)
-        if a1:
-            img[0] ^= 1
-            img[1] ^= 1
-        if a2:
-            img[0] ^= 1
-            img[2] ^= 1
-        if a3:
-            img[0] ^= 1
-            img[3] ^= 1
-        out[yname(t)] = (ysign, yname(tuple(img)))
-    return out
-
-
 @lru_cache(maxsize=None)
-def _signed_images_cached(word: Word):
-    return _signed_images(word)
+def signed_permutation(word: Word) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The word's action on the 16 slots of ``AMBIENT_XY``: slot k goes to
+    ``sign[k]`` times slot ``target[k]``.  Factor (and y-position) j flips
+    with f_j = a_j for j >= 1 and with f_0 = a1 + a2 + a3; x_{j,c} goes to
+    x_{j,c+f_j}, negated iff j >= 1 and b_j = 1, and y_t goes to
+    (-1)^(b1+b2+b3) * y_{t+f}."""
+    a1, a2, a3, b1, b2, b3 = word
+    flips = ((a1 + a2 + a3) % 2, a1, a2, a3)
+    x_signs = (1, 1 - 2 * b1, 1 - 2 * b2, 1 - 2 * b3)
+    y_sign = 1 - 2 * ((b1 + b2 + b3) % 2)
+    target = [0] * AMBIENT_XY.nvars
+    sign = [y_sign] * AMBIENT_XY.nvars
+    for (j, c), k in X_INDEX.items():
+        target[k], sign[k] = X_INDEX[(j, c ^ flips[j])], x_signs[j]
+    for t, k in Y_INDEX.items():
+        target[k] = Y_INDEX[tuple(a ^ f for a, f in zip(t, flips))]
+    return tuple(target), tuple(sign)
 
 
 @lru_cache(maxsize=None)
@@ -103,14 +92,20 @@ def _key_permutation(word: Word) -> Tuple[Callable, Tuple[int, ...]]:
     whose slot j holds the exponent of the variable the word sends to slot j,
     and the coefficient changes sign when the exponents in the negated slots
     ``neg`` have an odd sum."""
-    index = AMBIENT_XY.index
+    target, sign = signed_permutation(word)
     src = [0] * AMBIENT_XY.nvars
-    neg = []
-    for name, (sign, target) in _signed_images_cached(word).items():
-        src[index(target)] = index(name)
-        if sign < 0:
-            neg.append(index(name))
-    return itemgetter(*src), tuple(neg)
+    for k, j in enumerate(target):
+        src[j] = k
+    return itemgetter(*src), tuple(k for k, s in enumerate(sign) if s < 0)
+
+
+def _signed_image(items, word: Word) -> dict:
+    """The image of a polynomial given as (e, c, -c) triples under ``word``,
+    as a terms dict: each key permuted and, by the parity of its negated
+    exponents, ``c`` or ``-c`` kept (the two may be coefficient ids)."""
+    permute, neg = _key_permutation(word)
+    return {permute(e): neg_c if sum([e[k] for k in neg]) & 1 else c
+            for e, c, neg_c in items}
 
 
 class SignedAction:
@@ -128,9 +123,9 @@ class SignedAction:
     def map(self) -> MonomialMap:
         if self._map is None:
             images = {}
-            for name, (sign, target) in _signed_images_cached(self.word).items():
+            for name, j, sign in zip(AMBIENT_XY.variables, *signed_permutation(self.word)):
                 e = [0] * AMBIENT_XY.nvars
-                e[AMBIENT_XY.index(target)] = 1
+                e[j] = 1
                 images[name] = (self.domain.from_int(sign), tuple(e))
             self._map = MonomialMap(AMBIENT_XY, AMBIENT_XY, self.domain, images)
         return self._map
@@ -139,34 +134,27 @@ class SignedAction:
         return SignedAction(word_mul(self.word, other.word), self.domain)
 
     def apply(self, f: Poly) -> Poly:
-        """The image of f: each exponent key permuted, each coefficient
-        negated by the parity of its negated exponents.  A permutation of
-        keys is injective, so no two terms collide."""
+        """The image of f under ``_signed_image``.  A permutation of keys is
+        injective, so no two terms collide."""
         if f.ambient != AMBIENT_XY:
             raise PolyError(f"ambient mismatch: poly in {f.ambient.tag}, "
                             f"action on {AMBIENT_XY.tag}")
-        permute, neg = _key_permutation(self.word)
         coerce = self.domain.coerce
-        terms = {}
-        for e, c in f.terms.items():
-            c = coerce(c)
-            terms[permute(e)] = -c if sum([e[k] for k in neg]) & 1 else c
-        return Poly._trusted(AMBIENT_XY, self.domain, terms)
+        coefs = ((e, coerce(c)) for e, c in f.terms.items())
+        return Poly._trusted(AMBIENT_XY, self.domain,
+                             _signed_image(((e, c, -c) for e, c in coefs), self.word))
 
     def is_involution(self) -> bool:
         return self.word != IDENTITY_WORD
 
     def image_of_variable(self, name: str) -> Tuple[int, str]:
-        return _signed_images_cached(self.word)[name]
+        target, sign = signed_permutation(self.word)
+        k = AMBIENT_XY.index(name)
+        return sign[k], AMBIENT_XY.variables[target[k]]
 
     def trace_on_x_span(self) -> int:
-        tr = 0
-        for i in range(4):
-            for a in (0, 1):
-                sign, target = self.image_of_variable(xname(i, a))
-                if target == xname(i, a):
-                    tr += sign
-        return tr
+        target, sign = signed_permutation(self.word)
+        return sum(sign[k] for k in X_INDEX.values() if target[k] == k)
 
     def __repr__(self):
         return f"SignedAction({word_str(self.word)})"
@@ -438,15 +426,6 @@ def check_regular_representation(domain=QQ) -> CheckReport:
                    on_pass={"x_span_character": "regular", "y_characters": 8})
 
 
-def _signed_image(items, word: Word) -> dict:
-    """The image of a polynomial given as (e, c, -c) triples under ``word``,
-    as a terms dict: each key permuted and, by the parity of its negated
-    exponents, ``c`` or ``-c`` kept (the two may be coefficient ids)."""
-    permute, neg = _key_permutation(word)
-    return {permute(e): neg_c if sum([e[k] for k in neg]) & 1 else c
-            for e, c, neg_c in items}
-
-
 def _support_moves(support: Sequence[Tuple[int, ...]], words: Sequence[Word]) -> np.ndarray:
     """How each word moves the terms of a form supported on ``support``,
     read as a coefficient list with one zero slot appended: shape (W, 2,
@@ -455,11 +434,12 @@ def _support_moves(support: Sequence[Tuple[int, ...]], words: Sequence[Word]) ->
     image key, or the zero slot S when the key lies outside the support."""
     index = {e: i for i, e in enumerate(support)}
     slots = len(support) + 1
+    ids = [(e, i, i + slots) for i, e in enumerate(support)]
     out = np.empty((len(words), 2, len(support)), dtype=np.int64)
     for row, w in zip(out, words):
-        permute, neg = _key_permutation(w)
-        row[0] = [i + slots * (sum([e[k] for k in neg]) & 1) for i, e in enumerate(support)]
-        row[1] = [index.get(permute(e), slots - 1) for e in support]
+        moved = _signed_image(ids, w)  # in the order of the support
+        row[0] = list(moved.values())
+        row[1] = [index.get(e, slots - 1) for e in moved]
     return out
 
 
@@ -631,13 +611,7 @@ def stabilizer_classification(rows: np.ndarray, words: Sequence[Word],
     """
     from .cover import canonical_weighted_rows  # local import: cover depends on grouprep
 
-    index = AMBIENT_XY.index
-    images = [[_signed_images_cached(w)[name] for name in AMBIENT_XY.variables]
-              for w in words]
-    cols = np.array([[index(target) for _, target in img] for img in images],
-                    dtype=np.int64).reshape(-1, 16)
-    signs = np.array([[sign for sign, _ in img] for img in images],
-                     dtype=np.int64).reshape(-1, 16)
-    stacked = np.moveaxis(rows[:, cols] * signs, 1, 0).reshape(-1, 16)
+    table = np.array([signed_permutation(w) for w in words], dtype=np.int64).reshape(-1, 2, 16)
+    stacked = np.moveaxis(rows[:, table[:, 0]] * table[:, 1], 1, 0).reshape(-1, 16)
     canonical = canonical_weighted_rows(stacked, p).reshape(len(words), len(rows), 16)
     return dict(zip(words, (canonical == rows).all(axis=2)))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
 
 
 class ScalarError(ValueError):
@@ -268,9 +267,6 @@ class FpElement:
 
     def __str__(self):
         return str(self.value)
-
-
-Scalar = Union[Fraction, GaussianRational, FpElement]
 
 
 class RationalField:

@@ -12,7 +12,8 @@ from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
                        PointArray, ProjAut, SurfacePointSet, aut_arrays,
                        brute_force_count, build_lifts_and_certify, build_z2,
                        canonical_weighted, canonical_weighted_rows,
-                       certify_free_and_smooth, coefficient_tensor, contract,
+                       certify_free_and_smooth, check_grid_budget,
+                       coefficient_tensor, contract,
                        distinct_rows, downstairs_image_set, enumerate_surface,
                        expand_point, factorwise_fixed_points, gtilde_generators,
                        hplane_problems, image_keys, jacobian_rank2,
@@ -241,6 +242,24 @@ def test_enumeration_equals_brute_force_point_set(p):
                       if any(pt[0][i] == 0 and pt[1][i] == 0 for i in (1, 2, 3))
                       and any(pt[0][i] == 1 for i in (1, 2, 3))]
         assert on_cd_zero
+
+
+def test_grid_budget_admits_29_and_refuses_73():
+    assert check_grid_budget(29) == 30 ** 4
+    for p in (73, 97):
+        with pytest.raises(ValueError, match=f"p = {p} needs {(p + 1) ** 4} points"):
+            check_grid_budget(p)
+
+
+def test_grid_scans_check_the_budget_first(monkeypatch):
+    # a budget below the p = 13 grid, so that a scan that skipped the
+    # check would run to the end instead of raising
+    monkeypatch.setattr(cover, "GRID_BUDGET", 14 ** 4 - 1)
+    downstairs_image_set.cache_clear()
+    nu = FamilyParams(GF(13), (3, 1, 4, 1, 5))
+    for scan in (lambda: brute_force_count(13, nu), lambda: downstairs_image_set(13)):
+        with pytest.raises(ValueError, match=r"p = 13 needs 38416 points \(budget 38415\)"):
+            scan()
 
 
 def test_brute_force_shares_nothing_with_the_enumerator(monkeypatch):

@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
 
-from upv import grouprep
-from upv.ambient import AMBIENT_S, AMBIENT_XY
-from upv.checks import RunConfig, RunContext
+from upv import cover, grouprep
+from upv.ambient import AMBIENT_S, AMBIENT_XY, EVEN_TUPLES, xname, yname
+from upv.checks import RunConfig, RunContext, resolve_targets, run_checks
 from upv.grouprep import (SignedAction,
                           check_regular_representation, delta_set_report,
                           fixed_loci_report, fixed_locus, group_G, group_H,
                           j_generator_stability_report, parse_word,
-                          q_invariance_report, stabilizer_classification,
+                          q_invariance_report, signed_permutation,
+                          stabilizer_classification,
                           subgroup_census_report, table1_relations_report,
                           theta_class, word_str)
 from upv.poly import Poly, PolyError
@@ -147,25 +149,77 @@ def test_apply_rejects_other_ambients():
             SignedAction(w, QQ).apply(s1)
 
 
+def name_images(word):
+    """The oracle: the images of all 16 variables as (sign, variable name),
+    written out generator by generator."""
+    a1, a2, a3, b1, b2, b3 = word
+    betas = (0, b1, b2, b3)
+    out = {}
+    # x00, x01 swap once per alpha
+    swap0 = (a1 + a2 + a3) % 2
+    for a in (0, 1):
+        out[xname(0, a)] = (1, xname(0, a ^ swap0))
+    for i in range(1, 4):
+        ai = word[i - 1]
+        sign = -1 if betas[i] else 1
+        for a in (0, 1):
+            out[xname(i, a)] = (sign, xname(i, a ^ ai))
+    ysign = -1 if (b1 + b2 + b3) % 2 else 1
+    for t in EVEN_TUPLES:
+        img = list(t)
+        if a1:
+            img[0] ^= 1
+            img[1] ^= 1
+        if a2:
+            img[0] ^= 1
+            img[2] ^= 1
+        if a3:
+            img[0] ^= 1
+            img[3] ^= 1
+        out[yname(t)] = (ysign, yname(tuple(img)))
+    return out
+
+
+def test_signed_permutation_matches_the_name_table():
+    for w in ALL_WORDS:
+        images = name_images(w)
+        target, sign = signed_permutation(w)
+        assert [(s, AMBIENT_XY.variables[j]) for j, s in zip(target, sign)] == \
+            [images[n] for n in AMBIENT_XY.variables], word_str(w)
+
+
 def patched_sign_table(monkeypatch, edit):
-    """Patch the sign table: each word's images pass through ``edit(word,
-    images)``; the per-word caches are rebuilt around it.  A generator, for
-    fixtures."""
-    real = grouprep._signed_images
+    """Patch the sign table: each word's (target, sign) lists pass through
+    ``edit(word, target, sign)``, in ``grouprep`` and in ``cover``; the
+    per-word caches are cleared around it.  A generator, for fixtures."""
+    real = grouprep.signed_permutation
 
     def clear():
-        grouprep._signed_images_cached.cache_clear()
+        grouprep.signed_permutation.cache_clear()
         grouprep._key_permutation.cache_clear()
 
+    @lru_cache(maxsize=None)
+    def patched(word):
+        target, sign = edit(word, *map(list, real(word)))
+        return tuple(target), tuple(sign)
+
     clear()
-    monkeypatch.setattr(grouprep, "_signed_images", lambda word: edit(word, real(word)))
+    for module in (grouprep, cover):
+        monkeypatch.setattr(module, "signed_permutation", patched)
     yield
     monkeypatch.undo()
     clear()
 
 
-def negated_y(images):
-    return {n: (-s if n.startswith("y") else s, t) for n, (s, t) in images.items()}
+def negated_y(target, sign):
+    return target, sign[:8] + [-s for s in sign[8:]]
+
+
+def swapped_x00_and_y0000(target, sign):
+    x00, y0000 = AMBIENT_XY.index("x00"), AMBIENT_XY.index("y0000")
+    for side in (target, sign):
+        side[x00], side[y0000] = side[y0000], side[x00]
+    return target, sign
 
 
 @pytest.fixture
@@ -173,7 +227,7 @@ def b1_without_y_sign(monkeypatch):
     """The sign table with b1's sign on the weight-2 variables dropped, in
     every word containing b1."""
     yield from patched_sign_table(
-        monkeypatch, lambda word, images: negated_y(images) if word[3] else images)
+        monkeypatch, lambda word, *table: negated_y(*table) if word[3] else table)
 
 
 @pytest.fixture
@@ -182,8 +236,7 @@ def a1_swapping_x00_and_a_y(monkeypatch):
     word containing a1: such a word moves terms of q out of the support of
     its nu-free forms."""
     yield from patched_sign_table(
-        monkeypatch, lambda word, images: dict(images, x00=images["y0000"],
-                                               y0000=images["x00"]) if word[0] else images)
+        monkeypatch, lambda word, *table: swapped_x00_and_y0000(*table) if word[0] else table)
 
 
 @pytest.fixture
@@ -192,7 +245,7 @@ def a1a2_negating_y(monkeypatch):
     that it sends the y-eigenvector to its negative."""
     yield from patched_sign_table(
         monkeypatch,
-        lambda word, images: negated_y(images) if word == parse_word("a1*a2") else images)
+        lambda word, *table: negated_y(*table) if word == parse_word("a1*a2") else table)
 
 
 def test_flipped_sign_fails_j_stability(b1_without_y_sign):
@@ -206,6 +259,17 @@ def test_flipped_sign_fails_q_invariance(b1_without_y_sign):
     rep = q_invariance_report(*q_invariance_args(5))
     assert not rep.passed
     assert all("b1" in m and "breaks q invariance" in m for m in rep.witness["problems"])
+
+
+def test_a_wrong_table_breaks_the_lift_relation(b1_without_y_sign):
+    # the lift of a3*b1 no longer covers its word; the deck involution s
+    # covers the identity word, whose table the mutant leaves alone
+    deck, group = run_checks(resolve_targets(["cover.sigma_deck", "cover.group_structure"]),
+                             RunContext(RunConfig()))
+    assert deck.passed
+    assert not group.passed
+    assert group.witness["problems"] == [
+        "a3~b1~: no single scalar makes the lift square commute"]
 
 
 def poly_q_invariance_report(nus, rng):

@@ -361,6 +361,16 @@ def test_fixed_smooth_nu_is_one_accepted_draw(monkeypatch, capsys):
     assert calls == [(1, 1, 1, 1, 3)]
 
 
+def test_grid_scans_over_the_budget_fail_naming_it(monkeypatch, capsys):
+    monkeypatch.setattr(cover, "GRID_BUDGET", 14 ** 4 - 1)
+    cover.downstairs_image_set.cache_clear()
+    code, records = _run_records(["run", "cover.enumeration", "cover.hplane_decomposition",
+                                  "--primes", "13"], capsys)
+    assert code == 1 and [r["status"] for r in records] == ["fail", "fail"]
+    error = "ValueError: the grid scan at p = 13 needs 38416 points (budget 38415)"
+    assert [r["witness"] for r in records] == [{"error": error}] * 2
+
+
 def test_fixed_nu_reaches_nodes_and_q_invariance(capsys):
     code, records = _run_records(["run", "bicanon.nodes", "grouprep.q_invariance",
                                   "--nu", "1,2,3,4,5"], capsys)
