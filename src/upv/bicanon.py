@@ -696,9 +696,12 @@ def lambda_identity_report(domain=QQ) -> CheckReport:
 
 
 def check_pencil_lambda(lam) -> None:
-    """Raises ``ValueError`` at the excluded pencil parameters 0 and 1."""
+    """Raises ``ValueError`` at the excluded pencil parameters 0, 1 and -1."""
     if lam == 0 or lam == 1:
         raise ValueError("lambda = 0, 1 are excluded parameters")
+    if lam == -1:
+        raise ValueError("lambda = -1 is excluded: the plane model gains a fourth triple "
+                         "point (the quaternary configuration), and nu4 = 0 there")
 
 
 def burniat_parameter_map(lam_value) -> Tuple[dict, CheckReport]:

@@ -84,7 +84,7 @@ class RunContext:
         self._points: Dict[tuple, cover.SurfacePointSet] = {}
         self._certificates: Dict[tuple, CheckReport] = {}
         self._rngs: Dict[str, random.Random] = {}
-        self._v_echelons: Dict[int, invariants.Echelon] = {}
+        self._v_quotient: Optional[invariants.BinomialQuotient] = None
 
     def rng(self, purpose: str) -> random.Random:
         if purpose not in self._rngs:
@@ -105,12 +105,13 @@ class RunContext:
             raise RuntimeError(f"group certification failed: {rep.witness}")
         return self._group
 
-    def v_echelon(self, p: int) -> invariants.Echelon:
-        """V's echelon over GF(p), built once per run in the degrees that
-        ``hilbert_v`` (3) and ``hilbert_t`` (max(2, max_degree)) read."""
-        if p not in self._v_echelons:
-            self._v_echelons[p] = invariants.v_echelon(p, max(3, self.cfg.max_degree))
-        return self._v_echelons[p]
+    def v_quotient(self) -> invariants.BinomialQuotient:
+        """V's quotient, which holds at every prime, built once per run in
+        the degrees that ``hilbert_v`` (3) and ``hilbert_t`` (max(2,
+        max_degree)) read."""
+        if self._v_quotient is None:
+            self._v_quotient = invariants.v_quotient(max(3, self.cfg.max_degree))
+        return self._v_quotient
 
     def draws(self, n: int) -> int:
         """How many distinct draws a check asking for n can make: one when
@@ -285,7 +286,7 @@ def _hilbert_t_check(ctx: RunContext) -> CheckReport:
            for p in ctx.cfg.primes}
     return invariants.hilbert_t_report(ctx.cfg.primes, nus,
                                        max_degree=max(2, ctx.cfg.max_degree),
-                                       echelon=ctx.v_echelon)
+                                       v=ctx.v_quotient())
 
 
 def _s3_derivation_check(ctx: RunContext) -> CheckReport:
@@ -397,6 +398,8 @@ def _parameter_map_check(ctx: RunContext) -> CheckReport:
     field = GF(p)
     for _ in range(20):
         lv = field.from_int(rng.randrange(2, p))
+        if lv == -1:  # excluded by ``check_pencil_lambda``
+            continue
         neg = -lv
         if pow(int(neg), (p - 1) // 2, p) == 1:
             _, rep_p = bicanon.burniat_parameter_map(lv)
@@ -510,7 +513,7 @@ CATALOG: List[CheckDef] = [
              "Hilbert function of the key 3-fold",
              "h_V(1) = 7; higher degrees stable across primes",
              lambda ctx: invariants.hilbert_v_report(ctx.cfg.primes[:2],
-                                                     echelon=ctx.v_echelon)),
+                                                     v=ctx.v_quotient())),
     CheckDef("invariants.intersection_numbers",
              "intersection numbers in the cohomology of (P^1)^4",
              "H^4 = 24; degree 12 downstairs; K^2 = 24 for the surfaces",

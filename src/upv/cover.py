@@ -904,7 +904,7 @@ def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
         nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
     equations = (z1_poly(field), z2_poly(nu))
     n = p + 1  # the points of P^1(F_p), indexed as in ``p1_table``
-    v1, v2 = p1_table(1, p), p1_table(2, p)
+    v1, v2 = p1_jet_table(1, p)[0], p1_jet_table(2, p)[0]
     # axes (a2, a3, a1, a0) contracted twice: (a1, a0, k2, k3), then the
     # points of factors 2 and 3 flattened to k2*n + k3
     g1, g2 = (contract(contract(coefficient_tensor(f, d, p).transpose(2, 3, 1, 0),

@@ -1,24 +1,23 @@
 """Numerical invariants by exact linear algebra.
 
-Degreewise Hilbert functions of the graded quotient rings are computed over
-prime fields as (number of ambient monomials of the degree) minus the rank of
-the span of generator multiples, and cross-checked across primes; identical
-ranks over independent primes give overwhelming confidence at a fraction of
-the characteristic-0 cost, and disagreements are reported, never averaged.
+Hilbert functions of X, and of any ideal in the tests' oracles, are (number
+of monomials of the degree) minus the rank of the generator multiples over
+GF(p).  V needs no elimination, as each of its 64 generators is c_a*x^a +
+c_b*x^b with c_a, c_b = +-1 (Eisenbud and Sturmfels, *Binomial ideals*,
+1996; Sturmfels, *Groebner bases and convex polytopes*, ch. 4).  A multiple
+m*g of degree d says x^(a+m) = -c_a*c_b * x^(b+m) modulo V_d, and
+``binomial_quotient`` joins those monomials with that sign, so that each
+monomial of a class is +- its root modulo V_d.  If the signs around a cycle
+multiply to -1, then 2*root, and so the root (2 is a unit), lies in V_d:
+the class is dead.  Otherwise x^u = s(u)*root defines s on the class, and
+the functional taking x^u to s(u) there and to 0 elsewhere kills V_d, is 1
+at the root and 0 at every other root.  So the live roots are a basis of
+(S/V)_d, over QQ and over GF(p) for every odd p alike: one computation
+over QQ serves every prime (``checks.RunContext.v_quotient``).
 
-``extend`` computes the same ranks with fewer rows, by the Koszul half of
-Faugère's F5 criterion: at degree d, generator g_k of degree e multiplies
-only the degree-(d-e) monomials whose column leads no pivot made by a
-generator g_i with i < k.  The rows it leaves out are redundant:
-  1. every monomial m of degree d-e is r + v, with r in the span of the
-     monomials kept and v in I_{k-1} = (g_i : i < k), since the columns an
-     echelon basis of (I_{k-1})_{d-e} leaves unled span the quotient by it;
-  2. g_k·v = sum_{i<k} (g_k·a_i)·g_i is a sum of earlier generators' rows;
-  3. by induction on k and d the kept rows span every graded piece.
-No geometry is assumed: a generator may be a zero divisor or lie in the
-ideal of the ones before it.  The surfaces T = V + (q(ν)) share V's
-echelon, which a run builds once per prime (``checks.RunContext.v_echelon``)
-for every draw and for h_V itself.
+T = V + (q(nu)) goes through V's normal form: modulo V each monomial of
+degree d-2 is +- a live root or 0, so (T/V)_d is spanned by q times the
+live roots of degree d-2, and h_T(d) = h_V(d) minus the rank of those rows.
 
 The intersection-theoretic sanity checks are top-degree products in the
 ring Z[h1,h2,h3,h4]/(h1^2, h2^2, h3^2, h4^2) of (P^1)^4: permanents of
@@ -31,13 +30,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import comb, prod
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ambient import AMBIENT_P7, AMBIENT_XY, Ambient
-from .linalg import Pivots, SparseRows, eliminate, rank_mod_p
+from .linalg import SparseRows, eliminate, rank_mod_p
 from .poly import Poly
 from .report import CheckReport, verdict
-from .scalars import GF, PrimeField
+from .scalars import GF, QQ, PrimeField
 from .unproj import (FamilyParams, IdealPresentation, build_v_ideal,
                      build_x_ideal, q_section)
 
@@ -46,51 +45,48 @@ class DegreeBudgetError(ValueError):
     """The monomial basis for the requested degree exceeds the budget."""
 
 
-@lru_cache(maxsize=64)
-def monomials_of_weighted_degree(ambient: Ambient, d: int) -> Tuple[Tuple[int, ...], ...]:
-    """All exponent vectors of weighted degree d, in ascending order.
-
-    Built from the last variable to the first: ``tails[r]`` lists the
-    exponent vectors of the variables after the current one that have
-    weighted degree r, ascending, so prefixing each exponent a in turn to
-    ``tails[r - a*w]`` keeps the order."""
-    weights = ambient.weights
-    if any(w not in (1, 2) for w in weights):
-        raise DegreeBudgetError("only weights 1 and 2 are supported")
-    tails: List[List[Tuple[int, ...]]] = [[()]] + [[]] * d
-    for w in reversed(weights[1:]):
-        tails = [[(a,) + t for a in range(r // w + 1) for t in tails[r - a * w]]
-                 for r in range(d + 1)]
-    w = weights[0]
-    return tuple((a,) + t for a in range(d // w + 1) for t in tails[d - a * w])
-
-
 def exponent_key(e: Tuple[int, ...], base: int) -> int:
     """The exponents as the digits of one integer in the given base."""
-    k = 0
-    for a in reversed(e):
-        k = k * base + a
-    return k
+    return sum(a * base ** i for i, a in enumerate(e))
 
 
 @lru_cache(maxsize=64)
 def monomial_keys(ambient: Ambient, d: int, base: int) -> Tuple[int, ...]:
-    """``exponent_key`` of each monomial of weighted degree d, in order."""
-    return tuple(exponent_key(e, base) for e in monomials_of_weighted_degree(ambient, d))
+    """``exponent_key`` of each exponent vector of weighted degree d, in
+    ascending order of the vectors (base > d).
+
+    Built from the last variable to the first: ``tails[r]`` lists the keys
+    of the exponent vectors of the variables after the current one that
+    have weighted degree r, ascending, so prefixing each exponent a in turn
+    to ``tails[r - a*w]`` (key a + base*tail) keeps the order."""
+    weights = ambient.weights
+    if any(w not in (1, 2) for w in weights):
+        raise DegreeBudgetError("only weights 1 and 2 are supported")
+    tails: List[List[int]] = [[0]] + [[]] * d
+    for w in reversed(weights[1:]):
+        tails = [[a + base * t for a in range(r // w + 1) for t in tails[r - a * w]]
+                 for r in range(d + 1)]
+    w = weights[0]
+    return tuple(a + base * t for a in range(d // w + 1) for t in tails[d - a * w])
+
+
+@lru_cache(maxsize=64)
+def monomials_of_weighted_degree(ambient: Ambient, d: int) -> Tuple[Tuple[int, ...], ...]:
+    """All exponent vectors of weighted degree d, in ascending order: the
+    digits of their ``monomial_keys`` in base d + 1."""
+    base = d + 1
+    return tuple(tuple(k // base ** i % base for i in range(ambient.nvars))
+                 for k in monomial_keys(ambient, d, base))
 
 
 def monomial_count(ambient: Ambient, d: int) -> int:
     """#monomials of weighted degree d: sum_j C(d-2j+n1-1, n1-1)*C(j+n2-1, n2-1)
-    over the weight-2 total j, with n1 weight-1 and n2 weight-2 variables."""
-    n1 = sum(1 for w in ambient.weights if w == 1)
-    n2 = sum(1 for w in ambient.weights if w == 2)
-    total = 0
-    for j in range(d // 2 + 1):
-        r1 = d - 2 * j
-        c1 = comb(r1 + n1 - 1, n1 - 1) if n1 else (1 if r1 == 0 else 0)
-        c2 = comb(j + n2 - 1, n2 - 1) if n2 else (1 if j == 0 else 0)
-        total += c1 * c2
-    return total
+    over the weight-2 total j, with n1 weight-1 and n2 weight-2 variables
+    (with no variables of a weight, only the total 0 counts, once)."""
+    def parts(total: int, n: int) -> int:
+        return comb(total + n - 1, total) if n else int(total == 0)
+    n1, n2 = ambient.weights.count(1), ambient.weights.count(2)
+    return sum(parts(d - 2 * j, n1) * parts(j, n2) for j in range(d // 2 + 1))
 
 
 MONOMIAL_BUDGET = 60000
@@ -155,85 +151,110 @@ def hilbert_function(ideal: IdealPresentation, d: int, p: int) -> int:
     return ncols - rank_mod_p(rows, p)
 
 
-@dataclass
-class Echelon:
-    """An ideal's graded pieces over GF(p) in degrees 0..len(pivots)-1, as
-    ``extend`` leaves them after its first ``count`` generators: per degree,
-    the pivot rows keyed by leading column, and the index of the generator
-    whose rows made each pivot."""
-    ambient: Ambient
-    p: int
-    count: int
-    pivots: List[Pivots]
-    makers: List[Dict[int, int]]
+def signed_binomial(g: Poly, base: int) -> Tuple[int, int, int, int]:
+    """The homogeneous g = c_a*x^a + c_b*x^b with c_a, c_b = +-1 as (degree,
+    ``exponent_key`` of a and of b in ``base``, -c_a*c_b), as x^a = -c_a*c_b
+    * x^b modulo g.  Raises ``ValueError`` naming any other g."""
+    one, terms = g.domain.one(), list(g.terms.items())
+    degrees = {g.ambient.weighted_degree(e) for e, _ in terms}
+    if len(terms) != 2 or len(degrees) != 1 or any(c != one and c != -one for _, c in terms):
+        raise ValueError(f"generator {g} is not a homogeneous binomial with coefficients +-1")
+    (a, ca), (b, cb) = terms
+    return degrees.pop(), exponent_key(a, base), exponent_key(b, base), -1 if ca == cb else 1
+
+
+def _find(up: Dict[int, Tuple[int, int]], k: int) -> Tuple[int, int]:
+    """The root r of k in ``up`` and the s with x^k = s * x^r; k is relinked to r."""
+    r, s = k, 1
+    while r in up:
+        r, t = up[r]
+        s *= t
+    if r != k:
+        up[k] = (r, s)
+    return r, s
+
+
+@dataclass(frozen=True)
+class BinomialQuotient:
+    """S/I for I generated by +-1 binomials, in degrees 0..len(roots)-1: per
+    degree the keys (``exponent_key`` in ``base``) of the live roots, a basis,
+    and the normal form, key of each monomial outside I -> (root index, sign)."""
+    base: int
+    roots: List[List[int]]
+    forms: List[Dict[int, Tuple[int, int]]]
 
     def profile(self) -> List[Tuple[int, int]]:
         """``[(d, dim of the degree-d part of the quotient ring)]``."""
-        return [(d, monomial_count(self.ambient, d) - len(pivots))
-                for d, pivots in enumerate(self.pivots)]
+        return [(d, len(roots)) for d, roots in enumerate(self.roots)]
 
 
-def extend(ambient: Ambient, generators: Sequence[Poly], p: int, max_degree: int,
-           prefix: Optional[Echelon] = None) -> Echelon:
-    """The echelon of the ideal of ``prefix``'s generators (none if it is
-    None) followed by ``generators``, in degrees <= max_degree over GF(p).
-
-    Degree by degree and generator by generator, generator k of degree e
-    multiplies only the degree-(d-e) monomials whose column leads no pivot
-    made by a generator with index < k (the criterion of the module
-    docstring), and ``linalg.eliminate`` continues the degree-d pivots with
-    those rows.  ``prefix`` is read and never written, so one echelon can be
-    extended by many generator lists.  Exponent keys are in base
-    max_degree + 1, which bounds every exponent.
-    """
+def binomial_quotient(ambient: Ambient, generators: Sequence[Poly],
+                      max_degree: int) -> BinomialQuotient:
+    """The quotient by ``generators`` (each read by ``signed_binomial``) in
+    degrees <= max_degree, over QQ and every GF(p) with p odd: per degree a
+    signed union-find joins the two monomials of each generator multiple,
+    and a join closing a cycle of sign -1 kills the class (the module
+    docstring).  Keys are in base max_degree + 1, above every exponent."""
+    base = max_degree + 1
+    binomials = [signed_binomial(g, base) for g in generators]
+    roots, forms = [], []
     for d in range(max_degree + 1):
         check_budget(d, ambient)
-    if prefix is not None and (prefix.ambient != ambient or prefix.p != p
-                               or len(prefix.pivots) <= max_degree):
-        raise ValueError("the prefix echelon has another ring or fewer degrees")
-    base = max_degree + 1
-    graded = [graded_terms(g, p, base) for g in generators]
-    first = prefix.count if prefix else 0
-    pivots: List[Pivots] = []
-    makers: List[Dict[int, int]] = []
-    for d in range(max_degree + 1):
-        col = {k: j for j, k in enumerate(monomial_keys(ambient, d, base))}
-        pivots.append(dict(prefix.pivots[d]) if prefix else {})
-        makers.append(dict(prefix.makers[d]) if prefix else {})
-        for k, (e, terms) in enumerate(graded, first):
-            if e is None or e > d:
-                continue
-            led = makers[d - e]
-            rows = ({col[kg + km]: c for kg, c in terms}
-                    for j, km in enumerate(monomial_keys(ambient, d - e, base))
-                    if led.get(j, k) >= k)
-            new = eliminate(rows, p, pivots[d])
-            pivots[d].update(new)
-            makers[d].update(dict.fromkeys(new, k))
-    return Echelon(ambient, p, first + len(graded), pivots, makers)
+        up: Dict[int, Tuple[int, int]] = {}  # key -> (parent, s): x^key = s * x^parent
+        dead = set()  # roots of dead classes
+        for e, ka, kb, sign in binomials:
+            for km in monomial_keys(ambient, d - e, base) if e <= d else ():
+                ra, sa = _find(up, ka + km)
+                rb, sb = _find(up, kb + km)
+                s = sa * sign * sb  # x^ra = s * x^rb
+                if ra != rb:
+                    up[ra] = (rb, s)
+                    if ra in dead:
+                        dead.add(rb)
+                elif s < 0:
+                    dead.add(ra)
+        found = [(k, *_find(up, k)) for k in monomial_keys(ambient, d, base)]
+        # live roots by their class's first monomial, descending: this
+        # order keeps the fill-in of ``t_profiles``'s eliminations small
+        live = list(dict.fromkeys(r for _, r, _ in found if r not in dead))[::-1]
+        index = {r: j for j, r in enumerate(live)}
+        roots.append(live)
+        forms.append({k: (index[r], s) for k, r, s in found if r in index})
+    return BinomialQuotient(base, roots, forms)
 
 
-def v_echelon(p: int, max_degree: int) -> Echelon:
-    """The echelon of V's ideal over GF(p) in degrees <= max_degree."""
-    v = build_v_ideal(GF(p))
-    return extend(v.ambient, [g for _, g, _ in v.generators], p, max_degree)
+def v_quotient(max_degree: int) -> BinomialQuotient:
+    """V's quotient in degrees <= max_degree, from its generators over QQ."""
+    return binomial_quotient(AMBIENT_XY, build_v_ideal(QQ).polys(), max_degree)
 
 
 def t_profiles(p: int, nus: Sequence[FamilyParams], max_degree: int,
-               v: Optional[Echelon] = None) -> List[List[Tuple[int, int]]]:
-    """``[(d, h_T(d)) for d <= max_degree]`` over GF(p), one list per ν.
+               v: Optional[BinomialQuotient] = None) -> List[List[Tuple[int, int]]]:
+    """``[(d, h_T(d)) for d <= max_degree]`` over GF(p), one list per nu.
 
-    T = V + (q(ν)) and only q depends on ν, so V's echelon ``v`` (in at
-    least these degrees; built here when None) is shared and each draw
-    extends it by q alone.  By the criterion q, the last generator,
-    multiplies only the monomials standard for V: at degree d its h_V(d-2)
-    rows, continued from V's pivots.
-    """
-    field = GF(p)
+    Every draw reads and never writes V's quotient ``v`` (in at least these
+    degrees; built here when None).  The row of a live root r of degree d-2
+    is q*r in V's degree-d normal form, and h_T(d) = h_V(d) - rank."""
     if v is None:
-        v = v_echelon(p, max_degree)
-    return [extend(v.ambient, [q_section(FamilyParams(field, nu.nu))], p,
-                   max_degree, v).profile() for nu in nus]
+        v = v_quotient(max_degree)
+    if len(v.roots) <= max_degree:
+        raise ValueError(f"V's quotient stops below degree {max_degree}")
+    profiles = []
+    for nu in nus:
+        e, q = graded_terms(q_section(FamilyParams(GF(p), nu.nu)), p, v.base)
+        values = []
+        for d, live in enumerate(v.roots[:max_degree + 1]):
+            form, rows = v.forms[d], []
+            for kr in v.roots[d - e] if e is not None and d >= e else ():
+                row: Dict[int, int] = {}
+                for kq, c in q:
+                    hit = form.get(kq + kr)
+                    if hit:
+                        row[hit[0]] = row.get(hit[0], 0) + hit[1] * c
+                rows.append(row)
+            values.append((d, len(live) - len(eliminate(rows, p))))
+        profiles.append(values)
+    return profiles
 
 
 @dataclass
@@ -244,12 +265,9 @@ class HilbertProfile:
     values: List[Tuple[int, int]]
 
     def table(self) -> List[str]:
-        lines = [f"# {self.ideal_name}  GF({self.prime})"
-                 + (f"  nu={tuple(int(v) for v in self.nu.nu)}" if self.nu else "")]
-        lines.append("degree\tdimension")
-        for d, h in self.values:
-            lines.append(f"{d}\t{h}")
-        return lines
+        head = (f"# {self.ideal_name}  GF({self.prime})"
+                + (f"  nu={tuple(int(v) for v in self.nu.nu)}" if self.nu else ""))
+        return [head, "degree\tdimension"] + [f"{d}\t{h}" for d, h in self.values]
 
 
 def hilbert_profile(name: str, p: int, max_degree: int,
@@ -272,12 +290,8 @@ def hilbert_profile(name: str, p: int, max_degree: int,
 
 def x_ideal_p7(domain) -> IdealPresentation:
     """The complete intersection of 3 quadrics in the 8 weight-1 variables."""
-    gens = []
-    for name, g, tag in build_x_ideal(domain).generators:
-        terms = {}
-        for e, c in g.terms.items():
-            terms[e[:8]] = c
-        gens.append((name, Poly(AMBIENT_P7, domain, terms), tag))
+    gens = [(name, Poly(AMBIENT_P7, domain, {e[:8]: c for e, c in g.terms.items()}), tag)
+            for name, g, tag in build_x_ideal(domain).generators]
     return IdealPresentation("X", AMBIENT_P7, domain, gens)
 
 
@@ -308,18 +322,16 @@ def hilbert_x_report(p: int = 13, max_degree: int = 6) -> CheckReport:
 
 def hilbert_t_report(primes: Sequence[int], nus: Dict[int, List[FamilyParams]],
                      max_degree: int = 4,
-                     echelon: Optional[Callable[[int], Echelon]] = None) -> CheckReport:
+                     v: Optional[BinomialQuotient] = None) -> CheckReport:
     """h_T(1) = 7 and h_T(n) = 8 + 12n(n-1) for 2 <= n <= max_degree,
-    identically across all supplied primes and parameter draws.
-
-    ``echelon(p)`` is V's echelon over GF(p) in at least max_degree
-    degrees; without it each prime builds its own."""
+    identically across all supplied primes and parameter draws, from V's
+    quotient ``v`` in at least max_degree degrees (built here when None)."""
     expected = [(0, 1), (1, 7)] + [(n, plurigenus_expected(n))
                                    for n in range(2, max_degree + 1)]
-    problems = []
-    runs = 0
+    if v is None:
+        v = v_quotient(max_degree)
+    problems, runs = [], 0
     for p in primes:
-        v = echelon(p) if echelon else None
         for nu, values in zip(nus[p], t_profiles(p, nus[p], max_degree, v)):
             runs += 1
             if values != expected:
@@ -331,26 +343,14 @@ def hilbert_t_report(primes: Sequence[int], nus: Dict[int, List[FamilyParams]],
 
 
 def hilbert_v_report(primes: Sequence[int], max_degree: int = 3,
-                     echelon: Optional[Callable[[int], Echelon]] = None) -> CheckReport:
-    """h_V(1) = 7; higher values recorded and required stable across primes.
-
-    The values are read from ``echelon(p)``, V's echelon over GF(p) in at
-    least max_degree degrees, which is built here when not given.  A
-    cross-prime disagreement is flagged ``unstable`` rather than averaged."""
-    values = {}
-    for p in primes:
-        v = echelon(p) if echelon else v_echelon(p, max_degree)
-        values[p] = v.profile()[:max_degree + 1]
-    distinct = {tuple(v) for v in values.values()}
-    problems = []
-    stable = len(distinct) == 1
-    some = next(iter(values.values()))
-    if some[0] != (0, 1) or some[1] != (1, 7):
-        problems.append(f"h_V(0), h_V(1) = {some[:2]}")
-    witness = {"values": some, "stable_across_primes": stable}
-    if not stable:
-        witness["per_prime"] = values
-    return verdict("invariants.hilbert_v", problems, witness, unstable=not stable,
+                     v: Optional[BinomialQuotient] = None) -> CheckReport:
+    """h_V(1) = 7, with h_V(d) for d <= max_degree recorded, from V's quotient
+    ``v`` in at least these degrees (built here when None), which holds over
+    QQ and every GF(p) with p odd: over every prime given, and the others."""
+    values = (v or v_quotient(max_degree)).profile()[:max_degree + 1]
+    problems = [] if values[:2] == [(0, 1), (1, 7)] else [f"h_V(0), h_V(1) = {values[:2]}"]
+    return verdict("invariants.hilbert_v", problems,
+                   {"values": values, "stable_across_primes": True},
                    params={"primes": list(primes), "max_degree": max_degree})
 
 

@@ -4,9 +4,7 @@
 ``eliminate``, a sparse elimination on rows held as ``{column: residue}``
 dicts with Python-int arithmetic, so it is exact for every prime and costs
 time and memory in proportion to the nonzeros (the Hilbert matrices hold
-about three per row).  It can continue from the pivots of rows eliminated
-before without touching them, so a block of rows shared by many matrices is
-eliminated once; ``rank_mod_p`` is ``eliminate`` from no pivots.  Every
+about three per row); ``rank_mod_p`` is ``eliminate`` from no pivots.  Every
 other field uses the pure-Python elimination, which also serves as the
 independent oracle in the property tests.
 ``det_poly`` computes determinants of polynomial matrices by sparse cofactor

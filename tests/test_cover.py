@@ -275,7 +275,7 @@ def test_brute_force_shares_nothing_with_the_enumerator(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle used the enumerator's kernel")
 
-    for name in ("contract", "p1_table", "coefficient_tensor", "pow_mod",
+    for name in ("contract", "p1_table", "p1_jet_table", "coefficient_tensor", "pow_mod",
                  "enumerate_surface"):
         monkeypatch.setattr(cover_module, name, forbidden)
     assert brute_force_count(p, nu) == expected > 0

@@ -1,5 +1,8 @@
 import inspect
 import random
+import re
+from copy import deepcopy
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -10,15 +13,18 @@ from hypothesis import strategies as st
 import upv.invariants
 import upv.unproj
 from upv.ambient import AMBIENT_P7, AMBIENT_XY, Ambient
-from upv.invariants import (DegreeBudgetError, ci_series_coefficient, extend,
+from upv.invariants import (DegreeBudgetError, binomial_quotient,
+                            ci_series_coefficient, exponent_key,
                             hilbert_function, hilbert_profile, hilbert_rows,
                             hilbert_t_report, hilbert_v_report,
                             hilbert_x_report, intersection_number,
                             intersection_numbers_report, monomial_count,
-                            monomials_of_weighted_degree, plurigenus_expected,
-                            t_profiles, x_ideal_p7)
+                            monomial_keys, monomials_of_weighted_degree,
+                            plurigenus_expected, t_profiles, v_quotient,
+                            x_ideal_p7)
+from upv.linalg import rank_naive
 from upv.poly import Poly
-from upv.scalars import GF, PrimeField
+from upv.scalars import GF, QQ, PrimeField
 from upv.unproj import (FamilyParams, IdealPresentation, build_t_ideal,
                         build_v_ideal, hyperplane_section, q_section, xvar)
 
@@ -84,6 +90,24 @@ def test_monomials_match_a_brute_force_filter():
             expected = tuple(e for e in product(range(d + 1), repeat=ambient.nvars)
                              if ambient.weighted_degree(e) == d)
             assert monomials_of_weighted_degree(ambient, d) == expected
+
+
+def digit_key(e, base):
+    """The exponents as base-``base`` digits, the first exponent lowest."""
+    k = 0
+    for a in reversed(e):
+        k = k * base + a
+    return k
+
+
+def test_monomial_keys_match_the_keys_of_the_exponent_vectors():
+    for ambient in (AMBIENT_XY, AMBIENT_P7):
+        for d in range(7):
+            vectors = monomials_by_recursion(ambient, d)
+            for base in (d + 1, 8):
+                expected = tuple(digit_key(e, base) for e in vectors)
+                assert monomial_keys(ambient, d, base) == expected
+                assert tuple(exponent_key(e, base) for e in vectors) == expected
 
 
 def test_monomials_need_weights_one_and_two():
@@ -181,151 +205,206 @@ def full_profile(ambient, generators, p, max_degree):
     return [(d, hilbert_function(ideal, d, p)) for d in range(max_degree + 1)]
 
 
-def var(ambient, p, k):
+def qq_profile(ambient, generators, max_degree):
+    """The oracle over QQ: h(d) from ``rank_naive`` of the dense matrix of
+    every generator multiple at degree d."""
+    out = []
+    for d in range(max_degree + 1):
+        basis = monomials_of_weighted_degree(ambient, d)
+        col = {e: k for k, e in enumerate(basis)}
+        rows = []
+        for g in generators:
+            e = g.weighted_degree()
+            for m in monomials_of_weighted_degree(ambient, d - e) if e <= d else ():
+                row = [Fraction(0)] * len(basis)
+                for ge, c in g.terms.items():
+                    row[col[tuple(a + b for a, b in zip(ge, m))]] = QQ.coerce(c)
+                rows.append(row)
+        out.append((d, len(basis) - rank_naive(rows, QQ)))
+    return out
+
+
+def var(ambient, domain, k):
     e = [0] * ambient.nvars
     e[k] = 1
-    return Poly.monomial(ambient, GF(p), e)
+    return Poly.monomial(ambient, domain, e)
 
 
 @st.composite
-def small_ideals(draw):
-    """Forms of weighted degree 1-3 on a few variables of P^7, or of the
-    weighted space with two weight-2 variables, so that the ideals are far
-    from generic; with some of them repeated, multiplied into a later
-    generator, or listed after a lower-degree divisor, and the list shuffled."""
+def binomial_ideals(draw):
+    """+-1 binomials of weighted degree 1-3 on a few variables of P^7, or of
+    the weighted space with two weight-2 variables, over QQ or GF(p), so
+    that signs meet around cycles; with some generators repeated, or
+    multiplied by a monomial, and the list shuffled."""
     ambient = draw(st.sampled_from([AMBIENT_P7, AMBIENT_XY]))
     p = draw(st.sampled_from([5, 13, 29]))
-    f = GF(p)
+    domain = draw(st.sampled_from([QQ, GF(p)]))
     support = {0, 1, 2, 8, 9}
 
-    def form(e):
-        basis = [m for m in monomials_of_weighted_degree(ambient, e)
-                 if all(k in support for k, a in enumerate(m) if a)]
-        exps = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3))
-        return Poly(ambient, f, {m: f.coerce(draw(st.integers(1, p - 1))) for m in exps})
+    def monomials(e):
+        return [m for m in monomials_of_weighted_degree(ambient, e)
+                if all(k in support for k, a in enumerate(m) if a)]
 
-    gens = [form(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
-    for kind in draw(st.lists(st.sampled_from(["repeat", "inside", "divisor"]), max_size=2)):
-        if kind == "repeat":
-            gens.append(draw(st.sampled_from(gens)))
-        elif kind == "inside":
-            g = draw(st.sampled_from(gens))
-            gens.append(form(1) * g + form(g.weighted_degree() + 1))
-        else:
-            u = form(1)
-            gens += [u * form(1), u]
+    def binomial(e):
+        a, b = draw(st.lists(st.sampled_from(monomials(e)), min_size=2, max_size=2,
+                             unique=True))
+        return Poly(ambient, domain, {m: domain.coerce(draw(st.sampled_from([1, -1])))
+                                      for m in (a, b)})
+
+    gens = [binomial(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 4)))]
+    for kind in draw(st.lists(st.sampled_from(["repeat", "multiple"]), max_size=2)):
+        g = draw(st.sampled_from(gens))
+        if kind == "multiple":
+            g = g * Poly.monomial(ambient, domain, draw(st.sampled_from(monomials(1))))
+        gens.append(g)
     return ambient, p, draw(st.permutations(gens))
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_ideals(), st.data())
-def test_extend_matches_the_full_matrix(case, data):
+@given(binomial_ideals())
+def test_binomial_quotient_matches_the_full_matrix(case):
     ambient, p, gens = case
-    oracle = full_profile(ambient, gens, p, 4)
-    assert extend(ambient, gens, p, 4).profile() == oracle
-    split = data.draw(st.integers(0, len(gens)))
-    prefix = extend(ambient, gens[:split], p, 4)
-    assert extend(ambient, gens[split:], p, 4, prefix).profile() == oracle
+    profile = binomial_quotient(ambient, gens, 4).profile()
+    assert profile == full_profile(ambient, gens, p, 4)
+    if gens[0].domain is QQ:
+        assert profile[:3] == qq_profile(ambient, gens, 2)
 
 
-@pytest.mark.parametrize("case", ["repeated", "inside", "zero divisor",
-                                  "higher degree first", "unit last", "weighted"])
-def test_extend_on_adversarial_generator_lists(case):
-    p = 13
-    x = [var(AMBIENT_P7, p, k) for k in range(4)]
-    q = x[0] * x[1] + x[2] * x[2]
-    w = [var(AMBIENT_XY, p, k) for k in (0, 1, 2, 8)]  # x00, x01, x10 and a weight-2 y
+@pytest.mark.parametrize("case", ["repeated", "inside", "zero divisor", "sign cycle",
+                                  "dead generators", "higher degree first", "weighted"])
+def test_binomial_quotient_on_adversarial_generator_lists(case):
+    x = [var(AMBIENT_P7, QQ, k) for k in range(4)]
+    w = [var(AMBIENT_XY, QQ, k) for k in (0, 1, 2, 8)]  # x00, x01, x10 and a weight-2 y
+    q = x[0] * x[1] - x[2] * x[2]
     ambient, gens = {
-        "repeated": (AMBIENT_P7, [q, q, x[3], q]),
-        "inside": (AMBIENT_P7, [x[0] * x[0] - x[1] * x[2], x[1] * x[1],
-                                x[3] * (x[0] * x[0] - x[1] * x[2]) + x[0] * x[1] * x[1]]),
-        "zero divisor": (AMBIENT_P7, [x[0] * x[1], x[0], x[1] + x[2]]),
-        "higher degree first": (AMBIENT_P7, [x[0] ** 3 + x[1] ** 3, x[0] * x[0], x[1]]),
-        "unit last": (AMBIENT_P7, [x[0] * x[0], Poly.one(AMBIENT_P7, GF(p))]),
+        "repeated": (AMBIENT_P7, [q, q, x[3] - x[1], q]),
+        "inside": (AMBIENT_P7, [x[0] * x[0] - x[1] * x[2], x[1] * x[1] + x[2] * x[3],
+                                x[3] * x[0] * x[0] - x[3] * x[1] * x[2]]),
+        "zero divisor": (AMBIENT_P7, [x[0] * x[1] - x[0] * x[2], x[1] * x[3] + x[2] * x[3],
+                                      x[0] - x[3]]),
+        "sign cycle": (AMBIENT_P7, [x[0] - x[1], x[1] - x[2], x[0] + x[2]]),
+        "dead generators": (AMBIENT_P7, [x[0] * x[1] + x[2] * x[3], x[0] * x[1] - x[2] * x[3],
+                                         x[0] - x[3]]),
+        "higher degree first": (AMBIENT_P7, [x[0] ** 3 + x[1] ** 3, x[0] * x[0] - x[1] * x[2],
+                                             x[1] - x[2]]),
         "weighted": (AMBIENT_XY, [w[0] * w[3] - w[1] ** 3, w[3] - w[0] * w[1],
-                                  w[2] * w[3], w[3] * w[3]]),
+                                  w[2] * w[3] + w[0] * w[1] * w[2]]),
     }[case]
-    assert extend(ambient, gens, p, 4).profile() == full_profile(ambient, gens, p, 4)
+    quotient = binomial_quotient(ambient, gens, 4)
+    profile = quotient.profile()
+    for p in (5, 13):
+        assert profile == full_profile(ambient, gens, p, 4)
+    assert profile[:4] == qq_profile(ambient, gens, 3)
+    if case == "sign cycle":  # x0 = x1 = x2 = -x0 kills all three
+        assert profile[1] == (1, 5)
+    if case == "dead generators":  # x0*x1 = +-x2*x3 kills both
+        dead = [exponent_key(e, quotient.base) for e in ((1, 1, 0, 0), (0, 0, 1, 1))]
+        assert not any(k in quotient.forms[2] for k in dead)
 
 
-def test_a_criterion_that_skips_its_own_leads_is_caught():
-    # the mutant also drops the monomials led by generator k itself
-    source = inspect.getsource(upv.invariants.extend)
-    assert source.count("led.get(j, k) >= k") == 1
+def flipped_v(k):
+    """V's generators over QQ with the sign of the second term of generator k flipped."""
+    gens = build_v_ideal(QQ).polys()
+    (a, ca), (b, cb) = gens[k].terms.items()
+    gens[k] = Poly(AMBIENT_XY, QQ, {a: ca, b: -cb})
+    return gens
+
+
+def test_a_sign_flip_in_one_generator_is_caught():
+    v = v_quotient(5).profile()
+    # q0 = x00*x01 - x10*x11 becomes x00*x01 + x10*x11: cycles of sign -1
+    # appear from degree 4, and their classes die
+    flipped = binomial_quotient(AMBIENT_XY, flipped_v(0), 5).profile()
+    assert flipped != v
+    assert flipped == full_profile(AMBIENT_XY, flipped_v(0), 13, 5)
+    assert flipped[4:] == [(4, 165), (5, 255)] and v[4:] == [(4, 185), (5, 335)]
+    # a union-find that never marks a class dead misses it
+    source = inspect.getsource(upv.invariants.binomial_quotient)
+    assert source.count("elif s < 0:") == 1
     namespace = dict(vars(upv.invariants))
-    exec(source.replace("led.get(j, k) >= k", "led.get(j, k + 1) > k"), namespace)
-    mutant = namespace["extend"]
-    x0 = var(AMBIENT_P7, 13, 0)
-    oracle = full_profile(AMBIENT_P7, [x0], 13, 3)
-    assert extend(AMBIENT_P7, [x0], 13, 3).profile() == oracle == [
-        (0, 1), (1, 7), (2, 28), (3, 84)]
-    assert mutant(AMBIENT_P7, [x0], 13, 3).profile() != oracle
+    exec(source.replace("elif s < 0:", "elif False:"), namespace)
+    assert namespace["binomial_quotient"](AMBIENT_XY, flipped_v(0), 5).profile() == v
+    # x00 - x01 for the hyperplane leaves h_V as it is, up to degree 5
+    assert binomial_quotient(AMBIENT_XY, flipped_v(63), 5).profile() == v == full_profile(
+        AMBIENT_XY, flipped_v(63), 13, 5)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(13)])
+def test_binomial_quotient_rejects_other_generators(domain):
+    x0, x1, x2 = (var(AMBIENT_P7, domain, k) for k in range(3))
+    for g in [(x0 * x1 - x2 * x2) * 2, x0 * x1 - x1 * x1 + x2 * x2, x0 * x0 + x1,
+              x0 * x0, Poly.zero(AMBIENT_P7, domain)]:
+        message = f"generator {g} is not a homogeneous binomial with coefficients +-1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            binomial_quotient(AMBIENT_P7, [x0 - x1, g], 3)
 
 
 def test_generator_rows_reject_inhomogeneous_or_foreign_generators():
-    x0, x1 = var(AMBIENT_P7, 13, 0), var(AMBIENT_P7, 13, 1)
-    foreign = var(AMBIENT_P7, 17, 0)
+    x0, x1 = var(AMBIENT_P7, GF(13), 0), var(AMBIENT_P7, GF(13), 1)
+    foreign = var(AMBIENT_P7, GF(17), 0)
     for gens, message in [([x0 * x0 + x1], "needs homogeneous generators"),
                           ([foreign], "ideal coefficients live in a different prime field")]:
         ideal = IdealPresentation("I", AMBIENT_P7, gens[0].domain,
                                   [("g", g, "g") for g in gens])
         with pytest.raises(ValueError, match=message):
             hilbert_function(ideal, 2, 13)
-        with pytest.raises(ValueError, match=message):
-            extend(AMBIENT_P7, gens, 13, 2)
-    prefix = extend(AMBIENT_P7, [x0], 13, 2)
-    for ambient, p, max_degree in [(AMBIENT_XY, 13, 2), (AMBIENT_P7, 17, 2),
-                                   (AMBIENT_P7, 13, 3)]:
-        with pytest.raises(ValueError, match="another ring or fewer degrees"):
-            extend(ambient, [], p, max_degree, prefix)
 
 
-def test_hilbert_t_report_eliminates_v_once_per_prime_and_degree(monkeypatch):
-    calls = []
-    real_extend, real_eliminate = upv.invariants.extend, upv.invariants.eliminate
+@pytest.mark.parametrize("p", [13, 17, 29])
+def test_v_quotient_matches_the_full_matrix(p):
+    assert v_quotient(5).profile() == hilbert_profile("V", p, 5).values == [
+        (0, 1), (1, 7), (2, 33), (3, 87), (4, 185), (5, 335)]
 
-    def traced_extend(ambient, generators, p, max_degree, prefix=None):
-        call = {"p": p, "generators": list(generators), "prefix": prefix, "rows": []}
-        calls.append(call)
-        echelon = call["echelon"] = real_extend(ambient, generators, p, max_degree, prefix)
-        call["copy"] = [{c: dict(row) for c, row in pivots.items()} for pivots in echelon.pivots]
-        return echelon
+
+def test_v_and_t_match_rank_naive_over_qq():
+    v = build_v_ideal(QQ).polys()
+    assert v_quotient(3).profile() == qq_profile(AMBIENT_XY, v, 3)
+    nu = (3, 1, 4, 1, 5)
+    t = v + [q_section(FamilyParams(QQ, nu))]
+    assert qq_profile(AMBIENT_XY, t, 3) == t_profiles(13, [FamilyParams(GF(13), nu)], 3)[0]
+
+
+def test_hilbert_t_report_reads_one_v_quotient_for_every_prime(monkeypatch):
+    built, blocks = [], []
+    real_quotient, real_eliminate = upv.invariants.binomial_quotient, upv.invariants.eliminate
+
+    def traced_quotient(ambient, generators, max_degree):
+        built.append((ambient, list(generators), max_degree))
+        return real_quotient(ambient, generators, max_degree)
 
     def counted(rows, p, pivots=None):
+        assert pivots is None
         rows = list(rows)
-        calls[-1]["rows"].append((rows, dict(pivots)))
-        return real_eliminate(rows, p, pivots)
+        blocks.append((p, rows))
+        return real_eliminate(rows, p)
 
-    def no_full_matrix(matrix, p):
-        raise AssertionError("hilbert_t eliminated a whole T matrix")
+    def no_full_matrix(*args):
+        raise AssertionError("hilbert_t ran a full-matrix rank")
 
     primes, max_degree = (13, 17, 29), 5
-    h_v_oracle = {p: hilbert_profile("V", p, max_degree).values for p in primes}
-    monkeypatch.setattr(upv.invariants, "extend", traced_extend)
+    monkeypatch.setattr(upv.invariants, "binomial_quotient", traced_quotient)
     monkeypatch.setattr(upv.invariants, "eliminate", counted)
     monkeypatch.setattr(upv.invariants, "rank_mod_p", no_full_matrix)
+    monkeypatch.setattr(upv.invariants, "hilbert_function", no_full_matrix)
     nus = {p: [FamilyParams(GF(p), (3 + k, 1, 4, 1, 5)) for k in range(3)] for p in primes}
+    v = upv.invariants.v_quotient(max_degree)
+    copy = deepcopy((v.roots, v.forms))
+    assert hilbert_t_report(primes, nus, max_degree, v).passed
+    assert len(built) == 1  # the report read the V it was given
     assert hilbert_t_report(primes, nus, max_degree).passed
-    assert len(calls) == 4 * len(primes)
-    for i, p in enumerate(primes):
-        v_call, *q_calls = calls[4 * i: 4 * i + 4]
-        v = build_v_ideal(GF(p))
-        v_echelon = v_call["echelon"]
-        assert v_call["p"] == p and v_call["prefix"] is None
-        assert v_call["generators"] == [g for _, g, _ in v.generators]
-        assert v_echelon.pivots == v_call["copy"]  # no draw wrote V's pivots
-        assert v_echelon.profile() == h_v_oracle[p]
-        h_v = dict(h_v_oracle[p])
-        for q_call, nu in zip(q_calls, nus[p]):
-            assert q_call["p"] == p and q_call["prefix"] is v_echelon
-            assert q_call["generators"] == [q_section(nu)]
-            # one block of q-multiples per degree, continued from V's pivots
-            assert [pivots for _, pivots in q_call["rows"]] == v_echelon.pivots[2:]
-            assert [len(rows) for rows, _ in q_call["rows"]] == [
-                h_v[d - 2] for d in range(2, max_degree + 1)]
-        if p == 13:
-            assert sum(len(rows) for rows, _ in v_call["rows"]) == 3027
-            assert len(q_calls[0]["rows"][-1][0]) == h_v[3] == 87
+    # a report without V builds it once, for every prime
+    assert built == [(AMBIENT_XY, build_v_ideal(QQ).polys(), max_degree)] * 2
+    assert (v.roots, v.forms) == copy  # no draw wrote V's structure
+    # per report, prime and draw: one block of q-rows per degree, h_V(d-2)
+    # rows at degree d, each row in V's quotient basis of degree d
+    h_v = dict(v.profile())
+    draws = 2 * len(primes) * 3
+    degrees = list(range(max_degree + 1)) * draws
+    assert [len(rows) for _, rows in blocks] == [h_v[d - 2] if d >= 2 else 0 for d in degrees]
+    assert [p for p, _ in blocks] == [p for p in primes for _ in range(3 * (max_degree + 1))] * 2
+    assert len(blocks[5][1]) == h_v[3] == 87
+    for (_, rows), d in zip(blocks, degrees):
+        assert all(0 <= j < h_v[d] for row in rows for j in row)
 
 
 def test_plurigenus_formula():

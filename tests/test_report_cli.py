@@ -473,6 +473,9 @@ def test_benchmark_command_lines_parse():
     (["burniat.parameter_map", "--lambda", "1"], "lambda = 0, 1 are excluded parameters"),
     (["invariants.hilbert_t", "--max-degree", "9"],
      "degree 9 needs 84448 monomials (budget 60000)"),
+    (["burniat.parameter_map", "--lambda", "-1"],
+     "lambda = -1 is excluded: the plane model gains a fourth triple point "
+     "(the quaternary configuration), and nu4 = 0 there"),
 ])
 def test_configuration_errors_exit_two(args, message, capsys):
     assert main(["run", *args]) == 2
@@ -548,6 +551,34 @@ def test_rational_lambda_is_accepted(capsys):
     assert code == 0 and rec["params"] == {"lambda": "5/2"}
 
 
+class ScriptedStream:
+    """A stand-in for a run's random stream that returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def randrange(self, lo, hi):
+        return next(self.draws)
+
+
+def test_parameter_map_redraws_lambda_minus_one(monkeypatch):
+    from upv import bicanon
+    seen = []
+    real = bicanon.burniat_parameter_map
+
+    def recording(lam):
+        seen.append(lam)
+        return real(lam)
+
+    monkeypatch.setattr(bicanon, "burniat_parameter_map", recording)
+    ctx = RunContext(RunConfig(primes=(13,)))
+    # 12 = -1 twice, then 4, where -4 = 3^2 is a square mod 13
+    ctx._rngs["parmap"] = ScriptedStream([12, 12, 4])
+    rep, = run_checks(resolve_targets(["burniat.parameter_map"]), ctx)
+    assert rep.passed
+    assert seen == [3, GF(13).from_int(4)]
+
+
 def test_tracer_targets_resolve():
     # the benchmark's tracer wraps these names from outside, so a rename or
     # deletion in `upv` must fail here and not in a traced benchmark run
@@ -612,30 +643,32 @@ def test_a_command_loads_only_the_modules_its_checks_use(args, modules, sha256):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == sha256
 
 
-def test_v_echelon_is_built_once_per_prime_for_hilbert_t_and_hilbert_v(monkeypatch):
+def test_v_quotient_is_built_once_per_run_for_hilbert_t_and_hilbert_v(monkeypatch):
     import upv.invariants as invariants
     oracle = {p: [list(v) for v in invariants.hilbert_profile("V", p, 3).values]
               for p in (13, 17)}
     built = []
-    real = invariants.v_echelon
+    real = invariants.v_quotient
 
-    def counting(p, max_degree):
-        built.append((p, max_degree))
-        return real(p, max_degree)
+    def counting(max_degree):
+        built.append(max_degree)
+        return real(max_degree)
 
     def no_full_matrix(*args):
-        raise AssertionError("hilbert_v ran a full-matrix rank")
+        raise AssertionError("hilbert_v or hilbert_t ran a full-matrix rank")
 
-    monkeypatch.setattr(invariants, "v_echelon", counting)
+    monkeypatch.setattr(invariants, "v_quotient", counting)
     monkeypatch.setattr(invariants, "hilbert_function", no_full_matrix)
+    monkeypatch.setattr(invariants, "rank_mod_p", no_full_matrix)
     for max_degree, order in ((4, ["invariants.hilbert_v", "invariants.hilbert_t"]),
                               (1, ["invariants.hilbert_t", "invariants.hilbert_v"])):
         built.clear()
         ctx = RunContext(RunConfig(max_degree=max_degree))
         reports = {r.check_id: r for r in run_checks(resolve_targets(order), ctx)}
         assert all(r.passed for r in reports.values())
-        # degree 3 for hilbert_v, max(2, max_degree) for hilbert_t
-        assert sorted(built) == [(p, max(3, max_degree)) for p in (13, 17, 29)]
+        # once for all three primes: degree 3 for hilbert_v, max(2, max_degree)
+        # for hilbert_t
+        assert built == [max(3, max_degree)]
         v = reports["invariants.hilbert_v"]
         assert v.witness == {"values": oracle[13], "stable_across_primes": True}
         assert oracle[13] == oracle[17]

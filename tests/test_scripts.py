@@ -65,3 +65,17 @@ def test_point_kernel_times_smoke():
     line, = res.stdout.splitlines()
     assert line.startswith("p 13: nu (") and " points, enumerate_surface " in line
     assert line.endswith(" ms") and ", certify_free_and_smooth " in line
+
+
+def test_hilbert_times_smoke():
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "hilbert_times.py"),
+         "--max-degree", "4", "--primes", "13,17", "--repeats", "1"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    first, *primes = res.stdout.splitlines()
+    assert first.startswith("v_quotient to degree 4: ")
+    assert first.endswith(" ms, h_V [1, 7, 33, 87, 185]")
+    assert [line.split(":")[0] for line in primes] == ["p 13", "p 17"]
+    for line in primes:
+        assert ", t_profiles " in line and line.endswith(" ms, h_T [1, 7, 32, 80, 152]")
