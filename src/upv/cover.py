@@ -950,9 +950,13 @@ def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
 
 
 # The scans over every point of (P^1(F_p))^4 (``brute_force_count`` and
-# ``downstairs_image_set``) peak at about 350 bytes a point: 0.31 GB at
-# p = 29, 0.74 GB at p = 37.
+# ``downstairs_image_set``) go through the grid in blocks of ``GRID_BLOCK``
+# points (or one slice of factor 0, if larger).  Besides the block they hold
+# only the image set's keys and result, about 80 bytes a grid point (0.07 GB
+# at p = 29, 0.17 GB at p = 37).  So ``GRID_BUDGET`` bounds their time: it
+# admits p <= 47, and the two take 0.5 s at p = 29 and 2.5 s at p = 41.
 GRID_BUDGET = 2 ** 23
+GRID_BLOCK = 2 ** 13
 
 
 def check_grid_budget(p: int) -> int:
@@ -968,21 +972,31 @@ def brute_force_count(p: int, nu: FamilyParams) -> int:
     (P^1(F_p))^4, and into Z2 at the points where that Z1 value vanished,
     term by term, multiplying in one coordinate factor at a time and
     reducing mod p after each product (both factors are residues, so no
-    product exceeds (p-1)^2 < 2^62)."""
-    check_grid_budget(p)
+    product exceeds (p-1)^2 < 2^62).  The points go in blocks of
+    ``GRID_BLOCK``: point n has the base p+1 digits of n, factor 0 first, as
+    its P^1 indices, k < p standing for (1, k) and p for (0, 1)."""
+    n = check_grid_budget(p)
     field = GF(p)
     nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
-    cols = PointArray.all_p1(p).homogeneous().reshape(-1, 8).T
-    for f in (z1_poly(field), z2_poly(nu)):
-        acc = np.zeros(cols.shape[1], dtype=np.int64)
-        for e, c in f.terms.items():
-            t = np.full(cols.shape[1], int(c), dtype=np.int64)
-            for col, k in zip(cols, e):
-                for _ in range(k):
-                    t = t * col % p
-            acc = (acc + t) % p
-        cols = cols[:, acc == 0]
-    return cols.shape[1]
+    equations = (z1_poly(field), z2_poly(nu))
+    places = (p + 1) ** np.arange(3, -1, -1)[:, None]
+    count = 0
+    for lo in range(0, n, GRID_BLOCK):
+        digits = np.arange(lo, min(lo + GRID_BLOCK, n)) // places % (p + 1)
+        # (t_{j0}, t_{j1}) per factor j: the variable order of AMBIENT_T4
+        cols = np.stack([(digits != p).astype(np.int64), np.where(digits == p, 1, digits)],
+                        axis=1).reshape(8, -1)
+        for f in equations:
+            acc = np.zeros(cols.shape[1], dtype=np.int64)
+            for e, c in f.terms.items():
+                t = np.full(cols.shape[1], int(c), dtype=np.int64)
+                for col, k in zip(cols, e):
+                    for _ in range(k):
+                        t = t * col % p
+                acc = (acc + t) % p
+            cols = cols[:, acc == 0]
+        count += cols.shape[1]
+    return count
 
 
 # -- freeness and smoothness ---------------------------------------------------
@@ -1181,21 +1195,21 @@ def sigma_images(pa: PointArray) -> np.ndarray:
     return canonical_weighted_rows(coords, pa.p)
 
 
-def distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of an (N, k) array of nonnegative integers, in
-    lexicographic order, read-only.
-
-    Runs of columns are packed base ``max + 1`` into int64 keys, the first
-    column most significant, each key as wide as 2^63 allows (one key for
-    16 residues at p = 13, two at p = 29 and 37), so sorting the keys sorts
-    the rows."""
-    if rows.size and rows.min() < 0:
-        raise ValueError("distinct_rows needs nonnegative entries")
-    base = int(rows.max()) + 1 if rows.size else 1
-    ncols = rows.shape[1]
+def key_width(base: int, ncols: int) -> int:
+    """The most of ``ncols`` digits of base ``base`` that one int64 key holds."""
     width = 1
     while width < ncols and base ** (width + 1) <= 2 ** 63:
         width += 1
+    return width
+
+
+def row_keys(rows: np.ndarray, base: int) -> List[np.ndarray]:
+    """The rows of an (N, k) array with entries in [0, base) as int64 keys:
+    runs of columns packed base ``base``, the first column most significant,
+    each key as wide as 2^63 allows (one key for 16 residues at p = 13, two
+    at p = 17 to 47), so sorting the keys sorts the rows."""
+    ncols = rows.shape[1]
+    width = key_width(base, ncols)
     keys = []
     for start in range(0, ncols, width):
         key = rows[:, start].astype(np.int64)
@@ -1203,13 +1217,40 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
             key *= base
             key += rows[:, j]
         keys.append(key)
+    return keys
+
+
+def key_rows(keys: Sequence[np.ndarray], base: int, ncols: int) -> np.ndarray:
+    """The inverse of ``row_keys``: the (N, ncols) rows of the keys."""
+    out = np.empty((len(keys[0]), ncols), dtype=np.int64)
+    width = key_width(base, ncols)
+    for start, key in zip(range(0, ncols, width), keys):
+        key = key.copy()
+        for j in reversed(range(start, min(start + width, ncols))):
+            np.divmod(key, base, out=(key, out[:, j]))
+    return out
+
+
+def distinct_keys(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """The index of the first of each run of equal key tuples, in the
+    lexicographic order of the tuples."""
     order = np.lexsort(keys[::-1])
     keep = np.zeros(len(order), dtype=bool)
     keep[:1] = True
-    for key in keys:  # a row is kept where some key differs from the row before
+    for key in keys:  # a tuple is kept where some key differs from the one before
         key = key[order]
         keep[1:] |= key[1:] != key[:-1]
-    out = rows[order[keep]]
+    return order[keep]
+
+
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (N, k) array of nonnegative integers, in
+    lexicographic order, read-only: the rows at the ``distinct_keys`` of
+    their ``row_keys`` in base ``max + 1``."""
+    if rows.size and rows.min() < 0:
+        raise ValueError("distinct_rows needs nonnegative entries")
+    base = int(rows.max()) + 1 if rows.size else 1
+    out = rows[distinct_keys(row_keys(rows, base))]
     out.flags.writeable = False
     return out
 
@@ -1220,17 +1261,36 @@ def downstairs_image_set(p: int) -> np.ndarray:
     the unprojected 4-fold: an (M, 16) array of distinct rows in
     lexicographic order, shared by every caller and hence read-only.
 
-    The sigma-images of the grid are built one factor at a time: the
-    coordinate rows of factors 0..j, times the 16 coordinates of factor
-    j + 1 at each of its p + 1 points, reduced mod p."""
+    The sigma-images of factors 1-3 are built once, one factor at a time:
+    the coordinate rows of the factors before, times the 16 coordinates of
+    the next factor at each of its p + 1 points, reduced mod p.  Then the
+    points of factor 0 go in blocks, as many as keep a block's slices of
+    the grid within ``GRID_BLOCK`` points (at least one): their coordinates
+    times those rows, canonicalized and packed into keys of base p
+    (``row_keys``).  The distinct keys of all blocks are unpacked once."""
     check_grid_budget(p)
     h = p1_table(1, p)  # (t0, t1) at each point of P^1(F_p)
-    coords = h[:, SIGMA_ROWS[:, 0]]
-    for j in (1, 2, 3):
-        coords = (coords[:, None, :] * h[None, :, SIGMA_ROWS[:, j]]).reshape(-1, 16)
+    tail = h[:, SIGMA_ROWS[:, 1]]
+    for j in (2, 3):
+        tail = (tail[:, None, :] * h[None, :, SIGMA_ROWS[:, j]]).reshape(-1, 16)
+        tail %= p
+    step = max(1, GRID_BLOCK // len(tail))
+    blocks = []
+    for head in np.array_split(h[:, SIGMA_ROWS[:, 0]], range(step, p + 1, step)):
+        coords = (head[:, None, :] * tail[None]).reshape(-1, 16)
         coords %= p
-    coords[:, 8:] **= 2  # < 2^62, reduced by canonical_weighted_rows
-    return distinct_rows(canonical_weighted_rows(coords, p))
+        coords[:, 8:] **= 2  # < 2^62, reduced by canonical_weighted_rows
+        blocks.append(row_keys(canonical_weighted_rows(coords, p), p))
+    # what is read no more is dropped before the next array is built, so
+    # the peak is little more than the (M, 16) result
+    keys = [np.concatenate(run) for run in zip(*blocks)]
+    del blocks
+    first = distinct_keys(keys)
+    keys = [key[first] for key in keys]
+    del first
+    out = key_rows(keys, p, 16)
+    out.flags.writeable = False
+    return out
 
 
 def factorwise_fixed_points(mats: np.ndarray, p: int) -> PointArray:

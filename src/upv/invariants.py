@@ -70,15 +70,6 @@ def monomial_keys(ambient: Ambient, d: int, base: int) -> Tuple[int, ...]:
     return tuple(a + base * t for a in range(d // w + 1) for t in tails[d - a * w])
 
 
-@lru_cache(maxsize=64)
-def monomials_of_weighted_degree(ambient: Ambient, d: int) -> Tuple[Tuple[int, ...], ...]:
-    """All exponent vectors of weighted degree d, in ascending order: the
-    digits of their ``monomial_keys`` in base d + 1."""
-    base = d + 1
-    return tuple(tuple(k // base ** i % base for i in range(ambient.nvars))
-                 for k in monomial_keys(ambient, d, base))
-
-
 def monomial_count(ambient: Ambient, d: int) -> int:
     """#monomials of weighted degree d: sum_j C(d-2j+n1-1, n1-1)*C(j+n2-1, n2-1)
     over the weight-2 total j, with n1 weight-1 and n2 weight-2 variables

@@ -4,7 +4,7 @@
 ``eliminate``, a sparse elimination on rows held as ``{column: residue}``
 dicts with Python-int arithmetic, so it is exact for every prime and costs
 time and memory in proportion to the nonzeros (the Hilbert matrices hold
-about three per row); ``rank_mod_p`` is ``eliminate`` from no pivots.  Every
+about three per row); ``rank_mod_p`` counts its pivots.  Every
 other field uses the pure-Python elimination, which also serves as the
 independent oracle in the property tests.
 ``det_poly`` computes determinants of polynomial matrices by sparse cofactor
@@ -14,7 +14,7 @@ from the Jacobian and chart checks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .poly import Poly, PolyError
 from .scalars import PrimeField
@@ -41,27 +41,24 @@ def rank_mod_p(matrix, p: int) -> int:
     return len(eliminate(matrix, p))
 
 
-def eliminate(rows: Iterable[Dict[int, int]], p: int,
-              pivots: Optional[Pivots] = None) -> Pivots:
-    """The new pivot rows, keyed by leading column, that the integer rows
-    ``{column: value}`` add over GF(p) to ``pivots``, which is read and never
-    written; the rank of all rows so far is ``len(pivots) + len(new)``.
+def eliminate(rows: Iterable[Dict[int, int]], p: int) -> Pivots:
+    """The pivot rows, keyed by leading column, of the integer rows
+    ``{column: value}`` over GF(p); their number is the rank.
 
     Each row in turn is reduced by the pivot row of its leading column until
     it leads a column no pivot holds (it becomes that column's pivot,
     normalised to a leading 1) or it vanishes.  Python ints keep every
     product exact.
     """
-    old = pivots or {}
-    new: Pivots = {}
+    pivots: Pivots = {}
     for given in rows:
         row = {c: v % p for c, v in given.items() if v % p}
         while row:
             lead = min(row)
-            pivot = new.get(lead) or old.get(lead)
+            pivot = pivots.get(lead)
             if pivot is None:
                 inv = pow(row[lead], p - 2, p)
-                new[lead] = {c: v * inv % p for c, v in row.items()}
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
                 break
             f = p - row[lead]
             for c, v in pivot.items():
@@ -70,7 +67,7 @@ def eliminate(rows: Iterable[Dict[int, int]], p: int,
                     row[c] = x
                 else:
                     row.pop(c, None)
-    return new
+    return pivots
 
 
 def rank(matrix: Sequence[Sequence[object]], domain) -> int:

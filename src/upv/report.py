@@ -16,7 +16,6 @@ from typing import Any, Dict, Sequence
 
 PASS = "pass"
 FAIL = "fail"
-UNSTABLE = "unstable"
 
 
 def _sanitize(value: Any) -> Any:
@@ -67,23 +66,20 @@ class CheckReport:
 
 def verdict(check_id: str, problems: Sequence[str], witness: Dict[str, Any] | None = None,
             *, on_pass: Dict[str, Any] | None = None, on_fail: Dict[str, Any] | None = None,
-            unstable: bool = False, params: Dict[str, Any] | None = None) -> CheckReport:
+            params: Dict[str, Any] | None = None) -> CheckReport:
     """The record of a check that collected ``problems``: it passes iff there
     are none.
 
     ``witness`` holds measured values and is reported in every outcome.  A
     passing record appends ``on_pass``, the claims that hold only on success;
     a failing one appends ``problems`` and then the diagnostics in
-    ``on_fail``.  Without problems, ``unstable`` turns the verdict into
-    ``unstable`` (evidence that disagrees with itself), which states no claim.
+    ``on_fail``.
     """
     out = dict(witness or {})
     if problems:
         status = FAIL
         out["problems"] = list(problems)
         out.update(on_fail or {})
-    elif unstable:
-        status = UNSTABLE
     else:
         status = PASS
         out.update(on_pass or {})

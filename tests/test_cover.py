@@ -1,5 +1,6 @@
 import random
 import signal
+import tracemalloc
 from itertools import combinations, product
 from math import prod
 
@@ -16,10 +17,10 @@ from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
                        coefficient_tensor, contract,
                        distinct_rows, downstairs_image_set, enumerate_surface,
                        expand_point, factorwise_fixed_points, gtilde_generators,
-                       hplane_problems, image_keys, jacobian_rank2,
+                       hplane_problems, image_keys, jacobian_rank2, key_rows,
                        local_equations, local_partials, normalize_factors,
                        p1_jet_table, p1_rows, p1_table, point_keys, pow_mod,
-                       s_surface_pattern, sigma_deck_report, sigma_images,
+                       row_keys, s_surface_pattern, sigma_deck_report, sigma_images,
                        sigma_map, s_involution_map, table2_generators,
                        tabulated_generator_rows, verify_branch_structure,
                        verify_hplane_decomposition, y_point_count_report,
@@ -242,6 +243,107 @@ def test_enumeration_equals_brute_force_point_set(p):
                       if any(pt[0][i] == 0 and pt[1][i] == 0 for i in (1, 2, 3))
                       and any(pt[0][i] == 1 for i in (1, 2, 3))]
         assert on_cd_zero
+
+
+def whole_grid_brute_force_count(p, nu):
+    """The oracle of the blocked scan: the same substitution on every point
+    of (P^1(F_p))^4 at once."""
+    field = GF(p)
+    nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
+    cols = PointArray.all_p1(p).homogeneous().reshape(-1, 8).T
+    for f in (z1_poly(field), z2_poly(nu)):
+        acc = np.zeros(cols.shape[1], dtype=np.int64)
+        for e, c in f.terms.items():
+            t = np.full(cols.shape[1], int(c), dtype=np.int64)
+            for col, k in zip(cols, e):
+                for _ in range(k):
+                    t = t * col % p
+            acc = (acc + t) % p
+        cols = cols[:, acc == 0]
+    return cols.shape[1]
+
+
+def whole_grid_image_set(p):
+    """The oracle of the blocked scan: the sigma-images of the whole grid
+    built one factor at a time, then their distinct rows."""
+    h = p1_table(1, p)
+    coords = h[:, cover.SIGMA_ROWS[:, 0]]
+    for j in (1, 2, 3):
+        coords = (coords[:, None, :] * h[None, :, cover.SIGMA_ROWS[:, j]]).reshape(-1, 16)
+        coords %= p
+    coords[:, 8:] **= 2
+    return distinct_rows(canonical_weighted_rows(coords, p))
+
+
+GRID_DRAWS = [(3, 1, 4, 1, 5), (3, 1, 4, 1, 0), (5, 1, 2, 3, 1)]  # nu4 = 0; delta mod 13
+
+
+@pytest.fixture
+def fresh_image_sets():
+    """``downstairs_image_set`` computed anew inside the test, and its cache
+    left clean for the tests after it."""
+    downstairs_image_set.cache_clear()
+    yield
+    downstairs_image_set.cache_clear()
+
+
+@pytest.mark.parametrize("p", [5, 13, 17])
+def test_grid_scans_match_the_whole_grid_oracles(p, fresh_image_sets):
+    assert FamilyParams(GF(13), GRID_DRAWS[2]).degenerate()[0]
+    for nu in GRID_DRAWS:
+        nu = FamilyParams(GF(p), nu)
+        assert brute_force_count(p, nu) == whole_grid_brute_force_count(p, nu)
+    image, want = downstairs_image_set(p), whole_grid_image_set(p)
+    assert image.dtype == want.dtype and image.shape == want.shape
+    assert np.array_equal(image, want)
+    assert not image.flags.writeable
+
+
+@pytest.mark.parametrize("p, block", [
+    (5, 1),
+    # 3 slices of factor 0 a block: neither 14 slices nor 14^4 points divide evenly
+    (13, 3 * 14 ** 3 + 5),
+])
+def test_grid_scans_do_not_depend_on_the_block_size(p, block, fresh_image_sets, monkeypatch):
+    counts = [whole_grid_brute_force_count(p, FamilyParams(GF(p), nu)) for nu in GRID_DRAWS]
+    want = whole_grid_image_set(p)
+    monkeypatch.setattr(cover, "GRID_BLOCK", block)
+    assert [brute_force_count(p, FamilyParams(GF(p), nu)) for nu in GRID_DRAWS] == counts
+    assert np.array_equal(downstairs_image_set(p), want)
+
+
+def test_grid_scans_hold_a_block_not_the_grid(fresh_image_sets):
+    # the whole-grid scans peaked at 19.2 MB and 35.7 MB here
+    p, mb = 17, 2 ** 20
+    nu = FamilyParams(GF(p), (3, 1, 4, 1, 5))
+    brute_force_count(p, nu)  # builds the field and the equations' caches
+    tracemalloc.start()
+    try:
+        brute_force_count(p, nu)
+        brute_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        image = downstairs_image_set(p)
+        image_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert brute_peak <= 2 * mb
+    assert image_peak <= image.nbytes + 4 * mb
+
+
+def test_grid_oracle_matches_the_enumerator_at_37():
+    nu = FamilyParams(GF(37), (2, 3, 5, 7, 11))
+    assert enumerate_surface(37, nu).count == brute_force_count(37, nu) > 0
+
+
+@pytest.mark.parametrize("base", [2, 13, 17, 2 ** 31 - 1, 2 ** 62])
+def test_key_rows_invert_row_keys(base):
+    rng = np.random.default_rng(base % 1000)
+    rows = rng.integers(0, base, size=(50, 16), dtype=np.int64)
+    rows[0] = base - 1
+    rows[1] = 0
+    keys = row_keys(rows, base)
+    assert all(k.dtype == np.int64 and (k >= 0).all() for k in keys)
+    assert key_rows(keys, base, 16).tolist() == rows.tolist()
 
 
 def test_grid_budget_admits_29_and_refuses_73():

@@ -708,9 +708,6 @@ def test_verdict_outcomes():
     bad = verdict("x", ["broken"], {"n": 1}, on_pass={"claim": True}, on_fail={"why": 0})
     assert bad.status == "fail"
     assert bad.witness == {"n": 1, "problems": ["broken"], "why": 0}
-    shaky = verdict("x", [], {"n": 1}, on_pass={"claim": True}, unstable=True)
-    assert shaky.status == "unstable" and shaky.witness == {"n": 1}
-    assert verdict("x", ["broken"], unstable=True).status == "fail"
 
 
 def _count_group_builds(monkeypatch, result=None):

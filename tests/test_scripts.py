@@ -16,6 +16,16 @@ def test_count_points_smoke():
     assert "GF(13), image downstairs 19216" in res.stdout
 
 
+def test_count_points_counts_the_image_for_every_prime_the_budget_admits():
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "count_points.py"),
+         "--primes", "29,73", "--draws", "0"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "GF(29), image downstairs 405008" in res.stdout
+    assert "GF(73), no image count (the grid scan at p = 73 needs 29986576 points" in res.stdout
+
+
 def test_stream_digests_smoke():
     args = ["bicanon.s3_derivation", "--primes", "13"]
     res = subprocess.run(
