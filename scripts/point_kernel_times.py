@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Warm timings of the point kernel: the enumerator and the certificate.
+"""Cold and warm timings of the point kernel: the enumerator and the certificate.
 
     python3 scripts/point_kernel_times.py [--primes 13,17,29,101] [--repeats N]
 
 For each prime, draws one generic nu (seeded by the prime, so two checkouts
-time the same surface), runs `enumerate_surface` and
-`certify_free_and_smooth` once to fill the per-prime caches, then times N
-more calls of each in this process.  Prints one line per prime: the nu, the
-point count, and the median and quartiles (q1, q3) of each kernel in ms.
-Over several primes this is the kernels' scaling curve in p.
+time the same surface) and times `enumerate_surface` and
+`certify_free_and_smooth` on it in this process: the first call of each,
+which fills the per-prime caches and is what `upv run all` pays once per
+prime, then N more calls.  Prints one line per prime: the nu, the point
+count, and for each kernel the cold first call and the median and quartiles
+(q1, q3) of the warm calls, in ms.  Over several primes this is the
+kernels' scaling curve in p.
 """
 
 import argparse
@@ -34,6 +36,13 @@ def draw_nu(p: int) -> FamilyParams:
             return FamilyParams(GF(p), draw)
 
 
+def cold_ms(call):
+    """The result of one call, and its time."""
+    start = time.perf_counter()
+    result = call()
+    return result, f"{(time.perf_counter() - start) * 1e3:.2f} ms"
+
+
 def warm_ms(call, repeats: int) -> str:
     call()
     times = []
@@ -56,11 +65,14 @@ def main() -> int:
     group, _ = build_lifts_and_certify()
     for p in (int(x) for x in args.primes.split(",")):
         nu = draw_nu(p)
-        points = enumerate_surface(p, nu)
-        enum = warm_ms(lambda: enumerate_surface(p, nu), args.repeats)
-        cert = warm_ms(lambda: certify_free_and_smooth(points, group), args.repeats)
+        enumerate_call = lambda: enumerate_surface(p, nu)  # noqa: E731
+        points, enum_cold = cold_ms(enumerate_call)
+        certify_call = lambda: certify_free_and_smooth(points, group)  # noqa: E731
+        _, cert_cold = cold_ms(certify_call)
         print(f"p {p}: nu {tuple(int(v) for v in nu.nu)}, {points.count} points, "
-              f"enumerate_surface {enum}, certify_free_and_smooth {cert}", flush=True)
+              f"enumerate_surface cold {enum_cold}, warm {warm_ms(enumerate_call, args.repeats)}, "
+              f"certify_free_and_smooth cold {cert_cold}, "
+              f"warm {warm_ms(certify_call, args.repeats)}", flush=True)
     return 0
 
 

@@ -12,9 +12,12 @@ coordinates pull back to squares.  On top of it live
   an explicit bijective homomorphism,
 * the hypersurfaces Z1 (multidegree (1,1,1,1)) and Z2 = 2*sigma^#(q)
   (multidegree (2,2,2,2)) cutting the simply connected surface upstairs, and
-* the enumeration of its F_p points, with Z1 solved for the first factor
-  on coefficient tensors of Z1 and Z2, used to certify that the group acts
-  freely and that no rational point is singular.
+* the enumeration of its F_p points, used to certify that the group acts
+  freely and that no rational point is singular.  It reads the shape that
+  sigma gives the equations, checked on their coefficient tensors: Z1 is
+  the two monomials t00*t11*t21*t31 + t01*t10*t20*t30, so it is solved for
+  the first factor, and Z2 is a form in the squares t_j0^2, t_j1^2, so on
+  that solution it is a form of three factors.
 
 Every scan over points runs on the point kernel (``PointArray``): the points
 as int64 arrays of P^1 indices, the group elements reduced mod p once,
@@ -702,17 +705,6 @@ class PointArray:
     def __init__(self, p: int, chart: np.ndarray, vals: np.ndarray):
         self.p, self.chart, self.vals = p, chart, vals
 
-    @classmethod
-    def all_p1(cls, p: int) -> "PointArray":
-        """Every point of (P^1(F_p))^4, by chart and then by values."""
-        charts, vals = [], []
-        for chart in CHARTS:
-            grid = np.indices([p if c == 0 else 1 for c in chart],
-                              dtype=np.int64).reshape(4, -1).T
-            vals.append(grid)
-            charts.append(np.broadcast_to(np.array(chart, dtype=np.int64), grid.shape))
-        return cls(p, np.concatenate(charts), np.concatenate(vals))
-
     def __len__(self) -> int:
         return len(self.chart)
 
@@ -882,68 +874,127 @@ def contract(tensor: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
 # ``enumerate_surface`` treats in one numpy pass
 BLOCK_CELLS = 2 ** 13
 
+# Z1 = t00*t11*t21*t31 + t01*t10*t20*t30: its coefficient tensor (d = 1)
+Z1_TENSOR = np.zeros((2,) * 4, dtype=np.int64)
+Z1_TENSOR[0, 1, 1, 1] = Z1_TENSOR[1, 0, 0, 0] = 1
+Z1_TENSOR.flags.writeable = False
+
+
+def tensor_term(index: Sequence[int], d: int) -> str:
+    """The monomial prod t_j0^(d-a_j) t_j1^(a_j) at ``index`` (a0, ..., a3)
+    of a coefficient tensor of degree d, written as ``Poly`` writes it."""
+    factors = []
+    for j, a in enumerate(index):
+        for v, k in ((0, d - a), (1, a)):
+            if k:
+                factors.append(tname(j, v) if k == 1 else f"{tname(j, v)}^{k}")
+    return "*".join(factors)
+
+
+def square_tensor(z1: Poly, z2: Poly, p: int) -> np.ndarray:
+    """The 2x2x2x2 residue tensor c of Z2 as a form in the squares
+    u_j = (t_j0^2, t_j1^2), after checking the shape ``enumerate_surface``
+    relies on: Z1 is exactly its two monomials, and Z2 has no term with an
+    odd exponent.  Raises ``ValueError`` naming the first offending term."""
+    t1 = coefficient_tensor(z1, 1, p)
+    bad = np.argwhere(t1 != Z1_TENSOR)
+    if len(bad):
+        index = tuple(bad[0].tolist())
+        raise ValueError(f"Z1 is not t00*t11*t21*t31 + t01*t10*t20*t30: its term "
+                         f"{tensor_term(index, 1)} has coefficient {t1[index]}")
+    t2 = coefficient_tensor(z2, 2, p)
+    odd = t2.copy()
+    odd[::2, ::2, ::2, ::2] = 0
+    bad = np.argwhere(odd)
+    if len(bad):
+        index = tuple(bad[0].tolist())
+        raise ValueError(f"Z2 is not a form in the squares t_j0^2, t_j1^2: it has the "
+                         f"term {t2[index]}*{tensor_term(index, 2)}")
+    return t2[::2, ::2, ::2, ::2]
+
+
+def folded_tensor(c: np.ndarray, p: int) -> np.ndarray:
+    """Z2 with factor 0 at (A : -B), as the 3x3x3 tensor W of a form in
+    the rows E = (t0^4, t0^2*t1^2, t1^4) of factors 1-3.  There u_0 =
+    (A^2, B^2), and factor by factor A^2 turns u_j[a] into E[a] and B^2
+    turns it into E[a + 1], so W[a] += c[0, a] and W[a + 1] += c[1, a] for
+    the square tensor c (2x2x2x2).  An entry sums at most two residues."""
+    w = np.zeros((3, 3, 3), dtype=np.int64)
+    w[:2, :2, :2] = c[0]
+    w[1:, 1:, 1:] += c[1]
+    return w % p
+
+
+def square_sums(c: np.ndarray, squares: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """B0 and B2, the coefficients of t00^2 and t01^2 in Z2, at N cells of
+    factors 1-3 with squares (N, 3, 2) = (t_j0^2, t_j1^2): the 8-term sums
+    of c[0] and c[1] against the products of one square per factor, each
+    product reduced before it is added."""
+    prods = (squares[:, 0, :, None] * squares[:, 1, None, :] % p)[..., None]
+    prods = prods * squares[:, 2, None, None, :] % p
+    b0, b2 = ((prods * cb % p).sum(axis=(1, 2, 3)) % p for cb in c)
+    return b0, b2
+
 
 def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
     """All F_p points of Z1 = Z2 = 0, with Z1 solved for the first factor.
 
-    Z1 and Z2 are coefficient tensors, evaluated by mode products with the
-    tables of P^1(F_p).  Factors 2 and 3 are contracted once, on all
-    (p+1)^2 of their points.  Then, for each point of factor 1, one more
-    contraction gives Z1 = C*t00 + D*t01 and Z2 = B0*t00^2 + B1*t00*t01 +
-    B2*t01^2 with C, D, B0, B1, B2 free of factor 0.  Where (C, D) !=
-    (0, 0), factor 0 is the single point (D : -C), on Z2 iff D^2*B0 -
-    D*C*B1 + C^2*B2 = 0; where C = D = 0, Z2 is evaluated at every point of
-    factor 0.  The points of factor 1 go in blocks of up to ``BLOCK_CELLS``
-    cells, one broadcast each with factor 1 leading and the (p+1)^2 points
-    of factors 2 and 3 innermost (one block at p = 13 and 17, one point of
-    factor 1 a block once (p+1)^2 > 2^12, as at p = 101).  O(p^3) work,
-    O(p^2) memory.
+    The solve reads the shape of the equations (``square_tensor``): Z1 =
+    t00*B + t01*A with A = t10*t20*t30 and B = t11*t21*t31, and Z2 is a
+    form c in the squares u_j = (t_j0^2, t_j1^2).  Where (A, B) != (0, 0),
+    factor 0 is the single point (A : -B), and there Z2 is F = sum_e W[e] *
+    prod_j E[k_j, e_j] over factors 1-3 (``folded_tensor``), with E =
+    (t0^4, t0^2*t1^2, t1^4) a table over P^1(F_p).  Factors 3 and 2 are
+    contracted once (``contract``), on all (p+1)^2 of their points; then F
+    costs three products a cell.  The points of factor 1 go in blocks of up
+    to ``BLOCK_CELLS`` cells, one broadcast each with factor 1 leading and
+    the (p+1)^2 points of factors 2 and 3 innermost (one block at p = 13
+    and 17, one point of factor 1 a block once (p+1)^2 > 2^12, as at p =
+    101).  F also vanishes at the O(p) cells with A = B = 0, where Z2 =
+    B0*t00^2 + B2*t01^2 (``square_sums``) is tested at every point of
+    factor 0.  Every product of two residues is reduced before it is
+    added, so all of it is exact for p < 2^31.  O(p^3) work, O(p^2) memory.
     """
     field = GF(p)
     if not isinstance(nu.domain, PrimeField) or nu.domain.p != p:
         nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
     equations = (z1_poly(field), z2_poly(nu))
+    c = square_tensor(*equations, p)
     n = p + 1  # the points of P^1(F_p), indexed as in ``p1_table``
-    v1, v2 = p1_jet_table(1, p)[0], p1_jet_table(2, p)[0]
-    # axes (a2, a3, a1, a0) contracted twice: (a1, a0, k2, k3), then the
-    # points of factors 2 and 3 flattened to k2*n + k3
-    g1, g2 = (contract(contract(coefficient_tensor(f, d, p).transpose(2, 3, 1, 0),
-                                v, p), v, p).reshape(d + 1, d + 1, n * n)
-              for f, d, v in zip(equations, (1, 2), (v1, v2)))
+    h = p1_jet_table(1, p)[0]  # (t0, t1)
+    u = h * h % p  # (t0^2, t1^2)
+    e = p1_rows(u[:, 0], u[:, 1], 2, p)
+    # axes (e2, e3, e1) contracted twice: (e1, k2, k3), then the points of
+    # factors 2 and 3 flattened to k2*n + k3
+    g = contract(contract(folded_tensor(c, p).transpose(1, 2, 0), e, p), e, p)
+    g = g.reshape(3, n * n)
     step = max(1, BLOCK_CELLS // (n * n))
-    k1s, pairs, kept = [], [], []  # per block: the points on Z2 and their (C, D, B)
-    buf = np.empty((step, 5, n * n), dtype=np.int64)
+    cells = []  # per block, the cells k1*n*n + k2*n + k3 where F = 0
+    buf, tmp = np.empty((2, step, n * n), dtype=np.int64)
     for lo in range(0, n, step):
-        # (block, 5, n*n): C, D, B0, B1, B2 at each point of factor 1 in
-        # the block, each product of residues reduced before it is added
-        block = buf[:min(step, n - lo)]
-        for g, v, rows in ((g1, v1, block[:, :2]), (g2, v2, block[:, 2:])):
-            rows[...] = v[lo:lo + step, 0, None, None] * g[0] % p
-            for a in range(1, len(g)):
-                rows += v[lo:lo + step, a, None, None] * g[a] % p
-        block %= p
-        c, d, b0, b1, b2 = block.transpose(1, 0, 2)
-        # Z2 at (D : -C), each product reduced before the sum; it is 0 at
-        # every C = D = 0, which is sorted out below
-        z2 = d * b0 % p
-        z2 -= c * b1 % p
-        z2 *= d
-        z2 += c * c % p * b2 % p  # |z2| < p^2 + p < 2^63
-        k, pair = np.divmod(np.flatnonzero(z2 % p == 0), n * n)
-        k1s.append(k + lo)
-        pairs.append(pair)
-        kept.append(block[k, :, pair])
-    k1, pair, cdb = np.concatenate(k1s), np.concatenate(pairs), np.concatenate(kept).T
-    c, d, b = cdb[0], cdb[1], cdb[2:]
-    zero = (c == 0) & (d == 0)
-    # (D : -C) is (1, -C/D) by a Fermat inverse, or (0, 1) where D = 0
-    c, d = c[~zero], d[~zero]
-    solved = np.stack([np.where(d == 0, p, (p - c) * pow_mod(d, p - 2, p) % p),
-                       k1[~zero], *np.divmod(pair[~zero], n)], axis=1)
-    # C = D = 0: Z2 at every point of factor 0
-    f, k0 = np.nonzero(contract(b[:, zero], v2, p) == 0)
-    free = np.stack([k0, k1[zero][f], *np.divmod(pair[zero][f], n)], axis=1)
-    index = np.concatenate([solved, free])
+        rows = e[lo:lo + step]
+        f, t = buf[:len(rows)], tmp[:len(rows)]
+        np.multiply(rows[:, 0, None], g[0], out=f)
+        f %= p
+        for a in (1, 2):
+            np.multiply(rows[:, a, None], g[a], out=t)
+            t %= p
+            f += t
+        f %= p
+        cells.append(np.flatnonzero(f == 0) + lo * n * n)
+    k = np.unravel_index(np.concatenate(cells), (n, n, n))  # factors 1-3
+    a = h[k[0], 0] * h[k[1], 0] % p * h[k[2], 0] % p
+    b = h[k[0], 1] * h[k[1], 1] % p * h[k[2], 1] % p
+    zero = (a == 0) & (b == 0)
+    # (A : -B) is (1, -B/A) by a Fermat inverse, or (0, 1) where A = 0
+    a, b = a[~zero], b[~zero]
+    solved = np.stack([np.where(a == 0, p, (p - b) * pow_mod(a, p - 2, p) % p),
+                       *(kj[~zero] for kj in k)], axis=1)
+    # A = B = 0: Z2 = B0*t00^2 + B2*t01^2 at every point of factor 0
+    k = np.stack([kj[zero] for kj in k], axis=1)
+    b0, b2 = square_sums(c, u[k], p)
+    cell, k0 = np.nonzero((b0[:, None] * u[:, 0] % p + b2[:, None] * u[:, 1] % p) % p == 0)
+    index = np.concatenate([solved, np.column_stack([k0, k[cell]])])
     chart, vals = (index == p).astype(np.int64), index % p
     order = np.lexsort(np.concatenate([chart, vals], axis=1).T[::-1])
     return SurfacePointSet(p, nu, PointArray(p, chart[order], vals[order]), equations)
@@ -952,9 +1003,10 @@ def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
 # The scans over every point of (P^1(F_p))^4 (``brute_force_count`` and
 # ``downstairs_image_set``) go through the grid in blocks of ``GRID_BLOCK``
 # points (or one slice of factor 0, if larger).  Besides the block they hold
-# only the image set's keys and result, about 80 bytes a grid point (0.07 GB
-# at p = 29, 0.17 GB at p = 37).  So ``GRID_BUDGET`` bounds their time: it
-# admits p <= 47, and the two take 0.5 s at p = 29 and 2.5 s at p = 41.
+# only the image set's keys, their sort and its one-byte result, about 40
+# bytes a grid point (0.03 GB at p = 29, 0.08 GB at p = 37).  So
+# ``GRID_BUDGET`` bounds their time: it admits p <= 47, and the two take
+# 0.5 s at p = 29 and 2.5 s at p = 41.
 GRID_BUDGET = 2 ** 23
 GRID_BLOCK = 2 ** 13
 
@@ -1221,13 +1273,16 @@ def row_keys(rows: np.ndarray, base: int) -> List[np.ndarray]:
 
 
 def key_rows(keys: Sequence[np.ndarray], base: int, ncols: int) -> np.ndarray:
-    """The inverse of ``row_keys``: the (N, ncols) rows of the keys."""
-    out = np.empty((len(keys[0]), ncols), dtype=np.int64)
+    """The inverse of ``row_keys``: the (N, ncols) rows of the keys, in the
+    narrowest unsigned dtype that holds [0, base) (uint8 for base <= 256)."""
+    out = np.empty((len(keys[0]), ncols), dtype=np.min_scalar_type(base - 1))
+    digit = np.empty(len(keys[0]), dtype=np.int64)
     width = key_width(base, ncols)
     for start, key in zip(range(0, ncols, width), keys):
         key = key.copy()
         for j in reversed(range(start, min(start + width, ncols))):
-            np.divmod(key, base, out=(key, out[:, j]))
+            np.divmod(key, base, out=(key, digit))
+            out[:, j] = digit
     return out
 
 
@@ -1259,7 +1314,10 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
 def downstairs_image_set(p: int) -> np.ndarray:
     """Canonical images of every point of (P^1(F_p))^4, the F_p shadow of
     the unprojected 4-fold: an (M, 16) array of distinct rows in
-    lexicographic order, shared by every caller and hence read-only.
+    lexicographic order, shared by every caller and hence read-only.  Its
+    residues are stored as ``np.min_scalar_type(p - 1)`` (uint8 for every p
+    the grid budget admits), so a reader casts them to int64 before it
+    multiplies.
 
     The sigma-images of factors 1-3 are built once, one factor at a time:
     the coordinate rows of the factors before, times the 16 coordinates of
@@ -1275,17 +1333,20 @@ def downstairs_image_set(p: int) -> np.ndarray:
         tail = (tail[:, None, :] * h[None, :, SIGMA_ROWS[:, j]]).reshape(-1, 16)
         tail %= p
     step = max(1, GRID_BLOCK // len(tail))
-    blocks = []
+    # the keys of the whole grid, filled block by block
+    keys = np.empty((-(-16 // key_width(p, 16)), (p + 1) * len(tail)), dtype=np.int64)
+    lo = 0
     for head in np.array_split(h[:, SIGMA_ROWS[:, 0]], range(step, p + 1, step)):
         coords = (head[:, None, :] * tail[None]).reshape(-1, 16)
         coords %= p
         coords[:, 8:] **= 2  # < 2^62, reduced by canonical_weighted_rows
-        blocks.append(row_keys(canonical_weighted_rows(coords, p), p))
+        for row, key in zip(keys, row_keys(canonical_weighted_rows(coords, p), p)):
+            row[lo:lo + len(key)] = key
+        lo += len(coords)
     # what is read no more is dropped before the next array is built, so
-    # the peak is little more than the (M, 16) result
-    keys = [np.concatenate(run) for run in zip(*blocks)]
-    del blocks
-    first = distinct_keys(keys)
+    # the peak is the grid's keys and what sorting them takes
+    del tail, coords
+    first = distinct_keys(list(keys))
     keys = [key[first] for key in keys]
     del first
     out = key_rows(keys, p, 16)
@@ -1400,14 +1461,16 @@ def verify_hplane_decomposition(p: int = 13) -> CheckReport:
 
 def hplane_problems(image: np.ndarray, p: int) -> List[str]:
     """The decomposition check on an (M, 16) array of distinct canonical
-    image rows.  Per section H~t: a missing coordinate point; one "quartic
-    fails" entry per section point supported on a piece's four coordinates
-    but off its quartic; the section points on no piece, with the
-    lexicographically smallest as the example."""
+    image rows, of any integer dtype.  Per section H~t: a missing
+    coordinate point; one "quartic fails" entry per section point supported
+    on a piece's four coordinates but off its quartic; the section points on
+    no piece, with the lexicographically smallest as the example."""
     problems = []
     for t in EVEN_TUPLES:
         name = "H~" + "".join(map(str, t))
-        section = image[~image[:, [X_INDEX[(k, t[k])] for k in range(4)]].any(axis=1)]
+        # int64 before the products below
+        section = image[~image[:, [X_INDEX[(k, t[k])] for k in range(4)]].any(axis=1)
+                        ].astype(np.int64)
         nonzero = section != 0
         tc = tuple(comp(v) for v in t)
         y_col = Y_INDEX[tc]

@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+_new = object.__new__
+
 
 class ScalarError(ValueError):
     """Raised for invalid field constructions and coercions."""
@@ -66,8 +68,10 @@ class GaussianRational:
     def _coerce(self, other):
         if isinstance(other, GaussianRational):
             return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
+        if isinstance(other, int):
+            return _gaussian(other, 0, 1)
+        if isinstance(other, Fraction):
+            return _gaussian(other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __add__(self, other):
@@ -123,7 +127,7 @@ class GaussianRational:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = GaussianRational(1)
+        out = _gaussian(1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -161,6 +165,11 @@ class GaussianRational:
         return f"{re}+{im}*i"
 
 
+# the slot descriptors set the slots past the immutable ``__setattr__``
+_set_a, _set_b, _set_d = (GaussianRational._a.__set__, GaussianRational._b.__set__,
+                          GaussianRational._d.__set__)
+
+
 def _gaussian(a: int, b: int, d: int) -> GaussianRational:
     """The Gaussian rational (a + b*i)/d for d > 0, normalised.
 
@@ -170,10 +179,10 @@ def _gaussian(a: int, b: int, d: int) -> GaussianRational:
         g = gcd(a, b, d)
         if g != 1:
             a, b, d = a // g, b // g, d // g
-    z = object.__new__(GaussianRational)
-    object.__setattr__(z, "_a", a)
-    object.__setattr__(z, "_b", b)
-    object.__setattr__(z, "_d", d)
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
     return z
 
 
@@ -182,20 +191,22 @@ class FpElement:
 
     __slots__ = ("field", "value")
 
-    def __init__(self, field: "PrimeField", value: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value % field.p)
+    def __new__(cls, field: "PrimeField", value: int):
+        return _fp(field, value % field.p)
 
     def __setattr__(self, *a):
         raise AttributeError("FpElement is immutable")
 
     def _coerce(self, other):
+        # the fields are cached (``GF``), so the same field is the same object
+        if other.__class__ is FpElement and other.field is self.field:
+            return other
         if isinstance(other, FpElement):
             if other.field.p != self.field.p:
                 raise ScalarError("mixed prime fields")
             return other
         if isinstance(other, int):
-            return FpElement(self.field, other)
+            return _fp(self.field, other % self.field.p)
         if isinstance(other, Fraction):
             return self.field.coerce(other)
         return NotImplemented
@@ -204,18 +215,18 @@ class FpElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FpElement(self.field, self.value + o.value)
+        return _fp(self.field, (self.value + o.value) % self.field.p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FpElement(self.field, -self.value)
+        return _fp(self.field, -self.value % self.field.p)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FpElement(self.field, self.value - o.value)
+        return _fp(self.field, (self.value - o.value) % self.field.p)
 
     def __rsub__(self, other):
         return -self + other
@@ -224,14 +235,15 @@ class FpElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FpElement(self.field, self.value * o.value)
+        return _fp(self.field, self.value * o.value % self.field.p)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FpElement":
         if self.value == 0:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.field.p})")
-        return FpElement(self.field, pow(self.value, self.field.p - 2, self.field.p))
+        p = self.field.p
+        return _fp(self.field, pow(self.value, p - 2, p))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -245,7 +257,7 @@ class FpElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return FpElement(self.field, pow(self.value, n, self.field.p))
+        return _fp(self.field, pow(self.value, n, self.field.p))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -267,6 +279,20 @@ class FpElement:
 
     def __str__(self):
         return str(self.value)
+
+
+_set_field, _set_value = FpElement.field.__set__, FpElement.value.__set__
+
+
+def _fp(field: "PrimeField", value: int) -> FpElement:
+    """The element of ``field`` with residue ``value``, already in [0, p).
+
+    Every FpElement is made here.
+    """
+    x = _new(FpElement)
+    _set_field(x, field)
+    _set_value(x, value)
+    return x
 
 
 class RationalField:
@@ -307,23 +333,25 @@ class GaussianRationalField:
     char = 0
 
     def zero(self):
-        return GaussianRational(0)
+        return _gaussian(0, 0, 1)
 
     def one(self):
-        return GaussianRational(1)
+        return _gaussian(1, 0, 1)
 
     def from_int(self, n: int) -> GaussianRational:
-        return GaussianRational(n)
+        return _gaussian(n, 0, 1)
 
     def coerce(self, x) -> GaussianRational:
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+        if isinstance(x, int):
+            return _gaussian(x, 0, 1)
+        if isinstance(x, Fraction):
+            return _gaussian(x.numerator, 0, x.denominator)
         raise ScalarError(f"cannot coerce {x!r} into QI")
 
     def sqrt_minus_one(self) -> GaussianRational:
-        return GaussianRational(0, 1)
+        return _gaussian(0, 1, 1)
 
     def __repr__(self):
         return "QI"
@@ -359,13 +387,13 @@ class PrimeField:
         return min(r, self.p - r)
 
     def zero(self):
-        return FpElement(self, 0)
+        return _fp(self, 0)
 
     def one(self):
-        return FpElement(self, 1)
+        return _fp(self, 1)
 
     def from_int(self, n: int) -> FpElement:
-        return FpElement(self, n)
+        return _fp(self, n % self.p)
 
     def coerce(self, x) -> FpElement:
         if isinstance(x, FpElement):
@@ -373,7 +401,7 @@ class PrimeField:
                 raise ScalarError("mixed prime fields")
             return x
         if isinstance(x, int):
-            return FpElement(self, x)
+            return _fp(self, x % self.p)
         if isinstance(x, Fraction):
             num, den = x.numerator, x.denominator
         elif isinstance(x, GaussianRational):
@@ -383,10 +411,10 @@ class PrimeField:
         if den % self.p == 0:
             raise ScalarError(f"{x} has no residue in GF({self.p}): "
                               f"its denominator is divisible by {self.p}")
-        return FpElement(self, num * pow(den, self.p - 2, self.p))
+        return _fp(self, num * pow(den, self.p - 2, self.p) % self.p)
 
     def sqrt_minus_one(self) -> FpElement:
-        return FpElement(self, self.eps_int)
+        return _fp(self, self.eps_int)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

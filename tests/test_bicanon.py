@@ -17,6 +17,7 @@ from upv import bicanon
 from upv.ambient import AMBIENT_LU, AMBIENT_S, AMBIENT_XY, EVEN_TUPLES, Ambient, yname
 from upv.checks import RunConfig, RunContext
 from upv.cover import enumerate_surface
+from grids import all_p1
 from upv.linalg import rank
 from upv.poly import Poly, ring_substitute
 from upv.report import verdict
@@ -922,10 +923,9 @@ def test_images_off_the_s_chart_counted_at_5():
     # images lie off the s-chart, and b1*b2 fixes some of them
     import dataclasses
     import hashlib
-    from upv.cover import PointArray
     p = 5
     pts = enumerate_surface(p, FamilyParams(GF(p), (1, 1, 1, 1, 3)))
-    grid = dataclasses.replace(pts, points=PointArray.all_p1(p))
+    grid = dataclasses.replace(pts, points=all_p1(p))
     s3 = scubic_points_report(grid)
     assert (s3.witness["points"], s3.witness["off_cubic"]) == scalar_off_cubic(grid)
     assert s3.witness["points"] == 1296 - 136

@@ -28,6 +28,7 @@ from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
 from upv.poly import Poly
 from upv.scalars import GF, QI, QQ
 from upv.unproj import FamilyParams
+from grids import all_p1
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +251,7 @@ def whole_grid_brute_force_count(p, nu):
     of (P^1(F_p))^4 at once."""
     field = GF(p)
     nu = FamilyParams(field, tuple(field.coerce(v) for v in nu.nu))
-    cols = PointArray.all_p1(p).homogeneous().reshape(-1, 8).T
+    cols = all_p1(p).homogeneous().reshape(-1, 8).T
     for f in (z1_poly(field), z2_poly(nu)):
         acc = np.zeros(cols.shape[1], dtype=np.int64)
         for e, c in f.terms.items():
@@ -294,8 +295,9 @@ def test_grid_scans_match_the_whole_grid_oracles(p, fresh_image_sets):
         nu = FamilyParams(GF(p), nu)
         assert brute_force_count(p, nu) == whole_grid_brute_force_count(p, nu)
     image, want = downstairs_image_set(p), whole_grid_image_set(p)
-    assert image.dtype == want.dtype and image.shape == want.shape
-    assert np.array_equal(image, want)
+    # the residues are stored in one byte each; the oracle keeps int64
+    assert image.dtype == np.uint8 and want.dtype == np.int64
+    assert image.shape == want.shape and np.array_equal(image, want)
     assert not image.flags.writeable
 
 
@@ -343,7 +345,10 @@ def test_key_rows_invert_row_keys(base):
     rows[1] = 0
     keys = row_keys(rows, base)
     assert all(k.dtype == np.int64 and (k >= 0).all() for k in keys)
-    assert key_rows(keys, base, 16).tolist() == rows.tolist()
+    got = key_rows(keys, base, 16)
+    assert got.dtype == {2: np.uint8, 13: np.uint8, 17: np.uint8,
+                         2 ** 31 - 1: np.uint32, 2 ** 62: np.uint64}[base]
+    assert got.tolist() == rows.tolist()
 
 
 def test_grid_budget_admits_29_and_refuses_73():
@@ -497,7 +502,7 @@ def test_coefficient_tensors_evaluate_like_poly():
         value = coefficient_tensor(poly, d, p)
         for _ in range(4):
             value = contract(value, p1_table(d, p), p)
-        grid = PointArray.all_p1(p)
+        grid = all_p1(p)
         index = np.where(grid.chart == 1, p, grid.vals)
         got = value[tuple(index.T)]
         expect = [int(poly.evaluate([f.from_int(x) for x in row]))
@@ -523,6 +528,70 @@ def test_contract_exact_near_prime_bound():
     expect = [[[[sum(int(tensor[a, i, j, l]) * int(table[k, a]) for a in range(3)) % p
                  for k in range(4)] for l in range(3)] for j in range(3)] for i in range(3)]
     assert contract(tensor, table, p).tolist() == expect
+
+
+def test_square_tensor_is_z2_read_on_the_squares():
+    p = 13
+    nu = FamilyParams(GF(p), (3, 1, 4, 1, 5))
+    c = cover.square_tensor(z1_poly(GF(p)), z2_poly(nu), p)
+    assert c.shape == (2, 2, 2, 2)
+    full = coefficient_tensor(z2_poly(nu), 2, p)
+    assert np.array_equal(c, full[::2, ::2, ::2, ::2]) and full.sum() == c.sum()
+
+
+def monomial(exps, coef, p):
+    return Poly.monomial(AMBIENT_T4, GF(p), exps, coef)
+
+
+@pytest.mark.parametrize("exps", [
+    (1, 1, 2, 0, 2, 0, 2, 0),  # t00*t01*t10^2*t20^2*t30^2: odd in factor 0
+    (0, 2, 2, 0, 1, 1, 0, 2),  # odd in factor 2 alone
+])
+def test_enumeration_rejects_a_z2_off_the_squares(exps, monkeypatch):
+    p, z2_poly_of = 13, cover.z2_poly
+    term = monomial(exps, 7, p)
+    monkeypatch.setattr(cover, "z2_poly", lambda nu: z2_poly_of(nu) + term)
+    with pytest.raises(ValueError) as err:
+        enumerate_surface(p, FamilyParams(GF(p), (3, 1, 4, 1, 5)))
+    # the message names the term as Poly prints it
+    assert str(err.value) == ("Z2 is not a form in the squares t_j0^2, t_j1^2: "
+                              f"it has the term {term}")
+    assert str(term) in ("7*t00*t01*t10^2*t20^2*t30^2", "7*t01^2*t10^2*t20*t21*t31^2")
+
+
+@pytest.mark.parametrize("exps, coef, named", [
+    ((1, 0, 1, 0, 1, 0, 1, 0), 1, "t00*t10*t20*t30 has coefficient 1"),  # a third term
+    ((1, 0, 0, 1, 0, 1, 0, 1), 1, "t00*t11*t21*t31 has coefficient 2"),  # a scaled term
+    ((0, 1, 1, 0, 1, 0, 1, 0), -1, "t01*t10*t20*t30 has coefficient 0"),  # a lost term
+])
+def test_enumeration_rejects_an_altered_z1(exps, coef, named, monkeypatch):
+    p, z1_poly_of = 13, cover.z1_poly
+    extra = monomial(exps, coef, p)
+    monkeypatch.setattr(cover, "z1_poly", lambda field: z1_poly_of(field) + extra)
+    with pytest.raises(ValueError) as err:
+        enumerate_surface(p, FamilyParams(GF(p), (3, 1, 4, 1, 5)))
+    assert str(err.value) == f"Z1 is not t00*t11*t21*t31 + t01*t10*t20*t30: its term {named}"
+
+
+def test_folded_tensor_and_square_sums_exact_near_prime_bound():
+    # (p-1)^2 is just below 2^62, so two unreduced products overflow int64
+    p = BOUND_PRIME
+    rng = random.Random(3)
+    full = lambda *shape: np.full(shape, p - 1, dtype=np.int64)
+    near = lambda *shape: np.array([rng.randrange(p - 100, p) for _ in range(prod(shape))],
+                                   dtype=np.int64).reshape(shape)
+    for residues in (full, near):
+        c, squares = residues(2, 2, 2, 2), residues(5, 3, 2)
+        cl, sq = c.tolist(), squares.tolist()
+        # W[e] = c[0, e] where every e_j < 2, plus c[1, e - 1] where every e_j > 0
+        want = [[[((cl[0][i][j][k] if max(i, j, k) < 2 else 0)
+                   + (cl[1][i - 1][j - 1][k - 1] if min(i, j, k) > 0 else 0)) % p
+                  for k in range(3)] for j in range(3)] for i in range(3)]
+        assert cover.folded_tensor(c, p).tolist() == want
+        want = [[sum(cl[b][a1][a2][a3] * sq[n][0][a1] * sq[n][1][a2] * sq[n][2][a3]
+                     for a1, a2, a3 in product((0, 1), repeat=3)) % p
+                 for n in range(5)] for b in (0, 1)]
+        assert [x.tolist() for x in cover.square_sums(c, squares, p)] == want
 
 
 def test_points_satisfy_equations_on_reload():
@@ -565,7 +634,7 @@ def test_branch_structure():
 def grid_fixed_points(g, p):
     """The oracle: the points of (P^1(F_p))^4 whose image under g, by the
     array action ``act_points``, has the point's own key."""
-    grid = PointArray.all_p1(p)
+    grid = all_p1(p)
     chart, vals = act_points(*aut_arrays([g.map_entries(GF(p))], p), grid)
     image = point_keys(np.where(chart[0] == 1, p, vals[0]), p)
     return [grid.point(n) for n in np.flatnonzero(image == grid.keys())]
@@ -646,7 +715,7 @@ def random_rows(high):
 
 
 @pytest.mark.parametrize("rows, nkeys", [
-    pytest.param(lambda: sigma_images(PointArray.all_p1(13)), 1, id="grid_13"),
+    pytest.param(lambda: sigma_images(all_p1(13)), 1, id="grid_13"),
     pytest.param(lambda: surface_images(29, (3, 1, 4, 1, 5)), 2, id="surface_29"),
     pytest.param(lambda: surface_images(37, (2, 3, 5, 7, 11)), 2, id="surface_37"),
     # two residues below 2^31 - 1 share a key, since (2^31 - 2)^2 < 2^63
@@ -684,7 +753,7 @@ def test_downstairs_image_set_matches_the_point_kernel(p):
     # the grid built factor by factor against the chart-form kernel
     image = downstairs_image_set(p)
     assert image.tolist() == lexsort_distinct_rows(
-        sigma_images(PointArray.all_p1(p))).tolist()
+        sigma_images(all_p1(p))).tolist()
 
 
 def tuple_hplane_problems(image, p):
@@ -748,6 +817,20 @@ def test_hplane_problems_match_tuple_scan(p):
     assert f"H~0000: 1 points outside the decomposition, e.g. {tuple(beside)}" in problems[1]
     assert "H~0000: quartic fails on S^01" in problems[2]
     assert problems[3] == ["H~0000: coordinate point missing"]
+
+
+def test_hplane_problems_widen_one_byte_rows_before_multiplying():
+    # at p = 17 a product of two residues no longer fits the rows' byte
+    p = 17
+    image = downstairs_image_set(p)
+    assert image.dtype == np.uint8
+    # a point of the piece S^01 of H~0000 whose quartic y1*y2 = 16*16 = 1
+    # = x1^2*x2^2 mod 17 holds, while 16*16 wraps to 0 in a byte
+    row = np.zeros(16, dtype=np.uint8)
+    _, (cx1, cx2, cy1, cy2) = s_surface_pattern(0, 1, 1, 1)
+    row[[cx1, cx2, cy1, cy2]] = 1, 1, p - 1, p - 1
+    assert (image == row).all(axis=1).any()
+    assert hplane_problems(image, p) == hplane_problems(image.astype(np.int64), p) == []
 
 
 def test_canonical_weighted_square_classes():
@@ -878,7 +961,7 @@ def test_array_action_matches_act_point_everywhere_at_13(lifted):
     # the distinct-coordinate oracle act_points, on all of (P^1(F_13))^4
     group, _ = lifted
     p, f = 13, GF(13)
-    grid = PointArray.all_p1(p)
+    grid = all_p1(p)
     pts = list(all_p1_points(p))
     assert [grid.point(n) for n in range(len(grid))] == pts
     reduced = [g.map_entries(f) for g in group.elements]
@@ -1020,7 +1103,7 @@ def scalar_sigma_image(pt, p):
 
 def test_sigma_images_match_scalar_everywhere_at_5():
     p = 5
-    got = sigma_images(PointArray.all_p1(p)).tolist()
+    got = sigma_images(all_p1(p)).tolist()
     assert got == [scalar_sigma_image(pt, p) for pt in all_p1_points(p)]
 
 
@@ -1039,7 +1122,7 @@ def test_z2_from_parts_equals_twice_sigma_of_q(field):
 
 @pytest.mark.parametrize("p", [13, 17])
 def test_row_tables_match_p1_rows(p):
-    grid = PointArray.all_p1(p)
+    grid = all_p1(p)
     h = grid.homogeneous()
     digits = grid.digits()
     for d in (1, 2):

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from upv.cover import build_lifts_and_certify
-from upv.scalars import GF, QI, GaussianRational, ScalarError
+from upv.scalars import GF, QI, FpElement, GaussianRational, ScalarError
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -230,3 +231,76 @@ def test_fp_field_axioms(a, b):
     assert x + y == y + x
     assert x * y == y * x
     assert x * (y + f.one()) == x * y + x
+
+
+def fp_results(f):
+    """Elements of ``f`` made by every operator and constructor, with names."""
+    x, y = f.from_int(7), f.from_int(-3)
+    return {
+        "x + y": x + y, "x - y": x - y, "x * y": x * y, "x / y": x / y, "-x": -x,
+        "x ** 5": x ** 5, "x ** -2": x ** -2, "x.inverse()": x.inverse(),
+        "2 + x": 2 + x, "2 - x": 2 - x, "2 * x": 2 * x, "2 / x": 2 / x,
+        "x + 2": x + 2, "x * Fraction(1, 3)": x * Fraction(1, 3),
+        "zero": f.zero(), "one": f.one(), "from_int": f.from_int(-20),
+        "coerce(int)": f.coerce(40), "coerce(Fraction)": f.coerce(Fraction(-2, 3)),
+        "coerce(QI)": f.coerce(GaussianRational(1, 2)), "eps": f.sqrt_minus_one(),
+        "FpElement": FpElement(f, -1),
+    }
+
+
+def gaussian_results():
+    z, w = GaussianRational(Fraction(1, 2), 3), GaussianRational(-2, Fraction(1, 3))
+    return {
+        "z + w": z + w, "z - w": z - w, "z * w": z * w, "z / w": z / w, "-z": -z,
+        "z ** 3": z ** 3, "z ** -1": z ** -1, "z.inverse()": z.inverse(),
+        "2 + z": 2 + z, "2 - z": 2 - z, "2 * z": 2 * z, "2 / z": 2 / z,
+        "z * Fraction(1, 3)": z * Fraction(1, 3), "zero": QI.zero(), "one": QI.one(),
+        "from_int": QI.from_int(-4), "coerce(int)": QI.coerce(5),
+        "coerce(Fraction)": QI.coerce(Fraction(6, 4)), "i": QI.sqrt_minus_one(),
+        "GaussianRational": GaussianRational(Fraction(2, 4), Fraction(-6, 8)),
+    }
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_every_fp_result_is_an_immutable_residue(p):
+    f = GF(p)
+    for name, r in fp_results(f).items():
+        assert type(r) is FpElement and r.field is f, name
+        assert type(r.value) is int and 0 <= r.value < p, name
+        for attr in ("value", "field", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(r, attr, 1)
+        assert r.value == int(r) and r.field is f, name
+
+
+def test_every_gaussian_result_is_immutable_and_normalised():
+    for name, r in gaussian_results().items():
+        assert type(r) is GaussianRational, name
+        assert all(type(v) is int for v in (r._a, r._b, r._d)), name
+        pair(r)
+        for attr in ("_a", "_b", "_d", "re", "other"):
+            with pytest.raises(AttributeError):
+                setattr(r, attr, 1)
+    assert gaussian_results()["GaussianRational"] == GaussianRational(Fraction(1, 2),
+                                                                      Fraction(-3, 4))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                operator.eq, operator.ne], ids=lambda op: op.__name__)
+def test_mixed_prime_fields_raise(op):
+    # the same residue in two fields: neither field's fast path may take it
+    x, y = GF(13).from_int(3), GF(17).from_int(3)
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(ScalarError, match="mixed prime fields"):
+            op(a, b)
+    with pytest.raises(ScalarError, match="mixed prime fields"):
+        GF(13).coerce(y)
+
+
+@pytest.mark.parametrize("p", [13, 17, 2147483029])
+def test_fp_hash_is_the_hash_of_prime_and_residue(p):
+    f = GF(p)
+    for r in fp_results(f).values():
+        assert hash(r) == hash((p, int(r)))
+    # equal elements made by different paths hash alike
+    assert hash(f.from_int(-1)) == hash(f.coerce(Fraction(2, -2))) == hash((p, p - 1))

@@ -73,8 +73,12 @@ def test_point_kernel_times_smoke():
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     line, = res.stdout.splitlines()
-    assert line.startswith("p 13: nu (") and " points, enumerate_surface " in line
-    assert line.endswith(" ms") and ", certify_free_and_smooth " in line
+    assert line.startswith("p 13: nu (") and " points, enumerate_surface cold " in line
+    enum, cert = line.split(" points, ")[1].split(", certify_free_and_smooth ")
+    for timing in (enum.removeprefix("enumerate_surface "), cert):
+        cold, warm = timing.split(", ")
+        assert cold.startswith("cold ") and cold.endswith(" ms")
+        assert warm.startswith("warm ") and warm.endswith(" ms")
 
 
 def test_hilbert_times_smoke():
