@@ -3,7 +3,9 @@
 
     python3 scripts/point_kernel_times.py [--primes 13,17,29,101] [--repeats N]
 
-For each prime, draws one generic nu (seeded by the prime, so two checkouts
+First prints one line for `build_lifts_and_certify`, which builds the lifted
+group the certificates read: its cold first call and the median and
+quartiles of N more.  Then, for each prime, draws one generic nu (seeded by the prime, so two checkouts
 time the same surface) and times `enumerate_surface` and
 `certify_free_and_smooth` on it in this process: the first call of each,
 which fills the per-prime caches and is what `upv run all` pays once per
@@ -62,7 +64,9 @@ def main() -> int:
     ap.add_argument("--primes", default="13,17,29,101")
     ap.add_argument("--repeats", type=int, default=21, help="warm calls per kernel")
     args = ap.parse_args()
-    group, _ = build_lifts_and_certify()
+    (group, _), lifts_cold = cold_ms(build_lifts_and_certify)
+    print(f"build_lifts_and_certify cold {lifts_cold}, "
+          f"warm {warm_ms(build_lifts_and_certify, args.repeats)}", flush=True)
     for p in (int(x) for x in args.primes.split(",")):
         nu = draw_nu(p)
         enumerate_call = lambda: enumerate_surface(p, nu)  # noqa: E731

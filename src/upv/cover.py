@@ -13,25 +13,27 @@ coordinates pull back to squares.  On top of it live
 * the hypersurfaces Z1 (multidegree (1,1,1,1)) and Z2 = 2*sigma^#(q)
   (multidegree (2,2,2,2)) cutting the simply connected surface upstairs, and
 * the enumeration of its F_p points, used to certify that the group acts
-  freely and that no rational point is singular.  It reads the shape that
-  sigma gives the equations, checked on their coefficient tensors: Z1 is
-  the two monomials t00*t11*t21*t31 + t01*t10*t20*t30, so it is solved for
-  the first factor, and Z2 is a form in the squares t_j0^2, t_j1^2, so on
-  that solution it is a form of three factors.
+  freely and that no rational point is singular.  Both read the shape that
+  sigma gives the equations, checked once on their coefficient tensors: Z1
+  is the two monomials t00*t11*t21*t31 + t01*t10*t20*t30, so it is solved
+  for the first factor and its partials are products of coordinates, and
+  Z2 is a form in the squares t_j0^2, t_j1^2, so on that solution it is a
+  form of three factors and its partials contract the 2x2x2x2 square
+  tensor.
 
 Every scan over points runs on the point kernel (``PointArray``): the points
 as int64 arrays of P^1 indices, the group elements reduced mod p once,
 images, keys and Jacobians computed for all points at once.  Per prime, the
-kernel tabulates over the p + 1 points of P^1(F_p) what it reads per
-factor: the image of each point under each element's 2x2 maps
-(``ReducedGroup.tables``) and the P^1 rows t0^(d-a) * t1^a with their
-derivative rows (``p1_jet_table``), so a batch is one gather; near the
-prime bound, where such tables would not fit, only the points' distinct
-coordinates are evaluated (``p1_slots``).  A form is its coefficient
-tensor (or a sigma-monomial its exponent row) read against those rows.
-Every product is reduced mod p before it is added, so all of it is exact
-for every prime ``GF`` admits (p < 2^31).  ``ProjAut.act_point``,
-``Poly.evaluate`` and ``canonical_weighted`` stay as the per-point oracles
+kernel tabulates over the p + 1 points of P^1(F_p) the image of each point
+under each element's 2x2 maps (``ReducedGroup.tables``), so a batch of
+images is one gather; near the prime bound, where such tables would not
+fit, only the points' distinct coordinates are mapped (``p1_slots``).  The
+enumerator reads its per-prime rows of squares from ``square_rows``.  The
+local Jacobian reads the shape of Z1 and Z2 that ``square_tensor`` checks,
+with the points on the last axis (``local_partials``).  Every product is
+reduced mod p before it is added, so all of it is exact for every prime
+``GF`` admits (p < 2^31).  ``ProjAut.act_point``, ``Poly.evaluate``,
+``Poly.derivative`` and ``canonical_weighted`` stay as the per-point oracles
 of the tests.
 """
 
@@ -112,18 +114,13 @@ class ProjAut:
     __slots__ = ("domain", "pi", "mats", "_residues")
 
     def __init__(self, domain, pi: Sequence[int], mats):
-        self.domain = domain
-        self.pi = tuple(pi)
-        norm = []
-        for m in mats:
-            rows = tuple(tuple(domain.coerce(x) for x in row) for row in m)
-            flat = [x for row in rows for x in row]
-            lead = next((x for x in flat if x), None)
-            if lead is None:
-                raise ValueError("zero matrix in a projective automorphism")
-            inv = domain.one() / lead
-            norm.append(tuple(tuple(x * inv for x in row) for row in rows))
-        self.mats = tuple(norm)
+        self._set(domain, tuple(pi),
+                  [tuple(tuple(domain.coerce(x) for x in row) for row in m) for m in mats])
+
+    def _set(self, domain, pi: Tuple[int, ...], mats) -> None:
+        """Set the fields from matrices whose entries already lie in ``domain``."""
+        self.domain, self.pi = domain, pi
+        self.mats = tuple(map(normalized, mats))
         self._residues: Dict[int, List[List[List[int]]]] = {}
 
     @classmethod
@@ -150,16 +147,17 @@ class ProjAut:
         return cls(domain, pi, mats)
 
     def mul(self, other: "ProjAut") -> "ProjAut":
-        """Group product: substitution of ``other`` followed by ``self``."""
-        pi = tuple(self.pi[other.pi[j]] for j in range(4))
+        """Group product: substitution of ``other`` followed by ``self``.
+        The entries of both are in the domain already, so the four 2x2
+        products are formed and normalized with no further coercion."""
         mats = []
         for j in range(4):
-            a, b = other.mats[j], self.mats[other.pi[j]]
-            mats.append(tuple(
-                tuple(sum((a[r][k] * b[k][c] for k in (0, 1)), self.domain.zero())
-                      for c in (0, 1))
-                for r in (0, 1)))
-        return ProjAut(self.domain, pi, mats)
+            (a, b), (c, d) = other.mats[j]
+            (e, f), (g, h) = self.mats[other.pi[j]]
+            mats.append(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
+        out = ProjAut.__new__(ProjAut)
+        out._set(self.domain, tuple(self.pi[j] for j in other.pi), mats)
+        return out
 
     def key(self):
         return (self.pi, self.mats)
@@ -195,9 +193,7 @@ class ProjAut:
         return MonomialMap(AMBIENT_T4, AMBIENT_T4, d, images)
 
     def map_entries(self, domain) -> "ProjAut":
-        mats = [tuple(tuple(domain.coerce(x) for x in row) for row in m)
-                for m in self.mats]
-        return ProjAut(domain, self.pi, mats)
+        return ProjAut(domain, self.pi, self.mats)
 
     def act_point(self, point: Point, p: int) -> Point:
         """Image of an enumerated point, renormalized to chart form.  The
@@ -218,6 +214,19 @@ class ProjAut:
 
     def __repr__(self):
         return f"ProjAut(pi={self.pi})"
+
+
+def normalized(m):
+    """A 2x2 matrix of field entries scaled so that its first nonzero entry
+    in row-major order is 1, or ``m`` itself when that entry is 1."""
+    (a, b), (c, d) = m
+    lead = a or b or c or d
+    if not lead:
+        raise ValueError("zero matrix in a projective automorphism")
+    if lead == 1:
+        return m
+    inv = 1 / lead
+    return ((a * inv, b * inv), (c * inv, d * inv))
 
 
 def table2_generators(domain=QI) -> Dict[str, ProjAut]:
@@ -570,7 +579,9 @@ def sigma_deck_report(domain=QI) -> CheckReport:
 
 # -- Z1 and Z2 ---------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def z1_poly(domain) -> Poly:
+    """Z1 = sigma^#(x00 + x01), once per field (a ``Poly`` is immutable)."""
     return sigma_map(domain).apply(
         Poly.variable(AMBIENT_XY, domain, "x00")
         + Poly.variable(AMBIENT_XY, domain, "x01"))
@@ -753,9 +764,9 @@ def p1_images(mats: np.ndarray, digits: np.ndarray, p: int) -> np.ndarray:
 
 
 def p1_slots(pa: PointArray) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Where a kernel reads the per-factor values of a point set: a pair
-    (values, slots) with slots (N, 4) indexing a table over the P^1 indices
-    ``values``.
+    """Where ``image_keys`` reads the per-factor values of a point set: a
+    pair (values, slots) with slots (N, 4) indexing a table over the P^1
+    indices ``values``.
 
     Normally the table covers all p + 1 points of P^1(F_p) and is kept per
     prime by the caller: then ``values`` is None and the slots are the P^1
@@ -793,6 +804,13 @@ class SurfacePointSet:
     points: PointArray
     equations: Tuple[Poly, Poly]
 
+    @cached_property
+    def square(self) -> np.ndarray:
+        """Z2's square tensor c, read from the equations after the shape
+        check of ``square_tensor``; ``enumerate_surface`` stores the one it
+        built, so the certificate of its points reads that."""
+        return square_tensor(*self.equations, self.p)
+
     @property
     def count(self) -> int:
         return len(self.points)
@@ -825,28 +843,22 @@ def p1_rows(t0: np.ndarray, t1: np.ndarray, d: int, p: int) -> np.ndarray:
 
 def p1_table(d: int, p: int) -> np.ndarray:
     """``p1_rows`` at (1, k) for k < p, then (0, 1): all of P^1(F_p)."""
-    return p1_jets(d, np.arange(p + 1), p)[0]
-
-
-def p1_jets(d: int, digits: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The P^1 rows of degree d at the points of P^1 index ``digits`` (1-D),
-    and their derivative rows in the local coordinate w: the row at (1, w)
-    is w^a, so its derivative is a*w^(a-1); the row at (0, 1) with t0 = w
-    is w^(d-a), whose derivative at w = 0 is [a = d-1]."""
-    affine = digits < p
-    rows = p1_rows(affine.astype(np.int64), np.where(affine, digits, 1), d, p)
-    a = np.arange(d + 1)
-    return rows, np.where(affine[:, None], a * rows[:, a - 1] % p, a == d - 1)
+    k = np.arange(p + 1)
+    affine = k < p
+    return p1_rows(affine.astype(np.int64), np.where(affine, k, 1), d, p)
 
 
 @lru_cache(maxsize=8)
-def p1_jet_table(d: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``p1_jets`` over all of P^1(F_p), once per degree and prime, shared
-    by every caller and hence read-only."""
-    tables = p1_jets(d, np.arange(p + 1), p)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+def square_rows(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows the enumerator reads over P^1(F_p), indexed as in
+    ``p1_table``: h = (t0, t1), u = (t0^2, t1^2) and E = (t0^4, t0^2*t1^2,
+    t1^4), once per prime, shared by every caller and hence read-only."""
+    h = p1_table(1, p)
+    u = h * h % p
+    rows = (h, u, p1_rows(u[:, 0], u[:, 1], 2, p))
+    for r in rows:
+        r.flags.writeable = False
+    return rows
 
 
 def monomial_values(rows: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
@@ -944,7 +956,8 @@ def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
     form c in the squares u_j = (t_j0^2, t_j1^2).  Where (A, B) != (0, 0),
     factor 0 is the single point (A : -B), and there Z2 is F = sum_e W[e] *
     prod_j E[k_j, e_j] over factors 1-3 (``folded_tensor``), with E =
-    (t0^4, t0^2*t1^2, t1^4) a table over P^1(F_p).  Factors 3 and 2 are
+    (t0^4, t0^2*t1^2, t1^4) a table over P^1(F_p) (``square_rows``, kept
+    per prime with the rows of t and u).  Factors 3 and 2 are
     contracted once (``contract``), on all (p+1)^2 of their points; then F
     costs three products a cell.  The points of factor 1 go in blocks of up
     to ``BLOCK_CELLS`` cells, one broadcast each with factor 1 leading and
@@ -954,6 +967,8 @@ def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
     B0*t00^2 + B2*t01^2 (``square_sums``) is tested at every point of
     factor 0.  Every product of two residues is reduced before it is
     added, so all of it is exact for p < 2^31.  O(p^3) work, O(p^2) memory.
+    The points are sorted by one packed key (``chart_keys``), and the set
+    carries c, so the certificate of these points checks no shape again.
     """
     field = GF(p)
     if not isinstance(nu.domain, PrimeField) or nu.domain.p != p:
@@ -961,9 +976,7 @@ def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
     equations = (z1_poly(field), z2_poly(nu))
     c = square_tensor(*equations, p)
     n = p + 1  # the points of P^1(F_p), indexed as in ``p1_table``
-    h = p1_jet_table(1, p)[0]  # (t0, t1)
-    u = h * h % p  # (t0^2, t1^2)
-    e = p1_rows(u[:, 0], u[:, 1], 2, p)
+    h, u, e = square_rows(p)
     # axes (e2, e3, e1) contracted twice: (e1, k2, k3), then the points of
     # factors 2 and 3 flattened to k2*n + k3
     g = contract(contract(folded_tensor(c, p).transpose(1, 2, 0), e, p), e, p)
@@ -996,8 +1009,27 @@ def enumerate_surface(p: int, nu: FamilyParams) -> SurfacePointSet:
     cell, k0 = np.nonzero((b0[:, None] * u[:, 0] % p + b2[:, None] * u[:, 1] % p) % p == 0)
     index = np.concatenate([solved, np.column_stack([k0, k[cell]])])
     chart, vals = (index == p).astype(np.int64), index % p
-    order = np.lexsort(np.concatenate([chart, vals], axis=1).T[::-1])
-    return SurfacePointSet(p, nu, PointArray(p, chart[order], vals[order]), equations)
+    order = np.argsort(chart_keys(chart, vals, p))
+    found = SurfacePointSet(p, nu, PointArray(p, chart[order], vals[order]), equations)
+    found.square = c  # checked above, and read by the certificate
+    return found
+
+
+# the chart code 8*c0 + 4*c1 + 2*c2 + c3, which orders charts lexicographically
+CHART_CODE = np.array([8, 4, 2, 1])
+
+
+def chart_keys(chart: np.ndarray, vals: np.ndarray, p: int) -> np.ndarray:
+    """One integer per point (rows of chart and vals, (N, 4)) that orders the
+    points as (chart, vals) does lexicographically: the chart code, then
+    the four values as base p digits.  int64 while 16*p^4 fits, Python ints
+    beyond (as in ``point_keys``)."""
+    key = chart @ CHART_CODE
+    if 16 * p ** 4 > INT64_MAX:
+        key = key.astype(object)
+    for j in range(4):
+        key = key * p + vals[:, j]
+    return key
 
 
 # The scans over every point of (P^1(F_p))^4 (``brute_force_count`` and
@@ -1074,41 +1106,57 @@ def local_equations(p: int, nu: FamilyParams, chart: Chart) -> List[Poly]:
     return [m.apply(z1), m.apply(z2)]
 
 
-def local_partials(pa: PointArray, equations: Sequence[Poly]) -> np.ndarray:
+def local_partials(pa: PointArray, c: np.ndarray) -> np.ndarray:
     """d/dw_k of Z1 and Z2 at each point, shape (2, 4, N), with w_k local
-    on factor k as in ``local_equations``: the coefficient tensors read
-    against the P^1 rows of the points' factors, with the derivative row
-    for factor k.  Rows and derivative rows are gathered from the per-prime
-    ``p1_jet_table``, or evaluated at the distinct coordinates by the size
-    rule of ``p1_slots``."""
+    on factor k as in ``local_equations``: t_k1 in chart 0, and t_k0 in
+    chart 1, where it is 0.  It reads the shape ``square_tensor`` checks.
+
+    Z1 = t00*B + t01*A (A = t10*t20*t30, B = t11*t21*t31): its partial in
+    w_0 is A in chart 0 and B in chart 1; in w_k (k >= 1) it is t00 times
+    the t_j1, j not 0 or k, in chart 0, and t01 times the t_j0 in chart 1.
+    Z2 = sum_a c[a] * prod_j u_j[a_j] with u_j = (t_j0^2, t_j1^2): its
+    partial in w_k is 2*t_k1*G_k in chart 0 and 0 in chart 1, where G_k
+    sums the terms with a_k = 1 without u_k.  c contracted with u_2 (x) u_3
+    gives G_0 and G_1, with u_0 (x) u_1 gives G_2 and G_3.  Arrays are
+    (component, N); every product of two residues is reduced before it is
+    added and no sum exceeds four residues, so all of it is exact for
+    p < 2^31."""
     p = pa.p
-    values, slots = p1_slots(pa)
-    out = np.empty((2, 4, len(pa)), dtype=np.int64)
-    for f, d, partials in zip(equations, (1, 2), out):
-        tensor = coefficient_tensor(f, d, p)
-        exps = np.argwhere(tensor)
-        coef = tensor[tuple(exps.T)]
-        rows, deriv = p1_jet_table(d, p) if values is None else p1_jets(d, values, p)
-        # per table point and factor, the row entry of each of the M
-        # monomials, (T, 4, M), and the derivative-row entry times the
-        # monomial's coefficient; then one gather per factor, (N, M) each
-        row_m, deriv_m = rows[:, exps.T], coef * deriv[:, exps.T] % p
-        r = [row_m[slots[:, j], j] for j in range(4)]
-        for k in range(4):
-            value = deriv_m[slots[:, k], k]
-            for j in range(4):
-                if j != k:
-                    value *= r[j]
-                    value %= p
-            # M products of residues (M <= 81) sum far below 2^63
-            partials[k] = value.sum(axis=1) % p
+    # (4, N), contiguous, so that every product below runs along the points
+    chart = np.ascontiguousarray(pa.chart.T) == 1
+    t0 = (~chart).astype(np.int64)  # 0 or 1 in chart form
+    t1 = np.where(chart, 1, np.ascontiguousarray(pa.vals.T))
+    out = np.empty((2,) + chart.shape, dtype=np.int64)
+    for k in range(4):
+        rest = [j for j in (1, 2, 3) if j != k]
+        ones, zeros = t1[rest[0]], t0[rest[0]]  # prod t_j1 and prod t_j0 over rest
+        for j in rest[1:]:
+            ones, zeros = ones * t1[j] % p, zeros * t0[j]
+        if k == 0:
+            out[0, 0] = np.where(chart[0], ones, zeros)
+        else:
+            out[0, k] = np.where(chart[k], t1[0] * zeros, t0[0] * ones)
+    u = np.stack([t0, t1 * t1 % p], axis=1)  # (4, 2, N): u[j, a] = t_ja^2
+    g = np.empty_like(t1)
+    for (x, y), (z, w) in (((0, 1), (2, 3)), ((2, 3), (0, 1))):
+        # h[a_x, a_y] = sum over (a_z, a_w) of c[a] * u_z[a_z] * u_w[a_w]
+        uu = (u[z][:, None] * u[w][None] % p).reshape(4, -1)
+        cc = c.transpose(x, y, z, w).reshape(4, 4)
+        h = cc[:, 0, None] * uu[0] % p
+        for i in (1, 2, 3):
+            h += cc[:, i, None] * uu[i] % p
+        h = (h % p).reshape(2, 2, -1)
+        g[x] = (h[1] * u[y] % p).sum(axis=0) % p
+        g[y] = (h[:, 1] * u[x] % p).sum(axis=0) % p
+    out[1] = np.where(chart, 0, 2 * t1 % p * g % p)
     return out
 
 
-def jacobian_rank2(pa: PointArray, equations: Sequence[Poly]) -> np.ndarray:
-    """Whether the local 2x4 Jacobian of Z1 and Z2 has rank 2 at each point."""
+def jacobian_rank2(pa: PointArray, c: np.ndarray) -> np.ndarray:
+    """Whether the local 2x4 Jacobian of Z1 and Z2 has rank 2 at each point,
+    for Z2 of square tensor c (``local_partials``)."""
     p = pa.p
-    j0, j1 = local_partials(pa, equations)
+    j0, j1 = local_partials(pa, c)
     rank2 = np.zeros(len(pa), dtype=bool)
     for a, b in combinations(range(4), 2):
         # a difference of two products of residues lies within +-2^62
@@ -1154,9 +1202,9 @@ def certify_free_and_smooth(points: SurfacePointSet,
             closed = False
             problems.append(f"orbit of {pa.point(first_off)} leaves the "
                             f"surface under {name}")
-    singular = np.flatnonzero(~jacobian_rank2(pa, points.equations))
+    singular = np.flatnonzero(~jacobian_rank2(pa, points.square))
     if singular.size:
-        first = singular[np.argmin(pa.chart[singular] @ np.array([8, 4, 2, 1]))]
+        first = singular[np.argmin(pa.chart[singular] @ CHART_CODE)]
         problems.append(f"rank drop at {singular.size} points, "
                         f"first {pa.point(first)}")
     if points.count % 2 != 0:

@@ -13,15 +13,16 @@ from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
                        PointArray, ProjAut, SurfacePointSet, aut_arrays,
                        brute_force_count, build_lifts_and_certify, build_z2,
                        canonical_weighted, canonical_weighted_rows,
-                       certify_free_and_smooth, check_grid_budget,
+                       certify_free_and_smooth, chart_keys, check_grid_budget,
                        coefficient_tensor, contract,
                        distinct_rows, downstairs_image_set, enumerate_surface,
                        expand_point, factorwise_fixed_points, gtilde_generators,
                        hplane_problems, image_keys, jacobian_rank2, key_rows,
                        local_equations, local_partials, normalize_factors,
-                       p1_jet_table, p1_rows, p1_table, point_keys, pow_mod,
+                       p1_rows, p1_table, point_keys, pow_mod,
                        row_keys, s_surface_pattern, sigma_deck_report, sigma_images,
-                       sigma_map, s_involution_map, table2_generators,
+                       sigma_map, s_involution_map, square_rows, square_tensor,
+                       table2_generators,
                        tabulated_generator_rows, verify_branch_structure,
                        verify_hplane_decomposition, y_point_count_report,
                        z1_display, z1_poly, z2_display, z2_poly)
@@ -382,7 +383,8 @@ def test_brute_force_shares_nothing_with_the_enumerator(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle used the enumerator's kernel")
 
-    for name in ("contract", "p1_table", "p1_jet_table", "coefficient_tensor", "pow_mod",
+    for name in ("contract", "p1_rows", "p1_table", "square_rows", "coefficient_tensor",
+                 "square_tensor", "folded_tensor", "square_sums", "chart_keys", "pow_mod",
                  "enumerate_surface"):
         monkeypatch.setattr(cover_module, name, forbidden)
     assert brute_force_count(p, nu) == expected > 0
@@ -543,10 +545,13 @@ def monomial(exps, coef, p):
     return Poly.monomial(AMBIENT_T4, GF(p), exps, coef)
 
 
-@pytest.mark.parametrize("exps", [
+ODD_TERMS = [
     (1, 1, 2, 0, 2, 0, 2, 0),  # t00*t01*t10^2*t20^2*t30^2: odd in factor 0
     (0, 2, 2, 0, 1, 1, 0, 2),  # odd in factor 2 alone
-])
+]
+
+
+@pytest.mark.parametrize("exps", ODD_TERMS)
 def test_enumeration_rejects_a_z2_off_the_squares(exps, monkeypatch):
     p, z2_poly_of = 13, cover.z2_poly
     term = monomial(exps, 7, p)
@@ -557,6 +562,25 @@ def test_enumeration_rejects_a_z2_off_the_squares(exps, monkeypatch):
     assert str(err.value) == ("Z2 is not a form in the squares t_j0^2, t_j1^2: "
                               f"it has the term {term}")
     assert str(term) in ("7*t00*t01*t10^2*t20^2*t30^2", "7*t01^2*t10^2*t20*t21*t31^2")
+
+
+@pytest.mark.parametrize("exps", ODD_TERMS)
+def test_certificate_rejects_a_z2_off_the_squares(exps, lifted, monkeypatch):
+    # the Jacobian reads Z2 as a form in the squares, so a certificate for
+    # equations of another shape must refuse them as the enumerator does
+    group, _ = lifted
+    p, z2_poly_of = 13, cover.z2_poly
+    nu = FamilyParams(GF(p), (3, 1, 4, 1, 5))
+    points = enumerate_surface(p, nu).points
+    term = monomial(exps, 7, p)
+    monkeypatch.setattr(cover, "z2_poly", lambda nu: z2_poly_of(nu) + term)
+    with pytest.raises(ValueError) as enumerated:
+        enumerate_surface(p, nu)
+    odd = SurfacePointSet(p, nu, points, (z1_poly(GF(p)), cover.z2_poly(nu)))
+    with pytest.raises(ValueError) as certified:
+        certify_free_and_smooth(odd, group)
+    assert str(certified.value) == str(enumerated.value)
+    assert str(term) in str(certified.value)
 
 
 @pytest.mark.parametrize("exps, coef, named", [
@@ -677,6 +701,51 @@ def test_branch_structure_fails_for_a_mutant_deck_involution(mutant, problem, mo
     rep = verify_branch_structure(13)
     assert not rep.passed
     assert rep.witness["problems"] == [problem]
+
+
+def constructor_product(g, h):
+    """g*h by the public constructor: each entry summed from zero, then
+    every entry coerced and each matrix scaled by its first nonzero entry."""
+    d = g.domain
+    mats = [[[sum((h.mats[j][r][k] * g.mats[h.pi[j]][k][c] for k in (0, 1)), d.zero())
+              for c in (0, 1)] for r in (0, 1)] for j in range(4)]
+    return ProjAut(d, [g.pi[h.pi[j]] for j in range(4)], mats)
+
+
+@pytest.mark.parametrize("field", [QI, GF(13)], ids=str)
+def test_mul_matches_the_constructor_product(field, lifted):
+    group, _ = lifted
+    elements = [g.map_entries(field) for g in group.elements]
+    assert len(elements) == 16
+    for g in elements:
+        for h in elements:
+            got, want = g.mul(h), constructor_product(g, h)
+            assert got == want and hash(got) == hash(want)
+    # products whose first nonzero entry is i, then 2, before the scaling
+    eps, one, zero = field.sqrt_minus_one(), field.one(), field.zero()
+    turn = ProjAut(field, (1, 2, 3, 0), [((zero, one), (eps, zero))] * 4)
+    upper = ProjAut(field, (0, 1, 2, 3), [((one, one), (zero, one))] * 4)
+    lower = ProjAut(field, (0, 1, 2, 3), [((one, zero), (one, one))] * 4)
+    for g, h, lead in ((turn, turn, eps), (lower, upper, field.from_int(2))):
+        (a, b), _ = h.mats[0]
+        (e, _), (c, _) = g.mats[h.pi[0]]
+        assert a * e + b * c == lead  # the top left entry of factor 0
+        got = g.mul(h)
+        assert got == constructor_product(g, h) and got.mats[0][0][0] == 1
+
+
+def test_constructor_coerces_and_rejects_a_zero_matrix():
+    eye = ((1, 0), (0, 1))
+    g = ProjAut(QI, (0, 1, 2, 3), [((0, 2), (3, 0))] + [eye] * 3)
+    assert g.mats[0] == ((0, 1), (QI.from_int(3) / 2, 0))
+    assert all(type(x) is type(QI.one()) for m in g.mats for row in m for x in row)
+    with pytest.raises(ValueError, match="zero matrix"):
+        ProjAut(GF(13), (0, 1, 2, 3), [((0, 13), (26, 0))] + [eye] * 3)
+    # two singular matrices whose product is zero
+    upper = ProjAut(QI, (0, 1, 2, 3), [((1, 0), (0, 0))] + [eye] * 3)
+    lower = ProjAut(QI, (0, 1, 2, 3), [((0, 0), (0, 1))] + [eye] * 3)
+    with pytest.raises(ValueError, match="zero matrix"):
+        upper.mul(lower)
 
 
 def test_downstairs_image_count():
@@ -983,7 +1052,7 @@ def test_array_jacobian_matches_poly_evaluate():
     for nu_ints, smooth in (((1, 1, 1, 1, 3), True), ((3, 1, 4, 1, 0), False)):
         nu = FamilyParams(f, nu_ints)
         pts = enumerate_surface(13, nu)
-        got = jacobian_rank2(pts.points, (z1_poly(f), z2_poly(nu))).tolist()
+        got = jacobian_rank2(pts.points, pts.square).tolist()
         assert got == scalar_rank2(13, nu, point_list(pts.points))
         assert all(got) == smooth
 
@@ -998,13 +1067,50 @@ def test_local_partials_match_poly_derivatives(p):
     points = [(chart, tuple(0 if c else x for c, x in zip(chart, vals)))
               for chart in CHARTS
               for vals in ((p - 1,) * 4, tuple(rng.randrange(p) for _ in range(4)))]
-    got = local_partials(point_array(points, p), (z1_poly(f), z2_poly(nu)))
+    got = local_partials(point_array(points, p), square_tensor(z1_poly(f), z2_poly(nu), p))
     assert got.shape == (2, 4, len(points))
     for n, pt in enumerate(points):
         w = [f.from_int(x) for x in local_point(pt)]
         expect = [[int(eq.derivative(v).evaluate(w)) for v in AMBIENT_LOCAL4.variables]
                   for eq in local_equations(p, nu, pt[0])]
         assert got[:, :, n].tolist() == expect, pt
+
+
+def z2_partials_oracle(c, points, p):
+    """d/dw_k of Z2 = sum_a c[a] * prod_j u_j[a_j], u_j = (t_j0^2, t_j1^2), in
+    Python integers: in chart 0 (w_k = t_k1) the derivative of u_k[a_k] is
+    2*w_k for a_k = 1 and 0 for a_k = 0; in chart 1 it vanishes at w_k = 0."""
+    out = []
+    for chart, vals in points:
+        t = [(1, v) if ch == 0 else (0, 1) for ch, v in zip(chart, vals)]
+        row = []
+        for k in range(4):
+            total = 0
+            if chart[k] == 0:
+                for a in product((0, 1), repeat=4):
+                    if a[k]:
+                        rest = prod(t[j][a[j]] ** 2 for j in range(4) if j != k)
+                        total += int(c[a]) * 2 * t[k][1] * rest
+            row.append(total % p)
+        out.append(row)
+    return out
+
+
+def test_local_partials_exact_near_prime_bound():
+    # squares at p - 1 (the coordinate eps, a root of -1) next to squares at
+    # 1, against a square tensor near p: two unreduced products overflow
+    p = BOUND_PRIME
+    eps = GF(p).eps_int
+    rng = random.Random(5)
+    points = [(chart, tuple(0 if ch else rng.choice([eps, p - eps, 1, p - 1, rng.randrange(p)])
+                            for ch in chart))
+              for chart in CHARTS for _ in range(6)]
+    pa = point_array(points, p)
+    for c in (np.full((2,) * 4, p - 1, dtype=np.int64),
+              np.array([rng.randrange(p - 100, p) for _ in range(16)],
+                       dtype=np.int64).reshape((2,) * 4)):
+        got = local_partials(pa, c)
+        assert got[1].T.tolist() == z2_partials_oracle(c, points, p)
 
 
 def test_certify_matches_scalar_oracle(lifted):
@@ -1125,18 +1231,14 @@ def test_row_tables_match_p1_rows(p):
     grid = all_p1(p)
     h = grid.homogeneous()
     digits = grid.digits()
-    for d in (1, 2):
-        rows, deriv = p1_jet_table(d, p)
-        assert not rows.flags.writeable and not deriv.flags.writeable
-        assert np.array_equal(rows, p1_table(d, p))
+    for d in (1, 2, 4):
+        rows = p1_table(d, p)
         assert np.array_equal(rows[digits], p1_rows(h[..., 0], h[..., 1], d, p))
-        # the derivative row in the local coordinate of each factor
-        for k in range(p + 1):
-            if k < p:
-                expect = [a * pow(k, a - 1, p) % p if a else 0 for a in range(d + 1)]
-            else:
-                expect = [int(a == d - 1) for a in range(d + 1)]
-            assert deriv[k].tolist() == expect
+    # the enumerator's cached rows: h, its squares u and E
+    tables = square_rows(p)
+    assert all(not t.flags.writeable for t in tables)
+    want = (p1_table(1, p), p1_table(2, p)[:, ::2], p1_table(4, p)[:, ::2])
+    assert all(np.array_equal(t, w) for t, w in zip(tables, want, strict=True))
 
 
 def test_fermat_inverse_mod_p():
@@ -1159,3 +1261,21 @@ def test_eval_terms_matches_poly_evaluate_near_prime_bound():
     expect = [[int(g.evaluate(r)) for r in rows]
               for g in [z2] + [z2.derivative(v) for v in AMBIENT_T4.variables]]
     assert got == expect
+
+
+@pytest.mark.parametrize("p", [13, BOUND_PRIME])
+def test_chart_keys_sort_as_lexsort(p):
+    rng = np.random.default_rng(p % 1000)
+    if p == 13:
+        points = np.concatenate([all_p1(p).chart, all_p1(p).vals], axis=1)
+    else:  # hand-made points, values near 0 and near p
+        chart = rng.integers(0, 2, size=(400, 4))
+        vals = np.where(chart == 1, 0, rng.choice([0, 1, 2, p - 2, p - 1], size=(400, 4)))
+        vals[::3] = np.where(chart[::3] == 1, 0, rng.integers(0, p, size=(134, 4)))
+        points = np.unique(np.concatenate([chart, vals], axis=1), axis=0)
+    points = points[rng.permutation(len(points))]
+    keys = chart_keys(points[:, :4], points[:, 4:], p)
+    assert keys.dtype == (np.int64 if p == 13 else object)
+    want = np.lexsort(points.T[::-1])
+    assert np.argsort(keys).tolist() == want.tolist()
+    assert points[want].tolist() == sorted(points.tolist())

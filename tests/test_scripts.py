@@ -72,10 +72,12 @@ def test_point_kernel_times_smoke():
          "--primes", "13", "--repeats", "1"],
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    line, = res.stdout.splitlines()
+    lifts, line = res.stdout.splitlines()
+    assert lifts.startswith("build_lifts_and_certify cold ")
     assert line.startswith("p 13: nu (") and " points, enumerate_surface cold " in line
     enum, cert = line.split(" points, ")[1].split(", certify_free_and_smooth ")
-    for timing in (enum.removeprefix("enumerate_surface "), cert):
+    for timing in (lifts.removeprefix("build_lifts_and_certify "),
+                   enum.removeprefix("enumerate_surface "), cert):
         cold, warm = timing.split(", ")
         assert cold.startswith("cold ") and cold.endswith(" ms")
         assert warm.startswith("warm ") and warm.endswith(" ms")
