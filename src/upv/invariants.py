@@ -14,6 +14,8 @@ the functional taking x^u to s(u) there and to 0 elsewhere kills V_d, is 1
 at the root and 0 at every other root.  So the live roots are a basis of
 (S/V)_d, over QQ and over GF(p) for every odd p alike: one computation
 over QQ serves every prime (``checks.RunContext.v_quotient``).
+``hilbert_v`` compares each h_V(d) it records with the closed form
+((d+1)^4 - d^4 + (-1)^d)/2.
 
 T = V + (q(nu)) goes through V's normal form: modulo V each monomial of
 degree d-2 is +- a live root or 0, so (T/V)_d is spanned by q times the
@@ -333,13 +335,20 @@ def hilbert_t_report(primes: Sequence[int], nus: Dict[int, List[FamilyParams]],
                    params={"primes": list(primes), "max_degree": max_degree})
 
 
+def hilbert_v_expected(d: int) -> int:
+    """The closed form h_V(d) = ((d+1)^4 - d^4 + (-1)^d) / 2."""
+    return ((d + 1) ** 4 - d ** 4 + (-1) ** d) // 2
+
+
 def hilbert_v_report(primes: Sequence[int], max_degree: int = 3,
                      v: Optional[BinomialQuotient] = None) -> CheckReport:
-    """h_V(1) = 7, with h_V(d) for d <= max_degree recorded, from V's quotient
-    ``v`` in at least these degrees (built here when None), which holds over
-    QQ and every GF(p) with p odd: over every prime given, and the others."""
+    """h_V(d) = ``hilbert_v_expected(d)`` (1, 7, 33, ..) for every recorded
+    d <= max_degree, from V's quotient ``v`` in at least these degrees
+    (built here when None), which holds over QQ and every GF(p) with p odd:
+    over every prime given, and the others."""
     values = (v or v_quotient(max_degree)).profile()[:max_degree + 1]
-    problems = [] if values[:2] == [(0, 1), (1, 7)] else [f"h_V(0), h_V(1) = {values[:2]}"]
+    problems = [f"h_V({d}) = {h}, expected {hilbert_v_expected(d)}"
+                for d, h in values if h != hilbert_v_expected(d)]
     return verdict("invariants.hilbert_v", problems,
                    {"values": values, "stable_across_primes": True},
                    params={"primes": list(primes), "max_degree": max_degree})

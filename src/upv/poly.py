@@ -6,6 +6,11 @@ construction and safe to share; all arithmetic builds new objects.  The
 canonical term order (descending lexicographic on exponent vectors) fixes
 printing, division and hashing.
 
+Sums and products (``+``, ``-``, poly x poly ``*``, ``weighted_sum`` and
+``MonomialMap.apply``) run on one path for every domain: they accumulate
+``domain.raw`` values in one dict and turn each output term back into a
+field element once, with ``domain.wrap_terms``.
+
 A ``MonomialMap`` sends each source variable to scalar * monomial in a target
 ambient and applies as a ring homomorphism.  Laurent images (negative
 exponents) must be explicitly allowed by the map and by the target ambient.
@@ -52,6 +57,13 @@ class Poly:
         out.terms = {e: c for e, c in terms.items() if c}
         return out
 
+    @classmethod
+    def _from_raw(cls, ambient: Ambient, domain, acc: Mapping[Exponents, object]) -> "Poly":
+        """Internal results accumulated as ``domain.raw`` values."""
+        out = cls.__new__(cls)
+        out.ambient, out.domain, out.terms = ambient, domain, domain.wrap_terms(acc)
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -88,17 +100,13 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(self.ambient, self.domain, other)
         self._check_compatible(other)
-        terms = dict(self.terms)
+        raw = self.domain.raw
+        acc = {e: raw(c) for e, c in self.terms.items()}
+        get = acc.get
         for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        out = Poly.__new__(Poly)
-        out.ambient, out.domain, out.terms = self.ambient, self.domain, terms
-        return out
+            s = get(e)
+            acc[e] = raw(c) if s is None else s + raw(c)
+        return Poly._from_raw(self.ambient, self.domain, acc)
 
     __radd__ = __add__
 
@@ -118,28 +126,22 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = self.domain.coerce(other)
-            if not c:
-                return Poly.zero(self.ambient, self.domain)
-            out = Poly.__new__(Poly)
-            out.ambient, out.domain = self.ambient, self.domain
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            raw = self.domain.raw
+            c = raw(self.domain.coerce(other))
+            return Poly._from_raw(self.ambient, self.domain,
+                                  {e: raw(k) * c for e, k in self.terms.items()})
         self._check_compatible(other)
-        terms: Dict[Exponents, object] = {}
+        raw = self.domain.raw
+        right = [(e, raw(c)) for e, c in other.terms.items()]
+        acc: Dict[Exponents, object] = {}
+        get = acc.get
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            r1 = raw(c1)
+            for e2, r2 in right:
                 e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        out = Poly.__new__(Poly)
-        out.ambient, out.domain, out.terms = self.ambient, self.domain, terms
-        return out
+                s = get(e)
+                acc[e] = r1 * r2 if s is None else s + r1 * r2
+        return Poly._from_raw(self.ambient, self.domain, acc)
 
     __rmul__ = __mul__
 
@@ -250,7 +252,7 @@ class Poly:
 class MonomialMap:
     """Substitution homomorphism: each source variable -> scalar * monomial."""
 
-    __slots__ = ("source", "target", "domain", "images", "laurent")
+    __slots__ = ("source", "target", "domain", "images", "laurent", "_raw")
 
     def __init__(self, source: Ambient, target: Ambient, domain,
                  images: Mapping[str, Tuple[object, Sequence[int]]],
@@ -272,6 +274,18 @@ class MonomialMap:
             names = [source.variables[k] for k in sorted(missing)]
             raise AmbientError(f"map is missing images for {names}")
         self.images = imgs
+        self._raw = None
+
+    def _raw_images(self):
+        """Per source variable: the raw image coefficient, its raw inverse for
+        the negative powers of a Laurent source, and the nonzero exponents;
+        built on the first ``apply``."""
+        if self._raw is None:
+            d, laurent = self.domain, self.source.laurent
+            self._raw = [(d.raw(c), d.raw(d.one() / c) if laurent and c else None,
+                          [(j, w) for j, w in enumerate(e) if w])
+                         for c, e in (self.images[k] for k in range(self.source.nvars))]
+        return self._raw
 
     @classmethod
     def identity(cls, ambient: Ambient, domain) -> "MonomialMap":
@@ -286,31 +300,29 @@ class MonomialMap:
         """Substitute into f; exact, homomorphic."""
         if f.ambient != self.source:
             raise PolyError(f"ambient mismatch: poly in {f.ambient.tag}, map from {self.source.tag}")
-        terms: Dict[Exponents, object] = {}
-        n = self.target.nvars
+        if f.domain is not self.domain:
+            f = f.map_coefficients(self.domain)
+        raw, images, n = self.domain.raw, self._raw_images(), self.target.nvars
+        check = not self.target.laurent and (self.laurent or self.source.laurent)
+        acc: Dict[Exponents, object] = {}
+        get = acc.get
         for e, c in f.terms.items():
             exps = [0] * n
-            coef = self.domain.coerce(c)
+            r = raw(c)
             for k, power in enumerate(e):
-                if power == 0:
-                    continue
-                icoef, iexps = self.images[k]
-                coef = coef * icoef ** power
-                for j, w in enumerate(iexps):
-                    if w:
+                if power:
+                    rc, ri, iexps = images[k]
+                    r = r * (rc ** power if power > 0 else ri ** -power)
+                    for j, w in iexps:
                         exps[j] += w * power
-            if not coef:
+            if not r:
                 continue
-            if not self.target.laurent and any(k < 0 for k in exps):
+            if check and any(k < 0 for k in exps):
                 raise PolyError("Laurent output in a non-Laurent target ambient")
             key = tuple(exps)
-            s = terms.get(key)
-            s = coef if s is None else s + coef
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return Poly._trusted(self.target, self.domain, terms)
+            s = get(key)
+            acc[key] = r if s is None else s + r
+        return Poly._from_raw(self.target, self.domain, acc)
 
     def compose(self, inner: "MonomialMap") -> "MonomialMap":
         """self after inner: v -> self(inner(v))."""
@@ -352,14 +364,17 @@ def frozen_terms(f: Poly) -> Mapping:
 def weighted_sum(ambient: Ambient, domain, parts) -> Poly:
     """sum of w * part over the (term map, scalar w) pairs ``parts``, as one
     dict accumulation."""
+    raw = domain.raw
     acc: Dict[Exponents, object] = {}
+    get = acc.get
     for part, w in parts:
         if not w:
             continue
+        rw = raw(domain.coerce(w))
         for e, c in part.items():
-            s = acc.get(e)
-            acc[e] = c * w if s is None else s + c * w
-    return Poly._trusted(ambient, domain, acc)
+            s = get(e)
+            acc[e] = raw(c) * rw if s is None else s + raw(c) * rw
+    return Poly._from_raw(ambient, domain, acc)
 
 
 def exact_divide(f: Poly, g: Poly):
@@ -411,7 +426,7 @@ def ring_substitute(f: Poly, target: Ambient, images: Mapping[str, Poly]) -> Pol
         if g.ambient != target:
             raise PolyError(f"image of {name} lives in {g.ambient.tag}, not {target.tag}")
         imgs.append(g)
-    acc = Poly.zero(target, domain)
+    parts = []
     cache: Dict[Tuple[int, int], Poly] = {}
 
     def power(k: int, n: int) -> Poly:
@@ -421,9 +436,9 @@ def ring_substitute(f: Poly, target: Ambient, images: Mapping[str, Poly]) -> Pol
         return cache[key]
 
     for e, c in f.terms.items():
-        term = Poly.constant(target, domain, c)
+        term = Poly.one(target, domain)
         for k, n in enumerate(e):
             if n:
                 term = term * power(k, n)
-        acc = acc + term
-    return acc
+        parts.append((term.terms, c))
+    return weighted_sum(target, domain, parts)

@@ -13,13 +13,17 @@ the 8 unprojected linear spaces, consistency of the four rational-section
 representations of each unprojection variable, the 12x12 Jacobian minors
 equal to +-y^11, the symmetric-matrix chart at the weight-1 coordinate
 points, and the cubic obtained by eliminating the weight-2 variables.
+
+Every generator of X, Y and V is a +-1 binomial, built straight from its two
+exponent vectors.  Their presentations are built once per field, frozen,
+and shared by every caller; T adds the quadric section of each nu to V's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -97,14 +101,18 @@ def node_defect(nu: FamilyParams) -> str:
     return ""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IdealPresentation:
-    """Named, provenance-tagged generator list in a fixed ambient."""
+    """Named, provenance-tagged generators in a fixed ambient, read-only and
+    compared by identity, as X, Y and V are shared."""
 
     name: str
     ambient: object
     domain: object
-    generators: List[Tuple[str, Poly, str]]
+    generators: Tuple[Tuple[str, Poly, str], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
 
     def polys(self) -> List[Poly]:
         return [g for _, g, _ in self.generators]
@@ -127,13 +135,37 @@ def yvar(domain, t: Sequence[int]) -> Poly:
     return Poly.variable(AMBIENT_XY, domain, yname(t))
 
 
+def _monomial(*indices: int) -> Tuple[int, ...]:
+    """The exponent vector of the product of the variables at ``indices``."""
+    e = [0] * AMBIENT_XY.nvars
+    for k in indices:
+        e[k] += 1
+    return tuple(e)
+
+
+def _binomial(domain, plus: Tuple[int, ...], minus: Tuple[int, ...], sign: int = -1) -> Poly:
+    """x^plus + sign * x^minus, with the plus term first."""
+    one = domain.one()
+    return Poly._trusted(AMBIENT_XY, domain, {plus: one, minus: one if sign > 0 else -one})
+
+
+def _per_domain(build):
+    """``build(domain)`` once per domain; the presentation is shared."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def per_domain(domain=QQ):
+        return cached(domain)
+    per_domain.cache_clear = cached.cache_clear
+    return per_domain
+
+
+@_per_domain
 def build_x_ideal(domain=QQ) -> IdealPresentation:
     """The 3 quadrics x00*x01 = x10*x11 = x20*x21 = x30*x31."""
-    gens = []
-    for i in range(3):
-        g = xvar(domain, i, 0) * xvar(domain, i, 1) \
-            - xvar(domain, i + 1, 0) * xvar(domain, i + 1, 1)
-        gens.append((f"q{i}", g, QUADRIC))
+    gens = [(f"q{i}", _binomial(domain, _monomial(X_INDEX[(i, 0)], X_INDEX[(i, 1)]),
+                                _monomial(X_INDEX[(i + 1, 0)], X_INDEX[(i + 1, 1)])), QUADRIC)
+            for i in range(3)]
     return IdealPresentation("X", AMBIENT_XY, domain, gens)
 
 
@@ -170,12 +202,8 @@ class UnprojectionDatum:
 
 def cubic_generator(domain, t: IndexTuple, k: int) -> Poly:
     """y_t * (denominator of representation k) - (its numerator)."""
-    g = yvar(domain, t) * xvar(domain, k, t[k])
-    m = Poly.one(AMBIENT_XY, domain)
-    for l in range(4):
-        if l != k:
-            m = m * xvar(domain, l, comp(t[l]))
-    return g - m
+    return _binomial(domain, _monomial(Y_INDEX[t], X_INDEX[(k, t[k])]),
+                     _monomial(*(X_INDEX[(l, comp(t[l]))] for l in range(4) if l != k)))
 
 
 def quartic_witnesses(a: IndexTuple, b: IndexTuple) -> Tuple[int, int]:
@@ -208,7 +236,7 @@ def quartic_generator_with_witnesses(domain, a: IndexTuple, b: IndexTuple,
     if any(e < 0 for e in num):
         raise IdealConstructionError(
             f"quartic for {a},{b} does not clear denominators with witnesses {(i, j)}")
-    return yvar(domain, a) * yvar(domain, b) - Poly.monomial(AMBIENT_XY, domain, num)
+    return _binomial(domain, _monomial(Y_INDEX[a], Y_INDEX[b]), tuple(num))
 
 
 def quadric_normal_form(f: Poly) -> Poly:
@@ -216,7 +244,7 @@ def quadric_normal_form(f: Poly) -> Poly:
     x_{i0}x_{i1} (i > 0) rewrites to x00*x01.  The rules are terminating and
     confluent (disjoint redexes), so two polynomials are congruent modulo the
     quadric ideal iff their normal forms agree."""
-    domain = f.domain
+    raw = f.domain.raw
     terms: Dict[Tuple[int, ...], object] = {}
     for exps, coef in f.terms.items():
         e = list(exps)
@@ -229,12 +257,8 @@ def quadric_normal_form(f: Poly) -> Poly:
                 e[X_INDEX[(0, 1)]] += lo
         key = tuple(e)
         s = terms.get(key)
-        s = coef if s is None else s + coef
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-    return Poly(AMBIENT_XY, domain, terms)
+        terms[key] = raw(coef) if s is None else s + raw(coef)
+    return Poly._from_raw(AMBIENT_XY, f.domain, terms)
 
 
 def quartic_witness_report(domain=QQ) -> CheckReport:
@@ -274,6 +298,7 @@ def quartic_witness_report(domain=QQ) -> CheckReport:
                                            "for the 4 antipodal"})
 
 
+@_per_domain
 def build_unprojection_ideal(domain=QQ) -> IdealPresentation:
     """The 63-generator ideal of Y: 3 quadrics + 32 cubics + 28 quartics."""
     gens = list(build_x_ideal(domain).generators)
@@ -287,7 +312,7 @@ def build_unprojection_ideal(domain=QQ) -> IdealPresentation:
 
 
 def hyperplane_section(domain) -> Poly:
-    return xvar(domain, 0, 0) + xvar(domain, 0, 1)
+    return _binomial(domain, _monomial(X_INDEX[(0, 0)]), _monomial(X_INDEX[(0, 1)]), 1)
 
 
 # ``s_form``, ``y_eigenvector`` and ``product_of_sums`` do not depend on nu, so
@@ -330,19 +355,18 @@ def q_basis(domain) -> Tuple[Poly, ...]:
     return tuple(s_form(domain, i) for i in range(4)) + (y_eigenvector(domain),)
 
 
+@_per_domain
 def build_v_ideal(domain=QQ) -> IdealPresentation:
-    j = build_unprojection_ideal(domain)
-    gens = list(j.generators)
-    gens.append(("h", hyperplane_section(domain), HYPERPLANE))
-    return IdealPresentation("V", AMBIENT_XY, domain, gens)
+    gens = build_unprojection_ideal(domain).generators
+    return IdealPresentation("V", AMBIENT_XY, domain,
+                             gens + (("h", hyperplane_section(domain), HYPERPLANE),))
 
 
 def build_t_ideal(nu: FamilyParams) -> IdealPresentation:
     """The 65 generators of a family member: J + hyperplane + q(nu)."""
-    v = build_v_ideal(nu.domain)
-    gens = list(v.generators)
-    gens.append(("q", q_section(nu), QUADRIC_SECTION))
-    return IdealPresentation("T", AMBIENT_XY, nu.domain, gens)
+    gens = build_v_ideal(nu.domain).generators
+    return IdealPresentation("T", AMBIENT_XY, nu.domain,
+                             gens + (("q", q_section(nu), QUADRIC_SECTION),))
 
 
 def build_ideal(name: str, nu: Optional[FamilyParams] = None, domain=QQ) -> IdealPresentation:
@@ -413,8 +437,9 @@ def phi_consistency_report(domain=QQ) -> CheckReport:
 
 # -- the directed rewriting system ------------------------------------------
 
-def _rewrite_monomial(domain, exps: Tuple[int, ...], coef):
-    """One rewriting step on a monomial; None when the monomial is normal.
+def _rewrite_monomial(exps: Tuple[int, ...], coef):
+    """One rewriting step on a monomial with a raw coefficient; None when the
+    monomial is normal.
 
     Rules: x01 -> -x00; x_i0*x_i1 -> -x00^2 (i = 1,2,3); y_abcd times an
     adjacent x-variable -> the cubic's monomial side (x01 eliminated first).
@@ -445,8 +470,7 @@ def _rewrite_monomial(domain, exps: Tuple[int, ...], coef):
             e[X_INDEX[(0, 0)]] -= 1
             for l in range(1, 4):
                 e[X_INDEX[(l, comp(t[l]))]] += 1
-            sign = -1 if t[0] == 1 else 1
-            return tuple(e), coef * domain.from_int(sign)
+            return tuple(e), -coef if t[0] == 1 else coef
         for k in range(1, 4):
             ix = X_INDEX[(k, t[k])]
             if exps[ix] > 0:
@@ -457,8 +481,7 @@ def _rewrite_monomial(domain, exps: Tuple[int, ...], coef):
                 for l in range(1, 4):
                     if l != k:
                         e[X_INDEX[(l, comp(t[l]))]] += 1
-                sign = 1 if t[0] == 1 else -1
-                return tuple(e), coef * domain.from_int(sign)
+                return tuple(e), coef if t[0] == 1 else -coef
     return None
 
 
@@ -466,22 +489,18 @@ def reduce_by_rewriting(f: Poly) -> Poly:
     """Normal form under the directed rules; idempotent and terminating."""
     if f.ambient != AMBIENT_XY:
         raise PolyError("the rewriting system lives on the weighted ambient")
-    domain = f.domain
+    raw = f.domain.raw
     out: Dict[Tuple[int, ...], object] = {}
-    work = list(f.terms.items())
+    work = [(e, raw(c)) for e, c in f.terms.items()]
     while work:
         exps, coef = work.pop()
-        step = _rewrite_monomial(domain, exps, coef)
+        step = _rewrite_monomial(exps, coef)
         if step is None:
             s = out.get(exps)
-            s = coef if s is None else s + coef
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+            out[exps] = coef if s is None else s + coef
         else:
             work.append(step)
-    return Poly._trusted(AMBIENT_XY, domain, out)
+    return Poly._from_raw(AMBIENT_XY, f.domain, out)
 
 
 @lru_cache(maxsize=None)

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 import upv.invariants
 import upv.unproj
 from upv.ambient import AMBIENT_P7, AMBIENT_XY, Ambient
-from upv.invariants import (DegreeBudgetError, binomial_quotient,
+from upv.invariants import (BinomialQuotient, DegreeBudgetError, binomial_quotient,
                             ci_series_coefficient, exponent_key,
                             hilbert_function, hilbert_profile, hilbert_rows,
-                            hilbert_t_report, hilbert_v_report,
+                            hilbert_t_report, hilbert_v_expected, hilbert_v_report,
                             hilbert_x_report, intersection_number,
                             intersection_numbers_report, monomial_count,
                             monomial_keys, plurigenus_expected, t_profiles,
@@ -433,6 +433,16 @@ def test_hilbert_v_profile():
     rep = hilbert_v_report((13, 17), max_degree=2)
     assert rep.passed
     assert rep.witness["values"][1] == [1, 7]
+
+
+def test_hilbert_v_checks_every_degree_it_prints(monkeypatch):
+    assert [hilbert_v_expected(d) for d in range(7)] == [1, 7, 33, 87, 185, 335, 553]
+    assert v_quotient(6).profile() == [(d, hilbert_v_expected(d)) for d in range(7)]
+    monkeypatch.setattr(BinomialQuotient, "profile",
+                        lambda self: [(0, 1), (1, 7), (2, 34), (3, 87)])
+    rep = hilbert_v_report((13,), max_degree=3)
+    assert not rep.passed
+    assert rep.witness["problems"] == ["h_V(2) = 34, expected 33"]
 
 
 def test_hilbert_reports_across_primes():

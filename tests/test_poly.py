@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from upv.ambient import AMBIENT_T4, AMBIENT_XY
+import poly_oracle
+from upv.ambient import AMBIENT_T4, AMBIENT_T4L, AMBIENT_XY
 from upv.cover import sigma_map
 from upv.grouprep import SignedAction, parse_word
-from upv.poly import MonomialMap, Poly, PolyError, exact_divide, ring_substitute
-from upv.scalars import GF, QQ
+from upv.poly import (MonomialMap, Poly, PolyError, exact_divide, ring_substitute,
+                      weighted_sum)
+from upv.scalars import GF, QI, QQ, GaussianRational
 
 
 def V(name, domain=QQ):
@@ -147,3 +150,94 @@ def test_evaluate():
     vals = [QQ.zero()] * 16
     vals[0], vals[1], vals[2] = QQ.from_int(2), QQ.from_int(3), QQ.from_int(5)
     assert f.evaluate(vals) == QQ.from_int(1)
+
+
+# -- the raw accumulation path against the per-term loops of poly_oracle --------
+
+KERNEL_DOMAINS = [QQ, QI, GF(13), GF(2147483029)]
+
+
+def rand_scalar(rng, domain):
+    """A nonzero element: non-integral in QQ and QI, near p in GF(p)."""
+    if domain is QQ:
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    if domain is QI:
+        return GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+    return domain.from_int(rng.choice([rng.randrange(1, domain.p), domain.p - rng.randint(1, 3)]))
+
+
+def rand_kernel_poly(rng, ambient, domain, nterms=6):
+    """Few variables and small exponents, so sums collide and often cancel;
+    negative exponents in a Laurent ambient."""
+    low = -2 if ambient.laurent else 0
+    terms = {}
+    for _ in range(rng.randrange(nterms + 1)):
+        e = tuple(rng.randint(low, 2) if k < 3 else 0 for k in range(ambient.nvars))
+        terms[e] = domain.coerce(rand_scalar(rng, domain))
+    return Poly(ambient, domain, terms)
+
+
+def assert_terms(got, want, domain):
+    assert got.terms == want
+    kind = type(domain.one())
+    assert all(type(c) is kind and c for c in got.terms.values())
+
+
+@pytest.mark.parametrize("ambient", [AMBIENT_T4, AMBIENT_T4L], ids=lambda a: a.tag)
+@pytest.mark.parametrize("domain", KERNEL_DOMAINS, ids=str)
+def test_add_and_mul_match_the_per_term_loops(domain, ambient):
+    rng = random.Random(f"add-mul:{domain}:{ambient.tag}")
+    zero = Poly.zero(ambient, domain)
+    for _ in range(150):
+        f, g = rand_kernel_poly(rng, ambient, domain), rand_kernel_poly(rng, ambient, domain)
+        h = f + g * domain.from_int(-1)  # shares terms with g, some cancel
+        for a, b in ((f, g), (f, h), (g, -g), (f, zero)):
+            assert_terms(a + b, poly_oracle.add_terms(a, b), domain)
+            assert_terms(a - b, poly_oracle.add_terms(a, -b), domain)
+            assert_terms(a * b, poly_oracle.mul_terms(a, b), domain)
+        assert (f + g) * (f - g) == f * f - g * g
+        assert (g - g).is_zero() and (f * (g - g)).is_zero()
+
+
+@pytest.mark.parametrize("ambient", [AMBIENT_T4, AMBIENT_T4L], ids=lambda a: a.tag)
+@pytest.mark.parametrize("domain", KERNEL_DOMAINS, ids=str)
+def test_weighted_sum_matches_the_per_term_loop(domain, ambient):
+    rng = random.Random(f"weighted:{domain}:{ambient.tag}")
+    for _ in range(100):
+        fs = [rand_kernel_poly(rng, ambient, domain) for _ in range(3)]
+        ws = [domain.coerce(rand_scalar(rng, domain)) for _ in fs]
+        parts = [(f.terms, w) for f, w in zip(fs, ws)]
+        parts += [(fs[0].terms, -ws[0]), (fs[1].terms, domain.zero())]  # cancels fs[0]
+        assert_terms(weighted_sum(ambient, domain, parts),
+                     poly_oracle.weighted_sum_terms(parts), domain)
+        assert weighted_sum(ambient, domain, parts[:1] + parts[3:4]).is_zero()
+
+
+def rand_map(rng, source, target, domain, zero_images):
+    laurent = source.laurent or target.laurent
+    images = {}
+    for name in source.variables:
+        c = domain.zero() if zero_images and rng.random() < 0.2 else rand_scalar(rng, domain)
+        e = [0] * target.nvars
+        for _ in range(rng.randint(0, 2)):
+            e[rng.randrange(target.nvars)] += rng.choice([-1, 1]) if laurent else 1
+        images[name] = (c, e)
+    return MonomialMap(source, target, domain, images, laurent=laurent)
+
+
+@pytest.mark.parametrize("source,target", [(AMBIENT_T4, AMBIENT_T4), (AMBIENT_T4, AMBIENT_T4L),
+                                           (AMBIENT_T4L, AMBIENT_T4L)],
+                         ids=["T4-T4", "T4-T4L", "T4L-T4L"])
+@pytest.mark.parametrize("domain", KERNEL_DOMAINS, ids=str)
+def test_apply_matches_the_per_term_loop(domain, source, target):
+    rng = random.Random(f"apply:{domain}:{source.tag}:{target.tag}")
+    for _ in range(100):
+        # zero image coefficients only where no negative power meets them
+        m = rand_map(rng, source, target, domain, zero_images=not source.laurent)
+        f = rand_kernel_poly(rng, source, domain, nterms=8)
+        assert_terms(m.apply(f), poly_oracle.apply_terms(m, f), domain)
+    # a source over QQ, integral so that it has residues, is coerced into
+    # the map's field term by term
+    f = rand_kernel_poly(rng, source, QQ) * 12
+    assert_terms(m.apply(f), poly_oracle.apply_terms(m, f), domain)

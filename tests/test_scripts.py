@@ -95,3 +95,17 @@ def test_hilbert_times_smoke():
     assert [line.split(":")[0] for line in primes] == ["p 13", "p 17"]
     for line in primes:
         assert ", t_profiles " in line and line.endswith(" ms, h_T [1, 7, 32, 80, 152]")
+
+
+def test_algebra_times_smoke():
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "algebra_times.py"),
+         "--primes", "13", "--repeats", "1"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    kernels = ["build_v_ideal cold", "build_v_ideal cached", "mul", "add",
+               "weighted_sum", "apply"]
+    lines = res.stdout.splitlines()
+    assert [line.rsplit(" ", 2)[0] for line in lines] == [
+        f"{domain} {kernel}" for domain in ("QQ", "QI", "GF(13)") for kernel in kernels]
+    assert all(line.endswith(" ms") for line in lines)

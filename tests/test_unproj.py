@@ -1,16 +1,19 @@
 import random
+from dataclasses import FrozenInstanceError
+from itertools import combinations
 
 import pytest
 
-from upv.ambient import AMBIENT_XY
+from upv.ambient import AMBIENT_XY, EVEN_TUPLES, comp
 from upv.cover import sigma_map
-from upv.poly import Poly
-from upv.scalars import GF, QQ
-from upv.unproj import (FamilyParams,
-                        UnprojectionDatum, build_ideal, build_t_ideal,
-                        build_unprojection_ideal, build_x_ideal,
+from upv.poly import Poly, exact_divide
+from upv.scalars import GF, QI, QQ
+from upv.unproj import (CUBIC, HYPERPLANE, QUADRIC, QUARTIC, FamilyParams,
+                        IdealPresentation, UnprojectionDatum, build_ideal, build_t_ideal,
+                        build_unprojection_ideal, build_v_ideal, build_x_ideal,
                         elimination_cubic_report,
                         phi_consistency_report, q_section, quartic_generator,
+                        quartic_witnesses,
                         reduce_by_rewriting, s_form, verify_jacobian_minor,
                         verify_plane_incidences, verify_veronese_chart,
                         xvar, y_eigenvector, yvar)
@@ -167,3 +170,65 @@ def test_quartic_witness_equivalence():
     g23 = quartic_generator_with_witnesses(QQ, a, b, 2, 3)
     assert g01 != g23
     assert quadric_normal_form(g01 - g23).is_zero()
+
+
+# -- the cached ideals against the products they were first built from ---------
+
+def product_built_v(domain):
+    """V's 64 generators as products and differences of variables, the
+    quartic monomials found by exact division of the two representations."""
+    def x(i, a):
+        return xvar(domain, i, a)
+
+    def label(t):
+        return "".join(map(str, t))
+
+    gens = [(f"q{i}", x(i, 0) * x(i, 1) - x(i + 1, 0) * x(i + 1, 1), QUADRIC) for i in range(3)]
+    for t in EVEN_TUPLES:
+        for k in range(4):
+            m = Poly.one(AMBIENT_XY, domain)
+            for l in range(4):
+                if l != k:
+                    m = m * x(l, comp(t[l]))
+            gens.append((f"c{label(t)}_{k}", yvar(domain, t) * x(k, t[k]) - m, CUBIC))
+    for a, b in combinations(EVEN_TUPLES, 2):
+        i, j = quartic_witnesses(a, b)
+        num = Poly.one(AMBIENT_XY, domain)
+        for k in range(4):
+            num = num * (x(k, comp(a[k])) if k != i else 1) * (x(k, comp(b[k])) if k != j else 1)
+        mono = exact_divide(num, x(i, a[i]) * x(j, b[j]))
+        gens.append((f"s{label(a)}_{label(b)}", yvar(domain, a) * yvar(domain, b) - mono, QUARTIC))
+    return gens + [("h", x(0, 0) + x(0, 1), HYPERPLANE)]
+
+
+@pytest.mark.parametrize("domain", [QQ, QI, GF(13), GF(2147483029)], ids=str)
+def test_cached_ideals_equal_the_product_built_oracle(domain):
+    oracle = product_built_v(domain)
+    for ideal, n in ((build_x_ideal(domain), 3), (build_unprojection_ideal(domain), 63),
+                     (build_v_ideal(domain), 64)):
+        assert len(ideal.generators) == n and ideal.domain is domain
+        for (name, g, tag), (oname, og, otag) in zip(ideal.generators, oracle):
+            assert (name, tag) == (oname, otag) and g == og
+            # the same terms in the same order: plus term first
+            assert list(g.terms.items()) == list(og.terms.items()), name
+
+
+def test_cached_ideals_are_shared_and_read_only():
+    for build in (build_x_ideal, build_unprojection_ideal, build_v_ideal):
+        ideal = build(QQ)
+        assert build() is ideal and build(QQ) is ideal and build(domain=QQ) is ideal
+        assert build(GF(13)) is build(GF(13)) is not ideal
+        assert isinstance(ideal.generators, tuple)
+        with pytest.raises(FrozenInstanceError):
+            ideal.generators = ()
+        with pytest.raises(FrozenInstanceError):
+            ideal.name = "Z"
+        with pytest.raises(TypeError):
+            ideal.generators[0] = ideal.generators[1]
+    v = build_v_ideal(GF(13))
+    t = build_t_ideal(FamilyParams(GF(13), (1, 2, 3, 4, 5)))
+    assert t.generators[:64] == v.generators
+    assert all(a is b for a, b in zip(t.generators, v.generators))
+    # a presentation made from a list holds a tuple
+    assert IdealPresentation("I", AMBIENT_XY, QQ, [("g", xvar(QQ, 0, 0), "g")]).generators \
+        == (("g", xvar(QQ, 0, 0), "g"),)
