@@ -5,8 +5,9 @@ a_i exchanges x00 with x01 and x_{i0} with x_{i1} and complements the y-index
 in positions 0 and i; b_i negates x_{i0}, x_{i1} and every y.  A word's
 action is one signed permutation of the 16 slots, read from its bits
 (``signed_permutation``); every reader of the action reads that table, and
-``_signed_image`` is the one code that moves polynomial terms under it.
-Inside sit
+``_signed_image`` is the one code that moves polynomial terms under it
+(``act`` on a ``Poly``).  ``table1_relations`` proves the table an action
+by composing tables (``compose``).  Inside sit
 
 * G, the order-8 subgroup generated by a1*b2, a2*b3, a3*b1, which acts with
   the regular representation on the x-span and (for general parameters)
@@ -32,7 +33,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .ambient import AMBIENT_XY, EVEN_TUPLES, X_INDEX, Y_INDEX, comp, xname, yname
-from .poly import MonomialMap, Poly, PolyError, proportional
+from .poly import Poly, PolyError, proportional
 from .report import CheckReport, verdict
 from .scalars import GF, QQ
 from .unproj import (FamilyParams, build_unprojection_ideal, build_v_ideal,
@@ -108,66 +109,27 @@ def _signed_image(items, word: Word) -> dict:
             for e, c, neg_c in items}
 
 
-class SignedAction:
-    """A group word acting on ``AMBIENT_XY`` by a signed permutation of the
-    variables; ``map`` is the same substitution as a ``MonomialMap``."""
-
-    __slots__ = ("word", "domain", "_map")
-
-    def __init__(self, word: Word, domain=QQ):
-        self.word = tuple(word)
-        self.domain = domain
-        self._map = None
-
-    @property
-    def map(self) -> MonomialMap:
-        if self._map is None:
-            images = {}
-            for name, j, sign in zip(AMBIENT_XY.variables, *signed_permutation(self.word)):
-                e = [0] * AMBIENT_XY.nvars
-                e[j] = 1
-                images[name] = (self.domain.from_int(sign), tuple(e))
-            self._map = MonomialMap(AMBIENT_XY, AMBIENT_XY, self.domain, images)
-        return self._map
-
-    def __mul__(self, other: "SignedAction") -> "SignedAction":
-        return SignedAction(word_mul(self.word, other.word), self.domain)
-
-    def apply(self, f: Poly) -> Poly:
-        """The image of f under ``_signed_image``.  A permutation of keys is
-        injective, so no two terms collide."""
-        if f.ambient != AMBIENT_XY:
-            raise PolyError(f"ambient mismatch: poly in {f.ambient.tag}, "
-                            f"action on {AMBIENT_XY.tag}")
-        coerce = self.domain.coerce
-        coefs = ((e, coerce(c)) for e, c in f.terms.items())
-        return Poly._trusted(AMBIENT_XY, self.domain,
-                             _signed_image(((e, c, -c) for e, c in coefs), self.word))
-
-    def is_involution(self) -> bool:
-        return self.word != IDENTITY_WORD
-
-    def image_of_variable(self, name: str) -> Tuple[int, str]:
-        target, sign = signed_permutation(self.word)
-        k = AMBIENT_XY.index(name)
-        return sign[k], AMBIENT_XY.variables[target[k]]
-
-    def trace_on_x_span(self) -> int:
-        target, sign = signed_permutation(self.word)
-        return sum(sign[k] for k in X_INDEX.values() if target[k] == k)
-
-    def __repr__(self):
-        return f"SignedAction({word_str(self.word)})"
+def act(word: Word, f: Poly) -> Poly:
+    """The image of f under the word, in f's domain: ``_signed_image`` of
+    its terms.  A permutation of keys is injective, so no two terms
+    collide."""
+    if f.ambient != AMBIENT_XY:
+        raise PolyError(f"ambient mismatch: poly in {f.ambient.tag}, "
+                        f"action on {AMBIENT_XY.tag}")
+    return Poly._trusted(AMBIENT_XY, f.domain,
+                         _signed_image(((e, c, -c) for e, c in f.terms.items()), word))
 
 
-def build_table1_action(domain=QQ) -> List[SignedAction]:
-    """The six generators a1, a2, a3, b1, b2, b3."""
-    gens = []
-    for k in range(6):
-        w = [0] * 6
-        w[k] = 1
-        gens.append(SignedAction(tuple(w), domain))
-    return gens
+def image_of_variable(word: Word, name: str) -> Tuple[int, str]:
+    """The word's image of one variable, as (sign, variable name)."""
+    target, sign = signed_permutation(word)
+    k = AMBIENT_XY.index(name)
+    return sign[k], AMBIENT_XY.variables[target[k]]
+
+
+def trace_on_x_span(word: Word) -> int:
+    target, sign = signed_permutation(word)
+    return sum(sign[k] for k in X_INDEX.values() if target[k] == k)
 
 
 G_GENERATOR_WORDS: Tuple[Word, ...] = (
@@ -233,26 +195,43 @@ def subgroup_census_report() -> CheckReport:
                     "theta_1": [word_str(w) for w in thetas[1]]})
 
 
-def table1_relations_report(domain=QQ) -> CheckReport:
-    """Each generator squares to the identity, all 15 pairs commute, and the
-    tabulated spot values hold (a1: x00<->x01, y -> y index-complemented in
-    positions 0,1; b2 negates x2* and every y)."""
-    gens = build_table1_action(domain)
-    ident = MonomialMap.identity(AMBIENT_XY, domain)
+def compose(outer, inner):
+    """The (target, sign) table of ``outer`` after ``inner``: slot k goes to
+    inner's sign times outer's image of inner's target slot."""
+    (t_out, s_out), (t_in, s_in) = outer, inner
+    return tuple(t_out[j] for j in t_in), tuple(s * s_out[j] for j, s in zip(t_in, s_in))
+
+
+def table1_relations_report() -> CheckReport:
+    """The signed-permutation table is an action of (Z/2)^6: each generator
+    squares to the identity, all 15 pairs commute, the table of every word
+    is the table of the word without its last generator composed with that
+    generator's (63 compositions), and the tabulated spot values hold (a1:
+    x00<->x01, y -> y index-complemented in positions 0,1; b2 negates x2*
+    and every y)."""
+    gens = [tuple(int(j == k) for j in range(6)) for k in range(6)]
+    tables = [signed_permutation(g) for g in gens]
+    identity = (tuple(range(AMBIENT_XY.nvars)), (1,) * AMBIENT_XY.nvars)
     problems = []
-    for k, g in enumerate(gens):
-        if g.map.compose(g.map) != ident:
-            problems.append(f"{GENERATOR_NAMES[k]}^2 != 1")
-    for (i, g), (j, h) in combinations(list(enumerate(gens)), 2):
-        if g.map.compose(h.map) != h.map.compose(g.map):
+    for name, t in zip(GENERATOR_NAMES, tables):
+        if compose(t, t) != identity:
+            problems.append(f"{name}^2 != 1")
+    for (i, g), (j, h) in combinations(list(enumerate(tables)), 2):
+        if compose(g, h) != compose(h, g):
             problems.append(f"{GENERATOR_NAMES[i]} and {GENERATOR_NAMES[j]} do not commute")
+    for w in product((0, 1), repeat=6):
+        if w == IDENTITY_WORD:
+            continue
+        k = max(i for i, e in enumerate(w) if e)
+        prefix = word_mul(w, gens[k])
+        if signed_permutation(w) != compose(signed_permutation(prefix), tables[k]):
+            problems.append(f"{word_str(w)} != {word_str(prefix)} * {GENERATOR_NAMES[k]}")
     a1, b2 = gens[0], gens[4]
     spots = [
-        a1.image_of_variable("x00") == (1, "x01"),
-        a1.image_of_variable("y0011") == (1, "y1111"),
-        b2.image_of_variable("x20") == (-1, "x20"),
-        b2.image_of_variable("y0000") == (-1, "y0000"),
-        (a1 * b2).map == a1.map.compose(b2.map),
+        image_of_variable(a1, "x00") == (1, "x01"),
+        image_of_variable(a1, "y0011") == (1, "y1111"),
+        image_of_variable(b2, "x20") == (-1, "x20"),
+        image_of_variable(b2, "y0000") == (-1, "y0000"),
     ]
     if not all(spots):
         problems.append(f"spot values failed: {spots}")
@@ -290,8 +269,9 @@ def _canonical_constraint(c: Poly) -> Poly:
     return c * (c.domain.one() / lead)
 
 
-def fixed_locus(action: SignedAction, sector: str) -> LinearFixedLocus:
-    """Linear conditions for points fixed with the given sign pattern.
+def fixed_locus(word: Word, domain, sector: str) -> LinearFixedLocus:
+    """Linear conditions over ``domain`` for points fixed by the word with
+    the given sign pattern.
 
     Sector (s,+): sub(v) = s*v on the weight-1 variables and sub(v) = v on
     the weight-2 ones; sector (0,-): all weight-1 variables vanish and
@@ -299,9 +279,8 @@ def fixed_locus(action: SignedAction, sector: str) -> LinearFixedLocus:
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}")
-    if not action.is_involution() and sector != "(+,+)":
+    if word == IDENTITY_WORD and sector != "(+,+)":
         raise ValueError("fixed loci are taken for involutions")
-    d = action.domain
     xs: List[Poly] = []
     ys: List[Poly] = []
     seen = set()
@@ -317,17 +296,17 @@ def fixed_locus(action: SignedAction, sector: str) -> LinearFixedLocus:
 
     for i in range(4):
         for a in (0, 1):
-            v = Poly.variable(AMBIENT_XY, d, xname(i, a))
+            v = Poly.variable(AMBIENT_XY, domain, xname(i, a))
             if sector == "(0,-)":
                 push(xs, v)
             else:
-                sign = d.from_int(1 if sector == "(+,+)" else -1)
-                push(xs, action.apply(v) - v * sign)
+                sign = domain.from_int(1 if sector == "(+,+)" else -1)
+                push(xs, act(word, v) - v * sign)
     for t in EVEN_TUPLES:
-        v = Poly.variable(AMBIENT_XY, d, yname(t))
-        sign = d.from_int(-1 if sector == "(0,-)" else 1)
-        push(ys, action.apply(v) - v * sign)
-    return LinearFixedLocus(action.word, sector, xs, ys)
+        v = Poly.variable(AMBIENT_XY, domain, yname(t))
+        sign = domain.from_int(-1 if sector == "(0,-)" else 1)
+        push(ys, act(word, v) - v * sign)
+    return LinearFixedLocus(word, sector, xs, ys)
 
 
 def fixed_loci_report(domain=QQ) -> CheckReport:
@@ -338,15 +317,14 @@ def fixed_loci_report(domain=QQ) -> CheckReport:
     for w in group_G():
         if w == IDENTITY_WORD:
             continue
-        g = SignedAction(w, domain)
         for sector in ("(+,+)", "(-,+)"):
-            loc = fixed_locus(g, sector)
+            loc = fixed_locus(w, domain, sector)
             for c in loc.all_constraints():
-                if not proportional(g.apply(c), c):
+                if not proportional(act(w, c), c):
                     problems.append(f"{word_str(w)} {sector}: {c} not an eigen-condition")
 
     def constraint_set(word: str, sector: str):
-        loc = fixed_locus(SignedAction(parse_word(word), domain), sector)
+        loc = fixed_locus(parse_word(word), domain, sector)
         return {str(c) for c in loc.all_constraints()}
 
     d = domain
@@ -372,7 +350,7 @@ def fixed_loci_report(domain=QQ) -> CheckReport:
     got = constraint_set("a1*a2*a3*b1*b2*b3", "(-,+)")
     if got != expect_triple:
         problems.append(f"triple (-,+) constraints differ: {sorted(got)}")
-    ident = fixed_locus(SignedAction(IDENTITY_WORD, domain), "(+,+)")
+    ident = fixed_locus(IDENTITY_WORD, domain, "(+,+)")
     if ident.all_constraints():
         problems.append("identity has nonempty constraint list")
     return verdict("grouprep.fixed_loci", problems,
@@ -389,28 +367,25 @@ def check_regular_representation(domain=QQ) -> CheckReport:
     problems = []
     hyper = Poly.variable(AMBIENT_XY, domain, "x00") + Poly.variable(AMBIENT_XY, domain, "x01")
     for w in group_G():
-        g = SignedAction(w, domain)
-        tr = g.trace_on_x_span()
+        tr = trace_on_x_span(w)
         expected = 8 if w == IDENTITY_WORD else 0
         if tr != expected:
             problems.append(f"trace({word_str(w)}) = {tr} on x-span")
-        img = g.apply(hyper)
-        if img != hyper:
+        if act(w, hyper) != hyper:
             problems.append(f"{word_str(w)} does not fix x00+x01")
         qtr = tr - 1
         if qtr != (7 if w == IDENTITY_WORD else -1):
             problems.append(f"quotient trace({word_str(w)}) = {qtr}")
     # eigenvectors of the y-span
     seen_chars = set()
-    gens = [SignedAction(w, domain) for w in G_GENERATOR_WORDS]
     for e, f, g_ in product((0, 1), repeat=3):
         vec = Poly.zero(AMBIENT_XY, domain)
         for t in EVEN_TUPLES:
             sign = (-1) ** (e * t[1] + f * t[2] + g_ * t[3])
             vec = vec + Poly.variable(AMBIENT_XY, domain, yname(t)) * domain.from_int(sign)
         evs = []
-        for gen in gens:
-            img = gen.apply(vec)
+        for gen in G_GENERATOR_WORDS:
+            img = act(gen, vec)
             if img == vec:
                 evs.append(1)
             elif img == -vec:

@@ -1,12 +1,11 @@
 """Exact linear algebra over the coefficient fields.
 
-``rank`` is exact Gaussian elimination.  Prime-field matrices go through
+``rank_mod_p`` is the exact rank over GF(p): it counts the pivots of
 ``eliminate``, a sparse elimination on rows held as ``{column: residue}``
 dicts with Python-int arithmetic, so it is exact for every prime and costs
 time and memory in proportion to the nonzeros (the Hilbert matrices hold
-about three per row); ``rank_mod_p`` counts its pivots.  Every
-other field uses the pure-Python elimination, which also serves as the
-independent oracle in the property tests.
+about three per row).  ``rank_naive``, row reduction with explicit field
+arithmetic over any field, is its independent oracle in the tests.
 ``det_poly`` computes determinants of polynomial matrices by sparse cofactor
 expansion, which is exact and fast on the near-diagonal matrices arising
 from the Jacobian and chart checks.
@@ -17,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .poly import Poly, PolyError
-from .scalars import PrimeField
 
 
 class SparseRows(list):
@@ -68,17 +66,6 @@ def eliminate(rows: Iterable[Dict[int, int]], p: int) -> Pivots:
                 else:
                     row.pop(c, None)
     return pivots
-
-
-def rank(matrix: Sequence[Sequence[object]], domain) -> int:
-    """Exact rank of a matrix of field elements."""
-    rows = [list(row) for row in matrix]
-    if not rows or not rows[0]:
-        return 0
-    if isinstance(domain, PrimeField):
-        return rank_mod_p([[int(domain.coerce(x)) for x in row] for row in rows],
-                          domain.p)
-    return rank_naive(rows, domain)
 
 
 def rank_naive(matrix: Sequence[Sequence[object]], domain) -> int:

@@ -287,15 +287,6 @@ class MonomialMap:
                          for c, e in (self.images[k] for k in range(self.source.nvars))]
         return self._raw
 
-    @classmethod
-    def identity(cls, ambient: Ambient, domain) -> "MonomialMap":
-        images = {}
-        for k, name in enumerate(ambient.variables):
-            e = [0] * ambient.nvars
-            e[k] = 1
-            images[name] = (domain.one(), tuple(e))
-        return cls(ambient, ambient, domain, images)
-
     def apply(self, f: Poly) -> Poly:
         """Substitute into f; exact, homomorphic."""
         if f.ambient != self.source:
@@ -323,34 +314,6 @@ class MonomialMap:
             s = get(key)
             acc[key] = r if s is None else s + r
         return Poly._from_raw(self.target, self.domain, acc)
-
-    def compose(self, inner: "MonomialMap") -> "MonomialMap":
-        """self after inner: v -> self(inner(v))."""
-        if inner.target != self.source:
-            raise AmbientError("composition ambient mismatch")
-        images = {}
-        for k in range(inner.source.nvars):
-            c, e = inner.images[k]
-            coef = self.domain.coerce(c)
-            exps = [0] * self.target.nvars
-            for j, w in enumerate(e):
-                if w == 0:
-                    continue
-                jc, je = self.images[j]
-                coef = coef * jc ** w
-                for t, wt in enumerate(je):
-                    exps[t] += wt * w
-            images[inner.source.variables[k]] = (coef, tuple(exps))
-        return MonomialMap(inner.source, self.target, self.domain, images,
-                           laurent=self.laurent or inner.laurent)
-
-    def __eq__(self, other):
-        return (isinstance(other, MonomialMap) and other.source == self.source
-                and other.target == self.target and other.images == self.images)
-
-    def __hash__(self):
-        return hash((self.source.tag, self.target.tag,
-                     frozenset(self.images.items())))
 
     def __repr__(self):
         return f"MonomialMap({self.source.tag} -> {self.target.tag})"

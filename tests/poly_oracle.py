@@ -5,9 +5,16 @@ These are the loops that ``Poly.__add__``, the poly x poly case of
 accumulated ``domain.raw`` values: every step is one operation of the
 field's elements, and a sum that reaches zero is dropped at once.  Each
 returns a term map; the tests compare it with the kernel's ``terms``.
+
+``word_map`` is a group word's signed permutation as a ``MonomialMap``
+(``table_map`` of its table), the oracle of ``grouprep.act``.
 """
 
 from operator import add
+
+from upv import grouprep
+from upv.ambient import AMBIENT_XY
+from upv.poly import MonomialMap
 
 
 def _accumulate(terms, e, c):
@@ -57,3 +64,19 @@ def apply_terms(m, f):
         if coef:
             _accumulate(terms, tuple(exps), coef)
     return terms
+
+
+def table_map(table, domain):
+    """The substitution v_k -> sign[k] * v_target[k] of a (target, sign)
+    table on the 16 slots of ``AMBIENT_XY``."""
+    images = {}
+    for name, j, sign in zip(AMBIENT_XY.variables, *table):
+        e = [0] * AMBIENT_XY.nvars
+        e[j] = 1
+        images[name] = (domain.from_int(sign), tuple(e))
+    return MonomialMap(AMBIENT_XY, AMBIENT_XY, domain, images)
+
+
+def word_map(word, domain):
+    """The substitution of the word's table, ``grouprep.signed_permutation``."""
+    return table_map(grouprep.signed_permutation(word), domain)

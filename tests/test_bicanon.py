@@ -18,7 +18,7 @@ from upv.ambient import AMBIENT_LU, AMBIENT_S, AMBIENT_XY, EVEN_TUPLES, Ambient,
 from upv.checks import RunConfig, RunContext
 from upv.cover import enumerate_surface
 from grids import all_p1
-from upv.linalg import rank
+from upv.linalg import rank_naive
 from upv.poly import Poly, ring_substitute
 from upv.report import verdict
 from upv.scalars import GF, QI, QQ
@@ -165,7 +165,7 @@ def affine_hessian_rank(hessian, node, field):
     partials evaluated at (1, n1/n0, n2/n0, n3/n0)."""
     inv0 = field.one() / node[0]
     pt = [v * inv0 for v in node]
-    return rank([[h.evaluate(pt) for h in row] for row in hessian], field)
+    return rank_naive([[h.evaluate(pt) for h in row] for row in hessian], field)
 
 
 def scalar_verify_nodes(p, nus):
@@ -440,7 +440,7 @@ def test_nodes_records_pinned(args):
 def substitution_hessian_rank(cubic, point, field):
     """The oracle: substitute s0 = 1, then take second partials in s1..s3."""
     from upv.ambient import AMBIENT_S
-    from upv.linalg import rank
+    from upv.linalg import rank_naive
     from upv.poly import Poly, ring_substitute
     inv0 = field.one() / point[0]
     pt = [v * inv0 for v in point]
@@ -449,8 +449,8 @@ def substitution_hessian_rank(cubic, point, field):
     for nm in names:
         sub[nm] = Poly.variable(AMBIENT_S, field, nm)
     aff = ring_substitute(cubic, AMBIENT_S, sub)
-    return rank([[aff.derivative(a).derivative(b).evaluate(pt) for b in names]
-                 for a in names], field)
+    return rank_naive([[aff.derivative(a).derivative(b).evaluate(pt) for b in names]
+                       for a in names], field)
 
 
 def test_affine_hessian_matches_substitution_oracle():

@@ -21,7 +21,7 @@ from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
                        local_equations, local_partials, normalize_factors,
                        p1_rows, p1_table, point_keys, pow_mod,
                        row_keys, s_surface_pattern, sigma_deck_report, sigma_images,
-                       sigma_map, s_involution_map, square_rows, square_tensor,
+                       sigma_map, square_rows, square_tensor,
                        table2_generators,
                        tabulated_generator_rows, verify_branch_structure,
                        verify_hplane_decomposition, y_point_count_report,
@@ -79,8 +79,8 @@ def test_z1_matches_display():
 def test_deck_involution():
     rep = sigma_deck_report()
     assert rep.passed and rep.witness["lambda"] == "-1"
-    s = s_involution_map(QQ)
-    z1 = z1_poly(QQ)
+    s = table2_generators(QI)["s"].to_monomial_map()
+    z1 = z1_poly(QI)
     assert s.apply(z1) == -z1  # multidegree (1,1,1,1), one sign per factor
 
 

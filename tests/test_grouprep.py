@@ -9,14 +9,14 @@ import pytest
 from upv import cover, grouprep
 from upv.ambient import AMBIENT_S, AMBIENT_XY, EVEN_TUPLES, xname, yname
 from upv.checks import RunConfig, RunContext, resolve_targets, run_checks
-from upv.grouprep import (SignedAction,
-                          check_regular_representation, delta_set_report,
+from poly_oracle import table_map, word_map
+from upv.grouprep import (act, check_regular_representation, delta_set_report,
                           fixed_loci_report, fixed_locus, group_G, group_H,
-                          j_generator_stability_report, parse_word,
-                          q_invariance_report, signed_permutation,
+                          image_of_variable, j_generator_stability_report,
+                          parse_word, q_invariance_report, signed_permutation,
                           stabilizer_classification,
                           subgroup_census_report, table1_relations_report,
-                          theta_class, word_str)
+                          theta_class, trace_on_x_span, word_str)
 from upv.poly import Poly, PolyError
 from upv.report import verdict
 from upv.scalars import GF, QI, QQ
@@ -42,16 +42,16 @@ def test_word_parsing_roundtrip():
 
 
 def test_table1_spot_actions():
-    a1 = SignedAction(parse_word("a1"), QQ)
-    assert a1.image_of_variable("x00") == (1, "x01")
-    assert a1.image_of_variable("x10") == (1, "x11")
-    assert a1.image_of_variable("x20") == (1, "x20")
+    a1 = parse_word("a1")
+    assert image_of_variable(a1, "x00") == (1, "x01")
+    assert image_of_variable(a1, "x10") == (1, "x11")
+    assert image_of_variable(a1, "x20") == (1, "x20")
     # y index complemented in positions 0 and 1
-    assert a1.image_of_variable("y0011") == (1, "y1111")
-    b2 = SignedAction(parse_word("b2"), QQ)
-    assert b2.image_of_variable("x20") == (-1, "x20")
-    assert b2.image_of_variable("x00") == (1, "x00")
-    assert b2.image_of_variable("y0000") == (-1, "y0000")
+    assert image_of_variable(a1, "y0011") == (1, "y1111")
+    b2 = parse_word("b2")
+    assert image_of_variable(b2, "x20") == (-1, "x20")
+    assert image_of_variable(b2, "x00") == (1, "x00")
+    assert image_of_variable(b2, "y0000") == (-1, "y0000")
 
 
 def test_relations_and_census():
@@ -66,16 +66,16 @@ def test_relations_and_census():
 
 
 def test_fixed_locus_display():
-    g = SignedAction(parse_word("a1*b2"), QQ)
-    loc = fixed_locus(g, "(+,+)")
+    g = parse_word("a1*b2")
+    loc = fixed_locus(g, QQ, "(+,+)")
     strs = {str(c) for c in loc.x_constraints}
     assert "1*x20" in strs and "1*x21" in strs
     assert len(loc.x_constraints) == 4
     assert len(loc.y_constraints) == 4
-    zero_sector = fixed_locus(g, "(0,-)")
+    zero_sector = fixed_locus(g, QQ, "(0,-)")
     assert len(zero_sector.x_constraints) == 8
     with pytest.raises(ValueError):
-        fixed_locus(g, "(+,-)")
+        fixed_locus(g, QQ, "(+,-)")
 
 
 def test_fixed_loci_report():
@@ -85,9 +85,8 @@ def test_fixed_loci_report():
 def test_regular_representation():
     rep = check_regular_representation()
     assert rep.passed
-    g = SignedAction(parse_word("a1*b2"), QQ)
-    assert g.trace_on_x_span() == 0
-    assert SignedAction(parse_word("1"), QQ).trace_on_x_span() == 8
+    assert trace_on_x_span(parse_word("a1*b2")) == 0
+    assert trace_on_x_span(parse_word("1")) == 8
 
 
 def test_q_invariance():
@@ -114,9 +113,9 @@ def random_xy_poly(field, rng):
 
 def assert_apply_matches_map(polys, field):
     for w in ALL_WORDS:
-        act = SignedAction(w, field)
+        m = word_map(w, field)
         for f in polys:
-            assert act.apply(f) == act.map.apply(f), (word_str(w), str(f))
+            assert act(w, f) == m.apply(f), (word_str(w), str(f))
 
 
 def test_apply_matches_the_map_on_the_unprojection_generators():
@@ -146,7 +145,7 @@ def test_apply_rejects_other_ambients():
     s1 = Poly.variable(AMBIENT_S, QQ, "s1")
     for w in (parse_word("1"), parse_word("a1*b2")):
         with pytest.raises(PolyError):
-            SignedAction(w, QQ).apply(s1)
+            act(w, s1)
 
 
 def name_images(word):
@@ -248,8 +247,52 @@ def a1a2_negating_y(monkeypatch):
         lambda word, *table: negated_y(*table) if word == parse_word("a1*a2") else table)
 
 
+@pytest.fixture
+def a2b3_negating_y(monkeypatch):
+    """The sign table with the G generator a2*b3 negating every y as well,
+    while a2 and b3 keep their tables."""
+    yield from patched_sign_table(
+        monkeypatch,
+        lambda word, *table: negated_y(*table) if word == parse_word("a2*b3") else table)
+
+
+def test_table1_relations_composes_every_word(a2b3_negating_y):
+    rep = table1_relations_report()
+    assert not rep.passed
+    assert rep.witness["problems"] == ["a2*b3 != a2 * b3"]
+
+
+def test_table1_relations_squares_each_generator(monkeypatch):
+    # a1 sending x00 to -x01 and x01 to x00 has order 4, and it no longer
+    # commutes with a2 or a3, which swap x00 and x01 as well
+    def edit(word, target, sign):
+        if word == parse_word("a1"):
+            sign[AMBIENT_XY.index("x00")] = -1
+        return target, sign
+
+    for _ in patched_sign_table(monkeypatch, edit):
+        rep = table1_relations_report()
+        assert not rep.passed
+        assert rep.witness["problems"][:3] == [
+            "a1^2 != 1", "a1 and a2 do not commute", "a1 and a3 do not commute"]
+
+
+def test_compose_is_substitution_after_substitution():
+    rng = random.Random(5)
+    f = random_xy_poly(GF(13), rng)
+    for _ in range(20):
+        outer, inner = [(tuple(rng.sample(range(16), 16)),
+                         tuple(rng.choice((1, -1)) for _ in range(16))) for _ in range(2)]
+        composed = table_map(grouprep.compose(outer, inner), GF(13))
+        assert composed.apply(f) == table_map(outer, GF(13)).apply(
+            table_map(inner, GF(13)).apply(f))
+    for u, v in product(ALL_WORDS, repeat=2):
+        assert grouprep.compose(signed_permutation(u), signed_permutation(v)) == \
+            signed_permutation(grouprep.word_mul(u, v))
+
+
 def test_flipped_sign_fails_j_stability(b1_without_y_sign):
-    assert SignedAction(parse_word("b1"), QQ).image_of_variable("y0000") == (1, "y0000")
+    assert image_of_variable(parse_word("b1"), "y0000") == (1, "y0000")
     rep = j_generator_stability_report()
     assert not rep.passed
     assert rep.witness["problems"][0].startswith("b1 moves ")
@@ -273,20 +316,19 @@ def test_a_wrong_table_breaks_the_lift_relation(b1_without_y_sign):
 
 
 def poly_q_invariance_report(nus, rng):
-    """The oracle: ``q_invariance_report`` on ``SignedAction.apply`` and
+    """The oracle: ``q_invariance_report`` on ``grouprep.act`` and
     ``Poly`` equality."""
     problems = []
     H = set(group_H())
     non_h = [w for w in ALL_WORDS if w not in H]
     for nu in nus:
-        d = nu.domain
         q = q_section(nu)
         ints = tuple(int(v) for v in nu.nu)
         for w in H:
-            if SignedAction(w, d).apply(q) != q:
+            if act(w, q) != q:
                 problems.append(f"{word_str(w)} breaks q invariance at nu={ints}")
         for w in rng.sample(non_h, 8):
-            img = SignedAction(w, d).apply(q)
+            img = act(w, q)
             if img == q or img == -q:
                 problems.append(f"{word_str(w)} outside H fixed q at nu={ints}")
     return verdict("grouprep.q_invariance", problems[:5],
@@ -294,7 +336,7 @@ def poly_q_invariance_report(nus, rng):
 
 
 def poly_j_stability_report(domain=QQ):
-    """The oracle: ``j_generator_stability_report`` on ``SignedAction.apply``
+    """The oracle: ``j_generator_stability_report`` on ``grouprep.act``
     and sets of ``Poly``."""
     ideal = grouprep.build_unprojection_ideal(domain)
     by_prov = {}
@@ -302,9 +344,8 @@ def poly_j_stability_report(domain=QQ):
         by_prov.setdefault(t, set()).update((g, -g))
     problems = []
     for w in ALL_WORDS:
-        act = SignedAction(w, domain)
         for name, g, t in ideal.generators:
-            if act.apply(g) not in by_prov[t]:
+            if act(w, g) not in by_prov[t]:
                 problems.append(f"{word_str(w)} moves {name} outside the {t} set")
     return verdict("grouprep.j_stability", problems[:5],
                    on_pass={"words": 64, "generators": 63})
@@ -449,13 +490,12 @@ def loop_stabilizers(points, words, p):
     """The per-point oracle: each word's signed image of each point,
     re-canonicalized by ``canonical_weighted``."""
     from upv.cover import canonical_weighted
-    actions = [(w, SignedAction(w, QQ)) for w in words]
     fixed = {w: [] for w in words}
     for pt in points:
-        for w, act in actions:
+        for w in words:
             img = []
             for name in AMBIENT_XY.variables:
-                sign, target = act.image_of_variable(name)
+                sign, target = image_of_variable(w, name)
                 img.append(sign * pt[AMBIENT_XY.index(target)])
             if canonical_weighted(img, p) == pt:
                 fixed[w].append(pt)
@@ -468,7 +508,7 @@ def per_word_stabilizers(rows, words, p):
     from upv.cover import canonical_weighted_rows
     fixed = {}
     for w in words:
-        images = [SignedAction(w, QQ).image_of_variable(n) for n in AMBIENT_XY.variables]
+        images = [image_of_variable(w, n) for n in AMBIENT_XY.variables]
         cols = [AMBIENT_XY.index(target) for _, target in images]
         signs = np.array([sign for sign, _ in images], dtype=np.int64)
         fixed[w] = (canonical_weighted_rows(rows[:, cols] * signs, p) == rows).all(axis=1)

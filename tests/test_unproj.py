@@ -33,10 +33,10 @@ def test_x_generators_die_under_sigma():
 
 
 def test_x_generators_invariant_under_all_table1_words():
-    from upv.grouprep import SignedAction, build_table1_action
-    for gen in build_table1_action():
+    from upv.grouprep import GENERATOR_NAMES, act, parse_word
+    for name in GENERATOR_NAMES:
         for g in build_x_ideal().polys():
-            assert gen.apply(g) == g
+            assert act(parse_word(name), g) == g
 
 
 def test_census_63():
@@ -96,6 +96,22 @@ def test_plane_incidences():
     assert rep.passed
     assert rep.witness["line_count"] == 24
     assert rep.witness["empty_count"] == 4
+
+
+def test_plane_incidence_ranks_match_the_elimination():
+    # the oracle: the rank of the 8 unit rows of each pair by field
+    # elimination, 6 (a line) or 8 (antipodal, disjoint)
+    from upv.linalg import rank_naive
+    from upv.unproj import plane_equations
+    lines = []
+    for a, b in combinations(EVEN_TUPLES, 2):
+        rows = [[QQ.from_int(int(j == c)) for j in range(8)]
+                for c in plane_equations(a) + plane_equations(b)]
+        r = rank_naive(rows, QQ)
+        assert r == (8 if b == tuple(map(comp, a)) else 6)
+        if r == 6:
+            lines.append(f"{''.join(map(str, a))}|{''.join(map(str, b))}")
+    assert verify_plane_incidences().witness["line_pairs"] == lines
 
 
 def test_rewriting_examples():
