@@ -11,8 +11,10 @@ time the same surface) and times `enumerate_surface` and
 which fills the per-prime caches and is what `upv run all` pays once per
 prime, then N more calls.  Prints one line per prime: the nu, the point
 count, and for each kernel the cold first call and the median and quartiles
-(q1, q3) of the warm calls, in ms.  Over several primes this is the
-kernels' scaling curve in p.
+(q1, q3) of the warm calls, in ms; after a semicolon, how many rows of the
+reduced group the certificate scans: the involutions over GF(p), tested for
+fixed points, and the generators, tested for orbit closure (a row can be
+both).  Over several primes this is the kernels' scaling curve in p.
 """
 
 import argparse
@@ -73,10 +75,14 @@ def main() -> int:
         points, enum_cold = cold_ms(enumerate_call)
         certify_call = lambda: certify_free_and_smooth(points, group)  # noqa: E731
         _, cert_cold = cold_ms(certify_call)
+        red = group.mod_p(p)
         print(f"p {p}: nu {tuple(int(v) for v in nu.nu)}, {points.count} points, "
               f"enumerate_surface cold {enum_cold}, warm {warm_ms(enumerate_call, args.repeats)}, "
               f"certify_free_and_smooth cold {cert_cold}, "
-              f"warm {warm_ms(certify_call, args.repeats)}", flush=True)
+              f"warm {warm_ms(certify_call, args.repeats)}; "
+              f"scanned rows {int((red.involution | red.generator).sum())} of {len(red.names)} "
+              f"({int(red.involution.sum())} involutions, {int(red.generator.sum())} generators)",
+              flush=True)
     return 0
 
 

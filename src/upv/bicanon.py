@@ -293,8 +293,7 @@ def nodes_error_paths() -> Tuple[bool, str]:
 
 def split_plane_sections(nu: FamilyParams) -> CheckReport:
     """Restricting to s_i = -s0 factors the cubic exactly as s0 times the
-    residual conic; the three lines pairwise meet in the plane s0 = 0; the
-    lines through pairs of nodes lie on the cubic."""
+    residual conic; the lines through pairs of nodes lie on the cubic."""
     d = nu.domain
     problems = []
     cubic = scubic(nu)
@@ -316,10 +315,6 @@ def split_plane_sections(nu: FamilyParams) -> CheckReport:
         conic_restricted = ring_substitute(conic, AMBIENT_S, images)
         if not proportional(quotient, conic_restricted):
             problems.append(f"residual of s{i} = -s0 is not the displayed conic")
-    # L_i pairwise meet at a single point of the plane s0 = 0
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        if len({0, i, j}) != 3:  # the rank of three coordinate equations
-            problems.append(f"L{i} and L{j} do not meet in a point")
     # N_ij = (s0 - s_k = l = 0) lies on the cubic
     for k in (1, 2, 3):
         i, j = [m for m in (1, 2, 3) if m != k]

@@ -13,7 +13,9 @@ coordinates pull back to squares.  On top of it live
 * the hypersurfaces Z1 (multidegree (1,1,1,1)) and Z2 = 2*sigma^#(q)
   (multidegree (2,2,2,2)) cutting the simply connected surface upstairs, and
 * the enumeration of its F_p points, used to certify that the group acts
-  freely and that no rational point is singular.  Both read the shape that
+  freely and that no rational point is singular; the certificate scans
+  only the group's involutions (for fixed points) and its generators (for
+  orbit closure), which decide both statements.  Both read the shape that
   sigma gives the equations, checked once on their coefficient tensors: Z1
   is the two monomials t00*t11*t21*t31 + t01*t10*t20*t30, so it is solved
   for the first factor and its partials are products of coordinates, and
@@ -43,6 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -219,9 +222,11 @@ def normalized(m):
     return ((a * inv, b * inv), (c * inv, d * inv))
 
 
-def table2_generators(domain=QI) -> Dict[str, ProjAut]:
+@lru_cache(maxsize=None)
+def table2_generators(domain=QI) -> Mapping[str, ProjAut]:
     """The tabulated automorphisms: the three factor swaps, the three
-    diagonal eps-twists, and the deck involution s."""
+    diagonal eps-twists, and the deck involution s; once per domain, as a
+    read-only mapping (no caller changes a ``ProjAut``)."""
     eps = domain.sqrt_minus_one()
     one, zero = domain.one(), domain.zero()
     eye = ((one, zero), (zero, one))
@@ -243,7 +248,7 @@ def table2_generators(domain=QI) -> Dict[str, ProjAut]:
         "s": ProjAut(domain, (0, 1, 2, 3),
                      (diag(one, -one),) * 4),
     }
-    return gens
+    return MappingProxyType(gens)
 
 
 def tabulated_generator_rows(domain=QI) -> Dict[str, ProjAut]:
@@ -278,13 +283,16 @@ GT_GENERATOR_NAMES = ("a1~b2~", "a2~b3~", "a3~b1~")
 GT_WORDS = dict(zip(GT_GENERATOR_NAMES, G_GENERATOR_WORDS))
 
 
-def gtilde_generators(domain=QI) -> Dict[str, ProjAut]:
+@lru_cache(maxsize=None)
+def gtilde_generators(domain=QI) -> Mapping[str, ProjAut]:
+    """The three lifted generators, products of ``table2_generators``; once
+    per domain, read-only."""
     t2 = table2_generators(domain)
-    return {
+    return MappingProxyType({
         "a1~b2~": t2["a1~"].mul(t2["b2~"]),
         "a2~b3~": t2["a2~"].mul(t2["b3~"]),
         "a3~b1~": t2["a3~"].mul(t2["b1~"]),
-    }
+    })
 
 
 @dataclass
@@ -306,7 +314,7 @@ class FiniteProjGroup:
         return self._mod_p[p]
 
     @classmethod
-    def closure(cls, gens: Dict[str, ProjAut], cap: int = 256) -> "FiniteProjGroup":
+    def closure(cls, gens: Mapping[str, ProjAut], cap: int = 256) -> "FiniteProjGroup":
         """Breadth-first closure under right multiplication by the generators.
 
         The search forms every product e_i * g_k once, so it records the
@@ -349,6 +357,28 @@ class FiniteProjGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    def generators(self) -> List[int]:
+        """Indices of elements that generate the group, read off the Cayley
+        table (the identity at index 0): each element in turn that those
+        picked before do not generate.  For a closure these are the
+        generators it started from, in the order it met them, less any the
+        others generate."""
+        picked: List[int] = []
+        span = {0}
+        for g in range(self.order):
+            if g in span:
+                continue
+            picked.append(g)
+            todo = list(span)
+            while todo:
+                a = todo.pop()
+                for k in picked:
+                    b = self.cayley[a][k]
+                    if b not in span:
+                        span.add(b)
+                        todo.append(b)
+        return picked
+
     def element_orders(self) -> List[int]:
         """Orders from index walks g, g^2, ... in the Cayley table until the
         identity, which the closure puts at index 0.  An order divides the
@@ -379,9 +409,12 @@ class ReducedGroup:
 
     ``pi`` (M, 4) and ``mats`` (M, 4, 2, 2) hold the factor permutations and
     residue matrices of the M elements named ``names``; ``order`` counts the
-    distinct reductions, the identity included.  ``tables`` (M, 4, p + 1),
-    built on first use, holds the P^1 index of mats[j] applied to each
-    point of P^1(F_p) (``p1_images``).
+    distinct reductions, the identity included.  Two masks over the rows
+    name the ones the certificate scans: ``involution``, the h with h^2 = 1
+    over GF(p), and ``generator``, the group's generators
+    (``FiniteProjGroup.generators``) that do not reduce to the identity.
+    ``tables`` (M, 4, p + 1), built on first use, holds the P^1 index of
+    mats[j] applied to each point of P^1(F_p) (``p1_images``).
     """
 
     names: List[str]
@@ -389,23 +422,37 @@ class ReducedGroup:
     mats: np.ndarray
     order: int
     p: int
+    involution: np.ndarray
+    generator: np.ndarray
 
     @classmethod
     def of(cls, group: FiniteProjGroup, p: int) -> "ReducedGroup":
         field = GF(p)
         ident = ProjAut.identity(field)
-        reduced = [(name, g.map_entries(field))
-                   for name, g in zip(group.names, group.elements)]
-        kept = [(name, g) for name, g in reduced if g != ident]
-        pi, mats = aut_arrays([g for _, g in kept], p)
-        return cls([name for name, _ in kept], pi, mats,
-                   len({g.key() for _, g in reduced}), p)
+        reduced = [g.map_entries(field) for g in group.elements]
+        kept = [k for k, g in enumerate(reduced) if g != ident]
+        pi, mats = aut_arrays([reduced[k] for k in kept], p)
+        gens = set(group.generators())
+        return cls([group.names[k] for k in kept], pi, mats,
+                   len({g.key() for g in reduced}), p, squares_to_identity(pi, mats, p),
+                   np.array([k in gens for k in kept], dtype=bool))
 
     @cached_property
     def tables(self) -> np.ndarray:
         tables = p1_images(self.mats, np.arange(self.p + 1), self.p)
         tables.flags.writeable = False  # shared by every certificate at p
         return tables
+
+
+def squares_to_identity(pi: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
+    """Whether each automorphism of ``aut_arrays`` squares to the identity
+    over GF(p).  As in ``ProjAut.mul``, h*h permutes the factors by pi[pi]
+    and has the matrices mats[j] @ mats[pi[j]], which must be scalar."""
+    rows = np.arange(len(pi))[:, None]
+    sq = mats @ mats[rows, pi] % p  # entries < 2*p^2 before the reduction
+    return ((pi[rows, pi] == np.arange(4)).all(axis=1)
+            & ((sq[..., 0, 1] == 0) & (sq[..., 1, 0] == 0)
+               & (sq[..., 0, 0] == sq[..., 1, 1])).all(axis=1))
 
 
 def aut_arrays(auts: Sequence[ProjAut], p: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -772,15 +819,15 @@ def p1_slots(pa: PointArray) -> Tuple[Optional[np.ndarray], np.ndarray]:
     return values, where.reshape(digits.shape)
 
 
-def image_keys(red: "ReducedGroup", pa: PointArray) -> np.ndarray:
-    """Keys (M, N) of the images of N points under the M elements of
-    ``red``.  As in ``ProjAut.act_point``, factor j of an image is mats[j]
-    applied to factor pi[j] of the point, read from the element's P^1 table
-    (``ReducedGroup.tables``, or the distinct coordinates by the size rule
-    of ``p1_slots``)."""
+def image_keys(red: "ReducedGroup", pa: PointArray, rows: np.ndarray) -> np.ndarray:
+    """Keys (R, N) of the images of N points under the R elements of
+    ``red`` at the indices ``rows``.  As in ``ProjAut.act_point``, factor j
+    of an image is mats[j] applied to factor pi[j] of the point, read from
+    the element's P^1 table (``ReducedGroup.tables``, or the distinct
+    coordinates by the size rule of ``p1_slots``)."""
     values, slots = p1_slots(pa)
-    table = red.tables if values is None else p1_images(red.mats, values, pa.p)
-    src = slots.T[red.pi]  # (M, 4, N): the slot of factor pi[j]
+    table = red.tables[rows] if values is None else p1_images(red.mats[rows], values, pa.p)
+    src = slots.T[red.pi[rows]]  # (R, 4, N): the slot of factor pi[j]
     return point_keys(np.take_along_axis(table, src, axis=2).transpose(0, 2, 1), pa.p)
 
 
@@ -1162,9 +1209,16 @@ def certify_free_and_smooth(points: SurfacePointSet,
     and (iii) hold, the points split into free orbits, so their number is a
     multiple of the group order.
 
-    Per element, the problems name the first point it fixes and the first
-    point it moves off the surface (scanning stops there); a rank drop
-    names the first singular point in chart order.
+    Each statement is decided by a few rows of the reduced group
+    (``ReducedGroup``), and only those are scanned.  (i) The involutions:
+    the group over GF(p) is the image of a 2-group, so it is a 2-group, and
+    if g fixes a point, so does its power of order 2.  (iii) The
+    generators: the reduced group is generated by their reductions, an
+    automorphism is injective and the point set finite, so if each
+    generator maps the set into itself it permutes it, and so does every
+    product.  Per scanned row, the problems name the first point an
+    involution fixes and the first point a generator moves off the
+    surface; a rank drop names the first singular point in chart order.
     """
     p = points.p
     nu = points.nu
@@ -1174,24 +1228,25 @@ def certify_free_and_smooth(points: SurfacePointSet,
     keys = pa.keys()
     sorted_keys = np.sort(keys)
     red = group.mod_p(p)
-    img = image_keys(red, pa)
-    # an automorphism is injective, so it keeps the set iff it permutes the
-    # keys; per element, the first point it fixes and the first point it
-    # moves off the surface (n for none)
-    moved = ~(np.sort(img, axis=1) == sorted_keys).all(axis=1)
+    rows = np.flatnonzero(red.involution | red.generator)
+    img = image_keys(red, pa, rows)
+    fixed = img == keys
+    fixed[~red.involution[rows]] = False
+    # a generator keeps the set iff it permutes the keys; the first point
+    # it moves off the surface (n for none)
+    gen = np.flatnonzero(red.generator[rows])
+    moved = gen[~(np.sort(img[gen], axis=1) == sorted_keys).all(axis=1)]
     off = np.zeros(img.shape, dtype=bool)
     off[moved] = ~_members(sorted_keys, img[moved])
-    fixes_at, leaves_at = _first(img == keys), _first(off)
-    closed = free = True
-    for first_fixed, first_off, name in zip(fixes_at.tolist(), leaves_at.tolist(),
-                                            red.names):
-        if first_fixed < first_off:
-            free = False
-            problems.append(f"{name} fixes {pa.point(first_fixed)}")
+    fixes_at, leaves_at = _first(fixed), _first(off)
+    free = not fixed.any()
+    closed = not moved.size
+    for first_fixed, first_off, row in zip(fixes_at.tolist(), leaves_at.tolist(), rows):
+        if first_fixed < n:
+            problems.append(f"{red.names[row]} fixes {pa.point(first_fixed)}")
         if first_off < n:
-            closed = False
             problems.append(f"orbit of {pa.point(first_off)} leaves the "
-                            f"surface under {name}")
+                            f"surface under {red.names[row]}")
     singular = np.flatnonzero(~jacobian_rank2(pa, points.square))
     if singular.size:
         first = singular[np.argmin(pa.chart[singular] @ CHART_CODE)]
@@ -1205,7 +1260,7 @@ def certify_free_and_smooth(points: SurfacePointSet,
     degenerate, reason = nu.degenerate()
     return verdict("cover.free_action", problems[:8],
                    {"points": points.count,
-                    "free": not any("fixes" in m for m in problems),
+                    "free": free,
                     "rank2_everywhere": not singular.size},
                    on_fail={"degenerate_nu": degenerate, "degenerate_reason": reason,
                             "nu4_zero": not nu.nu[4]},

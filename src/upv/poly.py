@@ -7,9 +7,10 @@ canonical term order (descending lexicographic on exponent vectors) fixes
 printing, division and hashing.
 
 Sums and products (``+``, ``-``, poly x poly ``*``, ``weighted_sum`` and
-``MonomialMap.apply``) run on one path for every domain: they accumulate
-``domain.raw`` values in one dict and turn each output term back into a
-field element once, with ``domain.wrap_terms``.
+``MonomialMap.apply``) and ``evaluate`` run on one path for every domain:
+they accumulate ``domain.raw`` values in one dict (one number for
+``evaluate``) and turn each output term back into a field element once,
+with ``domain.wrap_terms``.
 
 A ``MonomialMap`` sends each source variable to scalar * monomial in a target
 ambient and applies as a ring homomorphism.  Laurent images (negative
@@ -96,7 +97,8 @@ class Poly:
         if self.domain is not other.domain and self.domain != other.domain:
             raise PolyError(f"domain mismatch: {self.domain} vs {other.domain}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "Poly":
+        """self + sign*other (sign +-1), in one pass over the raw values."""
         if not isinstance(other, Poly):
             other = Poly.constant(self.ambient, self.domain, other)
         self._check_compatible(other)
@@ -104,9 +106,13 @@ class Poly:
         acc = {e: raw(c) for e, c in self.terms.items()}
         get = acc.get
         for e, c in other.terms.items():
+            r = raw(c) if sign > 0 else -raw(c)
             s = get(e)
-            acc[e] = raw(c) if s is None else s + raw(c)
+            acc[e] = r if s is None else s + r
         return Poly._from_raw(self.ambient, self.domain, acc)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -117,9 +123,7 @@ class Poly:
         return out
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.ambient, self.domain, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -216,16 +220,27 @@ class Poly:
         return Poly._trusted(self.ambient, self.domain, terms)
 
     def evaluate(self, values: Sequence[object]):
-        """Evaluate at field elements, one per ambient variable."""
-        vals = [self.domain.coerce(v) for v in values]
-        acc = self.domain.zero()
+        """Evaluate at field elements, one per ambient variable: the terms
+        are summed as ``domain.raw`` values and the sum is wrapped once.  A
+        negative (Laurent) power is a power of the raw inverse, taken on
+        first use, so a zero value there raises ``ZeroDivisionError``."""
+        d = self.domain
+        vals = [d.coerce(v) for v in values]
+        raw = d.raw
+        rvals = [raw(v) for v in vals]
+        inverses: Dict[int, object] = {}
+        acc = raw(d.zero())
         for e, c in self.terms.items():
-            t = c
-            for v, k in zip(vals, e):
-                if k:
-                    t = t * v ** k
+            t = raw(c)
+            for j, k in enumerate(e):
+                if k > 0:
+                    t = t * rvals[j] ** k
+                elif k:
+                    if j not in inverses:
+                        inverses[j] = raw(d.one() / vals[j])
+                    t = t * inverses[j] ** -k
             acc = acc + t
-        return acc
+        return d.wrap_terms({(): acc}).get((), d.zero())
 
     def map_coefficients(self, domain) -> "Poly":
         """Push coefficients into another domain with ``domain.coerce``."""

@@ -1,10 +1,11 @@
 """Per-term oracles of ``Poly``'s accumulation loops, on field elements.
 
-These are the loops that ``Poly.__add__``, the poly x poly case of
-``Poly.__mul__``, ``weighted_sum`` and ``MonomialMap.apply`` ran before they
-accumulated ``domain.raw`` values: every step is one operation of the
-field's elements, and a sum that reaches zero is dropped at once.  Each
-returns a term map; the tests compare it with the kernel's ``terms``.
+These are the loops that ``Poly.__add__``, ``Poly.__sub__``, the poly x
+poly case of ``Poly.__mul__``, ``weighted_sum``, ``MonomialMap.apply`` and
+``Poly.evaluate`` ran before they accumulated ``domain.raw`` values: every
+step is one operation of the field's elements, and a sum that reaches zero
+is dropped at once.  Each returns a term map (``evaluate_value`` a field
+element); the tests compare it with the kernel's ``terms``.
 
 ``word_map`` is a group word's signed permutation as a ``MonomialMap``
 (``table_map`` of its table), the oracle of ``grouprep.act``.
@@ -31,6 +32,28 @@ def add_terms(f, g):
     for e, c in g.terms.items():
         _accumulate(terms, e, c)
     return terms
+
+
+def sub_terms(f, g):
+    """f - g as f plus the negation of each term of g."""
+    terms = dict(f.terms)
+    for e, c in g.terms.items():
+        _accumulate(terms, e, -c)
+    return terms
+
+
+def evaluate_value(f, values):
+    """f at field elements, one product and power of elements per term; a
+    negative power is a power of the element's inverse."""
+    vals = [f.domain.coerce(v) for v in values]
+    acc = f.domain.zero()
+    for e, c in f.terms.items():
+        t = c
+        for v, k in zip(vals, e):
+            if k:
+                t = t * v ** k
+        acc = acc + t
+    return acc
 
 
 def mul_terms(f, g):

@@ -9,8 +9,8 @@ import pytest
 
 from upv.ambient import AMBIENT_T4, AMBIENT_XY, EVEN_TUPLES, X_INDEX, Y_INDEX
 from upv import cover
-from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
-                       PointArray, ProjAut, SurfacePointSet, aut_arrays,
+from upv.cover import (AMBIENT_LOCAL4, CHARTS, GT_GENERATOR_NAMES, SIGMA_EXPS,
+                       FiniteProjGroup, PointArray, ProjAut, SurfacePointSet, aut_arrays,
                        brute_force_count, build_lifts_and_certify, build_z2,
                        canonical_weighted, canonical_weighted_rows,
                        certify_free_and_smooth, chart_keys, check_grid_budget,
@@ -22,11 +22,12 @@ from upv.cover import (AMBIENT_LOCAL4, CHARTS, SIGMA_EXPS, FiniteProjGroup,
                        p1_rows, p1_table, point_keys, pow_mod,
                        row_keys, s_surface_pattern, sigma_deck_report, sigma_images,
                        sigma_map, square_rows, square_tensor,
-                       table2_generators,
+                       squares_to_identity, table2_generators,
                        tabulated_generator_rows, verify_branch_structure,
                        verify_hplane_decomposition, y_point_count_report,
                        z1_display, z1_poly, z2_display, z2_poly)
 from upv.poly import Poly
+from upv.report import verdict
 from upv.scalars import GF, QI, QQ
 from upv.unproj import FamilyParams
 from grids import all_p1
@@ -89,6 +90,23 @@ def test_table2_products_match_tabulated_rows():
     rows = tabulated_generator_rows(QI)
     for name in gens:
         assert gens[name] == rows[name]
+
+
+@pytest.mark.parametrize("field", [QI, GF(13)], ids=str)
+def test_generator_maps_are_built_once_per_field_read_only(field, monkeypatch):
+    # build_z2 reads the shared maps and builds no automorphism of its own
+    # (it built the seven tabulated ones twice per call)
+    t2, gt = table2_generators(field), gtilde_generators(field)
+    for cached in (t2, gt):
+        with pytest.raises(TypeError):
+            cached["s"] = None
+    built = []
+    real_init = ProjAut.__init__
+    monkeypatch.setattr(ProjAut, "__init__",
+                        lambda self, *a: built.append(1) or real_init(self, *a))
+    assert table2_generators(field) is t2 and gtilde_generators(field) is gt
+    assert build_z2(FamilyParams(field, (1, 2, 3, 4, 5)))[1].passed
+    assert built == []
 
 
 def test_group_certification(lifted):
@@ -688,7 +706,7 @@ def test_branch_structure_fails_for_a_mutant_deck_involution(mutant, problem, mo
     real = cover.table2_generators
 
     def mutated(domain=QI):
-        gens = real(domain)
+        gens = dict(real(domain))  # the cached mapping is read-only
         s = gens["s"]
         one, zero = domain.one(), domain.zero()
         if mutant == "antidiagonal":  # fixes (1, 1) and (1, -1) on factor 0
@@ -965,28 +983,30 @@ def scalar_rank2(p, nu, pts):
 
 
 def scalar_certify_problems(points, group):
-    """The per-point certification: act_point and Poly.evaluate."""
+    """The per-point certification on the rows the certificate scans, by
+    act_point and Poly.evaluate: each involution over GF(p) (g*g = 1) for
+    the first point it fixes, and each generator of the closure (a name
+    with no ``*``) for the first point it moves off the surface."""
     p, f = points.p, GF(points.p)
     problems = []
     pts = point_list(points.points)
     point_set = set(pts)
+    ident = ProjAut.identity(f)
     reduced = [(name, g.map_entries(f)) for name, g in zip(group.names, group.elements)]
     free = closed = True
     for name, g in reduced:
-        if g == ProjAut.identity(f):
+        if g == ident:
             continue
-        fixed = 0
-        for pt in pts:
-            img = g.act_point(pt, p)
-            if img not in point_set:
+        if g.mul(g) == ident:
+            fixed = [pt for pt in pts if g.act_point(pt, p) == pt]
+            if fixed:
+                free = False
+                problems.append(f"{name} fixes {fixed[0]}")
+        if "*" not in name:
+            off = [pt for pt in pts if g.act_point(pt, p) not in point_set]
+            if off:
                 closed = False
-                problems.append(f"orbit of {pt} leaves the surface under {name}")
-                break
-            if img == pt:
-                fixed += 1
-                if fixed == 1:
-                    free = False
-                    problems.append(f"{name} fixes {pt}")
+                problems.append(f"orbit of {off[0]} leaves the surface under {name}")
     by_chart = sorted(pts, key=lambda pt: pt[0])
     singular = [pt for pt, ok in zip(by_chart, scalar_rank2(p, points.nu, by_chart))
                 if not ok]
@@ -999,6 +1019,138 @@ def scalar_certify_problems(points, group):
         problems.append(f"point count {points.count} is not a multiple of the "
                         f"group order {order}")
     return problems[:8]
+
+
+def full_scan_certificate(points, group):
+    """The oracle of the rows the certificate scans: the certificate over
+    every nontrivial element, each tested for fixed points and for points
+    it moves off the surface.  An element that moves a point off the
+    surface is reported as fixing a point only if it fixes one before
+    that."""
+    p, nu, pa = points.p, points.nu, points.points
+    problems = []
+    n = len(pa)
+    keys = pa.keys()
+    sorted_keys = np.sort(keys)
+    red = group.mod_p(p)
+    img = image_keys(red, pa, np.arange(len(red.names)))
+    moved = ~(np.sort(img, axis=1) == sorted_keys).all(axis=1)
+    off = np.zeros(img.shape, dtype=bool)
+    off[moved] = ~cover._members(sorted_keys, img[moved])
+    fixes_at, leaves_at = cover._first(img == keys), cover._first(off)
+    closed = free = True
+    for first_fixed, first_off, name in zip(fixes_at.tolist(), leaves_at.tolist(),
+                                            red.names):
+        if first_fixed < first_off:
+            free = False
+            problems.append(f"{name} fixes {pa.point(first_fixed)}")
+        if first_off < n:
+            closed = False
+            problems.append(f"orbit of {pa.point(first_off)} leaves the "
+                            f"surface under {name}")
+    singular = np.flatnonzero(~jacobian_rank2(pa, points.square))
+    if singular.size:
+        first = singular[np.argmin(pa.chart[singular] @ cover.CHART_CODE)]
+        problems.append(f"rank drop at {singular.size} points, "
+                        f"first {pa.point(first)}")
+    if points.count % 2 != 0:
+        problems.append(f"odd point count {points.count} (deck involution not free)")
+    if free and closed and points.count % red.order:
+        problems.append(f"point count {points.count} is not a multiple of the "
+                        f"group order {red.order}")
+    return verdict("cover.free_action", problems[:8],
+                   {"points": points.count,
+                    "free": not any("fixes" in m for m in problems),
+                    "rank2_everywhere": not singular.size},
+                   params=dict(nu.as_params(), prime=p))
+
+
+def certificate_decision(rep):
+    """What ``RunContext.smooth_points`` does with a certificate: accept it,
+    redraw on a lone rank drop, or raise."""
+    if rep.passed:
+        return "accept"
+    if rep.witness["rank2_everywhere"] or len(rep.witness["problems"]) > 1:
+        return "raise"
+    return "redraw"
+
+
+def free_action_pairs():
+    """(p, nu) over p in {5, 13, 17, 29, 37}: seeded draws, draws with
+    nu4 = 0, draws on the delta hyperplanes nu0 - nu1 - nu2 - nu3 +
+    m*eps*nu4 = 0 (m = +-8), where the three-letter involution has fixed
+    points, and (5, 1, 2, 3, 1) at 13, whose group fixed points are not
+    F_13-rational."""
+    rng = random.Random(33)
+    pairs = [(13, (5, 1, 2, 3, 1))]
+    for p in (5, 13, 17, 29, 37):
+        eps = GF(p).eps_int
+        pairs += [(p, tuple(rng.randrange(p) for _ in range(5))) for _ in range(16)]
+        pairs += [(p, tuple(rng.randrange(1, p) for _ in range(4)) + (0,)) for _ in range(2)]
+        for m in (8, -8):
+            n1, n2, n3, n4 = (rng.randrange(1, p) for _ in range(4))
+            pairs.append((p, ((n1 + n2 + n3 - m * eps * n4) % p, n1, n2, n3, n4)))
+    return [(p, nu) for p, nu in pairs if any(nu)]
+
+
+def test_certificate_matches_the_full_group_scan(lifted):
+    group, _ = lifted
+    pairs = free_action_pairs()
+    assert len(pairs) >= 100
+    seen = set()
+    for p, nu in pairs:
+        pts = enumerate_surface(p, FamilyParams(GF(p), nu))
+        got, want = (certify(pts, group)
+                     for certify in (certify_free_and_smooth, full_scan_certificate))
+        outcome = [(rep.passed, rep.witness["free"], rep.witness["rank2_everywhere"],
+                    certificate_decision(rep)) for rep in (got, want)]
+        assert outcome[0] == outcome[1], (p, nu)
+        seen.add(outcome[0][1:])
+        if (p, nu) == (13, (5, 1, 2, 3, 1)):
+            assert got.passed and got.witness["free"]
+    # free and smooth, a lone rank drop, and a rational fixed point all occur
+    assert {(True, True, "accept"), (True, False, "redraw")} <= seen
+    assert any(not free and decision == "raise" for free, _, decision in seen)
+
+
+@pytest.mark.parametrize("p", [5, 13, BOUND_PRIME])
+def test_squares_to_identity_matches_projaut_mul(lifted, p):
+    group, _ = lifted
+    f = GF(p)
+    eye, turn = ((1, 0), (0, 1)), ((0, 1), (2, 0))  # turn^2 = 2, a scalar
+    auts = [g.map_entries(f) for g in group.elements] + [
+        ProjAut(f, (1, 2, 0, 3), (eye,) * 4),  # order 3
+        ProjAut(f, (0, 1, 2, 3), (turn, eye, eye, eye)),
+        ProjAut(f, (1, 0, 2, 3), (turn, eye, eye, eye)),  # squares to turn on two factors
+        ProjAut(f, (1, 0, 3, 2), (((p - 1, 1), (p - 2, 1)), eye, eye, eye)),
+        ProjAut(f, (0, 1, 2, 3), (((1, 1), (0, 1)),) + (eye,) * 3),  # a shear
+    ]
+    ident = ProjAut.identity(f)
+    want = [g.mul(g) == ident for g in auts]
+    assert squares_to_identity(*aut_arrays(auts, p), p).tolist() == want
+    assert sum(want) == 5  # the identity, the group's three involutions, turn
+
+
+def test_reduced_group_scans_three_involutions_and_three_generators(lifted):
+    group, _ = lifted
+    assert group.generators() == [1, 2, 3]
+    assert [group.names[k] for k in group.generators()] == list(GT_GENERATOR_NAMES)
+    orders = dict(zip(group.names, group.element_orders()))
+    for p in (5, 13, 17, 29, 37):
+        red = group.mod_p(p)
+        assert len(red.names) == 15
+        involutions = [name for name, inv in zip(red.names, red.involution) if inv]
+        assert involutions == [name for name in red.names if orders[name] == 2]
+        assert len(involutions) == 3
+        assert [name for name, gen in zip(red.names, red.generator) if gen] == \
+            list(GT_GENERATOR_NAMES)
+        assert int((red.involution | red.generator).sum()) == 6
+    # a generator the earlier ones generate is not picked
+    s = table2_generators(QI)["s"]
+    a = gtilde_generators(QI)["a1~b2~"]
+    redundant = FiniteProjGroup.closure({"x": a, "y": s})
+    assert [redundant.names[k] for k in redundant.generators()] == ["x"]
+    assert hand_group(s).generators() == [1]
 
 
 def hand_group(g):
@@ -1040,7 +1192,7 @@ def test_array_action_matches_act_point_everywhere_at_13(lifted):
         assert np.array_equal(np.concatenate([chart[m], vals[m]], axis=1), expected)
     red = group.mod_p(p)
     assert red.tables.shape == (15, 4, p + 1)
-    keys = image_keys(red, grid)
+    keys = image_keys(red, grid, np.arange(15))
     by_name = dict(zip(group.names, reduced))
     for m, name in enumerate(red.names):
         images = [by_name[name].act_point(pt, p) for pt in pts]
@@ -1178,6 +1330,9 @@ def test_kernel_exact_near_prime_bound(lifted):
     pts = surface_set(p, FamilyParams(f, (p - 1, 2, 3, p - 4, 5)), points)
     rep = certify_free_and_smooth(pts, group)
     assert rep.witness["problems"] == scalar_certify_problems(pts, group)
+    # the size rule: the scanned rows are evaluated at the points' distinct
+    # coordinates, and no table over P^1(F_p) is built
+    assert "tables" not in vars(group.mod_p(p))
     assert sigma_images(pa).tolist() == [scalar_sigma_image(pt, p) for pt in points]
 
 

@@ -335,9 +335,9 @@ def poly_q_invariance_report(nus, rng):
                    on_pass={"draws": len(nus), "H_words": 32})
 
 
-def poly_j_stability_report(domain=QQ):
-    """The oracle: ``j_generator_stability_report`` on ``grouprep.act``
-    and sets of ``Poly``."""
+def poly_j_stability_moves(domain=QQ):
+    """The oracle: every move of a generator out of its +- class set by
+    any of the 64 words, on ``grouprep.act`` and sets of ``Poly``."""
     ideal = grouprep.build_unprojection_ideal(domain)
     by_prov = {}
     for _, g, t in ideal.generators:
@@ -347,7 +347,12 @@ def poly_j_stability_report(domain=QQ):
         for name, g, t in ideal.generators:
             if act(w, g) not in by_prov[t]:
                 problems.append(f"{word_str(w)} moves {name} outside the {t} set")
-    return verdict("grouprep.j_stability", problems[:5],
+    return problems
+
+
+def poly_j_stability_report(domain=QQ):
+    """The all-words oracle of ``j_generator_stability_report``."""
+    return verdict("grouprep.j_stability", poly_j_stability_moves(domain)[:5],
                    on_pass={"words": 64, "generators": 63})
 
 
@@ -371,11 +376,30 @@ def doubled_generator(monkeypatch):
 @pytest.mark.parametrize("mutant", [None, "b1_without_y_sign", "doubled_generator"])
 @pytest.mark.parametrize("domain", [QQ, GF(13)], ids=str)
 def test_j_stability_matches_the_poly_path(domain, mutant, request):
+    # the same verdict as the scan of all 64 words, the same record on a
+    # pass, and on a failure only moves by generator words that the scan
+    # reports as well
     if mutant:
         request.getfixturevalue(mutant)
     rep = j_generator_stability_report(domain)
-    assert rep.to_json() == poly_j_stability_report(domain).to_json()
-    assert rep.passed == (mutant is None)
+    moves = poly_j_stability_moves(domain)
+    assert rep.passed == (not moves) == (mutant is None)
+    if rep.passed:
+        assert rep.to_json() == poly_j_stability_report(domain).to_json()
+    else:
+        named = rep.witness["problems"]
+        assert named and set(named) <= set(moves)
+        assert {m.split(" moves ")[0] for m in named} <= set(grouprep.GENERATOR_NAMES)
+
+
+def test_a_product_word_mutant_is_caught_by_table1_relations(a2b3_negating_y):
+    # j_stability reads only the generators' tables, so a wrong table of
+    # the product a2*b3 passes it; table1_relations, on which it rests,
+    # fails, as does the scan of all 64 words
+    assert j_generator_stability_report().passed
+    rep = table1_relations_report()
+    assert not rep.passed and rep.witness["problems"] == ["a2*b3 != a2 * b3"]
+    assert poly_j_stability_moves()[0].startswith("a2*b3 moves ")
 
 
 @pytest.mark.parametrize("mutant", [None, "b1_without_y_sign", "a1a2_negating_y",

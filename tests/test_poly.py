@@ -182,10 +182,33 @@ def test_add_and_mul_match_the_per_term_loops(domain, ambient):
         h = f + g * domain.from_int(-1)  # shares terms with g, some cancel
         for a, b in ((f, g), (f, h), (g, -g), (f, zero)):
             assert_terms(a + b, poly_oracle.add_terms(a, b), domain)
-            assert_terms(a - b, poly_oracle.add_terms(a, -b), domain)
+            assert_terms(a - b, poly_oracle.sub_terms(a, b), domain)
             assert_terms(a * b, poly_oracle.mul_terms(a, b), domain)
         assert (f + g) * (f - g) == f * f - g * g
         assert (g - g).is_zero() and (f * (g - g)).is_zero()
+
+
+@pytest.mark.parametrize("ambient", [AMBIENT_T4, AMBIENT_T4L], ids=lambda a: a.tag)
+@pytest.mark.parametrize("domain", KERNEL_DOMAINS, ids=str)
+def test_evaluate_matches_the_per_term_loop(domain, ambient):
+    rng = random.Random(f"evaluate:{domain}:{ambient.tag}")
+    kind = type(domain.one())
+    for _ in range(150):
+        f = rand_kernel_poly(rng, ambient, domain, nterms=8)
+        # zero values only where f has no negative power
+        negative = {k for e in f.terms for k, n in enumerate(e) if n < 0}
+        values = [domain.zero() if k not in negative and rng.random() < 0.2
+                  else domain.coerce(rand_scalar(rng, domain)) for k in range(ambient.nvars)]
+        got = f.evaluate(values)
+        assert got == poly_oracle.evaluate_value(f, values)
+        assert type(got) is kind
+        assert (f - f).evaluate(values) == domain.zero()
+    if ambient.laurent:  # a zero value under a negative power has no inverse
+        f = Poly.monomial(ambient, domain, (-1,) + (0,) * (ambient.nvars - 1))
+        values = [domain.zero()] + [domain.one()] * (ambient.nvars - 1)
+        for evaluate in (f.evaluate, lambda v: poly_oracle.evaluate_value(f, v)):
+            with pytest.raises(ZeroDivisionError):
+                evaluate(values)
 
 
 @pytest.mark.parametrize("ambient", [AMBIENT_T4, AMBIENT_T4L], ids=lambda a: a.tag)

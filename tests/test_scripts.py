@@ -74,6 +74,8 @@ def test_point_kernel_times_smoke():
     assert res.returncode == 0, res.stderr
     lifts, line = res.stdout.splitlines()
     assert lifts.startswith("build_lifts_and_certify cold ")
+    line, rows = line.split("; ")
+    assert rows == "scanned rows 6 of 15 (3 involutions, 3 generators)"
     assert line.startswith("p 13: nu (") and " points, enumerate_surface cold " in line
     enum, cert = line.split(" points, ")[1].split(", certify_free_and_smooth ")
     for timing in (lifts.removeprefix("build_lifts_and_certify "),
